@@ -243,8 +243,12 @@ impl StageModel {
                 );
                 let c = p.add_compute_on(s, kernel, TaskPhase::Forward, 0, waits);
                 // Tensor-parallel stages all-reduce their activations
-                // before handing them to the next stage.
-                let done = if tp_micro[s] > 0 {
+                // before handing them to the next stage. Both collectives
+                // anchor to the stage kernel: a collective may not depend
+                // on another collective (`Program::validate`), and both
+                // tiers issue a stage's collectives in schedule order at
+                // its frontier.
+                if tp_micro[s] > 0 {
                     p.add_collective_on(
                         s,
                         CollectiveOp::AllReduce,
@@ -252,10 +256,8 @@ impl StageModel {
                         TaskPhase::Forward,
                         0,
                         vec![c],
-                    )
-                } else {
-                    c
-                };
+                    );
+                }
                 if s + 1 < s_n {
                     *slot = Some(p.add_collective_on(
                         s,
@@ -263,7 +265,7 @@ impl StageModel {
                         micro_bytes[s],
                         TaskPhase::Forward,
                         0,
-                        vec![done],
+                        vec![c],
                     ));
                 }
             }
@@ -749,5 +751,18 @@ mod tests {
         .unwrap();
         assert_eq!(serial.requests, parallel.requests);
         assert_eq!(serial.makespan_cycles, parallel.makespan_cycles);
+    }
+
+    #[test]
+    fn tensor_parallel_round_programs_validate() {
+        // Each stage of a tensor-parallel round both all-reduces and
+        // forwards its activations; neither collective may hang off the
+        // other.
+        let w = Workload::transformer_lm()
+            .with_parallelism(Parallelism::Model)
+            .unwrap();
+        let p = first_round_program(&w, &quick_spec()).unwrap();
+        p.validate().unwrap();
+        assert!(p.total_collective_bytes() > 0);
     }
 }

@@ -1,11 +1,13 @@
 //! Golden-trace regression tests.
 //!
-//! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps are run
+//! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps, plus a
+//! training grid (exact and analytic tiers) and a serving grid, are run
 //! end-to-end and their CSV/JSON reports diffed **byte-for-byte** against
-//! checked-in files under `tests/golden/`. The files were captured from
-//! the simulator before the topology abstraction landed, so these tests
-//! prove that refactors of the network/collective/system layers do not
-//! move the paper's numbers.
+//! checked-in files under `tests/golden/`. The collective files were
+//! captured from the simulator before the topology abstraction landed,
+//! and the training/serving files before the run entry points were
+//! consolidated, so these tests prove that refactors of the
+//! network/collective/system layers do not move the paper's numbers.
 //!
 //! To regenerate after an *intentional* simulation change:
 //!
@@ -117,6 +119,90 @@ fn fig09a_smoke() -> Scenario {
         fsms: 16,
     }));
     sc
+}
+
+/// Training (smoke): every Table VI config on a 4-NPU torus, a
+/// data-parallel and a hybrid-parallel workload, pristine and contended.
+fn training_smoke(fidelity: &str) -> Scenario {
+    Scenario::from_toml_str(&format!(
+        r#"
+        name = "training-smoke"
+        mode = "training"
+        fidelity = "{fidelity}"
+        topologies = ["2x2"]
+        configs = ["NoOverlap", "CommOpt", "CompOpt", "ACE", "Ideal"]
+        workloads = ["resnet50", "dlrm"]
+        iterations = 1
+        contention = ["none", "uniform:20"]
+        [baseline]
+        config = "NoOverlap"
+        "#
+    ))
+    .expect("valid scenario")
+}
+
+/// Serving (smoke): continuous batching of a data- and a tensor-parallel
+/// transformer under both schedules, pristine and contended.
+fn serving_smoke() -> Scenario {
+    Scenario::from_toml_str(
+        r#"
+        name = "serving-smoke"
+        mode = "serving"
+        topologies = ["2x2"]
+        configs = ["ace"]
+        workloads = ["transformer", "transformer@model"]
+        arrival_rates = [500.0]
+        schedules = ["gpipe", "1f1b"]
+        microbatches = [2]
+        stages = 2
+        requests = 4
+        seed = 1
+        prompt_tokens = 16
+        decode_tokens = 2
+        token_budget = 64
+        contention = ["none", "uniform:20"]
+        "#,
+    )
+    .expect("valid scenario")
+}
+
+#[test]
+fn training_smoke_csv_matches_golden() {
+    let out = run_scenario(
+        &training_smoke("exact"),
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        },
+    )
+    .expect("valid scenario");
+    check_golden("training_smoke.csv", &report::to_csv(&out));
+}
+
+#[test]
+fn training_analytic_smoke_csv_matches_golden() {
+    let out = run_scenario(
+        &training_smoke("analytic"),
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        },
+    )
+    .expect("valid scenario");
+    check_golden("training_analytic_smoke.csv", &report::to_csv(&out));
+}
+
+#[test]
+fn serving_smoke_csv_matches_golden() {
+    let out = run_scenario(
+        &serving_smoke(),
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        },
+    )
+    .expect("valid scenario");
+    check_golden("serving_smoke.csv", &report::to_csv(&out));
 }
 
 #[test]
