@@ -18,6 +18,7 @@ use ace_endpoint::{AceEndpoint, AceEndpointParams, CollectiveEngine};
 use ace_net::{NetworkParams, TorusShape};
 use ace_simcore::SimTime;
 use ace_system::{CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
+use ace_trace::NullTracer;
 
 const PAYLOAD: u64 = 32 << 20;
 
@@ -25,11 +26,12 @@ fn ace_executor(shape: TorusShape, options: ExecutorOptions) -> CollectiveExecut
     let params = NetworkParams::paper_default();
     let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
     let weights = CollectiveExecutor::phase_weights(&plan, &params);
-    CollectiveExecutor::with_options(shape, params, options, move || {
+    let make_engine = move || {
         Box::new(AceEndpoint::new(AceEndpointParams::paper_default(
             weights.clone(),
         ))) as Box<dyn CollectiveEngine>
-    })
+    };
+    CollectiveExecutor::new(shape, params, options, None, make_engine, NullTracer)
 }
 
 fn run_single(shape: TorusShape, options: ExecutorOptions) -> u64 {

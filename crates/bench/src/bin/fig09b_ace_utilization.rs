@@ -7,7 +7,8 @@
 //! all-to-all), while back-propagation keeps it ~90 % busy.
 
 use ace_bench::{emit_tsv, header};
-use ace_system::{SystemBuilder, SystemConfig};
+use ace_net::TorusShape;
+use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
 fn main() {
@@ -16,15 +17,13 @@ fn main() {
         "{:>10} | {:>10} | {:>10}",
         "workload", "fwd util", "bwd util"
     );
+    let shape = TorusShape::new(4, 8, 4).expect("valid shape");
     for workload in Workload::paper_suite(128) {
         let name = workload.name().to_string();
-        let report = SystemBuilder::new()
-            .topology(4, 8, 4)
-            .config(SystemConfig::Ace)
-            .workload(workload)
-            .build()
-            .expect("valid system")
-            .run();
+        let program = training_program(SystemConfig::Ace, &workload, 2, false);
+        let report = TrainSpec::new(SystemConfig::Ace, program, shape)
+            .run()
+            .expect("pristine run");
         let fwd = report.ace_util_fwd().unwrap_or(0.0);
         let bwd = report.ace_util_bwd().unwrap_or(0.0);
         println!("{name:>10} | {:>9.1}% | {:>9.1}%", fwd * 100.0, bwd * 100.0);

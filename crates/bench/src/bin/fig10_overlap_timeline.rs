@@ -8,7 +8,8 @@
 //! statistics; `--tsv` dumps the raw buckets.
 
 use ace_bench::{emit_tsv, header, sparkline, subheader, tsv_mode};
-use ace_system::{SystemBuilder, SystemConfig};
+use ace_net::TorusShape;
+use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
 const CONFIGS: [SystemConfig; 4] = [
@@ -33,14 +34,12 @@ fn main() {
 
 fn run_workload(workload: Workload) {
     subheader(workload.name());
+    let shape = TorusShape::new(4, 8, 4).expect("valid shape");
     for config in CONFIGS {
-        let report = SystemBuilder::new()
-            .topology(4, 8, 4)
-            .config(config)
-            .workload(workload.clone())
-            .build()
-            .expect("valid system")
-            .run();
+        let program = training_program(config, &workload, 2, false);
+        let report = TrainSpec::new(config, program, shape)
+            .run()
+            .expect("pristine run");
         let compute = report.compute_series();
         let network = report.network_series();
         let mean_net: f64 = if network.is_empty() {

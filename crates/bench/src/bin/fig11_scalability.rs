@@ -11,17 +11,14 @@
 
 use ace_bench::{emit_tsv, header, subheader};
 use ace_net::TorusShape;
-use ace_system::{IterationReport, SystemBuilder, SystemConfig};
+use ace_system::{training_program, IterationReport, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
 fn run(config: SystemConfig, workload: Workload, shape: TorusShape) -> IterationReport {
-    SystemBuilder::new()
-        .topology(shape.local(), shape.vertical(), shape.horizontal())
-        .config(config)
-        .workload(workload)
-        .build()
-        .expect("valid system")
+    let program = training_program(config, &workload, 2, false);
+    TrainSpec::new(config, program, shape)
         .run()
+        .expect("pristine run")
 }
 
 fn main() {

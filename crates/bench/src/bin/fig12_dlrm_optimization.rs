@@ -9,7 +9,8 @@
 //! iteration-time reduction.
 
 use ace_bench::{emit_tsv, header};
-use ace_system::{SystemBuilder, SystemConfig};
+use ace_net::TorusShape;
+use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
 fn main() {
@@ -18,17 +19,14 @@ fn main() {
         "{:>10} {:>10} | {:>12} {:>12} {:>12}",
         "config", "loop", "compute us", "exposed us", "total us"
     );
+    let shape = TorusShape::new(4, 8, 4).expect("valid shape");
     let mut totals = Vec::new();
     for config in [SystemConfig::BaselineCompOpt, SystemConfig::Ace] {
         for optimized in [false, true] {
-            let report = SystemBuilder::new()
-                .topology(4, 8, 4)
-                .config(config)
-                .workload(Workload::dlrm(128))
-                .optimized_embedding(optimized)
-                .build()
-                .expect("valid system")
-                .run();
+            let program = training_program(config, &Workload::dlrm(128), 2, optimized);
+            let report = TrainSpec::new(config, program, shape)
+                .run()
+                .expect("pristine run");
             let label = if optimized { "optimized" } else { "default" };
             println!(
                 "{:>10} {:>10} | {:>12.0} {:>12.0} {:>12.0}",

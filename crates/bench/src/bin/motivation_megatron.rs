@@ -10,13 +10,15 @@
 //! endpoint, blocking).
 
 use ace_bench::{emit_tsv, header};
-use ace_system::{SystemBuilder, SystemConfig};
+use ace_net::TorusShape;
+use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
 fn main() {
     header("Section III motivation: Megatron-LM-style overlap degradation (4x2x2)");
     println!("workload: {}\n", Workload::transformer_lm());
 
+    let shape = TorusShape::new(4, 2, 2).expect("valid shape");
     let mut comm_times = Vec::new();
     for config in [
         SystemConfig::BaselineNoOverlap,
@@ -24,13 +26,10 @@ fn main() {
         SystemConfig::BaselineCompOpt,
         SystemConfig::Ace,
     ] {
-        let report = SystemBuilder::new()
-            .topology(4, 2, 2)
-            .config(config)
-            .workload(Workload::transformer_lm())
-            .build()
-            .expect("valid system")
-            .run();
+        let program = training_program(config, &Workload::transformer_lm(), 2, false);
+        let report = TrainSpec::new(config, program, shape)
+            .run()
+            .expect("pristine run");
         // Communication time proxy: everything that is not compute.
         let comm = report.total_time_us() - report.total_compute_us();
         println!(

@@ -30,10 +30,12 @@ use std::sync::Arc;
 use ace_bench::{header, subheader};
 use ace_sweep::protocol::{self, Request, Value};
 use ace_sweep::{
-    persist, report, CacheFileLock, Fidelity, PointKind, Progress, RunnerOptions, Scenario,
-    ServiceOptions, SweepRunner, SweepService,
+    persist, report, CacheFileLock, Fidelity, PointKind, Progress, RunPoint, RunnerOptions,
+    Scenario, ServiceOptions, SweepRunner, SweepService,
 };
+use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_trace::{chrome, RecordingTracer};
+use ace_workloads::Program;
 
 struct Args {
     scenario_path: String,
@@ -209,16 +211,9 @@ fn trace_first_point(scenario: &Scenario) -> Result<String, String> {
             iterations,
             optimized_embedding,
         } => {
-            let sim = ace_system::SystemBuilder::new()
-                .topology_spec(point.topology)
-                .config(*config)
-                .workload(workload.instantiate(point.topology.nodes()))
-                .iterations(*iterations)
-                .optimized_embedding(*optimized_embedding)
-                .build_traced(RecordingTracer::new())
-                .map_err(|e| format!("trace point: {e}"))?;
-            let (_, tracer) = sim.run_with_tracer();
-            tracer
+            let workload = workload.instantiate(point.topology.nodes());
+            let program = training_program(*config, &workload, *iterations, *optimized_embedding);
+            trace_program(*config, program, point)?
         }
         PointKind::Serving {
             config,
@@ -230,16 +225,7 @@ fn trace_first_point(scenario: &Scenario) -> Result<String, String> {
             let program =
                 ace_serve::first_round_program(&workload.instantiate(point.topology.nodes()), spec)
                     .map_err(|e| format!("trace point: {e}"))?;
-            let sim = ace_system::TrainingSim::from_program_with_tracer(
-                *config,
-                program,
-                point.topology,
-                ace_compute::NpuParams::paper_default(),
-                ace_net::NetworkParams::paper_default(),
-                RecordingTracer::new(),
-            );
-            let (_, tracer) = sim.run_with_tracer();
-            tracer
+            trace_program(*config, program, point)?
         }
     };
     if tracer.dropped() > 0 {
@@ -249,6 +235,20 @@ fn trace_first_point(scenario: &Scenario) -> Result<String, String> {
         );
     }
     Ok(chrome::to_chrome_json(&tracer))
+}
+
+/// Runs `program` under the point's conditions with a [`RecordingTracer`].
+fn trace_program(
+    config: SystemConfig,
+    program: Program,
+    point: &RunPoint,
+) -> Result<RecordingTracer, String> {
+    let sim = TrainSpec::new(config, program, point.topology)
+        .conditions(point.conditions.clone())
+        .tracer(RecordingTracer::new())
+        .build()
+        .map_err(|e| format!("trace point: {e}"))?;
+    Ok(sim.run_with_tracer().1)
 }
 
 /// The in-place progress line: `cells done/total (cached), pts/s, ETA`.

@@ -14,12 +14,11 @@
 use std::collections::{HashMap, VecDeque};
 
 use ace_collectives::CollectiveOp;
-use ace_compute::{KernelDesc, NpuParams};
-use ace_net::{NetworkParams, TopologySpec};
+use ace_compute::KernelDesc;
+use ace_net::TopologySpec;
 use ace_system::{
-    analytic_program_run_with_conditions, ExecutorOptions, RunConditions, SystemConfig, TrainingSim,
+    analytic_program_run_with_conditions, ExecutorOptions, RunConditions, SystemConfig, TrainSpec,
 };
-use ace_trace::NullTracer;
 use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 
 use crate::spec::ServingSpec;
@@ -381,21 +380,14 @@ pub fn simulate_with_conditions(
         debug_assert!(program.validate().is_ok());
         let cost = match opts.tier {
             ServingTier::Exact => {
-                let report = TrainingSim::from_program_with_conditions(
-                    config,
-                    program,
-                    topology,
-                    NpuParams::paper_default(),
-                    NetworkParams::paper_default(),
-                    ExecutorOptions {
+                let report = TrainSpec::new(config, program, topology)
+                    .options(ExecutorOptions {
                         sim_threads: opts.sim_threads.max(1),
                         ..Default::default()
-                    },
-                    conditions,
-                    NullTracer,
-                )
-                .map_err(|e| e.to_string())?
-                .run();
+                    })
+                    .conditions(conditions.clone())
+                    .run()
+                    .map_err(|e| e.to_string())?;
                 RoundCost {
                     cycles: report.total_cycles().max(1),
                     compute: report.compute_cycles(),

@@ -19,8 +19,8 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use ace_system::{
-    analytic_collective_run_with_conditions, analytic_training_run_with_conditions,
-    ExecutorOptions, RunSpec, SystemBuilder,
+    analytic_collective_run_with_conditions, analytic_program_run_with_conditions,
+    training_program, ExecutorOptions, RunSpec, TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -448,17 +448,16 @@ pub fn execute_with(point: &RunPoint, sim_threads: usize) -> Metrics {
             optimized_embedding,
         } => {
             let spec = point.topology;
-            let report = SystemBuilder::new()
-                .topology_spec(spec)
-                .config(*config)
-                .workload(workload.instantiate(spec.nodes()))
-                .iterations(*iterations)
-                .optimized_embedding(*optimized_embedding)
-                .sim_threads(sim_threads)
+            let workload = workload.instantiate(spec.nodes());
+            let program = training_program(*config, &workload, *iterations, *optimized_embedding);
+            let report = TrainSpec::new(*config, program, spec)
+                .options(ExecutorOptions {
+                    sim_threads,
+                    ..Default::default()
+                })
                 .conditions(point.conditions.clone())
-                .build()
-                .expect("expanded point is buildable")
-                .run();
+                .run()
+                .expect("expanded point is buildable");
             Metrics {
                 time_us: report.total_time_us(),
                 completion_cycles: report.total_cycles(),
@@ -590,15 +589,11 @@ pub fn execute_analytic(point: &RunPoint) -> Metrics {
             optimized_embedding,
         } => {
             let spec = point.topology;
-            let r = analytic_training_run_with_conditions(
-                *config,
-                workload.instantiate(spec.nodes()),
-                spec,
-                *iterations,
-                *optimized_embedding,
-                &point.conditions,
-            )
-            .expect("expanded point conditions are resolvable");
+            let workload = workload.instantiate(spec.nodes());
+            let program = training_program(*config, &workload, *iterations, *optimized_embedding);
+            let r =
+                analytic_program_run_with_conditions(*config, &program, spec, &point.conditions)
+                    .expect("expanded point conditions are resolvable");
             let to_us = |cycles: f64| cycles / freq.hz() * 1e6;
             let gbps = if r.total_cycles > 0.0 {
                 freq.gbps(r.network_bytes as f64 / spec.nodes() as f64 / r.total_cycles)

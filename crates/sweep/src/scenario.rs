@@ -25,10 +25,10 @@ use crate::toml::{self, Value};
 /// What each run point simulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepMode {
-    /// One standalone collective per point ([`ace_system::run_single_collective`]):
+    /// One standalone collective per point ([`ace_system::RunSpec`]):
     /// the Fig. 5 / Fig. 6 / Fig. 9a harness.
     Collective,
-    /// A full training loop per point ([`ace_system::SystemBuilder`]):
+    /// A full training loop per point ([`ace_system::TrainSpec`]):
     /// the Fig. 11 / Fig. 12 harness.
     Training,
     /// A continuous-batching inference serving run per point

@@ -7,8 +7,7 @@
 //! `AceEndpointParams`, `MemoryParams`, `BusParams`, `SmDriveModel`,
 //! `AceConfig`), so a change to the simulated hardware automatically
 //! moves the analytic tier too, and offers drop-in analytic counterparts
-//! of [`run_single_collective`](crate::run_single_collective) and the
-//! training simulator.
+//! of [`RunSpec`](crate::RunSpec) and [`TrainSpec`](crate::TrainSpec).
 //!
 //! Accuracy is tracked by the `validate` binary, which runs both tiers
 //! over the Fig. 9a grid and the training suite and checks the error
@@ -22,7 +21,7 @@ use ace_compute::{NpuParams, SmDriveModel};
 use ace_engine::AceConfig;
 use ace_mem::{BusParams, MemoryParams};
 use ace_net::{FaultPlan, NetworkParams, TopologySpec};
-use ace_workloads::{AnalyticWalk, LoweringOptions, Program, Workload};
+use ace_workloads::{AnalyticWalk, Program};
 
 use crate::collective_run::EngineKind;
 use crate::config::SystemConfig;
@@ -112,7 +111,7 @@ pub struct AnalyticCollectiveReport {
 }
 
 /// Analytic estimate of one standalone collective — the α–β counterpart
-/// of [`run_single_collective`](crate::run_single_collective).
+/// of [`RunSpec`](crate::RunSpec).
 pub fn analytic_collective_run(
     topology: impl Into<TopologySpec>,
     engine: EngineKind,
@@ -185,59 +184,11 @@ pub struct AnalyticTrainingReport {
     pub network_bytes: u64,
 }
 
-/// Analytic estimate of a training run: lowers `workload` exactly like
-/// [`TrainingSim::new`](crate::TrainingSim::new) (same
-/// [`LoweringOptions`], same Fig. 12 graph transform, same carve-out and
-/// roofline kernel model), then walks the program's critical path with
-/// α–β collective durations instead of event-driven execution.
-pub fn analytic_training_run(
-    config: SystemConfig,
-    workload: Workload,
-    topology: impl Into<TopologySpec>,
-    iterations: u32,
-    optimized_embedding: bool,
-) -> AnalyticTrainingReport {
-    let spec = topology.into();
-    let opts = LoweringOptions {
-        iterations,
-        overlap: config.overlaps(),
-    };
-    let mut program = Program::lower(&workload, workload.parallelism(), &opts);
-    if optimized_embedding {
-        program.optimize_embedding();
-    }
-    analytic_program_run(config, &program, spec)
-}
-
-/// [`analytic_training_run`] under explicit [`RunConditions`]: the same
-/// lowering, then the conditions-aware program walk.
-///
-/// # Errors
-///
-/// [`RunError::Fault`] when the fault scenario cannot be applied to the
-/// topology (disconnection, no such link, ...).
-pub fn analytic_training_run_with_conditions(
-    config: SystemConfig,
-    workload: Workload,
-    topology: impl Into<TopologySpec>,
-    iterations: u32,
-    optimized_embedding: bool,
-    conditions: &RunConditions,
-) -> Result<AnalyticTrainingReport, RunError> {
-    let spec = topology.into();
-    let opts = LoweringOptions {
-        iterations,
-        overlap: config.overlaps(),
-    };
-    let mut program = Program::lower(&workload, workload.parallelism(), &opts);
-    if optimized_embedding {
-        program.optimize_embedding();
-    }
-    analytic_program_run_with_conditions(config, &program, spec, conditions)
-}
-
-/// Analytic estimate of an already-lowered program (the critical-path
-/// scheduler behind [`analytic_training_run`]).
+/// Analytic estimate of a training [`Program`] — the α–β counterpart of
+/// [`TrainSpec`](crate::TrainSpec): the same program (lower workloads
+/// with [`training_program`](crate::training_program)), carve-out and
+/// roofline kernel model, with the critical path walked using α–β
+/// collective durations instead of event-driven execution.
 pub fn analytic_program_run(
     config: SystemConfig,
     program: &Program,
@@ -404,11 +355,13 @@ mod tests {
 
     #[test]
     fn training_estimate_tracks_the_simulator() {
-        use crate::TrainingSim;
+        use crate::{training_program, TrainSpec};
+        use ace_workloads::Workload;
         let shape = TorusShape::new(4, 2, 2).unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
-            let exact = TrainingSim::new(config, Workload::resnet50(), shape, 1, false).run();
-            let est = analytic_training_run(config, Workload::resnet50(), shape, 1, false);
+            let program = training_program(config, &Workload::resnet50(), 1, false);
+            let est = analytic_program_run(config, &program, shape);
+            let exact = TrainSpec::new(config, program, shape).run().unwrap();
             // Compute is the shared roofline model: must agree exactly.
             assert_eq!(
                 est.compute_cycles,
@@ -431,7 +384,7 @@ mod tests {
     fn no_communication_matches_exactly() {
         // Degenerate case: a program without collectives is pure
         // roofline compute, identical in both tiers.
-        use crate::TrainingSim;
+        use crate::TrainSpec;
         use ace_compute::KernelDesc;
         use ace_workloads::{Parallelism, TaskPhase};
         let mut p = Program::new("compute-only", Parallelism::Data, 1);
@@ -444,14 +397,9 @@ mod tests {
             );
         }
         let shape = TorusShape::new(2, 1, 1).unwrap();
-        let exact = TrainingSim::from_program(
-            SystemConfig::Ace,
-            p.clone(),
-            shape,
-            NpuParams::paper_default(),
-            NetworkParams::paper_default(),
-        )
-        .run();
+        let exact = TrainSpec::new(SystemConfig::Ace, p.clone(), shape)
+            .run()
+            .unwrap();
         let est = analytic_program_run(SystemConfig::Ace, &p, shape);
         assert_eq!(est.total_cycles, exact.total_cycles() as f64);
         assert_eq!(est.exposed_cycles, 0.0);

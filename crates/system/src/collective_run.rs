@@ -8,7 +8,7 @@ use ace_endpoint::{
 };
 use ace_net::{FaultPlan, NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
-use ace_trace::{Attribution, NullTracer, PipeWeights, RecordingTracer, Tracer};
+use ace_trace::{Attribution, PipeWeights, Tracer};
 
 use crate::executor::{CollectiveExecutor, ExecutorOptions};
 
@@ -63,80 +63,11 @@ pub struct CollectiveRunReport {
     pub attribution: Attribution,
 }
 
-/// Runs a single collective of `op` with per-node `payload_bytes` on
-/// `topology` using `engine`, returning throughput and memory-traffic
-/// figures. Accepts anything convertible to a [`TopologySpec`] — a
-/// legacy `TorusShape` or any other topology.
-///
-/// Each engine kind dispatches to a monomorphized executor run, so the
-/// per-event engine charges inline instead of going through a vtable —
-/// these runs dominate design-space sweep wall time.
-#[deprecated(note = "use `RunSpec::new(topology, engine, op, payload).run()`")]
-pub fn run_single_collective(
-    topology: impl Into<TopologySpec>,
-    engine: EngineKind,
-    op: CollectiveOp,
-    payload_bytes: u64,
-) -> CollectiveRunReport {
-    run_with_conditions(
-        topology.into(),
-        engine,
-        op,
-        payload_bytes,
-        ExecutorOptions::default(),
-        None,
-        NullTracer,
-    )
-    .0
-}
-
-/// [`run_single_collective`] with explicit [`ExecutorOptions`].
-/// Results are byte-identical across `sim_threads` values; the option
-/// only changes wall-clock time.
-#[deprecated(note = "use `RunSpec::new(...).options(...).run()`")]
-pub fn run_single_collective_with_options(
-    topology: impl Into<TopologySpec>,
-    engine: EngineKind,
-    op: CollectiveOp,
-    payload_bytes: u64,
-    options: ExecutorOptions,
-) -> CollectiveRunReport {
-    run_with_conditions(
-        topology.into(),
-        engine,
-        op,
-        payload_bytes,
-        options,
-        None,
-        NullTracer,
-    )
-    .0
-}
-
-/// [`run_single_collective`] with an [`ace_trace::RecordingTracer`]
-/// attached: returns the report plus the tracer holding link busy spans,
-/// chunk/phase lifetimes and queue/pipe samples, ready for
-/// [`ace_trace::chrome::to_chrome_json`] export.
-#[deprecated(note = "use `RunSpec::new(...).traced().run_traced()`")]
-pub fn run_single_collective_traced(
-    topology: impl Into<TopologySpec>,
-    engine: EngineKind,
-    op: CollectiveOp,
-    payload_bytes: u64,
-) -> (CollectiveRunReport, RecordingTracer) {
-    run_with_conditions(
-        topology.into(),
-        engine,
-        op,
-        payload_bytes,
-        ExecutorOptions::default(),
-        None,
-        RecordingTracer::new(),
-    )
-}
-
-/// Engine dispatch shared by every entry point; [`RunSpec`] resolves its
-/// conditions into the optional [`FaultPlan`] before calling here.
+/// Engine dispatch behind [`RunSpec`], which resolves its conditions into
+/// the optional [`FaultPlan`] before calling here. Each engine kind
+/// dispatches to a monomorphized executor run, so the per-event engine
+/// charges inline instead of going through a vtable — these runs
+/// dominate design-space sweep wall time.
 ///
 /// [`RunSpec`]: crate::RunSpec
 pub(crate) fn run_with_conditions<T: Tracer>(
@@ -228,17 +159,7 @@ fn run_typed<E: CollectiveEngine, T: Tracer>(
     make_engine: impl Fn() -> E,
     tracer: T,
 ) -> (CollectiveRunReport, T) {
-    let mut ex = match faults {
-        Some(fp) => CollectiveExecutor::with_tracer_and_faults(
-            spec,
-            net_params,
-            options,
-            fp,
-            make_engine,
-            tracer,
-        ),
-        None => CollectiveExecutor::with_tracer(spec, net_params, options, make_engine, tracer),
-    };
+    let mut ex = CollectiveExecutor::new(spec, net_params, options, faults, make_engine, tracer);
     let h = ex.issue(op, payload_bytes, SimTime::ZERO);
     let completion = ex.run_until_complete(h);
     let cycles = completion.cycles().max(1);
@@ -263,26 +184,38 @@ fn run_typed<E: CollectiveEngine, T: Tracer>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the deprecated wrappers are exercised on purpose
 mod tests {
     use super::*;
+    use crate::RunSpec;
     use ace_net::TorusShape;
 
     fn shape16() -> TorusShape {
         TorusShape::new(4, 2, 2).unwrap()
     }
 
+    /// A standalone collective on a pristine fabric.
+    fn run_pristine(
+        shape: TorusShape,
+        engine: EngineKind,
+        op: CollectiveOp,
+        payload_bytes: u64,
+    ) -> CollectiveRunReport {
+        RunSpec::new(shape, engine, op, payload_bytes)
+            .run()
+            .expect("pristine runs cannot fail")
+    }
+
     const MB64: u64 = 64 << 20;
 
     #[test]
     fn ideal_upper_bounds_everyone() {
-        let ideal = run_single_collective(
+        let ideal = run_pristine(
             shape16(),
             EngineKind::Ideal,
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let base = run_single_collective(
+        let base = run_pristine(
             shape16(),
             EngineKind::Baseline {
                 comm_mem_gbps: 450.0,
@@ -291,7 +224,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let ace = run_single_collective(
+        let ace = run_pristine(
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 128.0,
@@ -309,7 +242,7 @@ mod tests {
     #[test]
     fn baseline_throughput_rises_with_memory_bandwidth() {
         // The Fig. 5 monotonic shape.
-        let lo = run_single_collective(
+        let lo = run_pristine(
             shape16(),
             EngineKind::Baseline {
                 comm_mem_gbps: 64.0,
@@ -318,7 +251,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let hi = run_single_collective(
+        let hi = run_pristine(
             shape16(),
             EngineKind::Baseline {
                 comm_mem_gbps: 450.0,
@@ -333,7 +266,7 @@ mod tests {
     #[test]
     fn baseline_throughput_rises_with_sms() {
         // The Fig. 6 monotonic shape.
-        let lo = run_single_collective(
+        let lo = run_pristine(
             shape16(),
             EngineKind::Baseline {
                 comm_mem_gbps: 900.0,
@@ -342,7 +275,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let hi = run_single_collective(
+        let hi = run_pristine(
             shape16(),
             EngineKind::Baseline {
                 comm_mem_gbps: 900.0,
@@ -358,7 +291,7 @@ mod tests {
     fn ace_at_128_gbps_is_close_to_its_own_ceiling() {
         // Fig. 5: ACE saturates around 128 GB/s — more DMA bandwidth gives
         // little extra.
-        let at128 = run_single_collective(
+        let at128 = run_pristine(
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 128.0,
@@ -366,7 +299,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let at450 = run_single_collective(
+        let at450 = run_pristine(
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 450.0,
@@ -387,7 +320,7 @@ mod tests {
             CollectiveOp::ReduceScatter,
             CollectiveOp::AllGather,
         ] {
-            let r = run_single_collective(
+            let r = run_pristine(
                 shape16(),
                 EngineKind::Ace {
                     dma_mem_gbps: 128.0,
@@ -402,7 +335,7 @@ mod tests {
 
     #[test]
     fn ace_dse_paper_point_matches_default_ace() {
-        let a = run_single_collective(
+        let a = run_pristine(
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 128.0,
@@ -410,7 +343,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let b = run_single_collective(
+        let b = run_pristine(
             shape16(),
             EngineKind::AceDse {
                 dma_mem_gbps: 128.0,
@@ -426,7 +359,7 @@ mod tests {
 
     #[test]
     fn ace_dse_tiny_sram_is_slower() {
-        let small = run_single_collective(
+        let small = run_pristine(
             shape16(),
             EngineKind::AceDse {
                 dma_mem_gbps: 128.0,
@@ -436,7 +369,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let chosen = run_single_collective(
+        let chosen = run_pristine(
             shape16(),
             EngineKind::AceDse {
                 dma_mem_gbps: 128.0,
@@ -461,7 +394,7 @@ mod tests {
                 comm_sms: 6,
             },
         ] {
-            let r = run_single_collective(shape16(), engine, CollectiveOp::AllReduce, MB64 / 8);
+            let r = run_pristine(shape16(), engine, CollectiveOp::AllReduce, MB64 / 8);
             let a = r.attribution;
             assert!(a.conserves(), "{engine:?}: {a:?}");
             assert_eq!(a.total_cycles, r.completion.cycles());
@@ -470,7 +403,7 @@ mod tests {
         // The ideal endpoint reports no pipe counters, so everything the
         // fabric doesn't claim lands in `other`; ACE and the baseline
         // spread the comm share across their modeled pipes.
-        let ace = run_single_collective(
+        let ace = run_pristine(
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 128.0,
@@ -487,9 +420,11 @@ mod tests {
         let engine = EngineKind::Ace {
             dma_mem_gbps: 128.0,
         };
-        let plain = run_single_collective(shape16(), engine, CollectiveOp::AllReduce, MB64 / 16);
-        let (traced, tr) =
-            run_single_collective_traced(shape16(), engine, CollectiveOp::AllReduce, MB64 / 16);
+        let plain = run_pristine(shape16(), engine, CollectiveOp::AllReduce, MB64 / 16);
+        let (traced, tr) = RunSpec::new(shape16(), engine, CollectiveOp::AllReduce, MB64 / 16)
+            .traced()
+            .run_traced()
+            .unwrap();
         assert_eq!(
             plain.completion, traced.completion,
             "tracing must not perturb the simulation"
@@ -501,7 +436,7 @@ mod tests {
 
     #[test]
     fn mem_traffic_ratio_matches_section_vi_a() {
-        let base = run_single_collective(
+        let base = run_pristine(
             shape16(),
             EngineKind::Baseline {
                 comm_mem_gbps: 450.0,
@@ -510,7 +445,7 @@ mod tests {
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
-        let ace = run_single_collective(
+        let ace = run_pristine(
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 128.0,

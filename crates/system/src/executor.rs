@@ -1716,7 +1716,7 @@ fn stint_worker<'w, E: CollectiveEngine>(
 /// monomorphizes every trace hook to nothing (the perf gate verifies the
 /// default build stays on the seed's hot path), while
 /// [`ace_trace::RecordingTracer`] — attached via
-/// [`with_tracer`](CollectiveExecutor::with_tracer) — captures link busy
+/// [`new`](CollectiveExecutor::new) — captures link busy
 /// spans, chunk/phase lifetimes and queue/pipe occupancy samples.
 pub struct CollectiveExecutor<
     E: CollectiveEngine = Box<dyn CollectiveEngine>,
@@ -1824,110 +1824,32 @@ impl CollectiveExecutor {
     }
 }
 
-impl<E: CollectiveEngine> CollectiveExecutor<E> {
+impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// Builds an executor over `topology` with one engine per node
-    /// produced by `make_engine`. Accepts anything convertible to a
-    /// [`TopologySpec`] — in particular the legacy `TorusShape`.
+    /// produced by `make_engine`, tuned by `options` (ablation knobs,
+    /// `sim_threads`).
+    ///
+    /// `faults` degrades the fabric: killed links are removed from the
+    /// network (ring sends take the plan's detour routes, all-to-all
+    /// routes are re-planned around the kills) and degraded links run at
+    /// their reduced bandwidth. A faulted fabric always runs on the
+    /// serial loop — `sim_threads > 1` falls back rather than hanging on
+    /// a partition the faults disconnected. `None` or a pristine plan
+    /// builds the ordinary executor.
+    ///
+    /// `tracer` receives the run's events: [`NullTracer`] compiles every
+    /// hook away, while an [`ace_trace::RecordingTracer`] is read back
+    /// through [`tracer`](CollectiveExecutor::tracer) after the run.
     pub fn new(
         topology: impl Into<TopologySpec>,
         net_params: NetworkParams,
-        make_engine: impl Fn() -> E,
-    ) -> CollectiveExecutor<E> {
-        Self::with_options(
-            topology,
-            net_params,
-            ExecutorOptions::default(),
-            make_engine,
-        )
-    }
-
-    /// Builds an executor with non-default [`ExecutorOptions`] (ablation
-    /// studies).
-    pub fn with_options(
-        topology: impl Into<TopologySpec>,
-        net_params: NetworkParams,
         options: ExecutorOptions,
-        make_engine: impl Fn() -> E,
-    ) -> CollectiveExecutor<E> {
-        CollectiveExecutor::with_tracer(topology, net_params, options, make_engine, NullTracer)
-    }
-
-    /// Builds an executor over a degraded fabric: killed links are
-    /// removed from the network (ring sends take the plan's detour
-    /// routes, all-to-all routes are re-planned around the kills) and
-    /// degraded links run at their reduced bandwidth. A pristine plan
-    /// builds the ordinary executor. Faulted fabrics always run on the
-    /// serial loop — `sim_threads > 1` falls back rather than hanging on
-    /// a partition the faults disconnected.
-    pub fn with_fault_plan(
-        topology: impl Into<TopologySpec>,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
-        faults: &FaultPlan,
-        make_engine: impl Fn() -> E,
-    ) -> CollectiveExecutor<E> {
-        CollectiveExecutor::with_tracer_and_faults(
-            topology,
-            net_params,
-            options,
-            faults,
-            make_engine,
-            NullTracer,
-        )
-    }
-}
-
-impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
-    /// Builds an executor with an attached [`Tracer`]. The default
-    /// constructors route here with [`NullTracer`]; instrumented runs pass
-    /// an [`ace_trace::RecordingTracer`] and read it back through
-    /// [`tracer`](CollectiveExecutor::tracer) after the run.
-    pub fn with_tracer(
-        topology: impl Into<TopologySpec>,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
+        faults: Option<&FaultPlan>,
         make_engine: impl Fn() -> E,
         tracer: T,
     ) -> CollectiveExecutor<E, T> {
-        Self::build(
-            topology.into(),
-            net_params,
-            options,
-            None,
-            make_engine,
-            tracer,
-        )
-    }
-
-    /// [`with_fault_plan`](CollectiveExecutor::with_fault_plan) with an
-    /// attached tracer.
-    pub fn with_tracer_and_faults(
-        topology: impl Into<TopologySpec>,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
-        faults: &FaultPlan,
-        make_engine: impl Fn() -> E,
-        tracer: T,
-    ) -> CollectiveExecutor<E, T> {
-        let fault = (!faults.is_pristine()).then(|| faults.clone());
-        Self::build(
-            topology.into(),
-            net_params,
-            options,
-            fault,
-            make_engine,
-            tracer,
-        )
-    }
-
-    fn build(
-        spec: TopologySpec,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
-        fault: Option<FaultPlan>,
-        make_engine: impl Fn() -> E,
-        tracer: T,
-    ) -> CollectiveExecutor<E, T> {
+        let spec = topology.into();
+        let fault = faults.filter(|fp| !fp.is_pristine()).cloned();
         let mut net = Network::new(spec, net_params);
         if let Some(fp) = &fault {
             net.apply_fault_plan(fp);
@@ -2746,10 +2668,27 @@ mod tests {
     use ace_net::TorusShape;
 
     fn executor(config: SystemConfig, shape: TorusShape) -> CollectiveExecutor {
+        executor_with(config, shape, ExecutorOptions::default())
+    }
+
+    /// A pristine-fabric executor with `config`'s engines (sized for the
+    /// all-reduce plan) under `options`.
+    fn executor_with(
+        config: SystemConfig,
+        shape: TorusShape,
+        options: ExecutorOptions,
+    ) -> CollectiveExecutor {
         let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
         let weights = CollectiveExecutor::phase_weights(&plan, &params);
-        CollectiveExecutor::new(shape, params, move || config.make_engine(&weights))
+        CollectiveExecutor::new(
+            shape,
+            params,
+            options,
+            None,
+            move || config.make_engine(&weights),
+            NullTracer,
+        )
     }
 
     fn shape442() -> TorusShape {
@@ -2928,12 +2867,7 @@ mod tests {
             scheduling: SchedulingPolicy::Fifo,
             ..Default::default()
         };
-        let params = NetworkParams::paper_default();
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
-        let weights = CollectiveExecutor::phase_weights(&plan, &params);
-        let mut ex = CollectiveExecutor::with_options(shape442(), params, opts, move || {
-            SystemConfig::Ace.make_engine(&weights)
-        });
+        let mut ex = executor_with(SystemConfig::Ace, shape442(), opts);
         let big = ex.issue(CollectiveOp::AllReduce, 32 << 20, SimTime::ZERO);
         let small = ex.issue(CollectiveOp::AllReduce, 256 << 10, SimTime::from_cycles(1));
         let t_small = ex.run_until_complete(small);
@@ -2952,12 +2886,7 @@ mod tests {
                 bidirectional_rings: bidir,
                 ..Default::default()
             };
-            let params = NetworkParams::paper_default();
-            let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
-            let weights = CollectiveExecutor::phase_weights(&plan, &params);
-            let mut ex = CollectiveExecutor::with_options(shape442(), params, opts, move || {
-                SystemConfig::Ideal.make_engine(&weights)
-            });
+            let mut ex = executor_with(SystemConfig::Ideal, shape442(), opts);
             let h = ex.issue(CollectiveOp::AllReduce, 16 << 20, SimTime::ZERO);
             ex.run_until_complete(h).cycles()
         };
@@ -2973,12 +2902,7 @@ mod tests {
                 max_inflight_chunks: cap,
                 ..Default::default()
             };
-            let params = NetworkParams::paper_default();
-            let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
-            let weights = CollectiveExecutor::phase_weights(&plan, &params);
-            let mut ex = CollectiveExecutor::with_options(shape442(), params, opts, move || {
-                SystemConfig::Ace.make_engine(&weights)
-            });
+            let mut ex = executor_with(SystemConfig::Ace, shape442(), opts);
             let h = ex.issue(CollectiveOp::AllReduce, 8 << 20, SimTime::ZERO);
             ex.run_until_complete(h).cycles()
         };
@@ -3013,10 +2937,11 @@ mod tests {
         let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
         let weights = CollectiveExecutor::phase_weights(&plan, &params);
-        let mut ex = CollectiveExecutor::with_tracer(
+        let mut ex = CollectiveExecutor::new(
             shape442(),
             params,
             ExecutorOptions::default(),
+            None,
             move || SystemConfig::Ace.make_engine(&weights),
             ace_trace::RecordingTracer::new(),
         );
@@ -3133,9 +3058,14 @@ mod tests {
             ..Default::default()
         };
         let config = SystemConfig::Ace;
-        let mut ex = CollectiveExecutor::with_options(spec, params, options, move || {
-            config.make_engine(&weights)
-        });
+        let mut ex = CollectiveExecutor::new(
+            spec,
+            params,
+            options,
+            None,
+            move || config.make_engine(&weights),
+            NullTracer,
+        );
         if threads > 1 {
             assert!(
                 ex.par.is_some(),
@@ -3245,16 +3175,11 @@ mod tests {
     #[test]
     fn parallel_back_to_back_collectives_match_serial() {
         let run = |threads: usize| {
-            let params = NetworkParams::paper_default();
-            let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
-            let weights = CollectiveExecutor::phase_weights(&plan, &params);
             let options = ExecutorOptions {
                 sim_threads: threads,
                 ..Default::default()
             };
-            let mut ex = CollectiveExecutor::with_options(shape442(), params, options, move || {
-                SystemConfig::Ace.make_engine(&weights)
-            });
+            let mut ex = executor_with(SystemConfig::Ace, shape442(), options);
             let h1 = ex.issue(CollectiveOp::AllReduce, 2 << 20, SimTime::ZERO);
             let t1 = ex.run_until_complete(h1);
             let h2 = ex.issue(CollectiveOp::AllToAll, 2 << 20, t1);
@@ -3269,16 +3194,11 @@ mod tests {
         // Two live collectives force the conservative serial fallback in
         // the parallel engine; results still match exactly.
         let run = |threads: usize| {
-            let params = NetworkParams::paper_default();
-            let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
-            let weights = CollectiveExecutor::phase_weights(&plan, &params);
             let options = ExecutorOptions {
                 sim_threads: threads,
                 ..Default::default()
             };
-            let mut ex = CollectiveExecutor::with_options(shape442(), params, options, move || {
-                SystemConfig::Ace.make_engine(&weights)
-            });
+            let mut ex = executor_with(SystemConfig::Ace, shape442(), options);
             let h1 = ex.issue(CollectiveOp::AllReduce, 1 << 20, SimTime::ZERO);
             let h2 = ex.issue(CollectiveOp::AllToAll, 1 << 20, SimTime::ZERO);
             let t1 = ex.run_until_complete(h1);

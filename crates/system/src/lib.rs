@@ -11,28 +11,27 @@
 //!   (Table VI).
 //! * [`CollectiveExecutor`] — event-driven, message-granularity execution
 //!   of ring and all-to-all collectives across every node.
-//! * [`TrainingSim`] / [`SystemBuilder`] — the training loop: forward
-//!   passes that block on the previous iteration's all-reduces, backward
-//!   passes that emit LIFO-scheduled collectives, DLRM's blocking
-//!   all-to-alls, and exposed-communication accounting.
-//! * [`RunSpec`] / [`TrainSpec`] — builder-style entry points for
+//! * [`TrainingSim`] — the training loop: forward passes that block on
+//!   the previous iteration's all-reduces, backward passes that emit
+//!   LIFO-scheduled collectives, DLRM's blocking all-to-alls, and
+//!   exposed-communication accounting.
+//! * [`RunSpec`] / [`TrainSpec`] — the one entry point per run kind:
 //!   standalone collectives (the harness behind Fig. 5 and Fig. 6) and
-//!   training runs, with optional fault/contention/straggler
-//!   [`RunConditions`].
+//!   training runs ([`training_program`] lowers a workload), with
+//!   optional fault/contention/straggler [`RunConditions`].
 //!
 //! # Example
 //!
 //! ```
-//! use ace_system::{SystemBuilder, SystemConfig};
+//! use ace_net::TorusShape;
+//! use ace_system::{training_program, SystemConfig, TrainSpec};
 //! use ace_workloads::Workload;
 //!
-//! let report = SystemBuilder::new()
-//!     .topology(4, 2, 2)
-//!     .config(SystemConfig::Ace)
-//!     .workload(Workload::resnet50())
-//!     .build()
-//!     .unwrap()
-//!     .run();
+//! let config = SystemConfig::Ace;
+//! let program = training_program(config, &Workload::resnet50(), 2, false);
+//! let report = TrainSpec::new(config, program, TorusShape::new(4, 2, 2).unwrap())
+//!     .run()
+//!     .unwrap();
 //! assert!(report.iteration_time_us() > 0.0);
 //! assert!(report.total_compute_us() > 0.0);
 //! ```
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-mod builder;
 mod collective_run;
 mod config;
 mod executor;
@@ -51,18 +49,12 @@ mod training;
 
 pub use analytic::{
     analytic_collective_run, analytic_collective_run_with_conditions, analytic_program_run,
-    analytic_program_run_with_conditions, analytic_training_run,
-    analytic_training_run_with_conditions, config_endpoint_model, endpoint_model,
+    analytic_program_run_with_conditions, config_endpoint_model, endpoint_model,
     AnalyticCollectiveReport, AnalyticTrainingReport,
 };
-pub use builder::{BuildError, SystemBuilder};
-#[allow(deprecated)]
-pub use collective_run::{
-    run_single_collective, run_single_collective_traced, run_single_collective_with_options,
-    CollectiveRunReport, EngineKind,
-};
+pub use collective_run::{CollectiveRunReport, EngineKind};
 pub use config::SystemConfig;
 pub use executor::{CollHandle, CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
 pub use report::IterationReport;
-pub use run::{RunConditions, RunError, RunSpec, TrainSpec};
+pub use run::{training_program, RunConditions, RunError, RunSpec, TrainSpec};
 pub use training::TrainingSim;

@@ -1,11 +1,9 @@
-//! The unified run entry point: one builder for single-collective runs
-//! and one for training runs, with fault/contention/straggler conditions
-//! as first-class inputs.
+//! The run entry points: one builder per run kind, with
+//! fault/contention/straggler conditions as first-class inputs.
 //!
-//! Earlier revisions grew a parallel surface per knob —
-//! `run_single_collective` / `_with_options` / `_traced`, plus matching
-//! `TrainingSim` constructor variants. [`RunSpec`] and [`TrainSpec`]
-//! collapse those into builder chains:
+//! [`RunSpec`] runs a standalone collective; [`TrainSpec`] builds and
+//! runs a training [`Program`] (lower a workload with
+//! [`training_program`]). Every knob is a builder method:
 //!
 //! ```
 //! use ace_system::{EngineKind, RunSpec};
@@ -33,7 +31,7 @@ use ace_collectives::CollectiveOp;
 use ace_compute::NpuParams;
 use ace_net::{ContentionSpec, FaultError, FaultPlan, FaultSpec, NetworkParams, TopologySpec};
 use ace_trace::{NullTracer, RecordingTracer, Tracer};
-use ace_workloads::{Program, StragglerSpec};
+use ace_workloads::{LoweringOptions, Program, StragglerSpec, Workload};
 
 use crate::collective_run::{run_with_conditions, CollectiveRunReport, EngineKind};
 use crate::config::SystemConfig;
@@ -102,12 +100,15 @@ impl fmt::Display for RunConditions {
 pub enum RunError {
     /// The fault/contention conditions cannot run on this topology.
     Fault(FaultError),
+    /// The training program failed [`Program::validate`].
+    InvalidProgram(String),
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunError::Fault(e) => write!(f, "{e}"),
+            RunError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
         }
     }
 }
@@ -231,21 +232,76 @@ impl<T: Tracer> RunSpec<T> {
     }
 }
 
-/// Builder for a training run: the unified construction surface for
+/// Lowers `workload` into the training [`Program`] that `config` runs,
+/// in either tier: `iterations` (at least 1) of the workload's native
+/// parallelization, with collectives overlapped exactly when the
+/// configuration overlaps ([`SystemConfig::overlaps`]), and — when
+/// `optimized_embedding` is set — the Fig. 12 graph transform
+/// ([`Program::optimize_embedding`], a no-op without an embedding
+/// stage).
+///
+/// Re-parallelize with [`Workload::with_parallelism`] first; a
+/// declarative `WorkloadSpec` instantiates into a [`Workload`].
+pub fn training_program(
+    config: SystemConfig,
+    workload: &Workload,
+    iterations: u32,
+    optimized_embedding: bool,
+) -> Program {
+    let opts = LoweringOptions {
+        iterations: iterations.max(1),
+        overlap: config.overlaps(),
+    };
+    let mut program = Program::lower(workload, workload.parallelism(), &opts);
+    if optimized_embedding {
+        program.optimize_embedding();
+    }
+    program
+}
+
+/// Builder for a training run: the one way to construct a
 /// [`TrainingSim`].
 ///
 /// ```
-/// use ace_system::{SystemConfig, TrainSpec};
-/// use ace_workloads::{LoweringOptions, Program, Workload};
+/// use ace_system::{training_program, SystemConfig, TrainSpec};
+/// use ace_workloads::Workload;
 ///
-/// let w = Workload::resnet50();
-/// let opts = LoweringOptions { iterations: 1, overlap: true };
-/// let program = Program::lower(&w, w.parallelism(), &opts);
+/// let program = training_program(SystemConfig::Ace, &Workload::resnet50(), 1, false);
 /// let topo: ace_net::TopologySpec = "2x2".parse().unwrap();
 /// let report = TrainSpec::new(SystemConfig::Ace, program, topo)
 ///     .run()
 ///     .unwrap();
 /// assert!(report.total_cycles() > 0);
+/// ```
+///
+/// NPU and network parameters default to the paper's platform and can be
+/// overridden; a declarative TOML workload runs once instantiated for the
+/// fabric's node count:
+///
+/// ```
+/// use ace_net::NetworkParams;
+/// use ace_system::{training_program, SystemConfig, TrainSpec};
+/// use ace_workloads::WorkloadSpec;
+///
+/// let spec = WorkloadSpec::from_toml_str(r#"
+///     name = "tiny-mlp"
+///     batch_per_npu = 8
+///     [[layer]]
+///     fwd_flops = 1.0e9
+///     fwd_bytes = 1.0e7
+///     comm = "all-reduce"
+///     comm_bytes = "2MB"
+/// "#).unwrap();
+///
+/// let mut net = NetworkParams::paper_default();
+/// net.inter.bandwidth_gbps = 50.0;   // double the scale-out links
+/// let program = training_program(SystemConfig::Ace, &spec.instantiate(4), 1, false);
+/// let topo: ace_net::TopologySpec = "2x2".parse().unwrap();
+/// let report = TrainSpec::new(SystemConfig::Ace, program, topo)
+///     .net_params(net)
+///     .run()
+///     .unwrap();
+/// assert_eq!(report.workload(), "tiny-mlp");
 /// ```
 #[derive(Debug)]
 pub struct TrainSpec<T: Tracer = NullTracer> {
@@ -326,23 +382,37 @@ impl<T: Tracer> TrainSpec<T> {
         }
     }
 
-    /// Builds the simulator (conditions resolved, stragglers applied).
+    /// Builds the simulator: the program is validated, the
+    /// fault/contention conditions are resolved against the topology up
+    /// front (so a disconnected fabric is an error, never a hang), and
+    /// the straggler distribution stretches the program's compute tasks.
+    /// A faulted fabric runs on the serial event loop.
     ///
     /// # Errors
     ///
-    /// [`RunError::Fault`] when the conditions cannot run on this
-    /// topology.
+    /// [`RunError::InvalidProgram`] when the program fails
+    /// [`Program::validate`], and [`RunError::Fault`] when the
+    /// conditions cannot run on this topology.
     pub fn build(self) -> Result<TrainingSim<T>, RunError> {
-        TrainingSim::from_program_with_conditions(
+        let mut program = self.program;
+        program.validate().map_err(RunError::InvalidProgram)?;
+        let fault = if self.conditions.is_pristine() {
+            None
+        } else {
+            program.apply_stragglers(&self.conditions.straggler);
+            let plan = self.conditions.resolve(self.topology, &self.net_params)?;
+            (!plan.is_pristine()).then_some(plan)
+        };
+        Ok(TrainingSim::new(
             self.config,
-            self.program,
+            program,
             self.topology,
             self.npu,
             self.net_params,
             self.options,
-            &self.conditions,
+            fault,
             self.tracer,
-        )
+        ))
     }
 
     /// Builds and runs, returning the report.
@@ -358,7 +428,7 @@ impl<T: Tracer> TrainSpec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_workloads::{LoweringOptions, Workload};
+    use ace_workloads::{Parallelism, WorkloadSpec};
 
     const MB8: u64 = 8 << 20;
 
@@ -456,12 +526,7 @@ mod tests {
 
     #[test]
     fn training_with_conditions_runs_and_stretches() {
-        let w = Workload::resnet50();
-        let opts = LoweringOptions {
-            iterations: 1,
-            overlap: true,
-        };
-        let program = Program::lower(&w, w.parallelism(), &opts);
+        let program = training_program(SystemConfig::Ace, &Workload::resnet50(), 1, false);
         let base = TrainSpec::new(SystemConfig::Ace, program.clone(), topo("2x2"))
             .run()
             .unwrap();
@@ -503,5 +568,109 @@ mod tests {
             straggler: "lognormal:0.5".parse().unwrap(),
         };
         assert_eq!(d, e);
+    }
+
+    /// One ResNet-50 iteration on a 4-NPU torus under ACE.
+    fn resnet_spec() -> TrainSpec {
+        let program = training_program(SystemConfig::Ace, &Workload::resnet50(), 1, false);
+        TrainSpec::new(SystemConfig::Ace, program, topo("2x2"))
+    }
+
+    #[test]
+    fn defaults_are_paper_defaults() {
+        let default = resnet_spec().run().unwrap();
+        let explicit = resnet_spec()
+            .npu_params(NpuParams::paper_default())
+            .net_params(NetworkParams::paper_default())
+            .options(ExecutorOptions::default())
+            .conditions(RunConditions::default())
+            .run()
+            .unwrap();
+        assert_eq!(default.total_cycles(), explicit.total_cycles());
+        assert_eq!(default.network_bytes(), explicit.network_bytes());
+    }
+
+    #[test]
+    fn npu_and_net_params_are_no_longer_baked_in() {
+        let paper = resnet_spec().run().unwrap();
+        // A weaker NPU cannot compute faster.
+        let mut slow = NpuParams::paper_default();
+        slow.peak_tflops /= 4.0;
+        let slowed = resnet_spec().npu_params(slow).run().unwrap();
+        assert!(slowed.total_compute_us() >= paper.total_compute_us());
+        // Slower inter-package links stretch the network side.
+        let mut net = NetworkParams::paper_default();
+        net.inter.bandwidth_gbps /= 8.0;
+        let throttled = resnet_spec().net_params(net).run().unwrap();
+        assert!(throttled.total_time_us() >= paper.total_time_us());
+    }
+
+    #[test]
+    fn parallelism_override_is_applied_and_validated() {
+        let w = Workload::transformer_lm()
+            .with_parallelism(Parallelism::Model)
+            .unwrap();
+        let program = training_program(SystemConfig::Ace, &w, 2, false);
+        assert_eq!(program.parallelism(), Parallelism::Model);
+        let sim = TrainSpec::new(SystemConfig::Ace, program, topo("4x2x2"))
+            .build()
+            .unwrap();
+        assert_eq!(sim.program().parallelism(), Parallelism::Model);
+
+        let err = Workload::resnet50()
+            .with_parallelism(Parallelism::Hybrid)
+            .unwrap_err();
+        assert!(err.contains("embedding"), "{err}");
+    }
+
+    #[test]
+    fn optimized_embedding_ignored_for_data_parallel() {
+        // ResNet-50 has no embedding stage, so the Fig. 12 flag leaves
+        // its program untouched: no carve-out, no moved tasks.
+        let w = Workload::resnet50();
+        let plain = training_program(SystemConfig::Ace, &w, 1, false);
+        let flagged = training_program(SystemConfig::Ace, &w, 1, true);
+        assert!(flagged.carveout().is_none());
+        assert_eq!(flagged.schedule(), plain.schedule());
+    }
+
+    #[test]
+    fn invalid_program_is_rejected() {
+        let mut p = Program::new("bad", Parallelism::Data, 1);
+        let ar = p.add_collective(
+            CollectiveOp::AllReduce,
+            1 << 20,
+            ace_workloads::TaskPhase::Backward,
+            0,
+            vec![],
+        );
+        // A collective may not depend on another collective.
+        p.add_collective(
+            CollectiveOp::AllReduce,
+            1 << 20,
+            ace_workloads::TaskPhase::Backward,
+            0,
+            vec![ar],
+        );
+        let err = TrainSpec::new(SystemConfig::Ace, p, topo("4x2x2"))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, RunError::InvalidProgram(_)), "{err}");
+        assert!(err.to_string().starts_with("invalid program: "), "{err}");
+    }
+
+    #[test]
+    fn workload_spec_instantiates_at_build_time() {
+        let spec = WorkloadSpec::from_toml_str(
+            "name = \"tiny\"\nbatch_per_npu = 4\n[[layer]]\nfwd_flops = 1e9\nfwd_bytes = 1e7\n\
+             comm = \"all-reduce\"\ncomm_bytes = \"1MB\"\n",
+        )
+        .unwrap();
+        let program = training_program(SystemConfig::Ace, &spec.instantiate(2), 1, false);
+        let report = TrainSpec::new(SystemConfig::Ace, program, topo("2x1x1"))
+            .run()
+            .unwrap();
+        assert_eq!(report.workload(), "tiny");
+        assert!(report.total_cycles() > 0);
     }
 }

@@ -23,12 +23,11 @@ use ace_endpoint::CollectiveEngine;
 use ace_net::{FaultPlan, NetworkParams, TopologySpec};
 use ace_simcore::{SimTime, TimeSeries};
 use ace_trace::{Attribution, NullTracer, PipeWeights, Tracer, Track};
-use ace_workloads::{LoweringOptions, Parallelism, Program, TaskId, TaskKind, TaskPhase, Workload};
+use ace_workloads::{Parallelism, Program, TaskId, TaskKind, TaskPhase};
 
 use crate::config::SystemConfig;
 use crate::executor::{CollHandle, CollectiveExecutor, ExecutorOptions};
 use crate::report::IterationReport;
-use crate::run::{RunConditions, RunError};
 
 /// Trace lane for the serial compute timeline's task spans (pid 0 is the
 /// scheduler/sim process; tid 0 is the executor's event lane).
@@ -36,9 +35,9 @@ const TIMELINE_TRACK: Track = Track { pid: 0, tid: 1 };
 
 /// Simulates a training [`Program`] on one system configuration.
 ///
-/// Generic over the [`Tracer`] like the executor it drives: the default
-/// [`NullTracer`] compiles every task-span hook away, while
-/// [`from_program_with_tracer`](TrainingSim::from_program_with_tracer)
+/// Built by [`TrainSpec`](crate::TrainSpec). Generic over the [`Tracer`]
+/// like the executor it drives: the default [`NullTracer`] compiles every
+/// task-span hook away, while [`TrainSpec::tracer`](crate::TrainSpec::tracer)
 /// attaches a recording tracer shared with the collective executor.
 pub struct TrainingSim<T: Tracer = NullTracer> {
     config: SystemConfig,
@@ -64,138 +63,13 @@ impl<T: Tracer> std::fmt::Debug for TrainingSim<T> {
     }
 }
 
-impl TrainingSim {
-    /// Creates a simulator by lowering `workload` under its native
-    /// parallelization strategy with the paper-default NPU and network
-    /// parameters. `optimized_embedding` applies the Fig. 12 graph
-    /// transform ([`Program::optimize_embedding`]).
-    pub fn new(
-        config: SystemConfig,
-        workload: Workload,
-        topology: impl Into<TopologySpec>,
-        iterations: u32,
-        optimized_embedding: bool,
-    ) -> TrainingSim {
-        let opts = LoweringOptions {
-            iterations,
-            overlap: config.overlaps(),
-        };
-        let mut program = Program::lower(&workload, workload.parallelism(), &opts);
-        if optimized_embedding {
-            program.optimize_embedding();
-        }
-        Self::from_program(
-            config,
-            program,
-            topology,
-            NpuParams::paper_default(),
-            NetworkParams::paper_default(),
-        )
-    }
-
-    /// Creates a simulator for an already-lowered (or user-authored)
-    /// program with explicit NPU and network parameters. The program
-    /// should be [valid](Program::validate); [`SystemBuilder`] checks
-    /// this for you.
-    ///
-    /// [`SystemBuilder`]: crate::SystemBuilder
-    pub fn from_program(
-        config: SystemConfig,
-        program: Program,
-        topology: impl Into<TopologySpec>,
-        npu: NpuParams,
-        net_params: NetworkParams,
-    ) -> TrainingSim {
-        TrainingSim::from_program_with_tracer(
-            config, program, topology, npu, net_params, NullTracer,
-        )
-    }
-}
-
 impl<T: Tracer> TrainingSim<T> {
-    /// [`from_program`](TrainingSim::from_program) with an attached
-    /// [`Tracer`]: the executor records link/chunk/phase events and the
-    /// training timeline adds one span per scheduled task (tagged with
-    /// phase, iteration and role) on its own lane.
-    pub fn from_program_with_tracer(
-        config: SystemConfig,
-        program: Program,
-        topology: impl Into<TopologySpec>,
-        npu: NpuParams,
-        net_params: NetworkParams,
-        tracer: T,
-    ) -> TrainingSim<T> {
-        Self::construct(
-            config,
-            program,
-            topology.into(),
-            npu,
-            net_params,
-            ExecutorOptions::default(),
-            None,
-            tracer,
-        )
-    }
-
-    /// [`from_program_with_tracer`](TrainingSim::from_program_with_tracer)
-    /// with explicit [`ExecutorOptions`] — the route by which
-    /// `sim_threads` (intra-simulation parallelism) reaches the executor.
-    /// Results are byte-identical across `sim_threads` values.
-    #[deprecated(note = "use `TrainSpec::new(config, program, topology).options(...).build()`")]
-    pub fn from_program_with_options(
-        config: SystemConfig,
-        program: Program,
-        topology: impl Into<TopologySpec>,
-        npu: NpuParams,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
-        tracer: T,
-    ) -> TrainingSim<T> {
-        Self::construct(
-            config,
-            program,
-            topology.into(),
-            npu,
-            net_params,
-            options,
-            None,
-            tracer,
-        )
-    }
-
-    /// [`from_program_with_options`](TrainingSim::from_program_with_options)
-    /// under explicit [`RunConditions`]: the fault/contention spec is
-    /// resolved against the topology up front (so a disconnected fabric
-    /// is a typed [`RunError`], never a hang), the straggler
-    /// distribution is applied to the program's compute tasks, and the
-    /// executor runs serially on a faulted fabric.
+    /// Assembles the simulator; [`TrainSpec::build`] validates the
+    /// program and resolves the run conditions into `fault` first.
+    ///
+    /// [`TrainSpec::build`]: crate::TrainSpec::build
     #[allow(clippy::too_many_arguments)]
-    pub fn from_program_with_conditions(
-        config: SystemConfig,
-        mut program: Program,
-        topology: impl Into<TopologySpec>,
-        npu: NpuParams,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
-        conditions: &RunConditions,
-        tracer: T,
-    ) -> Result<TrainingSim<T>, RunError> {
-        let spec = topology.into();
-        let fault = if conditions.is_pristine() {
-            None
-        } else {
-            program.apply_stragglers(&conditions.straggler);
-            let plan = conditions.resolve(spec, &net_params)?;
-            (!plan.is_pristine()).then_some(plan)
-        };
-        Ok(Self::construct(
-            config, program, spec, npu, net_params, options, fault, tracer,
-        ))
-    }
-
-    /// Shared constructor body behind every public entry point.
-    #[allow(clippy::too_many_arguments)]
-    fn construct(
+    pub(crate) fn new(
         config: SystemConfig,
         program: Program,
         spec: TopologySpec,
@@ -207,21 +81,14 @@ impl<T: Tracer> TrainingSim<T> {
     ) -> TrainingSim<T> {
         let plan = ace_collectives::CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let weights = CollectiveExecutor::phase_weights(&plan, &net_params);
-        let make_engine = {
-            let weights = weights.clone();
-            move || config.make_engine(&weights)
-        };
-        let mut exec = match &fault {
-            Some(fp) => CollectiveExecutor::with_tracer_and_faults(
-                spec,
-                net_params,
-                options,
-                fp,
-                make_engine,
-                tracer,
-            ),
-            None => CollectiveExecutor::with_tracer(spec, net_params, options, make_engine, tracer),
-        };
+        let mut exec = CollectiveExecutor::new(
+            spec,
+            net_params,
+            options,
+            fault.as_ref(),
+            move || config.make_engine(&weights),
+            tracer,
+        );
         if exec.tracer().enabled() {
             exec.tracer_mut().meta_thread(TIMELINE_TRACK, "timeline");
         }
@@ -613,8 +480,21 @@ impl<T: Tracer> TrainingSim<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{training_program, TrainSpec};
     use ace_net::TorusShape;
-    use ace_workloads::{Layer, LayerComm, TaskRole};
+    use ace_workloads::{Layer, LayerComm, LoweringOptions, TaskRole, Workload};
+
+    /// Builds the simulator for `workload` lowered under `config`.
+    fn sim(
+        config: SystemConfig,
+        workload: Workload,
+        shape: TorusShape,
+        iterations: u32,
+        optimized_embedding: bool,
+    ) -> TrainingSim {
+        let program = training_program(config, &workload, iterations, optimized_embedding);
+        TrainSpec::new(config, program, shape).build().unwrap()
+    }
 
     /// A hand-computable workload: one layer = two kernel groups (the
     /// forward kernel and the backward ig/wg pair) plus one backward
@@ -638,7 +518,7 @@ mod tests {
     fn ace_busy_split_is_exact() {
         let shape = TorusShape::new(4, 2, 2).unwrap();
         let config = SystemConfig::Ace;
-        let report = TrainingSim::new(config, two_kernel_workload(), shape, 1, false).run();
+        let report = sim(config, two_kernel_workload(), shape, 1, false).run();
 
         // The collective is issued during back-propagation and drains
         // after it, so the forward window holds zero engine-busy cycles
@@ -670,7 +550,7 @@ mod tests {
     #[test]
     fn non_ace_configs_report_no_busy_counter() {
         let shape = TorusShape::new(2, 1, 1).unwrap();
-        let report = TrainingSim::new(
+        let report = sim(
             SystemConfig::BaselineCommOpt,
             two_kernel_workload(),
             shape,
@@ -690,7 +570,7 @@ mod tests {
         // (exposed), so the identity holds exactly for any program.
         for config in SystemConfig::ALL {
             let shape = TorusShape::new(2, 2, 1).unwrap();
-            let report = TrainingSim::new(config, two_kernel_workload(), shape, 2, false).run();
+            let report = sim(config, two_kernel_workload(), shape, 2, false).run();
             assert_eq!(
                 report.total_cycles(),
                 report.compute_cycles() + report.exposed_comm_cycles(),
@@ -703,7 +583,7 @@ mod tests {
     fn attribution_conserves_for_training_runs() {
         for config in SystemConfig::ALL {
             let shape = TorusShape::new(2, 2, 1).unwrap();
-            let report = TrainingSim::new(config, two_kernel_workload(), shape, 2, false).run();
+            let report = sim(config, two_kernel_workload(), shape, 2, false).run();
             let a = report.attribution();
             assert!(a.conserves(), "{config}: {a:?}");
             assert_eq!(a.total_cycles, report.total_cycles(), "{config}");
@@ -720,15 +600,11 @@ mod tests {
         };
         let program = Program::lower(&w, w.parallelism(), &opts);
         let shape = TorusShape::new(2, 2, 1).unwrap();
-        let (report, tr) = TrainingSim::from_program_with_tracer(
-            SystemConfig::Ace,
-            program,
-            shape,
-            NpuParams::paper_default(),
-            NetworkParams::paper_default(),
-            ace_trace::RecordingTracer::new(),
-        )
-        .run_with_tracer();
+        let (report, tr) = TrainSpec::new(SystemConfig::Ace, program, shape)
+            .tracer(ace_trace::RecordingTracer::new())
+            .build()
+            .unwrap()
+            .run_with_tracer();
         assert!(report.total_cycles() > 0);
         assert!(tr.count_with_prefix("task:") > 0, "timeline task spans");
         assert!(tr.count_with_prefix("issue:") > 0, "collective issue marks");
@@ -753,14 +629,7 @@ mod tests {
         let _ = c2;
         p.validate().unwrap();
         let shape = TorusShape::new(2, 2, 1).unwrap();
-        let report = TrainingSim::from_program(
-            SystemConfig::Ace,
-            p,
-            shape,
-            NpuParams::paper_default(),
-            NetworkParams::paper_default(),
-        )
-        .run();
+        let report = TrainSpec::new(SystemConfig::Ace, p, shape).run().unwrap();
         assert_eq!(report.workload(), "hand-rolled");
         assert!(report.total_cycles() > 0);
         assert_eq!(
@@ -776,8 +645,8 @@ mod tests {
         // on the same layer table.
         let shape = TorusShape::new(4, 2, 2).unwrap();
         let w = Workload::transformer_lm();
-        let data = TrainingSim::new(SystemConfig::Ace, w.clone(), shape, 2, false).run();
-        let model = TrainingSim::new(
+        let data = sim(SystemConfig::Ace, w.clone(), shape, 2, false).run();
+        let model = sim(
             SystemConfig::Ace,
             w.with_parallelism(Parallelism::Model).unwrap(),
             shape,
@@ -830,14 +699,9 @@ mod tests {
                     },
                 );
                 program.validate().unwrap();
-                let report = TrainingSim::from_program(
-                    SystemConfig::Ace,
-                    program,
-                    spec,
-                    NpuParams::paper_default(),
-                    NetworkParams::paper_default(),
-                )
-                .run();
+                let report = TrainSpec::new(SystemConfig::Ace, program, spec)
+                    .run()
+                    .unwrap();
                 assert!(report.total_cycles() > 0, "{spec:?}");
                 assert_eq!(
                     report.total_cycles(),
@@ -855,8 +719,8 @@ mod tests {
     #[test]
     fn lowered_program_is_visible_and_tagged() {
         let shape = TorusShape::new(2, 1, 1).unwrap();
-        let sim = TrainingSim::new(SystemConfig::Ace, Workload::dlrm(2), shape, 2, true);
-        let p = sim.program();
+        let dlrm = sim(SystemConfig::Ace, Workload::dlrm(2), shape, 2, true);
+        let p = dlrm.program();
         p.validate().unwrap();
         assert!(p.carveout().is_some(), "optimized loop loans resources");
         assert_eq!(
@@ -864,6 +728,6 @@ mod tests {
             TaskRole::EmbeddingFwdA2a,
             "iteration 0's exchange is in flight at t = 0"
         );
-        assert!(sim.is_hybrid());
+        assert!(dlrm.is_hybrid());
     }
 }

@@ -1056,10 +1056,17 @@ impl Program {
     /// training starts, iteration `k+1`'s right after iteration `k`'s
     /// last backward kernel.
     ///
-    /// Programs without an embedding stage only receive the carve-out
-    /// (mirroring the legacy simulator flag, which loaned the resources
-    /// whenever the optimization was requested).
+    /// A program without an embedding stage (no scheduled forward
+    /// all-to-all) is left untouched: there is no background pipeline to
+    /// loan the carve-out to. This is the one place the exact and
+    /// analytic tiers decide whether the optimization applies.
     pub fn optimize_embedding(&mut self) {
+        let has_embedding = self
+            .iter_scheduled()
+            .any(|(_, t)| t.role == TaskRole::EmbeddingFwdA2a);
+        if !has_embedding {
+            return;
+        }
         self.carveout = Some(ComputeCarveout::embedding_default());
         for iter in 0..self.iterations {
             if let Some(lookup) = self.find_role(iter, TaskRole::EmbeddingLookup) {
@@ -1415,14 +1422,14 @@ mod tests {
     }
 
     #[test]
-    fn optimize_embedding_without_embedding_only_sets_the_carveout() {
+    fn optimize_embedding_without_embedding_is_a_no_op() {
         let w = Workload::resnet50();
         let mut p = Program::lower(&w, Parallelism::Data, &LoweringOptions::default());
-        let n = p.len();
+        let schedule = p.schedule().to_vec();
         p.optimize_embedding();
         p.validate().unwrap();
-        assert_eq!(p.len(), n);
-        assert!(p.carveout().is_some());
+        assert_eq!(p.schedule(), schedule);
+        assert!(p.carveout().is_none());
     }
 
     #[test]

@@ -6,18 +6,13 @@
 //! ```
 
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
-use ace_platform::endpoint::{AceEndpoint, AceEndpointParams, CollectiveEngine};
 use ace_platform::engine::{synthesis, AceConfig};
-use ace_platform::mem::BusParams;
-use ace_platform::net::{NetworkParams, TorusShape};
-use ace_platform::simcore::SimTime;
-use ace_platform::system::CollectiveExecutor;
+use ace_platform::net::TorusShape;
+use ace_platform::system::{EngineKind, RunSpec};
 
 fn main() {
     let shape = TorusShape::new(4, 2, 2).expect("a valid shape");
-    let net = NetworkParams::paper_default();
     let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
-    let weights = CollectiveExecutor::phase_weights(&plan, &net);
     println!("plan: {plan}\n");
 
     println!(
@@ -26,17 +21,15 @@ fn main() {
     );
     for sram_mb in [1u64, 2, 4, 8] {
         let config = AceConfig::with_dse_point(sram_mb, 16);
-        let w = weights.clone();
-        let mut ex = CollectiveExecutor::new(shape, net, move || {
-            Box::new(AceEndpoint::new(AceEndpointParams {
-                config,
-                dma_mem_gbps: 128.0,
-                bus: BusParams::paper_default(),
-                phase_weights: w.clone(),
-            })) as Box<dyn CollectiveEngine>
-        });
-        let h = ex.issue(CollectiveOp::AllReduce, 64 << 20, SimTime::ZERO);
-        let done = ex.run_until_complete(h);
+        let engine = EngineKind::AceDse {
+            dma_mem_gbps: 128.0,
+            sram_mb,
+            fsms: 16,
+        };
+        let done = RunSpec::new(shape, engine, CollectiveOp::AllReduce, 64 << 20)
+            .run()
+            .expect("a pristine run")
+            .completion;
         let cost = synthesis::total(&config);
         let (area_frac, _) =
             synthesis::overhead(&config, synthesis::AcceleratorReference::tpu_class());

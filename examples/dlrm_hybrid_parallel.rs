@@ -6,7 +6,8 @@
 //! cargo run --release --example dlrm_hybrid_parallel
 //! ```
 
-use ace_platform::system::{SystemBuilder, SystemConfig};
+use ace_platform::net::TorusShape;
+use ace_platform::system::{training_program, SystemConfig, TrainSpec};
 use ace_platform::workloads::Workload;
 
 fn main() {
@@ -25,16 +26,13 @@ fn main() {
         "{:>10} {:>10} | {:>12} | {:>12} | {:>12}",
         "config", "loop", "compute us", "exposed us", "total us"
     );
+    let shape = TorusShape::new(4, 4, 4).expect("a valid shape");
     for config in [SystemConfig::BaselineCompOpt, SystemConfig::Ace] {
         for optimized in [false, true] {
-            let report = SystemBuilder::new()
-                .topology(4, 4, 4)
-                .config(config)
-                .workload(Workload::dlrm(nodes))
-                .optimized_embedding(optimized)
-                .build()
-                .expect("a valid system")
-                .run();
+            let program = training_program(config, &workload, 2, optimized);
+            let report = TrainSpec::new(config, program, shape)
+                .run()
+                .expect("a pristine run");
             println!(
                 "{:>10} {:>10} | {:>12.0} | {:>12.0} | {:>12.0}",
                 report.config(),

@@ -6,7 +6,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ace_platform::system::{SystemBuilder, SystemConfig};
+use ace_platform::net::TorusShape;
+use ace_platform::system::{training_program, SystemConfig, TrainSpec};
 use ace_platform::workloads::Workload;
 
 fn main() {
@@ -16,16 +17,14 @@ fn main() {
         "config", "compute us", "exposed us", "total us", "speedup"
     );
 
+    let shape = TorusShape::new(4, 2, 2).expect("a valid shape");
     let reports: Vec<_> = SystemConfig::ALL
         .iter()
         .map(|&config| {
-            SystemBuilder::new()
-                .topology(4, 2, 2)
-                .config(config)
-                .workload(Workload::resnet50())
-                .build()
-                .expect("a valid system")
+            let program = training_program(config, &Workload::resnet50(), 2, false);
+            TrainSpec::new(config, program, shape)
                 .run()
+                .expect("a pristine run")
         })
         .collect();
     // Speedups are relative to BaselineCommOpt (index 1 in Table VI order).

@@ -21,8 +21,10 @@ use ace_platform::collectives::analytic::{estimate_on_spec, EndpointModel};
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::net::{NetworkParams, TopologySpec};
 use ace_platform::sweep::scenario::EngineSpec;
-use ace_platform::sweep::{execute_analytic, execute_tier, PointKind, RunPoint, Tier};
-use ace_platform::system::{analytic_collective_run, EngineKind, RunConditions, RunSpec};
+use ace_platform::sweep::{execute_analytic, execute_tier, PointKind, RunPoint, Tier, WorkloadSel};
+use ace_platform::system::{
+    analytic_collective_run, EngineKind, RunConditions, RunSpec, SystemConfig,
+};
 
 /// Deterministic splitmix64 PRNG (see `property_tests.rs`).
 struct Rng(u64);
@@ -179,7 +181,7 @@ fn communication_free_training_agrees_exactly() {
     // The analytic walk and the event-driven scheduler share the
     // roofline kernel model, so the totals must agree cycle-for-cycle.
     use ace_platform::compute::KernelDesc;
-    use ace_platform::system::{analytic_program_run, SystemConfig, TrainingSim};
+    use ace_platform::system::{analytic_program_run, TrainSpec};
     use ace_platform::workloads::{Parallelism, Program, TaskPhase};
 
     let mut rng = Rng::new(0xab16);
@@ -199,14 +201,7 @@ fn communication_free_training_agrees_exactly() {
         }
         let spec: TopologySpec = "2x1x1".parse().unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
-            let exact = TrainingSim::from_program(
-                config,
-                p.clone(),
-                spec,
-                ace_platform::compute::NpuParams::paper_default(),
-                NetworkParams::paper_default(),
-            )
-            .run();
+            let exact = TrainSpec::new(config, p.clone(), spec).run().unwrap();
             let est = analytic_program_run(config, &p, spec);
             assert_eq!(
                 est.total_cycles,
@@ -239,4 +234,30 @@ fn sweep_tiers_agree_with_their_backends() {
         "tiers must be distinguishable on a non-degenerate point"
     );
     assert_eq!(analytic.past_schedules, 0);
+}
+
+#[test]
+fn both_tiers_optimize_the_embedding_only_when_there_is_one() {
+    // The Fig. 12 loop moves an embedding pipeline onto a compute
+    // carve-out. ResNet-50 has none, so the flag must change nothing in
+    // either tier; on DLRM it must change both.
+    let point = |workload: &str, optimized_embedding: bool| RunPoint {
+        topology: "2x2x1".parse().unwrap(),
+        conditions: RunConditions::default(),
+        kind: PointKind::Training {
+            config: SystemConfig::Ace,
+            workload: WorkloadSel::parse(workload, None).unwrap(),
+            iterations: 1,
+            optimized_embedding,
+        },
+    };
+    for tier in [Tier::Exact, Tier::Analytic] {
+        let run = |workload, optimized| execute_tier(&point(workload, optimized), tier);
+        assert_eq!(run("resnet50", true), run("resnet50", false), "{tier:?}");
+        assert_ne!(
+            run("dlrm", true).time_us,
+            run("dlrm", false).time_us,
+            "{tier:?}"
+        );
+    }
 }

@@ -4,7 +4,10 @@
 
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TorusShape;
-use ace_platform::system::{CollectiveRunReport, EngineKind, RunSpec, SystemBuilder, SystemConfig};
+use ace_platform::system::{
+    training_program, CollectiveRunReport, EngineKind, IterationReport, RunSpec, SystemConfig,
+    TrainSpec,
+};
 use ace_platform::workloads::Workload;
 
 /// All collectives here run on pristine fabrics, where [`RunSpec::run`]
@@ -113,32 +116,25 @@ fn achieved_bandwidth_is_within_physical_limits() {
     }
 }
 
+/// `iterations` of `workload` on the 16-NPU torus, pristine fabric.
+fn train(config: SystemConfig, workload: &Workload, iterations: u32) -> IterationReport {
+    let program = training_program(config, workload, iterations, false);
+    TrainSpec::new(config, program, TorusShape::new(4, 2, 2).unwrap())
+        .run()
+        .expect("pristine run cannot fail")
+}
+
 #[test]
 fn transformer_lm_trains_on_every_config() {
     for config in SystemConfig::ALL {
-        let r = SystemBuilder::new()
-            .topology(4, 2, 2)
-            .config(config)
-            .workload(Workload::transformer_lm())
-            .build()
-            .expect("valid system")
-            .run();
+        let r = train(config, &Workload::transformer_lm(), 2);
         assert!(r.total_time_us() > 0.0, "{config}");
     }
 }
 
 #[test]
 fn transformer_ace_beats_baselines() {
-    let run = |config| {
-        SystemBuilder::new()
-            .topology(4, 2, 2)
-            .config(config)
-            .workload(Workload::transformer_lm())
-            .build()
-            .expect("valid system")
-            .run()
-            .total_time_us()
-    };
+    let run = |config| train(config, &Workload::transformer_lm(), 2).total_time_us();
     let ace = run(SystemConfig::Ace);
     for b in [
         SystemConfig::BaselineNoOverlap,
@@ -151,16 +147,7 @@ fn transformer_ace_beats_baselines() {
 
 #[test]
 fn single_iteration_is_cheaper_than_two() {
-    let run = |iters| {
-        SystemBuilder::new()
-            .topology(4, 2, 2)
-            .config(SystemConfig::Ace)
-            .workload(Workload::resnet50())
-            .iterations(iters)
-            .build()
-            .expect("valid system")
-            .run()
-    };
+    let run = |iters| train(SystemConfig::Ace, &Workload::resnet50(), iters);
     let one = run(1);
     let two = run(2);
     assert!(one.total_time_us() < two.total_time_us());

@@ -3,17 +3,25 @@
 //! collectives → net/mem/compute → simcore) and checking the paper's
 //! qualitative results hold end to end.
 
-use ace_platform::system::{IterationReport, SystemBuilder, SystemConfig};
+use ace_platform::net::TorusShape;
+use ace_platform::system::{training_program, IterationReport, SystemConfig, TrainSpec};
 use ace_platform::workloads::Workload;
 
-fn run(config: SystemConfig, workload: Workload, l: usize, v: usize, h: usize) -> IterationReport {
-    SystemBuilder::new()
-        .topology(l, v, h)
-        .config(config)
-        .workload(workload)
-        .build()
-        .expect("valid system")
+/// Two iterations of `workload` on an `l`x`v`x`h` torus.
+fn run_loop(
+    config: SystemConfig,
+    workload: Workload,
+    (l, v, h): (usize, usize, usize),
+    optimized_embedding: bool,
+) -> IterationReport {
+    let program = training_program(config, &workload, 2, optimized_embedding);
+    TrainSpec::new(config, program, TorusShape::new(l, v, h).unwrap())
         .run()
+        .expect("pristine run cannot fail")
+}
+
+fn run(config: SystemConfig, workload: Workload, l: usize, v: usize, h: usize) -> IterationReport {
+    run_loop(config, workload, (l, v, h), false)
 }
 
 #[test]
@@ -150,15 +158,7 @@ fn ace_memory_traffic_is_far_below_baseline() {
 #[test]
 fn dlrm_optimized_loop_helps_ace_more_than_baseline() {
     let mk = |config, optimized| {
-        SystemBuilder::new()
-            .topology(4, 4, 4)
-            .config(config)
-            .workload(Workload::dlrm(64))
-            .optimized_embedding(optimized)
-            .build()
-            .expect("valid system")
-            .run()
-            .total_time_us()
+        run_loop(config, Workload::dlrm(64), (4, 4, 4), optimized).total_time_us()
     };
     let ace_gain = mk(SystemConfig::Ace, false) / mk(SystemConfig::Ace, true);
     let base_gain =

@@ -16,7 +16,7 @@
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::compute::KernelDesc;
 use ace_platform::net::TorusShape;
-use ace_platform::system::{SystemBuilder, SystemConfig, TrainingSim};
+use ace_platform::system::{training_program, IterationReport, SystemConfig, TrainSpec};
 use ace_platform::workloads::{
     Layer, LayerComm, LoweringOptions, Parallelism, Program, TaskKind, Workload,
 };
@@ -184,6 +184,20 @@ fn lowered_collective_bytes_match_workload_totals() {
     }
 }
 
+/// Lowers `w` under `config` and runs it on `shape`.
+fn train(
+    config: SystemConfig,
+    w: &Workload,
+    shape: TorusShape,
+    iterations: u32,
+    optimized_embedding: bool,
+) -> IterationReport {
+    let program = training_program(config, w, iterations, optimized_embedding);
+    TrainSpec::new(config, program, shape)
+        .run()
+        .unwrap_or_else(|e| panic!("{}: {e}", w.name()))
+}
+
 #[test]
 fn exposed_comm_is_exactly_the_scheduler_stall() {
     // total = compute + exposed holds as an exact integer identity for
@@ -194,7 +208,7 @@ fn exposed_comm_is_exactly_the_scheduler_stall() {
     for config in SystemConfig::ALL {
         for _ in 0..8 {
             let w = random_workload(&mut rng);
-            let report = TrainingSim::new(config, w, shape, 2, false).run();
+            let report = train(config, &w, shape, 2, false);
             assert_eq!(
                 report.total_cycles(),
                 report.compute_cycles() + report.exposed_comm_cycles(),
@@ -202,15 +216,8 @@ fn exposed_comm_is_exactly_the_scheduler_stall() {
             );
         }
     }
-    // And through the builder with the Fig. 12 transform applied.
-    let report = SystemBuilder::new()
-        .topology(2, 2, 1)
-        .config(SystemConfig::Ace)
-        .workload(Workload::dlrm(4))
-        .optimized_embedding(true)
-        .build()
-        .unwrap()
-        .run();
+    // And with the Fig. 12 transform applied.
+    let report = train(SystemConfig::Ace, &Workload::dlrm(4), shape, 2, true);
     assert_eq!(
         report.total_cycles(),
         report.compute_cycles() + report.exposed_comm_cycles()
@@ -226,15 +233,8 @@ fn model_parallelism_runs_every_builtin_end_to_end() {
         Workload::dlrm(4),
         Workload::transformer_lm(),
     ] {
-        let report = SystemBuilder::new()
-            .topology_spec(shape)
-            .config(SystemConfig::Ace)
-            .workload(w.clone())
-            .parallelism(Parallelism::Model)
-            .iterations(1)
-            .build()
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name()))
-            .run();
+        let w = w.with_parallelism(Parallelism::Model).unwrap();
+        let report = train(SystemConfig::Ace, &w, shape, 1, false);
         assert!(report.total_cycles() > 0, "{}", w.name());
         assert_eq!(
             report.total_cycles(),
@@ -257,12 +257,9 @@ fn custom_kernels_with_zero_cost_do_not_wedge_the_scheduler() {
     );
     let ar = p.add_collective(CollectiveOp::AllReduce, 0, TaskPhase::Backward, 0, vec![k0]);
     p.add_barrier(TaskPhase::Backward, 0, vec![ar]);
-    let report = SystemBuilder::new()
-        .topology(2, 1, 1)
-        .program(p)
-        .build()
-        .unwrap()
-        .run();
+    let report = TrainSpec::new(SystemConfig::Ace, p, TorusShape::new(2, 1, 1).unwrap())
+        .run()
+        .unwrap();
     assert_eq!(
         report.total_cycles(),
         report.compute_cycles() + report.exposed_comm_cycles()

@@ -12,7 +12,7 @@ use ace_platform::simcore::{BandwidthServer, SimTime, SlotServer};
 use ace_platform::system::{CollectiveRunReport, EngineKind, RunSpec};
 
 /// Pristine-fabric collective run; [`RunSpec::run`] cannot fail here.
-fn run_single_collective(
+fn run_pristine(
     topology: impl Into<ace_platform::net::TopologySpec>,
     engine: EngineKind,
     op: CollectiveOp,
@@ -236,9 +236,8 @@ fn collectives_complete_and_ideal_wins() {
         let (l, v, h) = (rng.urange(2, 5), rng.urange(1, 3), rng.urange(1, 3));
         let payload = rng.range(64, 2048) * 1024;
         let shape = TorusShape::new(l, v, h).unwrap();
-        let ideal =
-            run_single_collective(shape, EngineKind::Ideal, CollectiveOp::AllReduce, payload);
-        let ace = run_single_collective(
+        let ideal = run_pristine(shape, EngineKind::Ideal, CollectiveOp::AllReduce, payload);
+        let ace = run_pristine(
             shape,
             EngineKind::Ace {
                 dma_mem_gbps: 128.0,
@@ -246,7 +245,7 @@ fn collectives_complete_and_ideal_wins() {
             CollectiveOp::AllReduce,
             payload,
         );
-        let base = run_single_collective(
+        let base = run_pristine(
             shape,
             EngineKind::Baseline {
                 comm_mem_gbps: 450.0,
@@ -470,7 +469,7 @@ fn collectives_complete_on_every_topology_family() {
         let spec = random_spec(&mut rng);
         let payload = rng.range(1, 128) * 1024;
         for op in [CollectiveOp::AllReduce, CollectiveOp::AllToAll] {
-            let r = run_single_collective(spec, EngineKind::Ideal, op, payload);
+            let r = run_pristine(spec, EngineKind::Ideal, op, payload);
             assert!(r.completion.cycles() > 0, "{spec}: {op} did not complete");
             assert!(r.network_bytes > 0, "{spec}: {op} moved no bytes");
             assert_eq!(r.past_schedules, 0, "{spec}: {op} scheduled into the past");

@@ -20,7 +20,8 @@ use ace_platform::simcore::SimTime;
 use ace_platform::sweep::scenario::EngineSpec;
 use ace_platform::sweep::{execute_tier, PointKind, RunPoint, Tier};
 use ace_platform::system::{
-    CollectiveExecutor, ExecutorOptions, RunConditions, RunSpec, SystemBuilder, SystemConfig,
+    training_program, CollectiveExecutor, ExecutorOptions, RunConditions, RunSpec, SystemConfig,
+    TrainSpec,
 };
 use ace_platform::trace::chrome::{to_chrome_json, validate_chrome_trace};
 use ace_platform::trace::RecordingTracer;
@@ -87,10 +88,11 @@ fn link_spans_reconcile_with_the_fabric_meter() {
         let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_spec(op, spec);
         let weights = CollectiveExecutor::phase_weights(&plan, &params);
-        let mut ex = CollectiveExecutor::with_tracer(
+        let mut ex = CollectiveExecutor::new(
             spec,
             params,
             ExecutorOptions::default(),
+            None,
             move || config.make_engine(&weights),
             RecordingTracer::new(),
         );
@@ -168,13 +170,15 @@ fn traced_collective_exports_valid_chrome_json() {
 
 #[test]
 fn traced_training_exports_valid_chrome_json_with_task_spans() {
-    let sim = SystemBuilder::new()
-        .topology(2, 1, 1)
-        .config(SystemConfig::Ace)
-        .workload(Workload::resnet50())
-        .iterations(1)
-        .build_traced(RecordingTracer::new())
-        .unwrap();
+    let program = training_program(SystemConfig::Ace, &Workload::resnet50(), 1, false);
+    let sim = TrainSpec::new(
+        SystemConfig::Ace,
+        program,
+        "2x1x1".parse::<TopologySpec>().unwrap(),
+    )
+    .tracer(RecordingTracer::new())
+    .build()
+    .unwrap();
     let (report, tracer) = sim.run_with_tracer();
     assert!(report.attribution().conserves());
     assert!(
