@@ -240,8 +240,47 @@ impl<T: Tracer> RunSpec<T> {
 /// ([`Program::optimize_embedding`], a no-op without an embedding
 /// stage).
 ///
+/// ```
+/// use ace_system::{training_program, SystemConfig, TrainSpec};
+/// use ace_workloads::Workload;
+///
+/// let config = SystemConfig::BaselineCommOpt;
+/// let program = training_program(config, &Workload::gnmt(), 1, false);
+/// let topo: ace_net::TopologySpec = "4x2x2".parse().unwrap();
+/// let report = TrainSpec::new(config, program, topo).run().unwrap();
+/// assert_eq!(report.nodes(), 16);
+/// ```
+///
 /// Re-parallelize with [`Workload::with_parallelism`] first; a
-/// declarative `WorkloadSpec` instantiates into a [`Workload`].
+/// declarative TOML `WorkloadSpec` instantiates into a [`Workload`] for
+/// the fabric's node count. NPU and network parameters default to the
+/// paper's platform and are overridden on [`TrainSpec`]:
+///
+/// ```
+/// use ace_net::NetworkParams;
+/// use ace_system::{training_program, SystemConfig, TrainSpec};
+/// use ace_workloads::WorkloadSpec;
+///
+/// let spec = WorkloadSpec::from_toml_str(r#"
+///     name = "tiny-mlp"
+///     batch_per_npu = 8
+///     [[layer]]
+///     fwd_flops = 1.0e9
+///     fwd_bytes = 1.0e7
+///     comm = "all-reduce"
+///     comm_bytes = "2MB"
+/// "#).unwrap();
+///
+/// let mut net = NetworkParams::paper_default();
+/// net.inter.bandwidth_gbps = 50.0;   // double the scale-out links
+/// let program = training_program(SystemConfig::Ace, &spec.instantiate(4), 1, false);
+/// let topo: ace_net::TopologySpec = "2x2".parse().unwrap();
+/// let report = TrainSpec::new(SystemConfig::Ace, program, topo)
+///     .net_params(net)
+///     .run()
+///     .unwrap();
+/// assert_eq!(report.workload(), "tiny-mlp");
+/// ```
 pub fn training_program(
     config: SystemConfig,
     workload: &Workload,
@@ -274,35 +313,8 @@ pub fn training_program(
 /// assert!(report.total_cycles() > 0);
 /// ```
 ///
-/// NPU and network parameters default to the paper's platform and can be
-/// overridden; a declarative TOML workload runs once instantiated for the
-/// fabric's node count:
-///
-/// ```
-/// use ace_net::NetworkParams;
-/// use ace_system::{training_program, SystemConfig, TrainSpec};
-/// use ace_workloads::WorkloadSpec;
-///
-/// let spec = WorkloadSpec::from_toml_str(r#"
-///     name = "tiny-mlp"
-///     batch_per_npu = 8
-///     [[layer]]
-///     fwd_flops = 1.0e9
-///     fwd_bytes = 1.0e7
-///     comm = "all-reduce"
-///     comm_bytes = "2MB"
-/// "#).unwrap();
-///
-/// let mut net = NetworkParams::paper_default();
-/// net.inter.bandwidth_gbps = 50.0;   // double the scale-out links
-/// let program = training_program(SystemConfig::Ace, &spec.instantiate(4), 1, false);
-/// let topo: ace_net::TopologySpec = "2x2".parse().unwrap();
-/// let report = TrainSpec::new(SystemConfig::Ace, program, topo)
-///     .net_params(net)
-///     .run()
-///     .unwrap();
-/// assert_eq!(report.workload(), "tiny-mlp");
-/// ```
+/// Lowering examples, including a TOML workload and a network-parameter
+/// override, are on [`training_program`].
 #[derive(Debug)]
 pub struct TrainSpec<T: Tracer = NullTracer> {
     config: SystemConfig,
