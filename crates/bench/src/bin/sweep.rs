@@ -300,6 +300,9 @@ fn run_oneshot(args: Args) -> Result<(), String> {
     if let Some(f) = args.fidelity {
         scenario.fidelity = f;
     }
+    if let Some(w) = scenario.node_count_warning() {
+        eprintln!("warning: {w}");
+    }
 
     if !args.quiet {
         header(&format!(

@@ -39,14 +39,17 @@ impl fmt::Display for BenchMode {
 pub struct BuildInfo {
     /// `rustc -V` of the toolchain (`"unknown"` when rustc is absent).
     pub rustc: String,
-    /// The `RUSTFLAGS` the process ran under (empty when unset).
+    /// The flags rustc compiled this crate with (from
+    /// `.cargo/config.toml` or `RUSTFLAGS`; empty when none).
     pub rustflags: String,
+    /// The Cargo profile this crate was compiled in (`release`, `debug`).
+    pub profile: String,
 }
 
 impl BuildInfo {
-    /// Captures the runtime toolchain: `rustc -V` output (trimmed;
-    /// `"unknown"` if rustc is not on `PATH`) plus the `RUSTFLAGS`
-    /// environment variable.
+    /// Captures the toolchain: `rustc -V` output (trimmed; `"unknown"`
+    /// if rustc is not on `PATH`) plus the compile-time rustflags and
+    /// profile recorded by the build script.
     pub fn capture() -> BuildInfo {
         let rustc = std::process::Command::new("rustc")
             .arg("-V")
@@ -56,8 +59,11 @@ impl BuildInfo {
             .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
             .filter(|s| !s.is_empty())
             .unwrap_or_else(|| "unknown".to_string());
-        let rustflags = std::env::var("RUSTFLAGS").unwrap_or_default();
-        BuildInfo { rustc, rustflags }
+        BuildInfo {
+            rustc,
+            rustflags: env!("ACE_BENCH_RUSTFLAGS").to_string(),
+            profile: env!("ACE_BENCH_PROFILE").to_string(),
+        }
     }
 }
 
@@ -121,6 +127,10 @@ pub fn to_json(
     out.push_str(&format!(
         "  \"rustflags\": \"{}\",\n",
         json_escape(&info.rustflags)
+    ));
+    out.push_str(&format!(
+        "  \"profile\": \"{}\",\n",
+        json_escape(&info.profile)
     ));
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -253,6 +263,7 @@ mod tests {
         BuildInfo {
             rustc: "rustc 1.80.0 (test)".into(),
             rustflags: "-C target-cpu=native".into(),
+            profile: "release".into(),
         }
     }
 
@@ -297,11 +308,23 @@ mod tests {
             json.contains("\"rustflags\": \"-C target-cpu=native\""),
             "{json}"
         );
+        assert!(json.contains("\"profile\": \"release\""), "{json}");
         // Captured info is always populated, even without rustc/RUSTFLAGS.
         let captured = BuildInfo::capture();
         assert!(!captured.rustc.is_empty());
         // And the reader tolerates the new fields.
         assert_eq!(read_entries(&json).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn captured_flags_are_the_compile_time_flags() {
+        // The runtime `RUSTFLAGS` is usually unset even when
+        // `.cargo/config.toml` compiled the crate with flags; the
+        // fingerprint must name what rustc actually received.
+        let captured = BuildInfo::capture();
+        assert_eq!(captured.rustflags, env!("ACE_BENCH_RUSTFLAGS"));
+        assert_eq!(captured.profile, env!("ACE_BENCH_PROFILE"));
+        assert!(!captured.profile.is_empty());
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   per-microbatch stage kernels plus stage-boundary send-recv activation
 //!   transfers — executed by the event-driven collective executor
 //!   ([exact](ServingTier::Exact)) or the α–β critical-path walker
-//!   ([analytic](ServingTier::Analytic));
+//!   ([analytic](ServingTier::Analytic)); round costs are memoized in a
+//!   [`RoundMemo`] that simulations may share
+//!   ([`simulate_with_memo`]);
 //! * **latency metrics** ([`ServingOutcome`]): cycle-exact per-request
 //!   TTFT and E2E, exact-order-statistic p50/p95/p99 (no interpolation),
 //!   goodput, and a queue-depth time series.
@@ -60,7 +62,7 @@ mod spec;
 
 pub use arrival::{ArrivalKind, SplitMix64, TraceRef};
 pub use sim::{
-    first_round_program, simulate, simulate_with_conditions, RequestRecord, ServingOptions,
-    ServingOutcome, ServingTier,
+    first_round_program, simulate, simulate_with_conditions, simulate_with_memo, RequestRecord,
+    RoundMemo, ServingOptions, ServingOutcome, ServingTier,
 };
 pub use spec::ServingSpec;

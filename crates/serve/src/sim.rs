@@ -7,11 +7,15 @@
 //! [`Program`] — per-microbatch stage kernels chained by stage-boundary
 //! send-recv activation transfers — and executed by the event-driven
 //! executor (exact tier) or the α–β critical-path walker (analytic tier).
-//! Rounds with the same token count run the same program, so durations
-//! are memoized per run; a serving simulation with thousands of decode
-//! rounds pays for only a handful of distinct simulations.
+//! A round's cost depends only on its program and the system it runs on,
+//! never on when it runs, so costs live in a [`RoundMemo`] that any
+//! number of simulations may share: a serving simulation with thousands
+//! of decode rounds pays for only a handful of distinct simulations, and
+//! the cells of a sweep that differ only in load, seed or schedule pay
+//! for them once between them.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::{Mutex, MutexGuard};
 
 use ace_collectives::CollectiveOp;
 use ace_compute::KernelDesc;
@@ -24,7 +28,7 @@ use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 use crate::spec::ServingSpec;
 
 /// Which simulator executes each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServingTier {
     /// The event-driven collective executor (cycle-exact).
     Exact,
@@ -74,8 +78,9 @@ pub struct ServingOutcome {
     pub makespan_cycles: u64,
     /// Rounds executed (each one forward pipeline pass).
     pub rounds: u32,
-    /// Distinct round programs actually simulated (the rest were served
-    /// from the per-run duration memo).
+    /// Round programs this call simulated. Rounds whose cost came from
+    /// the [`RoundMemo`] — filled by this call or by earlier ones sharing
+    /// it — are excluded.
     pub simulated_rounds: u32,
     /// Queue depth (arrived, not yet admitted) sampled at each round
     /// start: `(cycles, depth)`.
@@ -297,6 +302,105 @@ struct Active {
     remaining: u32,
 }
 
+/// The simulated cost of one round.
+#[derive(Debug, Clone, Copy)]
+struct RoundCost {
+    cycles: u64,
+    compute: u64,
+    exposed: u64,
+    mem_traffic: u64,
+    network: u64,
+    past: u64,
+}
+
+/// Everything a round's simulated cost depends on besides its token
+/// count: the tier, the system it runs on, and the inputs of
+/// [`StageModel::round_program`]. The arrival process, request count,
+/// decode length, token budget and schedule only place rounds on the
+/// clock (the schedule also tags the program's [`Parallelism`], which
+/// neither tier reads), so they are left out and cells differing only in
+/// them share costs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct RoundModel {
+    tier: ServingTier,
+    config: SystemConfig,
+    topology: TopologySpec,
+    conditions: RunConditions,
+    /// Per stage: forward flops and bytes, by bit pattern.
+    fwd: Vec<(u64, u64)>,
+    boundary_bytes: Vec<u64>,
+    tp_bytes: Vec<u64>,
+    microbatches: u32,
+    prompt_tokens: u32,
+}
+
+/// Round costs shared by the serving simulations that draw from it —
+/// one sweep runner's serving cells, say — so each distinct round program
+/// is simulated once between them. A cost is keyed by the tier, system
+/// config, topology, run conditions, the workload's per-stage model,
+/// microbatches, prompt length and the round's token count; both tiers
+/// are deterministic, so a shared memo gives the same outcomes as a
+/// fresh one.
+///
+/// The lock is held only to look up or record a cost, never while a
+/// round simulates: simulations sharing a memo stay parallel (two may
+/// both simulate a round neither has recorded yet, and record the same
+/// cost), and a panicking round cannot poison the lock.
+#[derive(Debug, Default)]
+pub struct RoundMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    costs: HashMap<RoundModel, HashMap<u64, RoundCost>>,
+    simulated: u64,
+}
+
+impl RoundMemo {
+    /// An empty memo.
+    pub fn new() -> RoundMemo {
+        RoundMemo::default()
+    }
+
+    /// Distinct round programs whose cost the memo holds.
+    pub fn len(&self) -> usize {
+        self.lock().costs.values().map(HashMap::len).sum()
+    }
+
+    /// Whether the memo holds no cost.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Round simulations recorded into the memo: [`len`](RoundMemo::len)
+    /// plus any rounds that concurrent simulations raced to simulate
+    /// twice.
+    pub fn simulated(&self) -> u64 {
+        self.lock().simulated
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state
+            .lock()
+            .expect("round memo lock is never held across a simulation")
+    }
+
+    fn get(&self, model: &RoundModel, tokens: u64) -> Option<RoundCost> {
+        self.lock().costs.get(model)?.get(&tokens).copied()
+    }
+
+    fn record(&self, model: &RoundModel, tokens: u64, cost: RoundCost) {
+        let mut state = self.lock();
+        state.simulated += 1;
+        state
+            .costs
+            .entry(model.clone())
+            .or_default()
+            .insert(tokens, cost);
+    }
+}
+
 /// Runs one serving simulation: `spec.requests` requests generated by
 /// `spec.arrival` at `spec.rate_rps`, continuously batched onto
 /// `workload` partitioned into `spec.stages` pipeline stages on
@@ -324,7 +428,8 @@ pub fn simulate(
 /// "does this topology hold its latency target with k failed links".
 /// Conditions are part of a run's identity — they are a separate
 /// parameter, not a [`ServingOptions`] knob, because options must never
-/// change results.
+/// change results. Round costs come from a fresh [`RoundMemo`]; see
+/// [`simulate_with_memo`] to share one.
 pub fn simulate_with_conditions(
     config: SystemConfig,
     workload: &Workload,
@@ -332,6 +437,30 @@ pub fn simulate_with_conditions(
     spec: &ServingSpec,
     opts: &ServingOptions,
     conditions: &RunConditions,
+) -> Result<ServingOutcome, String> {
+    simulate_with_memo(
+        config,
+        workload,
+        topology,
+        spec,
+        opts,
+        conditions,
+        &RoundMemo::new(),
+    )
+}
+
+/// [`simulate_with_conditions`] drawing round costs from `memo` and
+/// recording there the rounds it simulates. The outcome is the same as
+/// with a fresh memo; only [`ServingOutcome::simulated_rounds`] drops by
+/// the rounds earlier simulations already recorded.
+pub fn simulate_with_memo(
+    config: SystemConfig,
+    workload: &Workload,
+    topology: impl Into<TopologySpec>,
+    spec: &ServingSpec,
+    opts: &ServingOptions,
+    conditions: &RunConditions,
+    memo: &RoundMemo,
 ) -> Result<ServingOutcome, String> {
     spec.validate()?;
     let topology = topology.into();
@@ -357,23 +486,25 @@ pub fn simulate_with_conditions(
         freq_hz: hz,
     };
 
-    // Round-duration memo: a round's program is a pure function of its
-    // token count, so identical rounds (every steady-state decode round,
-    // typically) simulate once.
-    #[derive(Clone, Copy)]
-    struct RoundCost {
-        cycles: u64,
-        compute: u64,
-        exposed: u64,
-        mem_traffic: u64,
-        network: u64,
-        past: u64,
-    }
-    let mut memo: HashMap<u64, RoundCost> = HashMap::new();
+    let round_model = RoundModel {
+        tier: opts.tier,
+        config,
+        topology,
+        conditions: conditions.clone(),
+        fwd: model
+            .fwd
+            .iter()
+            .map(|k| (k.flops().to_bits(), k.mem_bytes().to_bits()))
+            .collect(),
+        boundary_bytes: model.boundary_bytes.clone(),
+        tp_bytes: model.tp_bytes.clone(),
+        microbatches: spec.microbatches,
+        prompt_tokens: spec.prompt_tokens,
+    };
     let mut simulated = 0u32;
     let mut run_round = |tokens: u64| -> Result<RoundCost, String> {
-        if let Some(cached) = memo.get(&tokens) {
-            return Ok(*cached);
+        if let Some(cached) = memo.get(&round_model, tokens) {
+            return Ok(cached);
         }
         simulated += 1;
         let program = model.round_program(spec, tokens);
@@ -411,7 +542,7 @@ pub fn simulate_with_conditions(
                 }
             }
         };
-        memo.insert(tokens, cost);
+        memo.record(&round_model, tokens, cost);
         Ok(cost)
     };
 
@@ -743,6 +874,102 @@ mod tests {
         .unwrap();
         assert_eq!(serial.requests, parallel.requests);
         assert_eq!(serial.makespan_cycles, parallel.makespan_cycles);
+    }
+
+    #[test]
+    fn a_shared_memo_changes_only_the_simulated_count() {
+        // Prompt length scales every round program, so a 64-token round
+        // of two 32-token prompts must not reuse the cost of a 64-token
+        // round of one 64-token prompt.
+        let w = Workload::transformer_lm();
+        let topology: TopologySpec = "2x2".parse().unwrap();
+        let opts = ServingOptions::default();
+        let memo = RoundMemo::new();
+        let prompts_of = |prompt_tokens| ServingSpec {
+            prompt_tokens,
+            decode_tokens: 0,
+            token_budget: 64,
+            ..quick_spec()
+        };
+        let mut simulated = Vec::new();
+        for spec in [prompts_of(64), prompts_of(32), prompts_of(64)] {
+            let fresh = simulate(SystemConfig::Ace, &w, topology, &spec, &opts).unwrap();
+            let conditions = RunConditions::default();
+            let shared = simulate_with_memo(
+                SystemConfig::Ace,
+                &w,
+                topology,
+                &spec,
+                &opts,
+                &conditions,
+                &memo,
+            )
+            .unwrap();
+            let expected = ServingOutcome {
+                simulated_rounds: shared.simulated_rounds,
+                ..fresh.clone()
+            };
+            assert_eq!(format!("{shared:?}"), format!("{expected:?}"));
+            simulated.push((shared.simulated_rounds, fresh.simulated_rounds));
+            if spec.prompt_tokens == 32 {
+                assert!(shared.rounds < spec.requests, "no two-prompt round formed");
+            }
+        }
+        assert_eq!(
+            simulated[0].0, simulated[0].1,
+            "an empty memo simulates all"
+        );
+        assert_eq!(simulated[2].0, 0, "a repeated run simulates nothing");
+        assert_eq!(memo.len() as u64, memo.simulated());
+    }
+
+    #[test]
+    fn schedules_share_round_programs() {
+        // The round memo's key leaves the schedule out: GPipe and 1F1B
+        // rounds of one token count run the same tasks, and the
+        // parallelism tag that tells them apart changes neither tier's
+        // cost.
+        let w = Workload::transformer_lm()
+            .with_parallelism(Parallelism::Model)
+            .unwrap();
+        let model = StageModel::new(&w, 2).unwrap();
+        let spec = |schedule| ServingSpec {
+            stages: 2,
+            microbatches: 2,
+            schedule,
+            ..quick_spec()
+        };
+        let topology: TopologySpec = "2x2".parse().unwrap();
+        for tokens in [1, 64, 65, 130] {
+            let gpipe = model.round_program(&spec(PipeSchedule::GPipe), tokens);
+            let one_f = model.round_program(&spec(PipeSchedule::OneFOneB), tokens);
+            assert_ne!(gpipe.parallelism(), one_f.parallelism());
+            let tasks = |p: &Program| format!("{:?}", p.iter_scheduled().collect::<Vec<_>>());
+            assert_eq!(tasks(&gpipe), tasks(&one_f), "{tokens} tokens");
+            assert_eq!(gpipe.timelines(), one_f.timelines());
+            assert_eq!(gpipe.carveout(), one_f.carveout());
+        }
+        let [gpipe, one_f] = [PipeSchedule::GPipe, PipeSchedule::OneFOneB]
+            .map(|schedule| model.round_program(&spec(schedule), 64));
+        let exact = |p: Program| {
+            TrainSpec::new(SystemConfig::Ace, p, topology)
+                .run()
+                .unwrap()
+                .total_cycles()
+        };
+        let analytic = |p: &Program| {
+            analytic_program_run_with_conditions(
+                SystemConfig::Ace,
+                p,
+                topology,
+                &RunConditions::default(),
+            )
+            .unwrap()
+            .total_cycles
+            .to_bits()
+        };
+        assert_eq!(analytic(&gpipe), analytic(&one_f));
+        assert_eq!(exact(gpipe), exact(one_f));
     }
 
     #[test]

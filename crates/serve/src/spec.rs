@@ -145,16 +145,19 @@ impl ServingSpec {
         )
     }
 
-    /// Parses the [`cache_key`](ServingSpec::cache_key) spelling. Trace
-    /// arrivals are restored by identity (path + fingerprint), not
-    /// re-read from disk.
+    /// Parses the [`cache_key`](ServingSpec::cache_key) spelling: each of
+    /// the ten keys exactly once. Trace arrivals are restored by identity
+    /// (path + fingerprint), not re-read from disk.
     pub fn from_cache_key(s: &str) -> Result<ServingSpec, String> {
         let mut spec = ServingSpec::default();
-        let mut seen = 0u32;
+        let mut seen: Vec<&str> = Vec::with_capacity(10);
         for pair in s.split(';') {
             let (key, value) = pair
                 .split_once('=')
                 .ok_or_else(|| format!("serving spec entry '{pair}' is not key=value"))?;
+            if seen.contains(&key) {
+                return Err(format!("serving spec key '{key}' is repeated in '{s}'"));
+            }
             let uint = |what: &str| -> Result<u32, String> {
                 value
                     .parse::<u32>()
@@ -181,10 +184,13 @@ impl ServingSpec {
                 "schedule" => spec.schedule = value.parse::<PipeSchedule>()?,
                 other => return Err(format!("unknown serving spec key '{other}'")),
             }
-            seen += 1;
+            seen.push(key);
         }
-        if seen != 10 {
-            return Err(format!("serving spec '{s}' has {seen} of 10 fields"));
+        if seen.len() != 10 {
+            return Err(format!(
+                "serving spec '{s}' has {} of 10 fields",
+                seen.len()
+            ));
         }
         spec.validate()?;
         Ok(spec)
@@ -248,5 +254,13 @@ mod tests {
         assert!(e.contains("of 10 fields"), "{e}");
         let e = ServingSpec::from_cache_key("nope").unwrap_err();
         assert!(e.contains("key=value"), "{e}");
+        // Ten pairs, but `schedule` is missing: a repeated key must not
+        // stand in for it.
+        let e = ServingSpec::from_cache_key(
+            "arrival=poisson;rate=100;requests=4;seed=1;prompt=16;decode=2;budget=64;\
+             stages=2;microbatches=2;microbatches=2",
+        )
+        .unwrap_err();
+        assert!(e.contains("'microbatches' is repeated"), "{e}");
     }
 }

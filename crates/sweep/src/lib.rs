@@ -10,7 +10,8 @@
 //!   environment is std-only, so the parser is hand-rolled),
 //! * [`grid`] — deterministic cartesian expansion into [`RunPoint`]s,
 //! * [`scheduler`] — the resident [`JobScheduler`]: a worker pool that
-//!   outlives a single grid, a `(tier, point)` [`Cache`], coalescing
+//!   outlives a single grid, a `(tier, point)` [`Cache`], the serving
+//!   round-cost memo ([`ace_serve::RoundMemo`]) its cells share, coalescing
 //!   latest-generation-wins job submission, and an optional write-ahead
 //!   [`persist::Journal`],
 //! * [`bus`] — the in-process [`EventBus`] broadcasting typed

@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use ace_serve::RoundMemo;
 use ace_system::{
     analytic_collective_run_with_conditions, analytic_program_run_with_conditions,
     training_program, ExecutorOptions, RunSpec, TrainSpec,
@@ -390,28 +391,39 @@ pub fn run_scenario(scenario: &Scenario, opts: RunnerOptions) -> Result<SweepOut
 /// Executes one point in the given tier. Pure and deterministic within a
 /// tier: the same `(tier, point)` always produces the same metrics.
 pub fn execute_tier(point: &RunPoint, tier: Tier) -> Metrics {
-    execute_tier_with(point, tier, 1)
+    execute_tier_with(point, tier, 1, &RoundMemo::new())
 }
 
 /// [`execute_tier`] with an intra-simulation thread count for the exact
-/// tier. `sim_threads` never changes the metrics (the parallel engine is
-/// byte-identical to the serial one), so both spellings share the same
-/// cache entries.
-pub fn execute_tier_with(point: &RunPoint, tier: Tier, sim_threads: usize) -> Metrics {
+/// tier and the [`RoundMemo`] serving points draw round costs from.
+/// Neither changes the metrics (the parallel engine is byte-identical to
+/// the serial one, and a memoized round costs what a fresh simulation
+/// does), so every spelling shares the same cache entries.
+pub fn execute_tier_with(
+    point: &RunPoint,
+    tier: Tier,
+    sim_threads: usize,
+    rounds: &RoundMemo,
+) -> Metrics {
     match tier {
-        Tier::Exact => execute_with(point, sim_threads),
-        Tier::Analytic => execute_analytic(point),
+        Tier::Exact => execute_exact(point, sim_threads, rounds),
+        Tier::Analytic => estimate_analytic(point, rounds),
     }
 }
 
 /// Simulates one point with the (serial) event-driven executor.
 pub fn execute(point: &RunPoint) -> Metrics {
-    execute_with(point, 1)
+    execute_tier(point, Tier::Exact)
+}
+
+/// Estimates one point with the closed-form α–β model.
+pub fn execute_analytic(point: &RunPoint) -> Metrics {
+    execute_tier(point, Tier::Analytic)
 }
 
 /// Simulates one point with the event-driven executor, partitioning its
 /// event loop across `sim_threads` workers (1 = serial).
-pub fn execute_with(point: &RunPoint, sim_threads: usize) -> Metrics {
+fn execute_exact(point: &RunPoint, sim_threads: usize, rounds: &RoundMemo) -> Metrics {
     let sim_threads = sim_threads.max(1);
     match &point.kind {
         PointKind::Collective {
@@ -482,12 +494,14 @@ pub fn execute_with(point: &RunPoint, sim_threads: usize) -> Metrics {
             spec,
             ace_serve::ServingTier::Exact,
             sim_threads,
+            rounds,
         ),
     }
 }
 
-/// Runs one serving point through [`ace_serve::simulate`] and folds its
-/// outcome into sweep [`Metrics`].
+/// Runs one serving point through [`ace_serve::simulate_with_memo`],
+/// drawing round costs from `rounds`, and folds its outcome into sweep
+/// [`Metrics`].
 fn execute_serving(
     point: &RunPoint,
     config: ace_system::SystemConfig,
@@ -495,15 +509,17 @@ fn execute_serving(
     spec: &ace_serve::ServingSpec,
     tier: ace_serve::ServingTier,
     sim_threads: usize,
+    rounds: &RoundMemo,
 ) -> Metrics {
     let topo = point.topology;
-    let outcome = ace_serve::simulate_with_conditions(
+    let outcome = ace_serve::simulate_with_memo(
         config,
         &workload.instantiate(topo.nodes()),
         topo,
         spec,
         &ace_serve::ServingOptions { tier, sim_threads },
         &point.conditions,
+        rounds,
     )
     .expect("expanded serving point is simulable");
     let freq = ace_simcore::npu_frequency();
@@ -548,7 +564,7 @@ fn execute_serving(
 }
 
 /// Estimates one point with the closed-form α–β model.
-pub fn execute_analytic(point: &RunPoint) -> Metrics {
+fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
     let freq = ace_simcore::npu_frequency();
     match &point.kind {
         PointKind::Collective {
@@ -641,6 +657,7 @@ pub fn execute_analytic(point: &RunPoint) -> Metrics {
             spec,
             ace_serve::ServingTier::Analytic,
             1,
+            rounds,
         ),
     }
 }
@@ -907,6 +924,81 @@ mod tests {
             let v: f64 = row.split(',').nth(col).unwrap().parse().unwrap();
             assert!(v > 0.0, "zero ttft_p99_us in {row}");
         }
+    }
+
+    /// A serving grid small enough for a debug-mode test: both schedules
+    /// on a two-node torus.
+    fn small_serving(rate_rps: f64, seed: u64) -> Scenario {
+        let mut sc = Scenario::serving("serving-memo");
+        sc.topologies = vec![TopologySpec::torus3(2, 1, 1).unwrap()];
+        sc.arrival_rates = vec![rate_rps];
+        sc.seed = seed;
+        sc.schedules = vec![
+            ace_workloads::PipeSchedule::GPipe,
+            ace_workloads::PipeSchedule::OneFOneB,
+        ];
+        sc.microbatches = vec![2];
+        sc.stages = 2;
+        sc.requests = 4;
+        sc.decode_tokens = 2;
+        sc.token_budget = 256;
+        sc
+    }
+
+    const SERIAL: RunnerOptions = RunnerOptions {
+        threads: 1,
+        sim_threads: 1,
+    };
+
+    #[test]
+    fn round_memo_keeps_tiers_apart() {
+        // Analytic round costs must never be served to exact cells: one
+        // runner doing both tiers gives the rows two fresh runners do.
+        let at = |fidelity| Scenario {
+            fidelity,
+            ..small_serving(800.0, 1)
+        };
+        let csv = |runner: &SweepRunner, fidelity| {
+            crate::report::to_csv(&runner.run(&at(fidelity), SERIAL).unwrap())
+        };
+        let shared = SweepRunner::new();
+        assert_eq!(
+            csv(&shared, Fidelity::Analytic),
+            csv(&SweepRunner::new(), Fidelity::Analytic)
+        );
+        assert_eq!(
+            csv(&shared, Fidelity::Exact),
+            csv(&SweepRunner::new(), Fidelity::Exact)
+        );
+    }
+
+    #[test]
+    fn serving_jobs_share_round_costs() {
+        // Seed and rate only place rounds on the clock, so a second job
+        // on the same runner reuses the first job's round costs and
+        // simulates only the rounds the first never formed.
+        let first = small_serving(800.0, 1);
+        let second = small_serving(1500.0, 2);
+        let runner = SweepRunner::new();
+        runner.run(&first, SERIAL).unwrap();
+        let memo = runner.scheduler().rounds();
+        let (held, simulated) = (memo.len(), memo.simulated());
+        assert_eq!(simulated, held as u64, "one simulation per round program");
+
+        let shared = crate::report::to_csv(&runner.run(&second, SERIAL).unwrap());
+        let fresh_runner = SweepRunner::new();
+        let fresh = crate::report::to_csv(&fresh_runner.run(&second, SERIAL).unwrap());
+        assert_eq!(shared, fresh);
+        let new_programs = memo.len() - held;
+        assert_eq!(
+            memo.simulated() - simulated,
+            new_programs as u64,
+            "the second job re-simulated a round the first recorded"
+        );
+        assert!(
+            new_programs < fresh_runner.scheduler().rounds().len(),
+            "the second job reused none of the first job's rounds"
+        );
     }
 
     #[test]

@@ -1086,6 +1086,32 @@ impl Scenario {
         }
         Ok(())
     }
+
+    /// A warning when a training or serving `topologies` axis mixes node
+    /// counts. Such rows compare machine sizes along with fabrics: a
+    /// workload instantiated on 64 nodes is not the one run on 16, so the
+    /// faster fabric may only be the larger machine. Collective sweeps
+    /// scale the fabric on purpose and are not checked.
+    pub fn node_count_warning(&self) -> Option<String> {
+        if self.mode == SweepMode::Collective {
+            return None;
+        }
+        let first = self.topologies.first()?.nodes();
+        if self.topologies.iter().all(|t| t.nodes() == first) {
+            return None;
+        }
+        let sizes: Vec<String> = self
+            .topologies
+            .iter()
+            .map(|t| format!("{t} = {}", t.nodes()))
+            .collect();
+        Some(format!(
+            "{} mode topologies mix node counts ({}); rows compare machine sizes, \
+             not only fabrics",
+            self.mode,
+            sizes.join(", ")
+        ))
+    }
 }
 
 /// Errors loading a scenario.
@@ -1646,5 +1672,28 @@ mod tests {
             .to_string(),
             "ace[dma=128,sram=4MB,fsms=16]"
         );
+    }
+
+    #[test]
+    fn mixed_node_counts_warn_in_training_and_serving_modes() {
+        let topo = |s: &str| s.parse::<TopologySpec>().unwrap();
+        let mut sc = Scenario::serving("mixed");
+        sc.topologies = vec![topo("4x4"), topo("switch:64@100"), topo("hier:8x8")];
+        let w = sc.node_count_warning().expect("16 vs 64 nodes");
+        assert!(w.starts_with("serving mode"), "{w}");
+        assert!(w.contains("4x4 = 16") && w.contains("hier:8x8 = 64"), "{w}");
+        sc.topologies[0] = topo("4x4x4");
+        assert_eq!(sc.node_count_warning(), None, "all 64 nodes");
+
+        let mut sc = Scenario::training("mixed");
+        sc.topologies = vec![topo("4x2x2"), topo("switch:64")];
+        assert!(sc.node_count_warning().is_some());
+        sc.topologies = vec![topo("4x2x2"), topo("switch:16")];
+        assert_eq!(sc.node_count_warning(), None);
+
+        // Collective sweeps scale the fabric on purpose.
+        let mut sc = Scenario::collective("scaling");
+        sc.topologies = vec![topo("4x2x2"), topo("4x4x4")];
+        assert_eq!(sc.node_count_warning(), None);
     }
 }

@@ -1,10 +1,11 @@
 //! The resident job scheduler — the service core of the sweep engine.
 //!
-//! [`JobScheduler`] owns the three pieces of warm state a cold CLI run
-//! rebuilds from scratch every time: the `(tier, point)` result
-//! [`Cache`], a pool of worker threads that **outlives a single grid**,
-//! and the [`EventBus`] that broadcasts typed progress events. One-shot
-//! sweeps ([`crate::SweepRunner`]) and the long-lived daemon
+//! [`JobScheduler`] owns the warm state a cold CLI run rebuilds from
+//! scratch every time: the `(tier, point)` result [`Cache`], the
+//! [`RoundMemo`] every serving cell draws its round costs from, a pool of
+//! worker threads that **outlives a single grid**, and the [`EventBus`]
+//! that broadcasts typed progress events. One-shot sweeps
+//! ([`crate::SweepRunner`]) and the long-lived daemon
 //! ([`crate::service::SweepService`]) are both thin clients of this
 //! type, so their results are byte-identical by construction: jobs are
 //! compiled scenarios expanded to [`RunPoint`]s, deduped against the
@@ -40,6 +41,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use ace_serve::RoundMemo;
 
 use crate::bus::{BusEvent, EventBus, Subscription};
 use crate::fidelity::{select_exact_cells, Fidelity, Tier};
@@ -110,6 +113,7 @@ struct Batch {
 /// Scheduler state shared with the workers.
 struct Shared {
     cache: Arc<Cache>,
+    rounds: RoundMemo,
     bus: EventBus,
     state: Mutex<Vec<Batch>>,
     work_ready: Condvar,
@@ -153,6 +157,7 @@ impl JobScheduler {
         JobScheduler {
             shared: Arc::new(Shared {
                 cache: Arc::new(cache),
+                rounds: RoundMemo::new(),
                 bus: EventBus::new(),
                 state: Mutex::new(Vec::new()),
                 work_ready: Condvar::new(),
@@ -168,6 +173,15 @@ impl JobScheduler {
     /// The shared result cache.
     pub fn cache(&self) -> &Cache {
         &self.shared.cache
+    }
+
+    /// The round-cost memo shared by every serving cell this scheduler
+    /// runs, across jobs: cells that differ only in arrival rate, seed,
+    /// schedule, request count or token budget simulate each round
+    /// program once between them.
+    #[cfg(test)]
+    pub(crate) fn rounds(&self) -> &RoundMemo {
+        &self.shared.rounds
     }
 
     /// The scheduler's event bus — subscribe here to observe every job.
@@ -740,7 +754,7 @@ fn worker_loop(shared: &Shared) {
 
         let point = &claim.work[claim.index];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_tier_with(point, claim.tier, claim.sim_threads)
+            execute_tier_with(point, claim.tier, claim.sim_threads, &shared.rounds)
         }));
         match outcome {
             Ok(metrics) => {

@@ -99,3 +99,25 @@ fn design_space_defaults_to_exact_fidelity() {
         assert!((sc.hybrid_top_pct - 10.0).abs() < 1e-12);
     }
 }
+
+#[test]
+fn no_checked_in_scenario_mixes_node_counts() {
+    // Training and serving rows must compare fabrics of one machine size.
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/scenarios");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "toml") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Workload model specs ([[layer]] blocks) are not scenarios.
+        if text.contains("[[layer]]") {
+            continue;
+        }
+        let sc = Scenario::from_toml_path(&path).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(sc.node_count_warning(), None, "{}", path.display());
+        checked += 1;
+    }
+    assert!(checked >= 10, "only {checked} scenarios found");
+}
