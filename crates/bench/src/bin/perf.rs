@@ -1,8 +1,9 @@
 //! Simulator wall-clock benchmark — the repo's persistent performance
 //! harness.
 //!
-//! Times representative sweeps (the Fig. 9a collective design-space grid
-//! and the training suite) with `std::time::Instant` and emits a
+//! Times representative sweeps (the Fig. 9a collective design-space grid,
+//! the training suite, and an all-reduce at torus sizes from 8 to 625
+//! nodes) with `std::time::Instant` and emits a
 //! `BENCH_executor.json` at the repo root so every PR has a points/sec
 //! trajectory to beat. Each scenario runs `--runs` times on a cold cache
 //! and the minimum wall time is reported (the minimum is robust against
@@ -62,11 +63,8 @@ workloads = ["resnet50"]
 iterations = 1
 "#;
 
-/// Intra-simulation parallelism scalability: one exact all-reduce per
-/// torus size from 8 up to 625 nodes, run once serial and once with the
-/// event loop partitioned across 4 domain threads. The payload is
-/// exactly 8 MiB — the largest size whose chunks are all injected up
-/// front, which keeps the partitioned engine eligible for the whole run.
+/// Scalability: one exact 8 MiB all-reduce per torus size, from 8 up to
+/// 625 nodes.
 const FIG11_SCALABILITY_TOML: &str = r#"
 name = "fig11-scalability"
 mode = "collective"
@@ -220,54 +218,6 @@ fn bench_scenario_warm(scenario: &Scenario, runs: usize, threads: usize) -> Benc
     }
 }
 
-/// Benchmarks the intra-simulation parallel engine: the same grid runs
-/// serial (`sim_threads = 1`) and with the event loop partitioned by
-/// topology domain, the CSV reports are asserted byte-identical (the
-/// partitioned engine is an exact replacement, not an approximation),
-/// and both wall times are recorded. The parallel entry's points/sec
-/// divided by the serial entry's is the intra-sim speedup; it is
-/// bounded by the number of cores the machine actually grants.
-fn bench_sim_threads_pair(
-    scenario: &Scenario,
-    runs: usize,
-    sim_threads: usize,
-) -> (BenchEntry, BenchEntry) {
-    let measure = |sim_threads: usize| -> (BenchEntry, String) {
-        let opts = RunnerOptions {
-            threads: 1,
-            sim_threads,
-        };
-        let mut best_ms = f64::INFINITY;
-        let mut points = 0;
-        let mut csv = String::new();
-        for _ in 0..runs {
-            let runner = SweepRunner::new();
-            let start = Instant::now();
-            let outcome = runner.run(scenario, opts).expect("scenario is valid");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            points = outcome.results.len();
-            csv = ace_sweep::report::to_csv(&outcome);
-            best_ms = best_ms.min(ms);
-        }
-        let entry = BenchEntry {
-            scenario: scenario.name.clone(),
-            points,
-            wall_ms: best_ms,
-            points_per_sec: points as f64 / (best_ms / 1e3),
-        };
-        (entry, csv)
-    };
-    let (serial, serial_csv) = measure(1);
-    let (mut par, par_csv) = measure(sim_threads);
-    assert_eq!(
-        serial_csv, par_csv,
-        "partitioned engine diverged from serial on {}",
-        scenario.name
-    );
-    par.scenario = format!("{}-simthreads{sim_threads}", scenario.name);
-    (serial, par)
-}
-
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let mode = if args.smoke {
@@ -279,13 +229,19 @@ fn run() -> Result<(), String> {
     // the emitted file then carries every entry the CI regression gate
     // matches against, so re-running `perf` to refresh
     // BENCH_executor.json can never silently drop the smoke baselines.
-    let mut scenario_tomls = vec![SMOKE_DESIGN_SPACE_TOML, SMOKE_TRAINING_TOML];
+    let mut scenario_tomls = vec![
+        SMOKE_DESIGN_SPACE_TOML,
+        SMOKE_TRAINING_TOML,
+        SMOKE_FIG11_TOML,
+    ];
     if !args.smoke {
         scenario_tomls = vec![
             DESIGN_SPACE_TOML,
             TRAINING_SUITE_TOML,
             SMOKE_DESIGN_SPACE_TOML,
             SMOKE_TRAINING_TOML,
+            FIG11_SCALABILITY_TOML,
+            SMOKE_FIG11_TOML,
         ];
     }
     let scenarios = scenario_tomls
@@ -315,35 +271,6 @@ fn run() -> Result<(), String> {
             );
         }
         entries.push(entry);
-    }
-
-    // Intra-sim parallelism scalability: serial vs 4 domain threads on
-    // the same grid, byte-identity asserted inside the helper. Full
-    // mode also times the smoke pair, for the same reason as above —
-    // refreshing the baseline file must never drop the gate's entries.
-    let mut fig11_tomls = vec![SMOKE_FIG11_TOML];
-    if !args.smoke {
-        fig11_tomls.insert(0, FIG11_SCALABILITY_TOML);
-    }
-    for toml in fig11_tomls {
-        let sc = Scenario::from_toml_str(toml).map_err(|e| e.to_string())?;
-        let (serial, par) = bench_sim_threads_pair(&sc, args.runs, 4);
-        if !args.quiet {
-            println!(
-                "{:<28} {:>5} points  {:>10.1} ms  {:>9.3} points/sec",
-                serial.scenario, serial.points, serial.wall_ms, serial.points_per_sec
-            );
-            println!(
-                "{:<28} {:>5} points  {:>10.1} ms  {:>9.3} points/sec ({:.2}x vs serial, byte-identical)",
-                par.scenario,
-                par.points,
-                par.wall_ms,
-                par.points_per_sec,
-                serial.wall_ms / par.wall_ms
-            );
-        }
-        entries.push(serial);
-        entries.push(par);
     }
 
     // Full mode also reports the daemon's warm-resubmission throughput on

@@ -40,7 +40,6 @@ use ace_workloads::Program;
 struct Args {
     scenario_path: String,
     threads: usize,
-    sim_threads: usize,
     csv: Option<String>,
     json: Option<String>,
     cache_file: Option<String>,
@@ -51,22 +50,18 @@ struct Args {
     attribution: bool,
 }
 
-const USAGE: &str = "usage: sweep <scenario.toml> [--threads N] [--sim-threads N] [--csv PATH] \
-                     [--json PATH] [--cache-file PATH] [--fidelity exact|analytic|hybrid] [--quiet]\n\
+const USAGE: &str = "usage: sweep <scenario.toml> [--threads N] [--csv PATH] [--json PATH] \
+                     [--cache-file PATH] [--fidelity exact|analytic|hybrid] [--quiet]\n\
                      \x20      [--progress | --no-progress] [--trace PATH] [--attribution]\n\
                      \x20      sweep serve [--socket PATH] [--journal PATH] [--threads N] \
-                     [--sim-threads N] [--cache-file PATH] [--stdio]\n\
+                     [--cache-file PATH] [--stdio]\n\
                      \x20      sweep submit <scenario.toml> [--socket PATH] [--csv PATH] \
                      [--threads N] [--fidelity F] [--inline]\n\
                      \x20      sweep ctl <stats|shutdown> [--socket PATH]\n\
                      \n\
-                     --threads runs N whole grid cells concurrently (0 = machine\n\
-                     parallelism); --sim-threads partitions the event loop of each\n\
-                     *individual* exact simulation across N workers (domain\n\
-                     decomposition with conservative lookahead windows). Results are\n\
-                     byte-identical for every --sim-threads value, so cached cells and\n\
-                     reports never depend on it; use it to speed up grids of few large\n\
-                     fabrics where --threads alone cannot fill the machine.\n\
+                     --threads runs N grid cells concurrently (0 = machine\n\
+                     parallelism). Each cell is one single-threaded simulation, and\n\
+                     reports are byte-identical for every --threads value.\n\
                      \n\
                      --progress renders a live `cells done/total, pts/s, ETA` line on\n\
                      stderr (default: on when stderr is a terminal; --quiet or\n\
@@ -115,7 +110,6 @@ const USAGE: &str = "usage: sweep <scenario.toml> [--threads N] [--sim-threads N
 fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut scenario_path = None;
     let mut threads = 0usize;
-    let mut sim_threads = 0usize;
     let mut csv = None;
     let mut json = None;
     let mut cache_file = None;
@@ -130,12 +124,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
             "--threads" => {
                 let v = argv.next().ok_or("--threads needs a value")?;
                 threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
-            "--sim-threads" => {
-                let v = argv.next().ok_or("--sim-threads needs a value")?;
-                sim_threads = v
-                    .parse()
-                    .map_err(|_| format!("bad sim-thread count '{v}'"))?;
             }
             "--csv" => csv = Some(argv.next().ok_or("--csv needs a path")?),
             "--json" => json = Some(argv.next().ok_or("--json needs a path")?),
@@ -168,7 +156,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(Args {
         scenario_path,
         threads,
-        sim_threads,
         csv,
         json,
         cache_file,
@@ -344,7 +331,7 @@ fn run_oneshot(args: Args) -> Result<(), String> {
         &scenario,
         RunnerOptions {
             threads: args.threads,
-            sim_threads: args.sim_threads,
+            ..Default::default()
         },
         progress,
     )?;
@@ -451,7 +438,6 @@ struct ServeArgs {
     journal: Option<String>,
     cache_file: Option<String>,
     threads: usize,
-    sim_threads: usize,
     stdio: bool,
     quiet: bool,
 }
@@ -462,7 +448,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
         journal: None,
         cache_file: None,
         threads: 0,
-        sim_threads: 0,
         stdio: false,
         quiet: false,
     };
@@ -476,12 +461,6 @@ fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs,
             "--threads" => {
                 let v = argv.next().ok_or("--threads needs a value")?;
                 args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
-            "--sim-threads" => {
-                let v = argv.next().ok_or("--sim-threads needs a value")?;
-                args.sim_threads = v
-                    .parse()
-                    .map_err(|_| format!("bad sim-thread count '{v}'"))?;
             }
             "--stdio" => args.stdio = true,
             "--quiet" => args.quiet = true,
@@ -511,7 +490,6 @@ fn default_socket(socket: &Option<String>, journal: &Option<String>) -> PathBuf 
 fn run_serve(args: ServeArgs) -> Result<(), String> {
     let mut service = SweepService::open(ServiceOptions {
         threads: args.threads,
-        sim_threads: args.sim_threads,
         journal: args.journal.as_ref().map(PathBuf::from),
     })?;
     if !args.quiet {

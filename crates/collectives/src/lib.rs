@@ -39,7 +39,6 @@
 
 pub mod analytic;
 mod granularity;
-mod partition;
 mod plan;
 pub mod traffic;
 
@@ -48,5 +47,4 @@ pub use analytic::{
     EndpointModel,
 };
 pub use granularity::{split_even, Granularity};
-pub use partition::partition_bounds;
 pub use plan::{CollectiveOp, CollectivePlan, PhaseKind, PhaseLink, PhaseSpec};

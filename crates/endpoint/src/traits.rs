@@ -11,11 +11,7 @@ use ace_trace::PipeBusy;
 /// are charged by the network layer). The `phase` argument indexes the
 /// collective plan's phase so engines with per-phase resources (ACE's SRAM
 /// partitions and FSM groups) can route the request.
-///
-/// Engines must be `Send`: the domain-partitioned executor moves disjoint
-/// per-node engine slices onto worker threads. (No engine is shared —
-/// `Sync` is not required.)
-pub trait CollectiveEngine: Send {
+pub trait CollectiveEngine {
     /// One-time per-chunk setup before phase 0: the baseline does nothing
     /// (gradients already live in HBM); ACE runs the TX DMA into SRAM.
     /// Returns the time the chunk is ready to start its first phase.

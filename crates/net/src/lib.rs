@@ -43,7 +43,7 @@ mod topology;
 
 pub use fault::{ContentionSpec, FaultClause, FaultError, FaultPlan, FaultSpec, FaultTarget};
 pub use link::{Link, LinkClass, LinkParams, Port};
-pub use network::{HopOutcome, NetShard, NetTx, Network, NetworkParams};
+pub use network::{HopOutcome, Network, NetworkParams};
 pub use topo::{
     did_you_mean, unknown_spelling, DimInfo, Hierarchical, Spelling, SpellingError, Switch,
     Topology, TopologySpec, Torus, MAX_TORUS_DIMS,

@@ -52,73 +52,6 @@ pub struct HopOutcome {
     pub arrival: SimTime,
 }
 
-/// Message transmission on some view of the fabric — implemented by the
-/// whole [`Network`] and by the per-partition [`NetShard`], so transport
-/// logic can be generic over serial and domain-partitioned execution.
-pub trait NetTx {
-    /// Pushes `bytes` out of `node` through `port`; see
-    /// [`Network::transmit`].
-    fn transmit(&mut self, now: SimTime, node: NodeId, port: Port, bytes: u64) -> HopOutcome;
-}
-
-impl<T: NetTx + ?Sized> NetTx for &mut T {
-    fn transmit(&mut self, now: SimTime, node: NodeId, port: Port, bytes: u64) -> HopOutcome {
-        (**self).transmit(now, node, port, bytes)
-    }
-}
-
-impl NetTx for Network {
-    fn transmit(&mut self, now: SimTime, node: NodeId, port: Port, bytes: u64) -> HopOutcome {
-        Network::transmit(self, now, node, port, bytes)
-    }
-}
-
-/// A mutable view of one contiguous node range's egress links, with
-/// partition-local throughput/utilization meters.
-///
-/// Domain-partitioned simulation hands each worker the shard covering its
-/// nodes: every transmit issues from the sending node's own egress port,
-/// so disjoint node ranges touch disjoint links and the borrow split is
-/// safe. The local meters are folded back into the fabric-wide ones by
-/// [`Network::merge_shard_meters`]; both meters merge exactly, so the
-/// combined totals are byte-identical to a serial run's.
-#[derive(Debug)]
-pub struct NetShard<'a> {
-    links: &'a mut [Option<Link>],
-    cursors: &'a mut [BucketCursor],
-    /// Global index of `links[0]` in the parent's link table.
-    first_link: usize,
-    ports_per_node: usize,
-    meter: RateMeter,
-    series: TimeSeries,
-}
-
-impl NetShard<'_> {
-    /// Consumes the shard, returning its local meters for merging.
-    pub fn into_meters(self) -> (RateMeter, TimeSeries) {
-        (self.meter, self.series)
-    }
-}
-
-impl NetTx for NetShard<'_> {
-    fn transmit(&mut self, now: SimTime, node: NodeId, port: Port, bytes: u64) -> HopOutcome {
-        let global = node.index() * self.ports_per_node + port.index();
-        let idx = global
-            .checked_sub(self.first_link)
-            .filter(|i| *i < self.links.len())
-            .unwrap_or_else(|| panic!("{node} {port} is outside this shard"));
-        let link = self.links[idx]
-            .as_mut()
-            .unwrap_or_else(|| panic!("no {port} link at {node}"));
-        let grant = link.transmit(now, bytes);
-        let arrival = link.arrival(grant);
-        self.meter.record(grant.end, bytes);
-        self.series
-            .add_busy_at(&mut self.cursors[idx], grant.start, grant.end);
-        HopOutcome { grant, arrival }
-    }
-}
-
 /// The accelerator-fabric network: every node's egress links plus
 /// fabric-wide throughput/utilization meters. The link layout comes from
 /// the [`Topology`]: `links[node * ports_per_node + port.index()]`, with
@@ -307,45 +240,6 @@ impl Network {
             .collect()
     }
 
-    /// Splits the fabric into per-partition [`NetShard`]s, one per
-    /// `(first_node, end_node)` range. The ranges must be contiguous,
-    /// ascending, and cover every node exactly once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ranges do not tile `0..nodes`.
-    pub fn shards(&mut self, ranges: &[(usize, usize)]) -> Vec<NetShard<'_>> {
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut links = &mut self.links[..];
-        let mut cursors = &mut self.util_cursors[..];
-        let mut covered = 0usize;
-        for &(lo, hi) in ranges {
-            assert!(lo == covered && hi > lo, "ranges must tile the nodes");
-            covered = hi;
-            let n = (hi - lo) * self.ports_per_node;
-            let (l, lrest) = std::mem::take(&mut links).split_at_mut(n);
-            links = lrest;
-            let (c, crest) = std::mem::take(&mut cursors).split_at_mut(n);
-            cursors = crest;
-            out.push(NetShard {
-                links: l,
-                cursors: c,
-                first_link: lo * self.ports_per_node,
-                ports_per_node: self.ports_per_node,
-                meter: RateMeter::new(),
-                series: TimeSeries::new(self.params.util_bucket_cycles),
-            });
-        }
-        assert_eq!(covered, self.nodes, "ranges must cover every node");
-        out
-    }
-
-    /// Folds a shard's local meters back into the fabric-wide ones.
-    pub fn merge_shard_meters(&mut self, meter: &RateMeter, series: &TimeSeries) {
-        self.meter.merge(meter);
-        self.util_series.merge(series);
-    }
-
     /// Applies a resolved [`FaultPlan`]: killed egress links become
     /// `None` (so any traffic still routed through them panics — a bug,
     /// since routes are re-planned around kills), and degraded links are
@@ -475,62 +369,6 @@ mod tests {
             }
         }
         assert_eq!(net.util_busy_total_cycles(), grant_sum as f64);
-    }
-
-    #[test]
-    fn sharded_transmits_merge_to_serial_meters() {
-        // Drive the same traffic through a whole network and through two
-        // node-range shards of an identical network; after merging the
-        // shard meters, every fabric-wide metric must match exactly.
-        let traffic: Vec<(u64, usize, Port, u64)> = (0..16)
-            .flat_map(|node| {
-                Port::ALL
-                    .into_iter()
-                    .map(move |p| (node * 13, node as usize, p, 4096 + node * 512))
-            })
-            .collect();
-        let mut serial = small_net();
-        for &(t, node, port, bytes) in &traffic {
-            serial.transmit(SimTime::from_cycles(t), NodeId(node), port, bytes);
-        }
-        let mut sharded = small_net();
-        let mut shards = sharded.shards(&[(0, 5), (5, 16)]);
-        for &(t, node, port, bytes) in &traffic {
-            let s = if node < 5 { 0 } else { 1 };
-            NetTx::transmit(
-                &mut shards[s],
-                SimTime::from_cycles(t),
-                NodeId(node),
-                port,
-                bytes,
-            );
-        }
-        let meters: Vec<_> = shards.into_iter().map(NetShard::into_meters).collect();
-        for (m, s) in &meters {
-            sharded.merge_shard_meters(m, s);
-        }
-        assert_eq!(sharded.total_bytes(), serial.total_bytes());
-        assert_eq!(sharded.window_end(), serial.window_end());
-        assert_eq!(
-            sharded.util_busy_total_cycles(),
-            serial.util_busy_total_cycles()
-        );
-        assert_eq!(sharded.utilization_series(), serial.utilization_series());
-        assert_eq!(sharded.achieved_gbps(), serial.achieved_gbps());
-    }
-
-    #[test]
-    #[should_panic(expected = "outside this shard")]
-    fn shard_rejects_foreign_nodes() {
-        let mut net = small_net();
-        let mut shards = net.shards(&[(0, 8), (8, 16)]);
-        NetTx::transmit(
-            &mut shards[0],
-            SimTime::ZERO,
-            NodeId(12),
-            Port::from_index(0),
-            64,
-        );
     }
 
     #[test]

@@ -403,10 +403,11 @@ pub trait Topology: Send + Sync + fmt::Debug {
 
     /// The single node reachable through `node`'s egress `port`, or
     /// `None` when the port has no link or the link fans out to more than
-    /// one destination (a crossbar uplink). Conservative-lookahead
-    /// partitioning uses this: a `None` port must be assumed to cross
-    /// partitions. The default claims fan-out everywhere; point-to-point
-    /// topologies override with the exact peer.
+    /// one destination (a crossbar uplink; see
+    /// [`fanout_peers`](Topology::fanout_peers)). Fault resolution uses
+    /// this to walk the surviving fabric and to find the links incident
+    /// to a contention hotspot. The default claims fan-out everywhere;
+    /// point-to-point topologies override with the exact peer.
     fn link_peer(&self, node: NodeId, port: Port) -> Option<NodeId> {
         let _ = (node, port);
         None

@@ -20,9 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 use ace_collectives::CollectiveOp;
 use ace_compute::KernelDesc;
 use ace_net::TopologySpec;
-use ace_system::{
-    analytic_program_run_with_conditions, ExecutorOptions, RunConditions, SystemConfig, TrainSpec,
-};
+use ace_system::{analytic_program_run_with_conditions, RunConditions, SystemConfig, TrainSpec};
 use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 
 use crate::spec::ServingSpec;
@@ -37,13 +35,13 @@ pub enum ServingTier {
 }
 
 /// Knobs of one [`simulate`] call that are not part of the point's
-/// identity: results are byte-identical across `sim_threads` values, and
-/// the tier is keyed separately by the sweep cache.
+/// identity: the tier is keyed separately by the sweep cache.
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
     /// Simulation tier.
     pub tier: ServingTier,
-    /// Event-loop workers per exact round simulation (0 or 1 = serial).
+    /// Ignored: no code reads it. It stays only because the benchmark
+    /// harness sets it, and the next benchmark change removes it.
     pub sim_threads: usize,
 }
 
@@ -512,10 +510,6 @@ pub fn simulate_with_memo(
         let cost = match opts.tier {
             ServingTier::Exact => {
                 let report = TrainSpec::new(config, program, topology)
-                    .options(ExecutorOptions {
-                        sim_threads: opts.sim_threads.max(1),
-                        ..Default::default()
-                    })
                     .conditions(conditions.clone())
                     .run()
                     .map_err(|e| e.to_string())?;
@@ -838,7 +832,7 @@ mod tests {
             &spec,
             &ServingOptions {
                 tier: ServingTier::Analytic,
-                sim_threads: 1,
+                ..Default::default()
             },
         )
         .unwrap();
@@ -847,33 +841,6 @@ mod tests {
         // The α–β estimate tracks the exact makespan within 2x.
         let ratio = analytic.makespan_cycles as f64 / exact.makespan_cycles as f64;
         assert!((0.5..2.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn sim_threads_do_not_change_the_outcome() {
-        let spec = quick_spec();
-        let w = Workload::transformer_lm();
-        let serial = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
-        let parallel = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions {
-                tier: ServingTier::Exact,
-                sim_threads: 4,
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.requests, parallel.requests);
-        assert_eq!(serial.makespan_cycles, parallel.makespan_cycles);
     }
 
     #[test]

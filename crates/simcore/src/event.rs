@@ -56,9 +56,8 @@ impl<E> EventQueue<E> {
         Self::with_now(SimTime::ZERO)
     }
 
-    /// Creates an empty queue whose clock starts at `now` — the
-    /// constructor partitioned simulations use to fork per-partition
-    /// queues that agree with the parent clock.
+    /// Creates an empty queue whose clock starts at `now`, so a queue
+    /// forked from another agrees with its clock.
     pub fn with_now(now: SimTime) -> Self {
         EventQueue {
             keys: Vec::new(),
@@ -104,17 +103,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Advances the clock to `t` without delivering anything (no-op when
-    /// `t` is in the past). Used when re-joining partitioned queues: the
-    /// parent clock must catch up to the furthest partition before
-    /// absorbing its leftovers.
+    /// `t` is in the past).
     pub fn advance_to(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
 
     /// Folds another queue's delivery counters (and clock) into this one,
-    /// so a simulation that temporarily fanned out over partitioned
-    /// queues reports the same `pops`/`past_schedules` totals as a serial
-    /// run.
+    /// so work split across several queues reports combined
+    /// `pops`/`past_schedules` totals.
     pub fn absorb_counters(&mut self, other: &EventQueue<E>) {
         self.pops += other.pops;
         self.past_schedules += other.past_schedules;
@@ -152,10 +148,9 @@ impl<E: Copy> EventQueue<E> {
 
     /// Schedules `event` with an explicit low-64 tie-break key instead of
     /// the insertion sequence number. Events at equal times then pop in
-    /// `key` order regardless of scheduling order, which is what lets a
-    /// domain-partitioned simulation reproduce the serial engine's event
-    /// order exactly: the key is derived from event *content*, so the
-    /// interleaving in which partitions scheduled them cannot matter.
+    /// `key` order regardless of scheduling order. The collective
+    /// executor derives the key from event *content*, and its golden
+    /// traces pin the equal-time delivery order that key produces.
     ///
     /// Callers mixing `schedule` and `schedule_keyed` on one queue are
     /// responsible for keeping the key spaces orderable (the executor

@@ -149,30 +149,6 @@ impl TimeSeries {
     pub fn total(&self) -> f64 {
         self.buckets.iter().sum()
     }
-
-    /// Folds another series into this one bucket-by-bucket, extending to
-    /// the longer of the two. Both series must share a bucket width.
-    ///
-    /// For busy-time series (integer-valued buckets well below 2^53) the
-    /// result is exact, so a simulation that metered disjoint link
-    /// partitions separately merges to the byte-identical totals a serial
-    /// run would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths differ.
-    pub fn merge(&mut self, other: &TimeSeries) {
-        assert_eq!(
-            self.bucket_cycles, other.bucket_cycles,
-            "merging series with different bucket widths"
-        );
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0.0);
-        }
-        for (b, v) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += v;
-        }
-    }
 }
 
 /// Remembers the last [`TimeSeries`] bucket written by one monotone
@@ -272,18 +248,6 @@ impl RateMeter {
     /// End of the observation window.
     pub fn window_end(&self) -> SimTime {
         self.last
-    }
-
-    /// Folds another meter's observations into this one: byte counts add,
-    /// the observation window widens to cover both. Merging partition-
-    /// local meters in any order reproduces the serial meter exactly.
-    pub fn merge(&mut self, other: &RateMeter) {
-        self.bytes += other.bytes;
-        self.first = match (self.first, other.first) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.last = self.last.max(other.last);
     }
 }
 
@@ -470,52 +434,6 @@ mod tests {
         assert_eq!(m.bytes(), 200);
         assert!((m.rate() - 2.0).abs() < 1e-9);
         assert_eq!(m.window_end(), SimTime::from_cycles(100));
-    }
-
-    #[test]
-    fn timeseries_merge_matches_interleaved_recording() {
-        // Record one interval stream into a single series, and the same
-        // stream partitioned across two series that are then merged.
-        let spans = [(5u64, 25u64), (30, 31), (99, 131), (200, 260)];
-        let mut whole = TimeSeries::new(10);
-        let mut a = TimeSeries::new(10);
-        let mut b = TimeSeries::new(10);
-        for (i, &(s, e)) in spans.iter().enumerate() {
-            let (s, e) = (SimTime::from_cycles(s), SimTime::from_cycles(e));
-            whole.add_busy(s, e);
-            if i % 2 == 0 { &mut a } else { &mut b }.add_busy(s, e);
-        }
-        a.merge(&b);
-        assert_eq!(a.bucket_totals(), whole.bucket_totals());
-        assert_eq!(a.len(), whole.len());
-        // Merging an empty series is a no-op.
-        a.merge(&TimeSeries::new(10));
-        assert_eq!(a.bucket_totals(), whole.bucket_totals());
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn timeseries_merge_rejects_mismatched_widths() {
-        TimeSeries::new(10).merge(&TimeSeries::new(20));
-    }
-
-    #[test]
-    fn rate_meter_merge_combines_windows() {
-        let mut a = RateMeter::new();
-        a.record(SimTime::from_cycles(50), 100);
-        let mut b = RateMeter::new();
-        b.record(SimTime::from_cycles(10), 40);
-        b.record(SimTime::from_cycles(200), 60);
-        a.merge(&b);
-        assert_eq!(a.bytes(), 200);
-        assert_eq!(a.window_end(), SimTime::from_cycles(200));
-        assert!((a.rate() - 1.0).abs() < 1e-9);
-        // Merging an empty meter changes nothing, in either direction.
-        let mut empty = RateMeter::new();
-        empty.merge(&a);
-        assert_eq!(empty.bytes(), 200);
-        a.merge(&RateMeter::new());
-        assert_eq!(a.bytes(), 200);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 use ace_serve::RoundMemo;
 use ace_system::{
     analytic_collective_run_with_conditions, analytic_program_run_with_conditions,
-    training_program, ExecutorOptions, RunSpec, TrainSpec,
+    training_program, RunSpec, TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -264,11 +264,8 @@ impl Cache {
 pub struct RunnerOptions {
     /// Worker threads; `0` uses the machine's available parallelism.
     pub threads: usize,
-    /// Worker threads *inside each exact simulation* (the
-    /// domain-partitioned event loop); `0` or `1` runs the serial engine.
-    /// Results are byte-identical for every value — this knob trades
-    /// per-point wall-clock for grid-level parallelism, so it is *not*
-    /// part of the cache key.
+    /// Ignored: no code reads it. It stays only because the benchmark
+    /// harness sets it, and the next benchmark change removes it.
     pub sim_threads: usize,
 }
 
@@ -391,27 +388,20 @@ pub fn run_scenario(scenario: &Scenario, opts: RunnerOptions) -> Result<SweepOut
 /// Executes one point in the given tier. Pure and deterministic within a
 /// tier: the same `(tier, point)` always produces the same metrics.
 pub fn execute_tier(point: &RunPoint, tier: Tier) -> Metrics {
-    execute_tier_with(point, tier, 1, &RoundMemo::new())
+    execute_tier_with(point, tier, &RoundMemo::new())
 }
 
-/// [`execute_tier`] with an intra-simulation thread count for the exact
-/// tier and the [`RoundMemo`] serving points draw round costs from.
-/// Neither changes the metrics (the parallel engine is byte-identical to
-/// the serial one, and a memoized round costs what a fresh simulation
-/// does), so every spelling shares the same cache entries.
-pub fn execute_tier_with(
-    point: &RunPoint,
-    tier: Tier,
-    sim_threads: usize,
-    rounds: &RoundMemo,
-) -> Metrics {
+/// [`execute_tier`] with the [`RoundMemo`] serving points draw round
+/// costs from. A memoized round costs what a fresh simulation does, so
+/// the metrics do not depend on the memo.
+pub fn execute_tier_with(point: &RunPoint, tier: Tier, rounds: &RoundMemo) -> Metrics {
     match tier {
-        Tier::Exact => execute_exact(point, sim_threads, rounds),
+        Tier::Exact => execute_exact(point, rounds),
         Tier::Analytic => estimate_analytic(point, rounds),
     }
 }
 
-/// Simulates one point with the (serial) event-driven executor.
+/// Simulates one point with the event-driven executor.
 pub fn execute(point: &RunPoint) -> Metrics {
     execute_tier(point, Tier::Exact)
 }
@@ -421,10 +411,8 @@ pub fn execute_analytic(point: &RunPoint) -> Metrics {
     execute_tier(point, Tier::Analytic)
 }
 
-/// Simulates one point with the event-driven executor, partitioning its
-/// event loop across `sim_threads` workers (1 = serial).
-fn execute_exact(point: &RunPoint, sim_threads: usize, rounds: &RoundMemo) -> Metrics {
-    let sim_threads = sim_threads.max(1);
+/// Simulates one point with the event-driven executor.
+fn execute_exact(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
     match &point.kind {
         PointKind::Collective {
             engine,
@@ -432,10 +420,6 @@ fn execute_exact(point: &RunPoint, sim_threads: usize, rounds: &RoundMemo) -> Me
             payload_bytes,
         } => {
             let r = RunSpec::new(point.topology, engine.to_engine_kind(), *op, *payload_bytes)
-                .options(ExecutorOptions {
-                    sim_threads,
-                    ..Default::default()
-                })
                 .conditions(point.conditions.clone())
                 .run()
                 .expect("expanded point conditions are resolvable");
@@ -463,10 +447,6 @@ fn execute_exact(point: &RunPoint, sim_threads: usize, rounds: &RoundMemo) -> Me
             let workload = workload.instantiate(spec.nodes());
             let program = training_program(*config, &workload, *iterations, *optimized_embedding);
             let report = TrainSpec::new(*config, program, spec)
-                .options(ExecutorOptions {
-                    sim_threads,
-                    ..Default::default()
-                })
                 .conditions(point.conditions.clone())
                 .run()
                 .expect("expanded point is buildable");
@@ -493,7 +473,6 @@ fn execute_exact(point: &RunPoint, sim_threads: usize, rounds: &RoundMemo) -> Me
             workload,
             spec,
             ace_serve::ServingTier::Exact,
-            sim_threads,
             rounds,
         ),
     }
@@ -508,7 +487,6 @@ fn execute_serving(
     workload: &crate::scenario::WorkloadSel,
     spec: &ace_serve::ServingSpec,
     tier: ace_serve::ServingTier,
-    sim_threads: usize,
     rounds: &RoundMemo,
 ) -> Metrics {
     let topo = point.topology;
@@ -517,7 +495,10 @@ fn execute_serving(
         &workload.instantiate(topo.nodes()),
         topo,
         spec,
-        &ace_serve::ServingOptions { tier, sim_threads },
+        &ace_serve::ServingOptions {
+            tier,
+            ..Default::default()
+        },
         &point.conditions,
         rounds,
     )
@@ -656,7 +637,6 @@ fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
             workload,
             spec,
             ace_serve::ServingTier::Analytic,
-            1,
             rounds,
         ),
     }
@@ -809,76 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_reports_are_byte_identical() {
-        // The tentpole oracle at sweep level: CSV and JSON reports must
-        // be byte-identical whether each exact simulation ran serial or
-        // domain-partitioned, across all three topology families.
-        let render = |sim_threads: usize| {
-            let mut sc = tiny();
-            sc.topologies = vec![
-                TopologySpec::torus3(4, 2, 2).unwrap(),
-                TopologySpec::Switch {
-                    nodes: 8,
-                    gbps: None,
-                },
-                TopologySpec::Hierarchical {
-                    scale_up: 4,
-                    scale_out: 2,
-                },
-            ];
-            let out = run_scenario(
-                &sc,
-                RunnerOptions {
-                    threads: 2,
-                    sim_threads,
-                },
-            )
-            .unwrap();
-            (
-                crate::report::to_csv_with_attribution(&out),
-                crate::report::to_json_with_attribution(&out),
-            )
-        };
-        let baseline = render(1);
-        for sim_threads in [2, 4] {
-            assert_eq!(
-                render(sim_threads),
-                baseline,
-                "sim_threads={sim_threads} output diverged from serial"
-            );
-        }
-    }
-
-    #[test]
-    fn sim_threads_training_is_byte_identical() {
-        let run = |sim_threads: usize| {
-            let mut sc = Scenario::training("t-simthreads");
-            sc.topologies = vec![TopologySpec::torus3(4, 2, 2).unwrap()];
-            sc.configs = vec![ace_system::SystemConfig::Ace];
-            sc.iterations = 1;
-            let out = run_scenario(
-                &sc,
-                RunnerOptions {
-                    threads: 1,
-                    sim_threads,
-                },
-            )
-            .unwrap();
-            crate::report::to_csv_with_attribution(&out)
-        };
-        let baseline = run(1);
-        for sim_threads in [2, 4] {
-            assert_eq!(run(sim_threads), baseline);
-        }
-    }
-
-    #[test]
     fn serving_reports_are_deterministic() {
         // The serving acceptance oracle at sweep level: latency
         // percentiles are exact order statistics over a seeded arrival
         // process, so CSV and JSON must be byte-identical across worker
-        // threads, across sim-thread domain counts, and across repeated
-        // runs of the same seed.
+        // threads and across repeated runs of the same seed.
         let scenario = || {
             let mut sc = Scenario::serving("serving-determinism");
             sc.topologies = vec![
@@ -900,22 +815,21 @@ mod tests {
             sc.token_budget = 128;
             sc
         };
-        let render = |threads: usize, sim_threads: usize| {
+        let render = |threads: usize| {
             let out = run_scenario(
                 &scenario(),
                 RunnerOptions {
                     threads,
-                    sim_threads,
+                    ..Default::default()
                 },
             )
             .unwrap();
             (crate::report::to_csv(&out), crate::report::to_json(&out))
         };
-        let baseline = render(1, 1);
+        let baseline = render(1);
         assert!(baseline.0.contains("1f1b"), "schedule axis missing");
-        assert_eq!(render(4, 1), baseline, "worker threads changed rows");
-        assert_eq!(render(1, 2), baseline, "sim threads changed rows");
-        assert_eq!(render(1, 1), baseline, "same seed must replay exactly");
+        assert_eq!(render(4), baseline, "worker threads changed rows");
+        assert_eq!(render(1), baseline, "same seed must replay exactly");
         // The latency columns carry live data: every row has a non-zero
         // ttft_p99_us (column index from the header, not hard-coded).
         let header: Vec<&str> = baseline.0.lines().next().unwrap().split(',').collect();
@@ -945,10 +859,12 @@ mod tests {
         sc
     }
 
-    const SERIAL: RunnerOptions = RunnerOptions {
-        threads: 1,
-        sim_threads: 1,
-    };
+    fn serial() -> RunnerOptions {
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn round_memo_keeps_tiers_apart() {
@@ -959,7 +875,7 @@ mod tests {
             ..small_serving(800.0, 1)
         };
         let csv = |runner: &SweepRunner, fidelity| {
-            crate::report::to_csv(&runner.run(&at(fidelity), SERIAL).unwrap())
+            crate::report::to_csv(&runner.run(&at(fidelity), serial()).unwrap())
         };
         let shared = SweepRunner::new();
         assert_eq!(
@@ -980,14 +896,14 @@ mod tests {
         let first = small_serving(800.0, 1);
         let second = small_serving(1500.0, 2);
         let runner = SweepRunner::new();
-        runner.run(&first, SERIAL).unwrap();
+        runner.run(&first, serial()).unwrap();
         let memo = runner.scheduler().rounds();
         let (held, simulated) = (memo.len(), memo.simulated());
         assert_eq!(simulated, held as u64, "one simulation per round program");
 
-        let shared = crate::report::to_csv(&runner.run(&second, SERIAL).unwrap());
+        let shared = crate::report::to_csv(&runner.run(&second, serial()).unwrap());
         let fresh_runner = SweepRunner::new();
-        let fresh = crate::report::to_csv(&fresh_runner.run(&second, SERIAL).unwrap());
+        let fresh = crate::report::to_csv(&fresh_runner.run(&second, serial()).unwrap());
         assert_eq!(shared, fresh);
         let new_programs = memo.len() - held;
         assert_eq!(
@@ -999,46 +915,6 @@ mod tests {
             new_programs < fresh_runner.scheduler().rounds().len(),
             "the second job reused none of the first job's rounds"
         );
-    }
-
-    #[test]
-    fn scenario_sim_threads_key_is_an_execution_hint() {
-        // Parses, validates, and crucially does NOT change run points —
-        // the cache must serve the same rows regardless of sim_threads.
-        let sc = Scenario::from_toml_str(
-            "name = \"hint\"\ntopologies = [\"2x1x1\"]\nengines = [\"ideal\"]\n\
-             payloads = [\"256KB\"]\nsim_threads = 4\n",
-        )
-        .unwrap();
-        assert_eq!(sc.sim_threads, 4);
-        assert!(Scenario::from_toml_str("sim_threads = 0\n").is_err());
-        let mut serial = sc.clone();
-        serial.sim_threads = 1;
-        assert_eq!(crate::grid::expand(&sc), crate::grid::expand(&serial));
-
-        // Warm the cache at sim_threads=4, then read it back at 1: the
-        // second run must be fully cache-served.
-        let runner = SweepRunner::new();
-        let first = runner
-            .run(
-                &sc,
-                RunnerOptions {
-                    threads: 1,
-                    sim_threads: 0,
-                },
-            )
-            .unwrap();
-        assert_eq!(first.executed, 1);
-        let second = runner
-            .run(
-                &serial,
-                RunnerOptions {
-                    threads: 1,
-                    sim_threads: 0,
-                },
-            )
-            .unwrap();
-        assert_eq!(second.executed, 0, "sim_threads must not split the cache");
     }
 
     #[test]

@@ -580,11 +580,9 @@ pub struct Scenario {
     /// (by analytic time) re-simulated exactly, on top of the Pareto
     /// frontier. Default 10.
     pub hybrid_top_pct: f64,
-    /// Worker threads inside each exact simulation (the domain-
-    /// partitioned event loop); 1 = serial. An execution hint, not a
-    /// sweep axis: results are byte-identical for every value, so it is
-    /// deliberately excluded from run points and cache keys. Overridable
-    /// on the `sweep` CLI with `--sim-threads`.
+    /// Ignored: no code reads it, and TOML has no key for it. It stays
+    /// only because the benchmark harness sets it; the next benchmark
+    /// change removes it.
     pub sim_threads: usize,
 }
 
@@ -728,7 +726,7 @@ impl Scenario {
 
         // Reject misspelled keys loudly: a typoed axis name silently
         // falling back to its default would run the wrong sweep.
-        const KNOWN_KEYS: [&str; 31] = [
+        const KNOWN_KEYS: [&str; 30] = [
             "name",
             "mode",
             "topologies",
@@ -759,7 +757,6 @@ impl Scenario {
             "baseline",
             "fidelity",
             "hybrid_top_pct",
-            "sim_threads",
         ];
         for key in doc.keys() {
             if !KNOWN_KEYS.contains(&key.as_str()) {
@@ -949,13 +946,6 @@ impl Scenario {
                 .as_f64()
                 .filter(|p| p.is_finite() && *p > 0.0 && *p <= 100.0)
                 .ok_or_else(|| invalid("'hybrid_top_pct' must be in (0, 100]".into()))?;
-        }
-        if let Some(v) = doc.get("sim_threads") {
-            sc.sim_threads = v
-                .as_i64()
-                .filter(|&i| (1..=1024).contains(&i))
-                .ok_or_else(|| invalid("'sim_threads' must be an integer in [1, 1024]".into()))?
-                as usize;
         }
         if let Some(v) = doc.get("baseline") {
             let table = v
@@ -1476,6 +1466,10 @@ mod tests {
         assert!(Scenario::from_toml_str("memgbps = [128]").is_err());
         let e = Scenario::from_toml_str("[baseline]\nengine = \"ideal\"\nsms = 6").unwrap_err();
         assert!(e.to_string().contains("unknown key 'sms'"), "{e}");
+        // Each cell runs one serial event loop, so a file asking for
+        // `sim_threads` is told the key does not exist.
+        let e = Scenario::from_toml_str("sim_threads = 4").unwrap_err();
+        assert!(e.to_string().contains("unknown key 'sim_threads'"), "{e}");
     }
 
     #[test]

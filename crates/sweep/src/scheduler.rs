@@ -104,8 +104,6 @@ struct Batch {
     completed: usize,
     /// Concurrency cap for this batch's job.
     max_workers: usize,
-    /// Intra-simulation worker threads for exact cells (1 = serial).
-    sim_threads: usize,
     /// Superseded or failed: no further claims.
     cancelled: bool,
 }
@@ -276,32 +274,12 @@ impl JobScheduler {
                 cells: grid::grid_len(scenario),
             },
         );
-        // CLI/daemon options override the scenario's own hint; neither
-        // affects results (the parallel engine is byte-identical), only
-        // per-cell wall-clock.
-        let sim_threads = if opts.sim_threads > 0 {
-            opts.sim_threads
-        } else {
-            scenario.sim_threads.max(1)
-        };
         let outcome = match scenario.fidelity {
-            Fidelity::Exact => self.run_tier(
-                ticket,
-                Tier::Exact,
-                max_workers,
-                sim_threads,
-                &sub,
-                on_event,
-            ),
-            Fidelity::Analytic => self.run_tier(
-                ticket,
-                Tier::Analytic,
-                max_workers,
-                sim_threads,
-                &sub,
-                on_event,
-            ),
-            Fidelity::Hybrid => self.run_hybrid(ticket, max_workers, sim_threads, &sub, on_event),
+            Fidelity::Exact => self.run_tier(ticket, Tier::Exact, max_workers, &sub, on_event),
+            Fidelity::Analytic => {
+                self.run_tier(ticket, Tier::Analytic, max_workers, &sub, on_event)
+            }
+            Fidelity::Hybrid => self.run_hybrid(ticket, max_workers, &sub, on_event),
         }?;
         self.emit(
             &sub,
@@ -358,7 +336,6 @@ impl JobScheduler {
         ticket: &JobTicket,
         tier: Tier,
         max_workers: usize,
-        sim_threads: usize,
         sub: &Subscription,
         on_event: &mut dyn FnMut(&BusEvent),
     ) -> Result<SweepOutcome, JobError> {
@@ -366,7 +343,7 @@ impl JobScheduler {
         let points = grid::expand(scenario);
         let baseline_points = baseline_points(scenario);
         let work = self.queue_work(points.iter().chain(baseline_points.iter()), tier);
-        self.run_batch(ticket, tier, &work, max_workers, sim_threads, sub, on_event)?;
+        self.run_batch(ticket, tier, &work, max_workers, sub, on_event)?;
 
         let tiers = vec![tier; points.len()];
         let queued: HashSet<RunPoint> = work.iter().cloned().collect();
@@ -398,7 +375,6 @@ impl JobScheduler {
         &self,
         ticket: &JobTicket,
         max_workers: usize,
-        sim_threads: usize,
         sub: &Subscription,
         on_event: &mut dyn FnMut(&BusEvent),
     ) -> Result<SweepOutcome, JobError> {
@@ -408,15 +384,7 @@ impl JobScheduler {
 
         // ---- Tier 1: analytic triage of every unique point. ----------
         let work_a = self.queue_work(points.iter().chain(baseline_pts.iter()), Tier::Analytic);
-        self.run_batch(
-            ticket,
-            Tier::Analytic,
-            &work_a,
-            max_workers,
-            sim_threads,
-            sub,
-            on_event,
-        )?;
+        self.run_batch(ticket, Tier::Analytic, &work_a, max_workers, sub, on_event)?;
 
         let triage: Vec<(RunPoint, Metrics)> = points
             .iter()
@@ -443,15 +411,7 @@ impl JobScheduler {
             .zip(&keep)
             .filter_map(|(p, &k)| k.then_some(p));
         let work_e = self.queue_work(selected.chain(baseline_pts.iter()), Tier::Exact);
-        self.run_batch(
-            ticket,
-            Tier::Exact,
-            &work_e,
-            max_workers,
-            sim_threads,
-            sub,
-            on_event,
-        )?;
+        self.run_batch(ticket, Tier::Exact, &work_e, max_workers, sub, on_event)?;
 
         // ---- Assemble: exact rows where selected, analytic elsewhere. -
         let queued_a: HashSet<RunPoint> = work_a.iter().cloned().collect();
@@ -474,14 +434,12 @@ impl JobScheduler {
 
     /// Queues one batch on the pool and waits for its completion events,
     /// forwarding them (and the leading `BatchStarted`) to `on_event`.
-    #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
         ticket: &JobTicket,
         tier: Tier,
         work: &[RunPoint],
         max_workers: usize,
-        sim_threads: usize,
         sub: &Subscription,
         on_event: &mut dyn FnMut(&BusEvent),
     ) -> Result<(), JobError> {
@@ -522,7 +480,6 @@ impl JobScheduler {
                 in_flight: 0,
                 completed: 0,
                 max_workers,
-                sim_threads,
                 cancelled: false,
             });
         }
@@ -688,7 +645,6 @@ struct Claim {
     work: Arc<Vec<RunPoint>>,
     index: usize,
     total: usize,
-    sim_threads: usize,
 }
 
 /// The resident worker: claim a cell, execute it, store + journal the
@@ -734,7 +690,6 @@ fn worker_loop(shared: &Shared) {
                             work: Arc::clone(&b.work),
                             index,
                             total: b.work.len(),
-                            sim_threads: b.sim_threads,
                         });
                         break;
                     }
@@ -754,7 +709,7 @@ fn worker_loop(shared: &Shared) {
 
         let point = &claim.work[claim.index];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            execute_tier_with(point, claim.tier, claim.sim_threads, &shared.rounds)
+            execute_tier_with(point, claim.tier, &shared.rounds)
         }));
         match outcome {
             Ok(metrics) => {

@@ -41,10 +41,6 @@ pub struct ServiceOptions {
     /// Default worker threads per job (`0` = machine parallelism);
     /// overridable per submission.
     pub threads: usize,
-    /// Worker threads inside each exact simulation (`0`/`1` = serial
-    /// engine). Byte-identical results either way; see
-    /// [`RunnerOptions::sim_threads`].
-    pub sim_threads: usize,
     /// Journal (write-ahead log) path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
 }
@@ -159,7 +155,7 @@ impl SweepService {
             .with_journal(|j| j.append_pending(&scenario.name, toml, base.and_then(Path::to_str)));
         let opts = RunnerOptions {
             threads: threads.unwrap_or(self.options.threads),
-            sim_threads: self.options.sim_threads,
+            ..Default::default()
         };
         let result = self.scheduler.run_accepted(&ticket, opts, on_event);
         match &result {
@@ -373,7 +369,6 @@ comm_sms = [6]
     fn service() -> SweepService {
         SweepService::open(ServiceOptions {
             threads: 1,
-            sim_threads: 0,
             journal: None,
         })
         .unwrap()

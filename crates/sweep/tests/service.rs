@@ -59,7 +59,6 @@ fn protocol_round_trips_over_a_real_socketpair() {
     let service = Arc::new(
         SweepService::open(ServiceOptions {
             threads: 1,
-            sim_threads: 0,
             journal: None,
         })
         .unwrap(),
@@ -142,7 +141,6 @@ fn a_killed_daemon_resumes_mid_grid_from_the_journal() {
     {
         let service = SweepService::open(ServiceOptions {
             threads: 1,
-            sim_threads: 0,
             journal: Some(full.clone()),
         })
         .unwrap();
@@ -181,7 +179,6 @@ fn a_killed_daemon_resumes_mid_grid_from_the_journal() {
     // journaled cell replays from cache, only the remainder executes.
     let mut service = SweepService::open(ServiceOptions {
         threads: 1,
-        sim_threads: 0,
         journal: Some(crashed.clone()),
     })
     .unwrap();
@@ -224,7 +221,6 @@ fn a_killed_daemon_resumes_mid_grid_from_the_journal() {
     // nothing pending and a fully warm cache.
     let service = SweepService::open(ServiceOptions {
         threads: 1,
-        sim_threads: 0,
         journal: Some(crashed),
     })
     .unwrap();
@@ -240,7 +236,6 @@ fn torn_journal_tail_is_dropped_on_resume() {
     {
         let service = SweepService::open(ServiceOptions {
             threads: 1,
-            sim_threads: 0,
             journal: Some(path.clone()),
         })
         .unwrap();
@@ -263,7 +258,6 @@ fn torn_journal_tail_is_dropped_on_resume() {
     // and the resume completes it without tripping on the partial line.
     let mut service = SweepService::open(ServiceOptions {
         threads: 1,
-        sim_threads: 0,
         journal: Some(path),
     })
     .unwrap();
@@ -276,7 +270,6 @@ fn torn_journal_tail_is_dropped_on_resume() {
 fn same_name_submissions_coalesce_to_the_latest_generation() {
     let service = SweepService::open(ServiceOptions {
         threads: 1,
-        sim_threads: 0,
         journal: None,
     })
     .unwrap();

@@ -162,8 +162,7 @@ impl RunSpec {
 }
 
 impl<T: Tracer> RunSpec<T> {
-    /// Sets non-default [`ExecutorOptions`] (`sim_threads`, ablation
-    /// knobs).
+    /// Sets non-default [`ExecutorOptions`] (ablation knobs).
     pub fn options(mut self, options: ExecutorOptions) -> RunSpec<T> {
         self.options = options;
         self
@@ -484,13 +483,10 @@ mod tests {
 
     #[test]
     fn disconnection_is_an_error_not_a_hang() {
-        // Killing a node disconnects it; with sim_threads > 1 the old
-        // domain-partitioned path would deadlock waiting on its events.
+        // Killing a node disconnects it: fault resolution must refuse
+        // the run rather than let the executor wait on events the
+        // isolated node can never receive.
         let err = RunSpec::new(topo("4x4"), EngineKind::Ideal, CollectiveOp::AllReduce, MB8)
-            .options(ExecutorOptions {
-                sim_threads: 4,
-                ..Default::default()
-            })
             .faults("kill:node:5".parse().unwrap())
             .run()
             .unwrap_err();
@@ -499,28 +495,6 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("disconnect"), "{err}");
-    }
-
-    #[test]
-    fn faulted_fabrics_fall_back_to_serial_and_match() {
-        // A connected faulted fabric under sim_threads > 1 must run (on
-        // the serial loop) and produce the identical result.
-        let faults: FaultSpec = "kill:1@seed:3".parse().unwrap();
-        let serial = RunSpec::new(topo("4x4"), EngineKind::Ideal, CollectiveOp::AllReduce, MB8)
-            .faults(faults.clone())
-            .run()
-            .unwrap();
-        let threaded = RunSpec::new(topo("4x4"), EngineKind::Ideal, CollectiveOp::AllReduce, MB8)
-            .options(ExecutorOptions {
-                sim_threads: 4,
-                ..Default::default()
-            })
-            .faults(faults)
-            .run()
-            .unwrap();
-        assert_eq!(serial.completion, threaded.completion);
-        assert_eq!(serial.network_bytes, threaded.network_bytes);
-        assert_eq!(serial.mem_traffic_bytes, threaded.mem_traffic_bytes);
     }
 
     #[test]

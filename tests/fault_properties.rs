@@ -3,8 +3,8 @@
 //! Invariants:
 //!
 //! * **Determinism** — a faulted sweep renders byte-identical CSV for
-//!   any `--threads` and `--sim-threads` setting: the seeded fault draw
-//!   is part of the point identity, not of the execution schedule.
+//!   any `--threads` setting: the seeded fault draw is part of the point
+//!   identity, not of the execution schedule.
 //! * **Byte conservation** — killing cables reroutes traffic, it never
 //!   drops it: every collective still completes, and the fabric carries
 //!   at least as many bytes as on the pristine run (detours add hops).
@@ -12,16 +12,14 @@
 //!   executor within the same 0.5–2x band the pristine property suite
 //!   enforces, so `hybrid` sweeps stay trustworthy under faults.
 //! * **Clear failure** — a disconnecting `FaultSpec` is an error from
-//!   every entry point (including with `sim_threads > 1`), never a hang
-//!   or a silently-pristine result.
+//!   every entry point, never a hang or a silently-pristine result.
 
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::sweep::report::to_csv;
 use ace_platform::sweep::{run_scenario, EngineFamily, RunnerOptions, Scenario};
 use ace_platform::system::{
-    analytic_collective_run_with_conditions, EngineKind, ExecutorOptions, RunConditions, RunError,
-    RunSpec,
+    analytic_collective_run_with_conditions, EngineKind, RunConditions, RunSpec,
 };
 
 fn faulted_scenario() -> Scenario {
@@ -42,13 +40,13 @@ fn faulted_scenario() -> Scenario {
 }
 
 #[test]
-fn faulted_sweep_csv_is_byte_identical_across_threads_and_sim_threads() {
+fn faulted_sweep_csv_is_byte_identical_across_threads() {
     let sc = faulted_scenario();
     let baseline = run_scenario(
         &sc,
         RunnerOptions {
             threads: 1,
-            sim_threads: 1,
+            ..Default::default()
         },
     )
     .unwrap();
@@ -57,21 +55,15 @@ fn faulted_sweep_csv_is_byte_identical_across_threads_and_sim_threads() {
         csv.contains("kill:2@seed:42"),
         "fault axis missing from CSV"
     );
-    for (threads, sim_threads) in [(4, 1), (1, 2), (4, 2)] {
-        let other = run_scenario(
-            &sc,
-            RunnerOptions {
-                threads,
-                sim_threads,
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            csv,
-            to_csv(&other),
-            "threads={threads} sim_threads={sim_threads} diverged"
-        );
-    }
+    let other = run_scenario(
+        &sc,
+        RunnerOptions {
+            threads: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(csv, to_csv(&other), "threads=4 diverged");
 }
 
 #[test]
@@ -143,31 +135,5 @@ fn analytic_tracks_exact_under_degradation() {
                 );
             }
         }
-    }
-}
-
-#[test]
-fn disconnection_errors_cleanly_even_with_sim_threads() {
-    // Killing every link at a node disconnects the torus; both the serial
-    // and the domain-partitioned paths must surface RunError::Fault
-    // instead of hanging or quietly simulating the pristine fabric.
-    let spec: TopologySpec = "4x4".parse().unwrap();
-    for sim_threads in [1, 4] {
-        let err = RunSpec::new(spec, EngineKind::Ideal, CollectiveOp::AllReduce, 1 << 20)
-            .options(ExecutorOptions {
-                sim_threads,
-                ..Default::default()
-            })
-            .faults("kill:node:5".parse().unwrap())
-            .run()
-            .expect_err("a disconnected partition must be an error");
-        assert!(
-            matches!(err, RunError::Fault(_)),
-            "sim_threads={sim_threads}: {err}"
-        );
-        assert!(
-            err.to_string().contains("disconnect"),
-            "sim_threads={sim_threads}: unhelpful error '{err}'"
-        );
     }
 }
