@@ -15,16 +15,16 @@
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::{CollectiveOp, CollectivePlan, Granularity};
 use ace_endpoint::{AceEndpoint, AceEndpointParams, CollectiveEngine};
-use ace_net::{NetworkParams, TorusShape};
+use ace_net::{NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
 use ace_system::{CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
 use ace_trace::NullTracer;
 
 const PAYLOAD: u64 = 32 << 20;
 
-fn ace_executor(shape: TorusShape, options: ExecutorOptions) -> CollectiveExecutor {
+fn ace_executor(shape: TopologySpec, options: ExecutorOptions) -> CollectiveExecutor {
     let params = NetworkParams::paper_default();
-    let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+    let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
     let weights = CollectiveExecutor::phase_weights(&plan, &params);
     let make_engine = move || {
         Box::new(AceEndpoint::new(AceEndpointParams::paper_default(
@@ -34,7 +34,7 @@ fn ace_executor(shape: TorusShape, options: ExecutorOptions) -> CollectiveExecut
     CollectiveExecutor::new(shape, params, options, None, make_engine, NullTracer)
 }
 
-fn run_single(shape: TorusShape, options: ExecutorOptions) -> u64 {
+fn run_single(shape: TopologySpec, options: ExecutorOptions) -> u64 {
     let mut ex = ace_executor(shape, options);
     let h = ex.issue(CollectiveOp::AllReduce, PAYLOAD, SimTime::ZERO);
     ex.run_until_complete(h).cycles()
@@ -42,7 +42,7 @@ fn run_single(shape: TorusShape, options: ExecutorOptions) -> u64 {
 
 fn main() {
     header("Ablations: scheduling, ring direction, chunk size, pipeline depth");
-    let shape = TorusShape::new(4, 4, 4).expect("valid shape");
+    let shape = TopologySpec::torus3(4, 4, 4).expect("valid shape");
     let base = ExecutorOptions::default();
 
     subheader("1. LIFO vs FIFO (small late collective behind a large early one)");

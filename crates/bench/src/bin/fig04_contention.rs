@@ -10,7 +10,7 @@
 
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::CollectiveOp;
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{EngineKind, RunSpec};
 
 /// A contention scenario: what the concurrently running compute kernel
@@ -65,7 +65,7 @@ fn main() {
         },
     ];
 
-    let shape = TorusShape::new(8, 1, 1).expect("valid shape");
+    let shape = TopologySpec::torus3(8, 1, 1).expect("valid shape");
     let sizes_mb: [u64; 4] = [16, 64, 92, 153];
 
     for &mb in &sizes_mb {

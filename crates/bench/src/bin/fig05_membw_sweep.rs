@@ -14,7 +14,7 @@
 //! Chrome/Perfetto `trace_event` JSON.
 
 use ace_bench::{emit_tsv, header, subheader};
-use ace_net::{TopologySpec, TorusShape};
+use ace_net::TopologySpec;
 use ace_sweep::{
     run_scenario, BaselineSpec, EngineFamily, EngineSpec, RunResult, RunnerOptions, Scenario,
     SweepOutcome,
@@ -28,8 +28,8 @@ const SWEEPS: [f64; 10] = [
 fn scenario() -> Scenario {
     let mut sc = Scenario::collective("fig05-membw");
     sc.topologies = vec![
-        TorusShape::new(4, 2, 2).expect("valid shape").into(),
-        TorusShape::new(4, 4, 4).expect("valid shape").into(),
+        TopologySpec::torus3(4, 2, 2).expect("valid shape"),
+        TopologySpec::torus3(4, 4, 4).expect("valid shape"),
     ];
     sc.engines = vec![
         EngineFamily::Ideal,
@@ -125,7 +125,7 @@ fn main() {
 /// Records the headline cell — ACE at 128 GB/s on the 16-NPU torus — and
 /// writes it as Chrome `trace_event` JSON.
 fn write_trace(path: &str) {
-    let shape: TopologySpec = TorusShape::new(4, 2, 2).expect("valid shape").into();
+    let shape = TopologySpec::torus3(4, 2, 2).expect("valid shape");
     let (_, tracer) = ace_system::RunSpec::new(
         shape,
         EngineSpec::ace(128.0).to_engine_kind(),

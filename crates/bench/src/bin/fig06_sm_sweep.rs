@@ -12,7 +12,7 @@
 
 use ace_bench::{emit_tsv, header, subheader};
 use ace_compute::SmDriveModel;
-use ace_net::{TopologySpec, TorusShape};
+use ace_net::TopologySpec;
 use ace_sweep::{
     run_scenario, EngineFamily, EngineSpec, RunResult, RunnerOptions, Scenario, SweepOutcome,
 };
@@ -28,8 +28,8 @@ fn sms_for(pct: u32) -> u32 {
 fn scenario() -> Scenario {
     let mut sc = Scenario::collective("fig06-sm-sweep");
     sc.topologies = vec![
-        TorusShape::new(4, 2, 2).expect("valid shape").into(),
-        TorusShape::new(4, 4, 4).expect("valid shape").into(),
+        TopologySpec::torus3(4, 2, 2).expect("valid shape"),
+        TopologySpec::torus3(4, 4, 4).expect("valid shape"),
     ];
     sc.engines = vec![EngineFamily::Baseline];
     sc.payload_bytes = vec![PAYLOAD];

@@ -16,7 +16,7 @@
 
 use ace_bench::{emit_tsv, header};
 use ace_engine::{synthesis, AceConfig};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_sweep::{
     run_scenario, BaselineSpec, EngineFamily, EngineSpec, RunnerOptions, Scenario, SweepOutcome,
 };
@@ -30,8 +30,8 @@ const FSMS: [usize; 4] = [4, 8, 16, 20];
 fn scenario() -> Scenario {
     let mut sc = Scenario::collective("fig09a-design-space");
     sc.topologies = vec![
-        TorusShape::new(4, 2, 2).expect("valid shape").into(),
-        TorusShape::new(4, 4, 4).expect("valid shape").into(),
+        TopologySpec::torus3(4, 2, 2).expect("valid shape"),
+        TopologySpec::torus3(4, 4, 4).expect("valid shape"),
     ];
     sc.engines = vec![EngineFamily::Ace];
     sc.payload_bytes = vec![PAYLOAD];

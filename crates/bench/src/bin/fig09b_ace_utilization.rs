@@ -7,7 +7,7 @@
 //! all-to-all), while back-propagation keeps it ~90 % busy.
 
 use ace_bench::{emit_tsv, header};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
@@ -17,7 +17,7 @@ fn main() {
         "{:>10} | {:>10} | {:>10}",
         "workload", "fwd util", "bwd util"
     );
-    let shape = TorusShape::new(4, 8, 4).expect("valid shape");
+    let shape = TopologySpec::torus3(4, 8, 4).expect("valid shape");
     for workload in Workload::paper_suite(128) {
         let name = workload.name().to_string();
         let program = training_program(SystemConfig::Ace, &workload, 2, false);

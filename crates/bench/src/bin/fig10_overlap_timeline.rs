@@ -8,7 +8,7 @@
 //! statistics; `--tsv` dumps the raw buckets.
 
 use ace_bench::{emit_tsv, header, sparkline, subheader, tsv_mode};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
@@ -34,7 +34,7 @@ fn main() {
 
 fn run_workload(workload: Workload) {
     subheader(workload.name());
-    let shape = TorusShape::new(4, 8, 4).expect("valid shape");
+    let shape = TopologySpec::torus3(4, 8, 4).expect("valid shape");
     for config in CONFIGS {
         let program = training_program(config, &workload, 2, false);
         let report = TrainSpec::new(config, program, shape)

@@ -10,11 +10,11 @@
 //! everywhere and tracks the ideal endpoint.
 
 use ace_bench::{emit_tsv, header, subheader};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{training_program, IterationReport, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
-fn run(config: SystemConfig, workload: Workload, shape: TorusShape) -> IterationReport {
+fn run(config: SystemConfig, workload: Workload, shape: TopologySpec) -> IterationReport {
     let program = training_program(config, &workload, 2, false);
     TrainSpec::new(config, program, shape)
         .run()
@@ -23,7 +23,9 @@ fn run(config: SystemConfig, workload: Workload, shape: TorusShape) -> Iteration
 
 fn main() {
     header("Fig. 11a/11b: compute vs exposed communication and ACE speedups");
-    let shapes = TorusShape::paper_sizes();
+    // The paper's four evaluated system sizes (Section V).
+    let shapes = [(4, 2, 2), (4, 4, 2), (4, 4, 4), (4, 8, 4)]
+        .map(|(l, v, h)| TopologySpec::torus3(l, v, h).expect("valid shape"));
     let workload_names = ["ResNet-50", "GNMT", "DLRM"];
 
     // speedups[workload][baseline] -> per-size ACE speedups

@@ -9,7 +9,7 @@
 //! iteration-time reduction.
 
 use ace_bench::{emit_tsv, header};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
@@ -19,7 +19,7 @@ fn main() {
         "{:>10} {:>10} | {:>12} {:>12} {:>12}",
         "config", "loop", "compute us", "exposed us", "total us"
     );
-    let shape = TorusShape::new(4, 8, 4).expect("valid shape");
+    let shape = TopologySpec::torus3(4, 8, 4).expect("valid shape");
     let mut totals = Vec::new();
     for config in [SystemConfig::BaselineCompOpt, SystemConfig::Ace] {
         for optimized in [false, true] {

@@ -10,7 +10,7 @@
 //! endpoint, blocking).
 
 use ace_bench::{emit_tsv, header};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_workloads::Workload;
 
@@ -18,7 +18,7 @@ fn main() {
     header("Section III motivation: Megatron-LM-style overlap degradation (4x2x2)");
     println!("workload: {}\n", Workload::transformer_lm());
 
-    let shape = TorusShape::new(4, 2, 2).expect("valid shape");
+    let shape = TopologySpec::torus3(4, 2, 2).expect("valid shape");
     let mut comm_times = Vec::new();
     for config in [
         SystemConfig::BaselineNoOverlap,

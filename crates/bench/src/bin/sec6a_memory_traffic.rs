@@ -4,7 +4,7 @@
 
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::{traffic, CollectiveOp, CollectivePlan};
-use ace_net::TorusShape;
+use ace_net::TopologySpec;
 use ace_system::{EngineKind, RunSpec};
 
 fn main() {
@@ -13,8 +13,8 @@ fn main() {
     subheader("closed-form model");
     let payload = 64u64 << 20;
     for (l, v, h) in [(1, 64, 1), (4, 4, 4), (4, 8, 4)] {
-        let shape = TorusShape::new(l, v, h).expect("valid shape");
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+        let shape = TopologySpec::torus3(l, v, h).expect("valid shape");
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
         let sent = plan.bytes_sent_per_node(payload) / payload as f64;
         let base_reads = traffic::baseline_reads_per_network_byte(&plan, payload);
         let ace_reads = traffic::ace_reads_per_network_byte(&plan, payload);
@@ -40,7 +40,7 @@ fn main() {
     }
 
     subheader("simulator cross-check (64 MB all-reduce, 4x4x4)");
-    let shape = TorusShape::new(4, 4, 4).expect("valid shape");
+    let shape = TopologySpec::torus3(4, 4, 4).expect("valid shape");
     let base = RunSpec::new(
         shape,
         EngineKind::Baseline {

@@ -432,12 +432,12 @@ fn bytes_per_cycle(net: &NetworkParams, params: &LinkParams) -> f64 {
 /// Convenience: plan + estimate in one call.
 pub fn estimate_on_spec(
     op: crate::CollectiveOp,
-    spec: impl Into<TopologySpec>,
+    spec: TopologySpec,
     net: &NetworkParams,
     payload_bytes: u64,
     endpoint: &EndpointModel,
 ) -> AnalyticEstimate {
-    let plan = CollectivePlan::for_spec(op, spec.into());
+    let plan = CollectivePlan::for_spec(op, spec);
     estimate_collective(&plan, net, payload_bytes, endpoint)
 }
 

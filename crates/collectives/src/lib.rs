@@ -24,10 +24,10 @@
 //!
 //! ```
 //! use ace_collectives::{CollectiveOp, CollectivePlan};
-//! use ace_net::TorusShape;
+//! use ace_net::TopologySpec;
 //!
-//! let shape = TorusShape::new(4, 4, 4).unwrap();
-//! let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+//! let spec = TopologySpec::torus3(4, 4, 4).unwrap();
+//! let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
 //! assert_eq!(plan.phases().len(), 4); // RS-local, AR-vert, AR-horiz, AG-local
 //! // Per byte cached, 2.25 bytes hit the network (Section VI-A).
 //! let sent = plan.bytes_sent_per_node(1_000_000);

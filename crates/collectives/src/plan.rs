@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ace_net::{LinkClass, Topology, TopologySpec, TorusShape};
+use ace_net::{LinkClass, Topology, TopologySpec};
 
 /// The four collective operations of DNN training (paper Fig. 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -253,11 +253,6 @@ pub struct CollectivePlan {
 }
 
 impl CollectivePlan {
-    /// Builds the plan for `op` on the legacy 3-dimension torus `shape`.
-    pub fn for_op(op: CollectiveOp, shape: TorusShape) -> CollectivePlan {
-        CollectivePlan::for_spec(op, shape.into())
-    }
-
     /// Builds the plan for `op` on the topology identified by `spec`.
     pub fn for_spec(op: CollectiveOp, spec: TopologySpec) -> CollectivePlan {
         CollectivePlan::for_topology(op, spec.build().as_ref())
@@ -433,13 +428,13 @@ impl fmt::Display for CollectivePlan {
 mod tests {
     use super::*;
 
-    fn torus444() -> TorusShape {
-        TorusShape::new(4, 4, 4).unwrap()
+    fn torus444() -> TopologySpec {
+        TopologySpec::torus3(4, 4, 4).unwrap()
     }
 
     #[test]
     fn all_reduce_plan_has_four_phases() {
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, torus444());
         let kinds: Vec<PhaseKind> = plan.phases().iter().map(|p| p.kind).collect();
         assert_eq!(
             kinds,
@@ -461,7 +456,7 @@ mod tests {
     #[test]
     fn section_vi_a_send_fractions() {
         // 4x4x4: 3/4 N + 6/16 N + 6/16 N + 3/4 N = 2.25 N.
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, torus444());
         let fr: Vec<f64> = plan.phases().iter().map(PhaseSpec::send_fraction).collect();
         assert!((fr[0] - 0.75).abs() < 1e-12);
         assert!((fr[1] - 6.0 / 16.0).abs() < 1e-12);
@@ -472,7 +467,7 @@ mod tests {
 
     #[test]
     fn inter_package_phases_shrink_after_local_rs() {
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, torus444());
         assert_eq!(plan.phases()[1].input_fraction, 0.25);
         assert_eq!(plan.phases()[2].input_fraction, 0.25);
         assert_eq!(plan.phases()[3].output_fraction(), 1.0);
@@ -480,16 +475,16 @@ mod tests {
 
     #[test]
     fn dimension_of_size_one_is_skipped() {
-        let shape = TorusShape::new(4, 1, 2).unwrap();
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+        let spec = TopologySpec::torus3(4, 1, 2).unwrap();
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         assert!(plan.phases().iter().all(|p| p.dim_index() != Some(1)));
         assert_eq!(plan.phases().len(), 3); // RS local, AR horizontal, AG local
     }
 
     #[test]
     fn one_dimensional_ring_uses_single_ring_all_reduce() {
-        let shape = TorusShape::new(1, 8, 1).unwrap();
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+        let spec = TopologySpec::torus3(1, 8, 1).unwrap();
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         assert_eq!(plan.phases().len(), 1);
         assert_eq!(plan.phases()[0].kind, PhaseKind::RingAllReduce);
         // Bandwidth-optimal ring all-reduce sends 2(k-1)/k of the payload.
@@ -499,7 +494,7 @@ mod tests {
 
     #[test]
     fn all_to_all_is_single_phase() {
-        let plan = CollectivePlan::for_op(CollectiveOp::AllToAll, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllToAll, torus444());
         assert_eq!(plan.phases().len(), 1);
         let p = plan.phases()[0];
         assert_eq!(p.kind, PhaseKind::DirectAllToAll);
@@ -517,8 +512,8 @@ mod tests {
 
     #[test]
     fn reduce_scatter_and_all_gather_mirror() {
-        let rs = CollectivePlan::for_op(CollectiveOp::ReduceScatter, torus444());
-        let ag = CollectivePlan::for_op(CollectiveOp::AllGather, torus444());
+        let rs = CollectivePlan::for_spec(CollectiveOp::ReduceScatter, torus444());
+        let ag = CollectivePlan::for_spec(CollectiveOp::AllGather, torus444());
         assert_eq!(rs.phases().len(), 3);
         assert_eq!(ag.phases().len(), 3);
         // RS ends with 1/64 of the payload; AG ends with 64x.
@@ -535,14 +530,14 @@ mod tests {
 
     #[test]
     fn ring_steps() {
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, torus444());
         // (4-1) + 2(4-1) + 2(4-1) + (4-1) = 18.
         assert_eq!(plan.total_steps(), 18);
     }
 
     #[test]
     fn send_recv_is_one_hop_on_the_outermost_dimension() {
-        let plan = CollectivePlan::for_op(CollectiveOp::SendRecv, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::SendRecv, torus444());
         assert_eq!(plan.phases().len(), 1);
         let p = plan.phases()[0];
         assert_eq!(p.kind, PhaseKind::AllGather);
@@ -552,8 +547,10 @@ mod tests {
         // The full payload crosses the wire exactly once per node.
         assert!((plan.bytes_sent_per_node(1 << 20) - (1u64 << 20) as f64).abs() < 1.0);
         // Inner-dimension-only fabric still finds a populated dimension.
-        let flat =
-            CollectivePlan::for_op(CollectiveOp::SendRecv, TorusShape::new(4, 1, 1).unwrap());
+        let flat = CollectivePlan::for_spec(
+            CollectiveOp::SendRecv,
+            TopologySpec::torus3(4, 1, 1).unwrap(),
+        );
         assert_eq!(flat.phases()[0].dim_index(), Some(0));
         assert_eq!(
             "send-recv".parse::<CollectiveOp>().unwrap(),
@@ -563,7 +560,7 @@ mod tests {
 
     #[test]
     fn reduces_flag() {
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, torus444());
         assert!(plan.phases()[0].reduces());
         assert!(plan.phases()[1].reduces());
         assert!(!plan.phases()[3].reduces());
@@ -571,7 +568,7 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, torus444());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, torus444());
         let s = plan.to_string();
         assert!(s.contains("all-reduce") && s.contains("->") && s.contains("local"));
     }

@@ -137,12 +137,12 @@ pub fn mem_bw_reduction(plan: &CollectivePlan, payload_bytes: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::plan::CollectiveOp;
-    use ace_net::TorusShape;
+    use ace_net::TopologySpec;
 
     fn plan(shape: (usize, usize, usize)) -> CollectivePlan {
-        CollectivePlan::for_op(
+        CollectivePlan::for_spec(
             CollectiveOp::AllReduce,
-            TorusShape::new(shape.0, shape.1, shape.2).unwrap(),
+            TopologySpec::torus3(shape.0, shape.1, shape.2).unwrap(),
         )
     }
 
@@ -206,7 +206,10 @@ mod tests {
 
     #[test]
     fn all_to_all_traffic_reads_equal_writes() {
-        let p = CollectivePlan::for_op(CollectiveOp::AllToAll, TorusShape::new(4, 4, 4).unwrap());
+        let p = CollectivePlan::for_spec(
+            CollectiveOp::AllToAll,
+            TopologySpec::torus3(4, 4, 4).unwrap(),
+        );
         let t = baseline_traffic(&p, 64 << 20);
         assert!((t.reads - t.writes).abs() < 1e-6);
         // 63/64 of the payload is read once for sending.

@@ -27,8 +27,7 @@ use ace_toml::{Spelling, SpellingError};
 
 use crate::link::Port;
 use crate::network::NetworkParams;
-use crate::topo::Topology;
-use crate::topology::{Hop, NodeId, Route};
+use crate::topo::{Hop, NodeId, Route, Topology};
 
 /// SplitMix64 step (Steele et al.) — the workspace's standard seeded
 /// generator, duplicated here because the fault layer sits below the
@@ -984,8 +983,17 @@ impl FaultPlan {
 
     /// The surviving bandwidth multiplier of the directed link at
     /// `node`/`port` (1.0 = pristine).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is past the topology's port table.
     pub fn link_scale(&self, node: NodeId, port: Port) -> f64 {
-        self.scale[node.index() * self.ports + port.index()]
+        assert!(
+            port.index() < self.ports,
+            "no {port} link at {node}: the fabric has {} ports per node",
+            self.ports
+        );
+        self.scale[self.idx(node.index(), port)]
     }
 
     /// The BFS detour replacing the killed ring hop out of `node` along

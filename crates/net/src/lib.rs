@@ -21,11 +21,11 @@
 //! # Example
 //!
 //! ```
-//! use ace_net::{Network, NetworkParams, TorusShape};
+//! use ace_net::{Network, NetworkParams, TopologySpec};
 //! use ace_simcore::SimTime;
 //!
-//! let shape = TorusShape::new(4, 2, 2).unwrap();
-//! let mut net = Network::new(shape, NetworkParams::paper_default());
+//! let spec = TopologySpec::torus3(4, 2, 2).unwrap();
+//! let mut net = Network::new(spec, NetworkParams::paper_default());
 //! let route = net.topology().route(0.into(), 5.into());
 //! assert!(!route.is_empty());
 //! let arrival = net.send_route(SimTime::ZERO, 0.into(), &route, 8 * 1024);
@@ -39,13 +39,11 @@ mod fault;
 mod link;
 mod network;
 mod topo;
-mod topology;
 
 pub use fault::{ContentionSpec, FaultClause, FaultError, FaultPlan, FaultSpec, FaultTarget};
 pub use link::{Link, LinkClass, LinkParams, Port};
 pub use network::{HopOutcome, Network, NetworkParams};
 pub use topo::{
-    did_you_mean, unknown_spelling, DimInfo, Hierarchical, Spelling, SpellingError, Switch,
-    Topology, TopologySpec, Torus, MAX_TORUS_DIMS,
+    did_you_mean, unknown_spelling, DimInfo, Hierarchical, Hop, NodeId, Route, ShapeError,
+    Spelling, SpellingError, Switch, Topology, TopologySpec, Torus, MAX_TORUS_DIMS,
 };
-pub use topology::{Coord, Dim, Hop, NodeId, Route, ShapeError, TorusShape};

@@ -4,8 +4,6 @@ use std::fmt;
 
 use ace_simcore::{BandwidthServer, Frequency, Grant, SimTime, UtilizationTracker};
 
-use crate::topology::Dim;
-
 /// The two physical link technologies in the platform (Table V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkClass {
@@ -13,16 +11,6 @@ pub enum LinkClass {
     IntraPackage,
     /// NVLink-class inter-package link: 25 GB/s, 500-cycle latency.
     InterPackage,
-}
-
-impl LinkClass {
-    /// The link class used for dimension `dim`.
-    pub fn for_dim(dim: Dim) -> LinkClass {
-        match dim {
-            Dim::Local => LinkClass::IntraPackage,
-            Dim::Vertical | Dim::Horizontal => LinkClass::InterPackage,
-        }
-    }
 }
 
 impl fmt::Display for LinkClass {
@@ -81,19 +69,6 @@ pub struct Port {
 }
 
 impl Port {
-    /// Creates a 3-dimension-torus port for `dim` in the positive
-    /// (`plus = true`) or negative ring direction.
-    pub fn new(dim: Dim, plus: bool) -> Port {
-        let d = match dim {
-            Dim::Local => 0,
-            Dim::Vertical => 1,
-            Dim::Horizontal => 2,
-        };
-        Port {
-            idx: (d * 2 + u8::from(!plus)),
-        }
-    }
-
     /// The port at dense index `idx`.
     ///
     /// # Panics
@@ -104,37 +79,6 @@ impl Port {
         Port { idx: idx as u8 }
     }
 
-    /// The six 3-dimension-torus ports in index order.
-    pub const ALL: [Port; 6] = [
-        Port { idx: 0 },
-        Port { idx: 1 },
-        Port { idx: 2 },
-        Port { idx: 3 },
-        Port { idx: 4 },
-        Port { idx: 5 },
-    ];
-
-    /// The port's dimension, for ports of the 3-dimension torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics for port indices beyond the torus's six.
-    pub fn dim(self) -> Dim {
-        match self.idx / 2 {
-            0 => Dim::Local,
-            1 => Dim::Vertical,
-            2 => Dim::Horizontal,
-            _ => panic!("port {} has no 3-dim-torus dimension", self.idx),
-        }
-    }
-
-    /// Whether the port points in the positive ring direction (even
-    /// index). Crossbar-backed topologies use one port for both
-    /// directions, so this is only meaningful on tori.
-    pub fn is_plus(self) -> bool {
-        self.idx.is_multiple_of(2)
-    }
-
     /// Dense per-node index for table lookups.
     pub fn index(self) -> usize {
         self.idx as usize
@@ -142,17 +86,9 @@ impl Port {
 }
 
 impl fmt::Display for Port {
+    /// `p{index}` on every fabric, the form trace link names use.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.idx < 6 {
-            write!(
-                f,
-                "{}{}",
-                self.dim(),
-                if self.is_plus() { "+" } else { "-" }
-            )
-        } else {
-            write!(f, "p{}", self.idx)
-        }
+        write!(f, "p{}", self.idx)
     }
 }
 
@@ -228,13 +164,6 @@ mod tests {
     use ace_simcore::npu_frequency;
 
     #[test]
-    fn link_class_by_dimension() {
-        assert_eq!(LinkClass::for_dim(Dim::Local), LinkClass::IntraPackage);
-        assert_eq!(LinkClass::for_dim(Dim::Vertical), LinkClass::InterPackage);
-        assert_eq!(LinkClass::for_dim(Dim::Horizontal), LinkClass::InterPackage);
-    }
-
-    #[test]
     fn paper_params_match_table_v() {
         let intra = LinkParams::paper_default(LinkClass::IntraPackage);
         assert_eq!(intra.bandwidth_gbps, 200.0);
@@ -247,18 +176,16 @@ mod tests {
 
     #[test]
     fn port_indices_are_dense_and_unique() {
-        let mut seen = [false; 6];
-        for p in Port::ALL {
-            assert!(!seen[p.index()]);
-            seen[p.index()] = true;
+        for idx in 0..=u8::MAX as usize {
+            assert_eq!(Port::from_index(idx).index(), idx);
         }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]
     fn port_display() {
-        assert_eq!(Port::new(Dim::Local, true).to_string(), "local+");
-        assert_eq!(Port::new(Dim::Horizontal, false).to_string(), "horizontal-");
+        assert_eq!(Port::from_index(0).to_string(), "p0");
+        assert_eq!(Port::from_index(5).to_string(), "p5");
+        assert_eq!(Port::from_index(9).to_string(), "p9");
     }
 
     #[test]

@@ -5,8 +5,7 @@ use ace_simcore::{BucketCursor, Frequency, Grant, RateMeter, SimTime, TimeSeries
 
 use crate::fault::FaultPlan;
 use crate::link::{Link, LinkClass, LinkParams, Port};
-use crate::topo::{Topology, TopologySpec};
-use crate::topology::{NodeId, Route};
+use crate::topo::{NodeId, Route, Topology, TopologySpec};
 
 /// Fabric-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -74,11 +73,9 @@ pub struct Network {
 }
 
 impl Network {
-    /// Builds the fabric for `spec` with `params`. Accepts anything
-    /// convertible to a [`TopologySpec`] — in particular the legacy
-    /// [`TorusShape`](crate::TorusShape).
-    pub fn new(spec: impl Into<TopologySpec>, params: NetworkParams) -> Network {
-        Network::for_topology(spec.into().build(), params)
+    /// Builds the fabric for `spec` with `params`.
+    pub fn new(spec: TopologySpec, params: NetworkParams) -> Network {
+        Network::for_topology(spec.build(), params)
     }
 
     /// Builds the fabric around an already-constructed topology.
@@ -138,14 +135,30 @@ impl Network {
         self.active_links
     }
 
-    fn link_index(&self, node: NodeId, port: Port) -> usize {
-        node.index() * self.ports_per_node + port.index()
+    /// The slot of `node`'s `port` in `links`, or `None` for a port past
+    /// the topology's port table, whose slot would alias the next node's
+    /// link.
+    fn link_index(&self, node: NodeId, port: Port) -> Option<usize> {
+        (port.index() < self.ports_per_node)
+            .then(|| node.index() * self.ports_per_node + port.index())
+    }
+
+    /// The slot of the live link at `node`/`port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology wires no link there or a fault killed it.
+    fn live_link_index(&self, node: NodeId, port: Port) -> usize {
+        match self.link_index(node, port) {
+            Some(idx) if self.links[idx].is_some() => idx,
+            _ => panic!("no {port} link at {node}"),
+        }
     }
 
     /// Immutable access to the link at `node`/`port`, if the topology
     /// wires one there.
     pub fn link(&self, node: NodeId, port: Port) -> Option<&Link> {
-        self.links[self.link_index(node, port)].as_ref()
+        self.links[self.link_index(node, port)?].as_ref()
     }
 
     /// Pushes `bytes` out of `node` through `port`. Returns the wire grant
@@ -155,10 +168,10 @@ impl Network {
     ///
     /// Panics if the topology has no link at that port.
     pub fn transmit(&mut self, now: SimTime, node: NodeId, port: Port, bytes: u64) -> HopOutcome {
-        let idx = self.link_index(node, port);
+        let idx = self.live_link_index(node, port);
         let link = self.links[idx]
             .as_mut()
-            .unwrap_or_else(|| panic!("no {port} link at {node}"));
+            .expect("the slot holds a live link");
         let grant = link.transmit(now, bytes);
         let arrival = link.arrival(grant);
         self.meter.record(grant.end, bytes);
@@ -173,9 +186,9 @@ impl Network {
     ///
     /// Panics if the topology has no link at that port.
     pub fn next_free(&self, now: SimTime, node: NodeId, port: Port) -> SimTime {
-        self.links[self.link_index(node, port)]
+        self.links[self.live_link_index(node, port)]
             .as_ref()
-            .expect("link exists")
+            .expect("the slot holds a live link")
             .next_free(now)
     }
 
@@ -249,7 +262,9 @@ impl Network {
         for node in 0..self.nodes {
             for p in 0..self.ports_per_node {
                 let port = Port::from_index(p);
-                let idx = self.link_index(NodeId(node), port);
+                let idx = self
+                    .link_index(NodeId(node), port)
+                    .expect("p is below ports_per_node");
                 let Some(link) = self.links[idx].as_ref() else {
                     continue;
                 };
@@ -281,13 +296,18 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Dim, TorusShape};
 
     fn small_net() -> Network {
         Network::new(
-            TorusShape::new(4, 2, 2).unwrap(),
+            TopologySpec::torus3(4, 2, 2).unwrap(),
             NetworkParams::paper_default(),
         )
+    }
+
+    /// Every egress port of the 3-dimension torus: local±, vertical±,
+    /// horizontal±.
+    fn torus3_ports() -> impl Iterator<Item = Port> {
+        (0..6).map(Port::from_index)
     }
 
     #[test]
@@ -301,16 +321,13 @@ mod tests {
     fn active_links_match_topology() {
         let net = small_net();
         assert_eq!(net.active_links(), net.topology().total_links());
-        assert_eq!(
-            net.active_links(),
-            TorusShape::new(4, 2, 2).unwrap().total_links()
-        );
+        assert_eq!(net.active_links(), 6 * 16);
     }
 
     #[test]
     fn transmit_records_throughput() {
         let mut net = small_net();
-        let out = net.transmit(SimTime::ZERO, NodeId(0), Port::new(Dim::Local, true), 4096);
+        let out = net.transmit(SimTime::ZERO, NodeId(0), Port::from_index(0), 4096);
         assert!(out.arrival > out.grant.end);
         assert_eq!(net.total_bytes(), 4096);
         assert!(net.achieved_gbps() > 0.0);
@@ -331,7 +348,7 @@ mod tests {
     #[test]
     fn contention_on_same_link_serializes() {
         let mut net = small_net();
-        let p = Port::new(Dim::Vertical, true);
+        let p = Port::from_index(2);
         let first = net.transmit(SimTime::ZERO, NodeId(0), p, 64 * 1024);
         let second = net.transmit(SimTime::ZERO, NodeId(0), p, 64 * 1024);
         assert!(second.grant.start.cycles() + 1 >= first.grant.end.cycles());
@@ -344,7 +361,7 @@ mod tests {
     fn utilization_series_bounded_by_one() {
         let mut net = small_net();
         for node in 0..16 {
-            for port in Port::ALL {
+            for port in torus3_ports() {
                 net.transmit(SimTime::ZERO, NodeId(node), port, 1 << 20);
             }
         }
@@ -361,7 +378,7 @@ mod tests {
         let mut net = small_net();
         let mut grant_sum = 0u64;
         for node in 0..16 {
-            for port in Port::ALL {
+            for port in torus3_ports() {
                 for bytes in [4096u64, 64 * 1024, 1 << 20] {
                     let out = net.transmit(SimTime::ZERO, NodeId(node), port, bytes);
                     grant_sum += out.grant.service();
@@ -386,13 +403,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no ")]
+    #[should_panic(expected = "no p2 link at npu0")]
     fn missing_dimension_link_panics() {
         let mut net = Network::new(
-            TorusShape::new(4, 1, 1).unwrap(),
+            TopologySpec::torus3(4, 1, 1).unwrap(),
             NetworkParams::paper_default(),
         );
-        net.transmit(SimTime::ZERO, NodeId(0), Port::new(Dim::Vertical, true), 64);
+        net.transmit(SimTime::ZERO, NodeId(0), Port::from_index(2), 64);
+    }
+
+    #[test]
+    fn ports_past_the_port_table_have_no_link() {
+        use crate::fault::FaultPlan;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // `node * ports_per_node + port` for a port past the table lands
+        // on the next node's link; it must name no link instead.
+        for (spec, past) in [("switch:4", 1), ("4x8", 4)] {
+            let spec: TopologySpec = spec.parse().unwrap();
+            let params = NetworkParams::paper_default();
+            let mut net = Network::new(spec, params);
+            let port = Port::from_index(past);
+            assert!(net.link(NodeId(0), port).is_none(), "{spec} {port}");
+            let sent = catch_unwind(AssertUnwindSafe(|| {
+                net.transmit(SimTime::ZERO, NodeId(0), port, 4096)
+            }));
+            assert!(sent.is_err(), "{spec}: transmit on {port} must panic");
+            assert_eq!(net.total_bytes(), 0, "{spec}: no link carried bytes");
+            let free = catch_unwind(AssertUnwindSafe(|| {
+                net.next_free(SimTime::ZERO, NodeId(0), port)
+            }));
+            assert!(free.is_err(), "{spec}: next_free on {port} must panic");
+            let plan = FaultPlan::pristine(net.topology(), &params);
+            let scale = catch_unwind(AssertUnwindSafe(|| plan.link_scale(NodeId(0), port)));
+            assert!(scale.is_err(), "{spec}: link_scale on {port} must panic");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`Torus`] — an arbitrary-dimension torus. Dimension 0 is the
 //!   intra-package (silicon-interposer) ring, every further dimension an
 //!   inter-package (NVLink-class) ring. The 3-dimension case is exactly
-//!   the paper's `LxVxH` [`TorusShape`](crate::TorusShape) platform.
+//!   the paper's `LxVxH` platform ([`TopologySpec::torus3`]).
 //! * [`Switch`] — all nodes hang off a central crossbar through one
 //!   uplink each (radix = node count, uplink bandwidth configurable via
 //!   `switch:N@GBPS`). Power-of-two sizes plan all-reduce as hypercube
@@ -17,6 +17,9 @@
 //! * [`Hierarchical`] — a scale-up crossbar domain (intra-package links,
 //!   NVSwitch-style) joined by a scale-out inter-package ring:
 //!   `hier:UxO` = `U` NPUs per domain × `O` domains.
+//!
+//! Nodes are dense [`NodeId`]s, and [`Topology::route`] returns a
+//! [`Route`]: the [`Hop`]s from source to destination.
 //!
 //! Collective planning consumes [`Topology::dims`] plus
 //! [`Topology::sandwich_dims`]: the leading `sandwich_dims()` entries are
@@ -29,7 +32,78 @@ use std::fmt;
 
 use crate::link::{LinkClass, LinkParams, Port};
 use crate::network::NetworkParams;
-use crate::topology::{Hop, NodeId, Route, ShapeError, TorusShape};
+
+/// Identifies one NPU in the fabric.
+///
+/// Node ids are dense indices in `[0, nodes)`. On a torus they are laid
+/// out dimension-0-major: `id = c0 + L0*(c1 + L1*(c2 + ...))`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct NodeId(pub usize);
+
+impl NodeId {
+    /// The raw index.
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+impl From<usize> for NodeId {
+    fn from(v: usize) -> Self {
+        NodeId(v)
+    }
+}
+
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "npu{}", self.0)
+    }
+}
+
+/// One hop of a route: leave `from` on egress `port`, arriving at `to`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// Node the hop leaves from.
+    pub from: NodeId,
+    /// Egress port used.
+    pub port: Port,
+    /// Node the hop arrives at.
+    pub to: NodeId,
+}
+
+/// A source-to-destination path: the hops [`Topology::route`] chose.
+pub type Route = Vec<Hop>;
+
+/// Errors constructing a [`TopologySpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeError {
+    /// A dimension was zero.
+    ZeroDimension,
+    /// The topology has fewer than two nodes.
+    TooSmall,
+    /// A torus needs between 1 and [`MAX_TORUS_DIMS`] dimensions; this
+    /// many were given.
+    BadDimensionCount(usize),
+    /// A dimension length exceeds the spec's storage width.
+    DimensionTooLarge(usize),
+    /// The topology's total node count overflows the address space.
+    TooManyNodes,
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShapeError::ZeroDimension => f.write_str("torus dimensions must be nonzero"),
+            ShapeError::TooSmall => f.write_str("torus must contain at least two nodes"),
+            ShapeError::BadDimensionCount(n) => {
+                write!(f, "torus needs 1..=6 dimensions, got {n}")
+            }
+            ShapeError::DimensionTooLarge(n) => write!(f, "dimension {n} is too large"),
+            ShapeError::TooManyNodes => f.write_str("topology node count overflows"),
+        }
+    }
+}
+
+impl std::error::Error for ShapeError {}
 
 /// Maximum number of torus dimensions a [`TopologySpec`] can carry (keeps
 /// the spec `Copy` for cheap cache keys).
@@ -92,7 +166,15 @@ impl TopologySpec {
         })
     }
 
-    /// The paper's 3-dimensional `LxVxH` torus.
+    /// The paper's 3-dimensional `LxVxH` torus. Section V evaluates
+    /// `4x2x2`, `4x4x2`, `4x4x4` and `4x8x4` (16 to 128 NPUs).
+    ///
+    /// ```
+    /// use ace_net::TopologySpec;
+    /// let spec = TopologySpec::torus3(4, 8, 4).unwrap();
+    /// assert_eq!(spec.nodes(), 128);
+    /// assert_eq!(spec.to_string(), "4x8x4");
+    /// ```
     pub fn torus3(l: usize, v: usize, h: usize) -> Result<TopologySpec, ShapeError> {
         TopologySpec::torus(&[l, v, h])
     }
@@ -213,13 +295,6 @@ impl TopologySpec {
     pub fn spellings() -> &'static str {
         "a torus 'LxV[xH[...]]' (e.g. 4x2x2, 4x8), 'switch:N' or 'switch:N@GBPS' \
          (e.g. switch:16, switch:16@100), or 'hier:UxO' (e.g. hier:4x8)"
-    }
-}
-
-impl From<TorusShape> for TopologySpec {
-    fn from(s: TorusShape) -> TopologySpec {
-        TopologySpec::torus3(s.local(), s.vertical(), s.horizontal())
-            .expect("a valid TorusShape is a valid topology")
     }
 }
 
@@ -567,8 +642,7 @@ impl Topology for Torus {
 
     fn route(&self, src: NodeId, dst: NodeId) -> Route {
         // Dimension-ordered (XYZ) routing, shorter way around each ring,
-        // ties to the positive direction — identical to
-        // `TorusShape::route` on three dimensions.
+        // ties to the positive direction.
         let mut hops = Vec::new();
         let mut cur = src;
         for (dim, info) in self.dims.iter().enumerate() {
@@ -994,6 +1068,18 @@ mod tests {
     fn invalid_specs_are_rejected() {
         assert!("0x2x2".parse::<TopologySpec>().is_err());
         assert!("1x1x1".parse::<TopologySpec>().is_err());
+        assert_eq!(
+            TopologySpec::torus3(0, 2, 2).unwrap_err(),
+            ShapeError::ZeroDimension
+        );
+        assert_eq!(
+            TopologySpec::torus3(1, 1, 1).unwrap_err(),
+            ShapeError::TooSmall
+        );
+        assert_eq!(
+            TopologySpec::torus3(1, 1, 1).unwrap_err().to_string(),
+            "torus must contain at least two nodes"
+        );
         assert!("2x2x2x2x2x2x2".parse::<TopologySpec>().is_err());
         // A node-count overflow is rejected at spec construction, never
         // wrapped later.
@@ -1026,6 +1112,16 @@ mod tests {
                 assert_eq!(torus.link_peer(node, info.port_minus), want_minus);
             }
         }
+        // Rings wrap around, and dimension d strides by the product of
+        // the lengths before it.
+        let t422 = Torus::new(TopologySpec::torus3(4, 2, 2).unwrap());
+        let peer = |t: &Torus, n: usize, p: usize| t.link_peer(NodeId(n), Port::from_index(p));
+        assert_eq!(peer(&t422, 0, 0), Some(NodeId(1)));
+        assert_eq!(peer(&t422, 0, 1), Some(NodeId(3)));
+        assert_eq!(peer(&t422, 3, 0), Some(NodeId(0)));
+        let t444 = Torus::new(TopologySpec::torus3(4, 4, 4).unwrap());
+        assert_eq!(peer(&t444, 0, 2), Some(NodeId(4)));
+        assert_eq!(peer(&t444, 0, 4), Some(NodeId(16)));
         // Switch: the uplink fans out across the crossbar — no peer.
         let switch = "switch:8".parse::<TopologySpec>().unwrap().build();
         assert_eq!(switch.link_peer(NodeId(3), Port::from_index(0)), None);
@@ -1044,37 +1140,12 @@ mod tests {
     }
 
     #[test]
-    fn torus_matches_torus_shape() {
-        // The generalized torus must agree with TorusShape on every query
-        // the executor makes — this is what keeps the refactor
-        // byte-identical.
-        let shape = TorusShape::new(4, 3, 2).unwrap();
-        let topo = Torus::new(shape.into());
-        assert_eq!(topo.nodes(), shape.nodes());
-        assert_eq!(topo.total_links(), shape.total_links());
-        for node in shape.iter_nodes() {
-            for (d, dim) in crate::topology::Dim::ALL.into_iter().enumerate() {
-                for plus in [true, false] {
-                    assert_eq!(
-                        topo.neighbor(node, d, plus),
-                        shape.neighbor(node, dim, plus),
-                        "neighbor({node}, {dim}, {plus})"
-                    );
-                }
-                assert_eq!(topo.ring_members(node, d), shape.ring_members(node, dim));
-            }
-            for dst in shape.iter_nodes() {
-                assert_eq!(topo.route(node, dst), shape.route(node, dst));
-            }
-        }
-    }
-
-    #[test]
     fn torus_port_layout_matches_legacy() {
         let topo = Torus::new(TopologySpec::torus3(4, 1, 2).unwrap());
+        // The paper's port order: local±, vertical±, horizontal±.
         assert_eq!(topo.ports_per_node(), 6);
-        // Dimension 1 has size 1: its ports are dead, exactly like the
-        // legacy Network's `None` links.
+        // Dimension 1 has size 1: its ports are dead, and the network
+        // wires no link there.
         assert_eq!(
             topo.port_class(Port::from_index(0)),
             Some(LinkClass::IntraPackage)
@@ -1086,6 +1157,28 @@ mod tests {
             Some(LinkClass::InterPackage)
         );
         assert_eq!(topo.global_port_profile(), (2, 4));
+        // Every live port is one directed link per node; a ring of two
+        // still has distinct plus and minus links (Table V's "2
+        // intra-package links").
+        assert_eq!(topo.total_links(), 4 * 8);
+        let t422 = Torus::new(TopologySpec::torus3(4, 2, 2).unwrap());
+        assert_eq!(t422.total_links(), 6 * 16);
+        let flat = Torus::new(TopologySpec::torus3(4, 1, 1).unwrap());
+        assert_eq!(flat.total_links(), 2 * 4);
+        // A ring holds its dimension's members, stepping by the stride.
+        let t484 = Torus::new(TopologySpec::torus3(4, 8, 4).unwrap());
+        let ring: Vec<usize> = t484
+            .ring_members(NodeId(0), 1)
+            .iter()
+            .map(|n| n.0)
+            .collect();
+        assert_eq!(ring, (0..8).map(|v| 4 * v).collect::<Vec<_>>());
+        // Routes go the shorter way round: 0 -> 6 on an 8-ring is two
+        // hops out of the minus port, not six out of the plus port.
+        let ring8 = Torus::new(TopologySpec::torus(&[8]).unwrap());
+        let route = ring8.route(NodeId(0), NodeId(6));
+        assert_eq!(route.len(), 2);
+        assert!(route.iter().all(|h| h.port == ring8.dims()[0].port_minus));
     }
 
     #[test]

@@ -406,7 +406,7 @@ impl RoundMemo {
 pub fn simulate(
     config: SystemConfig,
     workload: &Workload,
-    topology: impl Into<TopologySpec>,
+    topology: TopologySpec,
     spec: &ServingSpec,
     opts: &ServingOptions,
 ) -> Result<ServingOutcome, String> {
@@ -431,7 +431,7 @@ pub fn simulate(
 pub fn simulate_with_conditions(
     config: SystemConfig,
     workload: &Workload,
-    topology: impl Into<TopologySpec>,
+    topology: TopologySpec,
     spec: &ServingSpec,
     opts: &ServingOptions,
     conditions: &RunConditions,
@@ -454,14 +454,13 @@ pub fn simulate_with_conditions(
 pub fn simulate_with_memo(
     config: SystemConfig,
     workload: &Workload,
-    topology: impl Into<TopologySpec>,
+    topology: TopologySpec,
     spec: &ServingSpec,
     opts: &ServingOptions,
     conditions: &RunConditions,
     memo: &RoundMemo,
 ) -> Result<ServingOutcome, String> {
     spec.validate()?;
-    let topology = topology.into();
     let freq = ace_simcore::npu_frequency();
     let hz = freq.hz();
     let stages = (spec.stages as usize).min(workload.layers().len()).max(1);

@@ -53,17 +53,11 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
-        Self::with_now(SimTime::ZERO)
-    }
-
-    /// Creates an empty queue whose clock starts at `now`, so a queue
-    /// forked from another agrees with its clock.
-    pub fn with_now(now: SimTime) -> Self {
         EventQueue {
             keys: Vec::new(),
             events: Vec::new(),
             next_seq: 0,
-            now,
+            now: SimTime::ZERO,
             past_schedules: 0,
             pops: 0,
         }
@@ -100,35 +94,6 @@ impl<E> EventQueue<E> {
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
-    }
-
-    /// Advances the clock to `t` without delivering anything (no-op when
-    /// `t` is in the past).
-    pub fn advance_to(&mut self, t: SimTime) {
-        self.now = self.now.max(t);
-    }
-
-    /// Folds another queue's delivery counters (and clock) into this one,
-    /// so work split across several queues reports combined
-    /// `pops`/`past_schedules` totals.
-    pub fn absorb_counters(&mut self, other: &EventQueue<E>) {
-        self.pops += other.pops;
-        self.past_schedules += other.past_schedules;
-        self.now = self.now.max(other.now);
-    }
-
-    /// Removes and returns every pending entry as `(time, low-64 key,
-    /// event)` in unspecified order, leaving the clock and counters
-    /// untouched. Re-inserting an entry through
-    /// [`schedule_keyed`](EventQueue::schedule_keyed) with the returned
-    /// key reconstructs its exact ordering key.
-    pub fn drain_entries(&mut self) -> Vec<(SimTime, u64, E)> {
-        let keys = std::mem::take(&mut self.keys);
-        let events = std::mem::take(&mut self.events);
-        keys.into_iter()
-            .zip(events)
-            .map(|(k, e)| (key_time(k), k as u64, e))
-            .collect()
     }
 }
 
@@ -367,41 +332,6 @@ mod tests {
         q.schedule(t, "plain");
         assert_eq!(q.pop().unwrap().1, "plain");
         assert_eq!(q.pop().unwrap().1, "keyed");
-    }
-
-    #[test]
-    fn drain_entries_round_trips_through_schedule_keyed() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_cycles(3), 30);
-        q.schedule_keyed(SimTime::from_cycles(1), 7, 10);
-        q.schedule_keyed(SimTime::from_cycles(2), 4, 20);
-        let entries = q.drain_entries();
-        assert!(q.is_empty());
-        assert_eq!(q.pops(), 0, "draining is not delivery");
-        let mut r = EventQueue::new();
-        for (at, key, ev) in entries {
-            r.schedule_keyed(at, key, ev);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| r.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn with_now_and_absorb_counters_rejoin_partitions() {
-        let mut main: EventQueue<()> = EventQueue::new();
-        main.schedule(SimTime::from_cycles(2), ());
-        main.pop();
-        let mut part: EventQueue<()> = EventQueue::with_now(main.now());
-        assert_eq!(part.now(), SimTime::from_cycles(2));
-        part.schedule(SimTime::from_cycles(9), ());
-        part.pop();
-        main.absorb_counters(&part);
-        assert_eq!(main.pops(), 2);
-        assert_eq!(main.now(), SimTime::from_cycles(9));
-        main.advance_to(SimTime::from_cycles(4));
-        assert_eq!(main.now(), SimTime::from_cycles(9), "advance never rewinds");
-        main.advance_to(SimTime::from_cycles(12));
-        assert_eq!(main.now(), SimTime::from_cycles(12));
     }
 
     #[test]

@@ -144,12 +144,11 @@ impl SweepOutcome {
     /// sweep into a table.
     pub fn find_collective(
         &self,
-        topology: impl Into<ace_net::TopologySpec>,
+        topology: ace_net::TopologySpec,
         engine: crate::scenario::EngineSpec,
     ) -> Option<&RunResult> {
-        let spec = topology.into();
         self.collective_results(engine)
-            .find(move |r| r.point.topology == spec)
+            .find(move |r| r.point.topology == topology)
     }
 
     /// Rows produced by the exact tier (hybrid's re-simulated cells).

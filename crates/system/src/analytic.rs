@@ -113,12 +113,11 @@ pub struct AnalyticCollectiveReport {
 /// Analytic estimate of one standalone collective — the α–β counterpart
 /// of [`RunSpec`](crate::RunSpec).
 pub fn analytic_collective_run(
-    topology: impl Into<TopologySpec>,
+    spec: TopologySpec,
     engine: EngineKind,
     op: CollectiveOp,
     payload_bytes: u64,
 ) -> AnalyticCollectiveReport {
-    let spec = topology.into();
     let net = NetworkParams::paper_default();
     let plan = CollectivePlan::for_spec(op, spec);
     let model = endpoint_model(engine);
@@ -131,13 +130,12 @@ pub fn analytic_collective_run(
 /// (worst surviving-link load, detour congestion included). Stragglers
 /// do not apply — a standalone collective has no compute tasks.
 pub fn analytic_collective_run_with_conditions(
-    topology: impl Into<TopologySpec>,
+    spec: TopologySpec,
     engine: EngineKind,
     op: CollectiveOp,
     payload_bytes: u64,
     conditions: &RunConditions,
 ) -> Result<AnalyticCollectiveReport, RunError> {
-    let spec = topology.into();
     if conditions.is_pristine() {
         return Ok(analytic_collective_run(spec, engine, op, payload_bytes));
     }
@@ -192,9 +190,9 @@ pub struct AnalyticTrainingReport {
 pub fn analytic_program_run(
     config: SystemConfig,
     program: &Program,
-    topology: impl Into<TopologySpec>,
+    topology: TopologySpec,
 ) -> AnalyticTrainingReport {
-    analytic_program_walk(config, program, topology.into(), None)
+    analytic_program_walk(config, program, topology, None)
 }
 
 /// [`analytic_program_run`] under explicit [`RunConditions`]: collective
@@ -205,10 +203,9 @@ pub fn analytic_program_run(
 pub fn analytic_program_run_with_conditions(
     config: SystemConfig,
     program: &Program,
-    topology: impl Into<TopologySpec>,
+    spec: TopologySpec,
     conditions: &RunConditions,
 ) -> Result<AnalyticTrainingReport, RunError> {
-    let spec = topology.into();
     if conditions.is_pristine() {
         return Ok(analytic_program_walk(config, program, spec, None));
     }
@@ -278,7 +275,7 @@ fn analytic_program_walk(
 mod tests {
     use super::*;
     use crate::RunSpec;
-    use ace_net::TorusShape;
+    use ace_net::TopologySpec;
 
     const MB64: u64 = 64 << 20;
 
@@ -330,7 +327,7 @@ mod tests {
     fn fig09a_grid_error_is_within_tolerance() {
         // The headline acceptance bound, in-miniature: the analytic tier
         // lands within 25 % of the exact executor on design-space points.
-        let shape = TorusShape::new(4, 2, 2).unwrap();
+        let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         for (sram, fsms) in [(1, 16), (2, 8), (4, 16), (4, 4), (8, 20)] {
             let engine = EngineKind::AceDse {
                 dma_mem_gbps: 128.0,
@@ -357,7 +354,7 @@ mod tests {
     fn training_estimate_tracks_the_simulator() {
         use crate::{training_program, TrainSpec};
         use ace_workloads::Workload;
-        let shape = TorusShape::new(4, 2, 2).unwrap();
+        let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
             let program = training_program(config, &Workload::resnet50(), 1, false);
             let est = analytic_program_run(config, &program, shape);
@@ -396,7 +393,7 @@ mod tests {
                 vec![],
             );
         }
-        let shape = TorusShape::new(2, 1, 1).unwrap();
+        let shape = TopologySpec::torus3(2, 1, 1).unwrap();
         let exact = TrainSpec::new(SystemConfig::Ace, p.clone(), shape)
             .run()
             .unwrap();

@@ -187,15 +187,15 @@ fn run_typed<E: CollectiveEngine, T: Tracer>(
 mod tests {
     use super::*;
     use crate::RunSpec;
-    use ace_net::TorusShape;
+    use ace_net::TopologySpec;
 
-    fn shape16() -> TorusShape {
-        TorusShape::new(4, 2, 2).unwrap()
+    fn shape16() -> TopologySpec {
+        TopologySpec::torus3(4, 2, 2).unwrap()
     }
 
     /// A standalone collective on a pristine fabric.
     fn run_pristine(
-        shape: TorusShape,
+        shape: TopologySpec,
         engine: EngineKind,
         op: CollectiveOp,
         payload_bytes: u64,

@@ -1242,16 +1242,15 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// hook away, while an [`ace_trace::RecordingTracer`] is read back
     /// through [`tracer`](CollectiveExecutor::tracer) after the run.
     pub fn new(
-        topology: impl Into<TopologySpec>,
+        topology: TopologySpec,
         net_params: NetworkParams,
         options: ExecutorOptions,
         faults: Option<&FaultPlan>,
         make_engine: impl Fn() -> E,
         tracer: T,
     ) -> CollectiveExecutor<E, T> {
-        let spec = topology.into();
         let fault = faults.filter(|fp| !fp.is_pristine()).cloned();
-        let mut net = Network::new(spec, net_params);
+        let mut net = Network::new(topology, net_params);
         if let Some(fp) = &fault {
             net.apply_fault_plan(fp);
         }
@@ -1284,7 +1283,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
             }
         }
         CollectiveExecutor {
-            spec,
+            spec: topology,
             nodes,
             net,
             engines,
@@ -1851,9 +1850,9 @@ fn shard_of(spec: &PhaseSpec, size: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use ace_net::TorusShape;
+    use ace_net::TopologySpec;
 
-    fn executor(config: SystemConfig, topology: impl Into<TopologySpec>) -> CollectiveExecutor {
+    fn executor(config: SystemConfig, topology: TopologySpec) -> CollectiveExecutor {
         executor_with(config, topology, ExecutorOptions::default())
     }
 
@@ -1861,10 +1860,9 @@ mod tests {
     /// all-reduce plan) under `options`.
     fn executor_with(
         config: SystemConfig,
-        topology: impl Into<TopologySpec>,
+        spec: TopologySpec,
         options: ExecutorOptions,
     ) -> CollectiveExecutor {
-        let spec = topology.into();
         let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let weights = CollectiveExecutor::phase_weights(&plan, &params);
@@ -1878,8 +1876,8 @@ mod tests {
         )
     }
 
-    fn shape442() -> TorusShape {
-        TorusShape::new(4, 2, 2).unwrap()
+    fn shape442() -> TopologySpec {
+        TopologySpec::torus3(4, 2, 2).unwrap()
     }
 
     #[test]
@@ -2122,7 +2120,7 @@ mod tests {
     #[test]
     fn recorded_link_spans_reconcile_with_the_network_meter() {
         let params = NetworkParams::paper_default();
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape442());
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape442());
         let weights = CollectiveExecutor::phase_weights(&plan, &params);
         let mut ex = CollectiveExecutor::new(
             shape442(),
@@ -2198,7 +2196,7 @@ mod tests {
         // The old per-destination `payload / n` chunking silently dropped
         // up to n-1 remainder bytes per collective.
         for (l, v, hh) in [(2, 1, 1), (4, 2, 2), (4, 4, 4)] {
-            let shape = TorusShape::new(l, v, hh).unwrap();
+            let shape = TopologySpec::torus3(l, v, hh).unwrap();
             for payload in [1u64, 7, 1000, 64 * 1024 + 13, (1 << 20) + 1] {
                 let mut ex = executor(SystemConfig::Ideal, shape);
                 let h = ex.issue(CollectiveOp::AllToAll, payload, SimTime::ZERO);

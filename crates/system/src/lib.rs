@@ -23,13 +23,13 @@
 //! # Example
 //!
 //! ```
-//! use ace_net::TorusShape;
+//! use ace_net::TopologySpec;
 //! use ace_system::{training_program, SystemConfig, TrainSpec};
 //! use ace_workloads::Workload;
 //!
 //! let config = SystemConfig::Ace;
 //! let program = training_program(config, &Workload::resnet50(), 2, false);
-//! let report = TrainSpec::new(config, program, TorusShape::new(4, 2, 2).unwrap())
+//! let report = TrainSpec::new(config, program, TopologySpec::torus3(4, 2, 2).unwrap())
 //!     .run()
 //!     .unwrap();
 //! assert!(report.iteration_time_us() > 0.0);

@@ -138,13 +138,13 @@ impl RunSpec {
     /// A run of `op` with per-node `payload_bytes` on `topology` using
     /// `engine`, under default options on a pristine fabric.
     pub fn new(
-        topology: impl Into<TopologySpec>,
+        topology: TopologySpec,
         engine: EngineKind,
         op: CollectiveOp,
         payload_bytes: u64,
     ) -> RunSpec {
         RunSpec {
-            topology: topology.into(),
+            topology,
             engine,
             op,
             payload_bytes,
@@ -330,15 +330,11 @@ impl TrainSpec {
     /// A run of `program` on `topology` under `config`, with the paper's
     /// NPU/network parameters, default options, a pristine fabric, and
     /// no tracer.
-    pub fn new(
-        config: SystemConfig,
-        program: Program,
-        topology: impl Into<TopologySpec>,
-    ) -> TrainSpec {
+    pub fn new(config: SystemConfig, program: Program, topology: TopologySpec) -> TrainSpec {
         TrainSpec {
             config,
             program,
-            topology: topology.into(),
+            topology,
             npu: NpuParams::paper_default(),
             net_params: NetworkParams::paper_default(),
             options: ExecutorOptions::default(),

@@ -481,14 +481,14 @@ impl<T: Tracer> TrainingSim<T> {
 mod tests {
     use super::*;
     use crate::{training_program, TrainSpec};
-    use ace_net::TorusShape;
+    use ace_net::TopologySpec;
     use ace_workloads::{Layer, LayerComm, LoweringOptions, TaskRole, Workload};
 
     /// Builds the simulator for `workload` lowered under `config`.
     fn sim(
         config: SystemConfig,
         workload: Workload,
-        shape: TorusShape,
+        shape: TopologySpec,
         iterations: u32,
         optimized_embedding: bool,
     ) -> TrainingSim {
@@ -516,7 +516,7 @@ mod tests {
 
     #[test]
     fn ace_busy_split_is_exact() {
-        let shape = TorusShape::new(4, 2, 2).unwrap();
+        let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         let config = SystemConfig::Ace;
         let report = sim(config, two_kernel_workload(), shape, 1, false).run();
 
@@ -549,7 +549,7 @@ mod tests {
 
     #[test]
     fn non_ace_configs_report_no_busy_counter() {
-        let shape = TorusShape::new(2, 1, 1).unwrap();
+        let shape = TopologySpec::torus3(2, 1, 1).unwrap();
         let report = sim(
             SystemConfig::BaselineCommOpt,
             two_kernel_workload(),
@@ -569,7 +569,7 @@ mod tests {
         // The timeline only advances through kernels (compute) and waits
         // (exposed), so the identity holds exactly for any program.
         for config in SystemConfig::ALL {
-            let shape = TorusShape::new(2, 2, 1).unwrap();
+            let shape = TopologySpec::torus3(2, 2, 1).unwrap();
             let report = sim(config, two_kernel_workload(), shape, 2, false).run();
             assert_eq!(
                 report.total_cycles(),
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn attribution_conserves_for_training_runs() {
         for config in SystemConfig::ALL {
-            let shape = TorusShape::new(2, 2, 1).unwrap();
+            let shape = TopologySpec::torus3(2, 2, 1).unwrap();
             let report = sim(config, two_kernel_workload(), shape, 2, false).run();
             let a = report.attribution();
             assert!(a.conserves(), "{config}: {a:?}");
@@ -599,7 +599,7 @@ mod tests {
             overlap: SystemConfig::Ace.overlaps(),
         };
         let program = Program::lower(&w, w.parallelism(), &opts);
-        let shape = TorusShape::new(2, 2, 1).unwrap();
+        let shape = TopologySpec::torus3(2, 2, 1).unwrap();
         let (report, tr) = TrainSpec::new(SystemConfig::Ace, program, shape)
             .tracer(ace_trace::RecordingTracer::new())
             .build()
@@ -628,7 +628,7 @@ mod tests {
         let _sync = p.add_barrier(TaskPhase::Backward, 0, vec![ar]);
         let _ = c2;
         p.validate().unwrap();
-        let shape = TorusShape::new(2, 2, 1).unwrap();
+        let shape = TopologySpec::torus3(2, 2, 1).unwrap();
         let report = TrainSpec::new(SystemConfig::Ace, p, shape).run().unwrap();
         assert_eq!(report.workload(), "hand-rolled");
         assert!(report.total_cycles() > 0);
@@ -643,7 +643,7 @@ mod tests {
         // Tensor-parallel collectives sit on the critical path in both
         // passes, so their exposed share must exceed data parallelism's
         // on the same layer table.
-        let shape = TorusShape::new(4, 2, 2).unwrap();
+        let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         let w = Workload::transformer_lm();
         let data = sim(SystemConfig::Ace, w.clone(), shape, 2, false).run();
         let model = sim(
@@ -718,7 +718,7 @@ mod tests {
 
     #[test]
     fn lowered_program_is_visible_and_tagged() {
-        let shape = TorusShape::new(2, 1, 1).unwrap();
+        let shape = TopologySpec::torus3(2, 1, 1).unwrap();
         let dlrm = sim(SystemConfig::Ace, Workload::dlrm(2), shape, 2, true);
         let p = dlrm.program();
         p.validate().unwrap();

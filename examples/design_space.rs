@@ -7,12 +7,12 @@
 
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::engine::{synthesis, AceConfig};
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::system::{EngineKind, RunSpec};
 
 fn main() {
-    let shape = TorusShape::new(4, 2, 2).expect("a valid shape");
-    let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+    let shape = TopologySpec::torus3(4, 2, 2).expect("a valid shape");
+    let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
     println!("plan: {plan}\n");
 
     println!(

@@ -6,7 +6,7 @@
 //! cargo run --release --example dlrm_hybrid_parallel
 //! ```
 
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::system::{training_program, SystemConfig, TrainSpec};
 use ace_platform::workloads::Workload;
 
@@ -26,7 +26,7 @@ fn main() {
         "{:>10} {:>10} | {:>12} | {:>12} | {:>12}",
         "config", "loop", "compute us", "exposed us", "total us"
     );
-    let shape = TorusShape::new(4, 4, 4).expect("a valid shape");
+    let shape = TopologySpec::torus3(4, 4, 4).expect("a valid shape");
     for config in [SystemConfig::BaselineCompOpt, SystemConfig::Ace] {
         for optimized in [false, true] {
             let program = training_program(config, &workload, 2, optimized);

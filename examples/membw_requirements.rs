@@ -6,14 +6,14 @@
 //! ```
 
 use ace_platform::collectives::{traffic, CollectiveOp, CollectivePlan};
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 
 fn main() {
     let payload: u64 = 64 << 20;
 
     for (l, v, h) in [(4, 2, 2), (4, 4, 4), (4, 8, 4)] {
-        let shape = TorusShape::new(l, v, h).expect("a valid shape");
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+        let shape = TopologySpec::torus3(l, v, h).expect("a valid shape");
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
         println!("== {} NPUs: {plan}", shape.nodes());
 
         // How much does each node send for a 64 MB gradient payload?

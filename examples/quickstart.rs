@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::system::{training_program, SystemConfig, TrainSpec};
 use ace_platform::workloads::Workload;
 
@@ -17,7 +17,7 @@ fn main() {
         "config", "compute us", "exposed us", "total us", "speedup"
     );
 
-    let shape = TorusShape::new(4, 2, 2).expect("a valid shape");
+    let shape = TopologySpec::torus3(4, 2, 2).expect("a valid shape");
     let reports: Vec<_> = SystemConfig::ALL
         .iter()
         .map(|&config| {

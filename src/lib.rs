@@ -41,14 +41,14 @@
 //! # Quickstart
 //!
 //! ```
-//! use ace_platform::net::TorusShape;
+//! use ace_platform::net::TopologySpec;
 //! use ace_platform::system::{training_program, SystemConfig, TrainSpec};
 //! use ace_platform::workloads::Workload;
 //!
 //! // Simulate 2 training iterations of ResNet-50 on a 16-NPU (4x2x2) torus.
 //! let config = SystemConfig::Ace;
 //! let program = training_program(config, &Workload::resnet50(), 2, false);
-//! let report = TrainSpec::new(config, program, TorusShape::new(4, 2, 2).unwrap())
+//! let report = TrainSpec::new(config, program, TopologySpec::torus3(4, 2, 2).unwrap())
 //!     .run()
 //!     .expect("pristine run");
 //! assert!(report.iteration_time_us() > 0.0);

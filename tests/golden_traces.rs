@@ -19,7 +19,7 @@
 
 use std::path::PathBuf;
 
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::sweep::{
     report, run_scenario, BaselineSpec, EngineFamily, EngineSpec, RunnerOptions, Scenario,
 };
@@ -69,15 +69,15 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-fn torus(l: usize, v: usize, h: usize) -> TorusShape {
-    TorusShape::new(l, v, h).expect("valid shape")
+fn torus(l: usize, v: usize, h: usize) -> TopologySpec {
+    TopologySpec::torus3(l, v, h).expect("valid shape")
 }
 
 /// Fig. 5 (smoke): achieved bandwidth vs. communication memory
 /// bandwidth, all three engine families on the 16-NPU torus.
 fn fig05_smoke() -> Scenario {
     let mut sc = Scenario::collective("fig05-smoke");
-    sc.topologies = vec![torus(4, 2, 2).into()];
+    sc.topologies = vec![torus(4, 2, 2)];
     sc.engines = vec![
         EngineFamily::Ideal,
         EngineFamily::Baseline,
@@ -93,7 +93,7 @@ fn fig05_smoke() -> Scenario {
 /// Fig. 6 (smoke): achieved bandwidth vs. SMs loaned to communication.
 fn fig06_smoke() -> Scenario {
     let mut sc = Scenario::collective("fig06-smoke");
-    sc.topologies = vec![torus(4, 2, 2).into()];
+    sc.topologies = vec![torus(4, 2, 2)];
     sc.engines = vec![EngineFamily::Ideal, EngineFamily::Baseline];
     sc.payload_bytes = vec![PAYLOAD];
     sc.mem_gbps = vec![900.0];
@@ -106,7 +106,7 @@ fn fig06_smoke() -> Scenario {
 /// the paper's chosen 4 MB / 16 FSM point.
 fn fig09a_smoke() -> Scenario {
     let mut sc = Scenario::collective("fig09a-smoke");
-    sc.topologies = vec![torus(4, 2, 2).into()];
+    sc.topologies = vec![torus(4, 2, 2)];
     sc.engines = vec![EngineFamily::Ace];
     sc.payload_bytes = vec![PAYLOAD];
     sc.mem_gbps = vec![128.0];

@@ -3,7 +3,7 @@
 //! workload.
 
 use ace_platform::collectives::CollectiveOp;
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::system::{
     training_program, CollectiveRunReport, EngineKind, IterationReport, RunSpec, SystemConfig,
     TrainSpec,
@@ -13,7 +13,7 @@ use ace_platform::workloads::Workload;
 /// All collectives here run on pristine fabrics, where [`RunSpec::run`]
 /// cannot fail.
 fn run_collective(
-    shape: TorusShape,
+    shape: TopologySpec,
     kind: EngineKind,
     op: CollectiveOp,
     payload_bytes: u64,
@@ -26,7 +26,7 @@ fn run_collective(
 #[test]
 fn two_node_torus_all_reduce_works() {
     // The minimum platform: two NPUs on one ring.
-    let shape = TorusShape::new(2, 1, 1).expect("valid shape");
+    let shape = TopologySpec::torus3(2, 1, 1).expect("valid shape");
     for kind in [
         EngineKind::Ideal,
         EngineKind::Ace {
@@ -48,13 +48,13 @@ fn single_package_ring_uses_only_intra_links() {
     // 8 NPUs on one package: only the fast 200 GB/s links exist, so
     // throughput should far exceed the inter-package-limited tori.
     let flat = run_collective(
-        TorusShape::new(8, 1, 1).expect("valid shape"),
+        TopologySpec::torus3(8, 1, 1).expect("valid shape"),
         EngineKind::Ideal,
         CollectiveOp::AllReduce,
         16 << 20,
     );
     let torus = run_collective(
-        TorusShape::new(4, 2, 2).expect("valid shape"),
+        TopologySpec::torus3(4, 2, 2).expect("valid shape"),
         EngineKind::Ideal,
         CollectiveOp::AllReduce,
         16 << 20,
@@ -71,7 +71,7 @@ fn single_package_ring_uses_only_intra_links() {
 fn all_to_all_scales_with_node_count() {
     // Direct all-to-all crosses more links and hops on larger tori.
     let small = run_collective(
-        TorusShape::new(4, 2, 2).expect("valid shape"),
+        TopologySpec::torus3(4, 2, 2).expect("valid shape"),
         EngineKind::Ace {
             dma_mem_gbps: 128.0,
         },
@@ -79,7 +79,7 @@ fn all_to_all_scales_with_node_count() {
         4 << 20,
     );
     let large = run_collective(
-        TorusShape::new(4, 4, 4).expect("valid shape"),
+        TopologySpec::torus3(4, 4, 4).expect("valid shape"),
         EngineKind::Ace {
             dma_mem_gbps: 128.0,
         },
@@ -103,7 +103,7 @@ fn achieved_bandwidth_is_within_physical_limits() {
         },
     ] {
         let r = run_collective(
-            TorusShape::new(4, 2, 2).expect("valid shape"),
+            TopologySpec::torus3(4, 2, 2).expect("valid shape"),
             kind,
             CollectiveOp::AllReduce,
             32 << 20,
@@ -119,7 +119,7 @@ fn achieved_bandwidth_is_within_physical_limits() {
 /// `iterations` of `workload` on the 16-NPU torus, pristine fabric.
 fn train(config: SystemConfig, workload: &Workload, iterations: u32) -> IterationReport {
     let program = training_program(config, workload, iterations, false);
-    TrainSpec::new(config, program, TorusShape::new(4, 2, 2).unwrap())
+    TrainSpec::new(config, program, TopologySpec::torus3(4, 2, 2).unwrap())
         .run()
         .expect("pristine run cannot fail")
 }

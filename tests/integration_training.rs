@@ -3,7 +3,7 @@
 //! collectives → net/mem/compute → simcore) and checking the paper's
 //! qualitative results hold end to end.
 
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::system::{training_program, IterationReport, SystemConfig, TrainSpec};
 use ace_platform::workloads::Workload;
 
@@ -15,7 +15,7 @@ fn run_loop(
     optimized_embedding: bool,
 ) -> IterationReport {
     let program = training_program(config, &workload, 2, optimized_embedding);
-    TrainSpec::new(config, program, TorusShape::new(l, v, h).unwrap())
+    TrainSpec::new(config, program, TopologySpec::torus3(l, v, h).unwrap())
         .run()
         .expect("pristine run cannot fail")
 }

@@ -15,7 +15,7 @@
 
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::compute::KernelDesc;
-use ace_platform::net::TorusShape;
+use ace_platform::net::TopologySpec;
 use ace_platform::system::{training_program, IterationReport, SystemConfig, TrainSpec};
 use ace_platform::workloads::{
     Layer, LayerComm, LoweringOptions, Parallelism, Program, TaskKind, Workload,
@@ -188,7 +188,7 @@ fn lowered_collective_bytes_match_workload_totals() {
 fn train(
     config: SystemConfig,
     w: &Workload,
-    shape: TorusShape,
+    shape: TopologySpec,
     iterations: u32,
     optimized_embedding: bool,
 ) -> IterationReport {
@@ -203,7 +203,7 @@ fn exposed_comm_is_exactly_the_scheduler_stall() {
     // total = compute + exposed holds as an exact integer identity for
     // every configuration and strategy: the timeline only advances
     // through kernels and stalls.
-    let shape = TorusShape::new(2, 2, 1).unwrap();
+    let shape = TopologySpec::torus3(2, 2, 1).unwrap();
     let mut rng = Rng::new(0xace5);
     for config in SystemConfig::ALL {
         for _ in 0..8 {
@@ -226,7 +226,7 @@ fn exposed_comm_is_exactly_the_scheduler_stall() {
 
 #[test]
 fn model_parallelism_runs_every_builtin_end_to_end() {
-    let shape = TorusShape::new(2, 2, 1).unwrap();
+    let shape = TopologySpec::torus3(2, 2, 1).unwrap();
     for w in [
         Workload::resnet50(),
         Workload::gnmt(),
@@ -257,7 +257,7 @@ fn custom_kernels_with_zero_cost_do_not_wedge_the_scheduler() {
     );
     let ar = p.add_collective(CollectiveOp::AllReduce, 0, TaskPhase::Backward, 0, vec![k0]);
     p.add_barrier(TaskPhase::Backward, 0, vec![ar]);
-    let report = TrainSpec::new(SystemConfig::Ace, p, TorusShape::new(2, 1, 1).unwrap())
+    let report = TrainSpec::new(SystemConfig::Ace, p, TopologySpec::torus3(2, 1, 1).unwrap())
         .run()
         .unwrap();
     assert_eq!(

@@ -4,16 +4,16 @@
 //! of `proptest` the cases are generated by a tiny deterministic
 //! splitmix64 generator: same invariants, reproducible inputs.
 
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 
 use ace_platform::collectives::{split_even, traffic, CollectiveOp, CollectivePlan, Granularity};
-use ace_platform::net::{NodeId, TopologySpec, TorusShape};
+use ace_platform::net::{NodeId, Port, Topology, TopologySpec, Torus};
 use ace_platform::simcore::{BandwidthServer, SimTime, SlotServer};
 use ace_platform::system::{CollectiveRunReport, EngineKind, RunSpec};
 
 /// Pristine-fabric collective run; [`RunSpec::run`] cannot fail here.
 fn run_pristine(
-    topology: impl Into<ace_platform::net::TopologySpec>,
+    topology: TopologySpec,
     engine: EngineKind,
     op: CollectiveOp,
     payload_bytes: u64,
@@ -89,45 +89,78 @@ fn split_even_invariants() {
     }
 }
 
-#[test]
-fn torus_coord_roundtrip() {
-    let mut rng = Rng::new(0xace3);
-    for _ in 0..64 {
-        let (l, v, h) = (rng.urange(1, 9), rng.urange(1, 9), rng.urange(1, 9));
-        if l * v * h < 2 {
-            continue;
-        }
-        let shape = TorusShape::new(l, v, h).unwrap();
-        for node in shape.iter_nodes() {
-            assert_eq!(shape.node_at(shape.coord(node)), node);
+/// Hop distances from `src` over the fabric's point-to-point links.
+fn bfs_hops(topo: &dyn Topology, src: NodeId) -> Vec<usize> {
+    let mut dist = vec![usize::MAX; topo.nodes()];
+    dist[src.0] = 0;
+    let mut frontier = VecDeque::from([src]);
+    while let Some(node) = frontier.pop_front() {
+        for p in 0..topo.ports_per_node() {
+            if let Some(peer) = topo.link_peer(node, Port::from_index(p)) {
+                if dist[peer.0] == usize::MAX {
+                    dist[peer.0] = dist[node.0] + 1;
+                    frontier.push_back(peer);
+                }
+            }
         }
     }
+    dist
 }
 
 #[test]
 fn xyz_routes_are_valid() {
+    // The torus router on 1- to 6-dimension tori: every hop crosses a
+    // real link, dimensions come in order, each dimension goes one way
+    // round (a half-ring tie goes positive), and the route is a shortest
+    // path over the links.
     let mut rng = Rng::new(0xace4);
-    for _ in 0..64 {
-        let (l, v, h) = (rng.urange(1, 6), rng.urange(1, 6), rng.urange(1, 6));
-        if l * v * h < 2 {
-            continue;
-        }
-        let shape = TorusShape::new(l, v, h).unwrap();
-        let src = NodeId(rng.urange(0, 1000) % shape.nodes());
-        let dst = NodeId(rng.urange(0, 1000) % shape.nodes());
-        let route = shape.route(src, dst);
-        if src == dst {
-            assert!(route.is_empty());
-        } else {
-            assert_eq!(route.last().unwrap().to, dst);
-            let mut cur = src;
-            for hop in &route {
-                assert_eq!(hop.from, cur);
-                cur = hop.to;
+    for _ in 0..32 {
+        let spec = loop {
+            let nd = rng.urange(1, 7);
+            let lens: Vec<usize> = (0..nd).map(|_| rng.urange(1, 7)).collect();
+            match TopologySpec::torus(&lens) {
+                Ok(s) if s.nodes() <= 1024 => break s,
+                _ => {}
             }
-            // Route length never exceeds the sum of half-ring distances.
-            let bound = l / 2 + v / 2 + h / 2;
-            assert!(route.len() <= bound.max(1));
+        };
+        let torus = Torus::new(spec);
+        let dims = torus.dims();
+        let dim_of = |port: Port| {
+            dims.iter()
+                .position(|d| d.port_plus == port || d.port_minus == port)
+                .expect("a torus port belongs to a dimension")
+        };
+        for _ in 0..3 {
+            let src = NodeId(rng.urange(0, torus.nodes()));
+            let hops = bfs_hops(&torus, src);
+            for dst in (0..torus.nodes()).map(NodeId) {
+                let route = torus.route(src, dst);
+                assert_eq!(
+                    route.len(),
+                    hops[dst.0],
+                    "{spec}: {src} -> {dst} is not shortest"
+                );
+                let mut cur = src;
+                for hop in &route {
+                    assert_eq!(hop.from, cur, "{spec}: disconnected route");
+                    assert_eq!(torus.link_peer(hop.from, hop.port), Some(hop.to), "{spec}");
+                    cur = hop.to;
+                }
+                assert_eq!(cur, dst, "{spec}: route ends off target");
+                for w in route.windows(2) {
+                    let (a, b) = (dim_of(w[0].port), dim_of(w[1].port));
+                    assert!(a <= b, "{spec}: {src} -> {dst} visits dim {b} before {a}");
+                    if a == b {
+                        assert_eq!(w[0].port, w[1].port, "{spec}: dim {a} turns round");
+                    }
+                }
+                for (d, info) in dims.iter().enumerate() {
+                    let used: Vec<_> = route.iter().filter(|h| dim_of(h.port) == d).collect();
+                    if 2 * used.len() == info.len {
+                        assert_eq!(used[0].port, info.port_plus, "{spec}: tie in dim {d}");
+                    }
+                }
+            }
         }
     }
 }
@@ -140,8 +173,8 @@ fn all_reduce_plan_conserves_data() {
         if l * v * h < 2 {
             continue;
         }
-        let shape = TorusShape::new(l, v, h).unwrap();
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+        let shape = TopologySpec::torus3(l, v, h).unwrap();
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
         // Following fractions through every phase ends at 1.0.
         let mut frac: f64 = 1.0;
         for p in plan.phases() {
@@ -167,8 +200,8 @@ fn baseline_traffic_dominates_ace() {
     for _ in 0..64 {
         let (l, v, h) = (rng.urange(2, 6), rng.urange(1, 6), rng.urange(1, 6));
         let payload = rng.range(1, 64 << 20);
-        let shape = TorusShape::new(l, v, h).unwrap();
-        let plan = CollectivePlan::for_op(CollectiveOp::AllReduce, shape);
+        let shape = TopologySpec::torus3(l, v, h).unwrap();
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
         let base = traffic::baseline_traffic(&plan, payload);
         let ace = traffic::ace_traffic(payload);
         assert!(base.total() >= ace.total() * 0.99);
@@ -235,7 +268,7 @@ fn collectives_complete_and_ideal_wins() {
     for _ in 0..8 {
         let (l, v, h) = (rng.urange(2, 5), rng.urange(1, 3), rng.urange(1, 3));
         let payload = rng.range(64, 2048) * 1024;
-        let shape = TorusShape::new(l, v, h).unwrap();
+        let shape = TopologySpec::torus3(l, v, h).unwrap();
         let ideal = run_pristine(shape, EngineKind::Ideal, CollectiveOp::AllReduce, payload);
         let ace = run_pristine(
             shape,
