@@ -164,6 +164,23 @@ mod tests {
     use ace_simcore::npu_frequency;
 
     #[test]
+    fn link_class_by_dimension() {
+        // A torus's dimension 0 is the intra-package ring; every further
+        // dimension rides inter-package links.
+        use crate::{Topology, TopologySpec, Torus};
+        let torus = Torus::new(TopologySpec::torus3(4, 2, 2).unwrap());
+        let classes: Vec<LinkClass> = torus.dims().iter().map(|d| d.class).collect();
+        assert_eq!(
+            classes,
+            [
+                LinkClass::IntraPackage,
+                LinkClass::InterPackage,
+                LinkClass::InterPackage
+            ]
+        );
+    }
+
+    #[test]
     fn paper_params_match_table_v() {
         let intra = LinkParams::paper_default(LinkClass::IntraPackage);
         assert_eq!(intra.bandwidth_gbps, 200.0);

@@ -1068,18 +1068,6 @@ mod tests {
     fn invalid_specs_are_rejected() {
         assert!("0x2x2".parse::<TopologySpec>().is_err());
         assert!("1x1x1".parse::<TopologySpec>().is_err());
-        assert_eq!(
-            TopologySpec::torus3(0, 2, 2).unwrap_err(),
-            ShapeError::ZeroDimension
-        );
-        assert_eq!(
-            TopologySpec::torus3(1, 1, 1).unwrap_err(),
-            ShapeError::TooSmall
-        );
-        assert_eq!(
-            TopologySpec::torus3(1, 1, 1).unwrap_err().to_string(),
-            "torus must contain at least two nodes"
-        );
         assert!("2x2x2x2x2x2x2".parse::<TopologySpec>().is_err());
         // A node-count overflow is rejected at spec construction, never
         // wrapped later.
@@ -1112,16 +1100,6 @@ mod tests {
                 assert_eq!(torus.link_peer(node, info.port_minus), want_minus);
             }
         }
-        // Rings wrap around, and dimension d strides by the product of
-        // the lengths before it.
-        let t422 = Torus::new(TopologySpec::torus3(4, 2, 2).unwrap());
-        let peer = |t: &Torus, n: usize, p: usize| t.link_peer(NodeId(n), Port::from_index(p));
-        assert_eq!(peer(&t422, 0, 0), Some(NodeId(1)));
-        assert_eq!(peer(&t422, 0, 1), Some(NodeId(3)));
-        assert_eq!(peer(&t422, 3, 0), Some(NodeId(0)));
-        let t444 = Torus::new(TopologySpec::torus3(4, 4, 4).unwrap());
-        assert_eq!(peer(&t444, 0, 2), Some(NodeId(4)));
-        assert_eq!(peer(&t444, 0, 4), Some(NodeId(16)));
         // Switch: the uplink fans out across the crossbar — no peer.
         let switch = "switch:8".parse::<TopologySpec>().unwrap().build();
         assert_eq!(switch.link_peer(NodeId(3), Port::from_index(0)), None);
@@ -1137,6 +1115,64 @@ mod tests {
             hier.link_peer(NodeId(1), Port::from_index(2)),
             Some(hier.neighbor(NodeId(1), ring_dim, false))
         );
+    }
+
+    #[test]
+    fn torus_matches_torus_shape() {
+        // The generalized torus must agree, on every query the executor
+        // makes, with the paper's `LxVxH` shape written out by hand:
+        // node `l + L*(v + V*h)`, rings that wrap, and XYZ routes that go
+        // the shorter way round each ring with ties to the plus port.
+        let lens = [4, 3, 2];
+        let topo = Torus::new(TopologySpec::torus3(lens[0], lens[1], lens[2]).unwrap());
+        let id = |c: [usize; 3]| NodeId(c[0] + lens[0] * (c[1] + lens[1] * c[2]));
+        let coord = |n: NodeId| [n.0 % 4, n.0 / 4 % 3, n.0 / 12];
+        let step = |c: [usize; 3], d: usize, plus: bool| {
+            let mut next = c;
+            next[d] = (c[d] + if plus { 1 } else { lens[d] - 1 }) % lens[d];
+            next
+        };
+        assert_eq!(topo.nodes(), 24);
+        assert_eq!(topo.total_links(), 6 * 24);
+        for node in (0..24).map(NodeId) {
+            let c = coord(node);
+            for (d, &n) in lens.iter().enumerate() {
+                for plus in [true, false] {
+                    assert_eq!(
+                        topo.neighbor(node, d, plus),
+                        id(step(c, d, plus)),
+                        "neighbor({node}, {d}, {plus})"
+                    );
+                }
+                let ring: Vec<NodeId> = (0..n)
+                    .scan(c, |cur, _| {
+                        let here = *cur;
+                        *cur = step(here, d, true);
+                        Some(id(here))
+                    })
+                    .collect();
+                assert_eq!(topo.ring_members(node, d), ring);
+            }
+            for dst in (0..24).map(NodeId) {
+                let target = coord(dst);
+                let mut want = Vec::new();
+                let mut cur = c;
+                for (d, &n) in lens.iter().enumerate() {
+                    let fwd = (target[d] + n - cur[d]) % n;
+                    let plus = fwd <= n - fwd;
+                    while cur[d] != target[d] {
+                        let next = step(cur, d, plus);
+                        want.push(Hop {
+                            from: id(cur),
+                            port: Port::from_index(2 * d + usize::from(!plus)),
+                            to: id(next),
+                        });
+                        cur = next;
+                    }
+                }
+                assert_eq!(topo.route(node, dst), want, "route({node}, {dst})");
+            }
+        }
     }
 
     #[test]
@@ -1157,28 +1193,6 @@ mod tests {
             Some(LinkClass::InterPackage)
         );
         assert_eq!(topo.global_port_profile(), (2, 4));
-        // Every live port is one directed link per node; a ring of two
-        // still has distinct plus and minus links (Table V's "2
-        // intra-package links").
-        assert_eq!(topo.total_links(), 4 * 8);
-        let t422 = Torus::new(TopologySpec::torus3(4, 2, 2).unwrap());
-        assert_eq!(t422.total_links(), 6 * 16);
-        let flat = Torus::new(TopologySpec::torus3(4, 1, 1).unwrap());
-        assert_eq!(flat.total_links(), 2 * 4);
-        // A ring holds its dimension's members, stepping by the stride.
-        let t484 = Torus::new(TopologySpec::torus3(4, 8, 4).unwrap());
-        let ring: Vec<usize> = t484
-            .ring_members(NodeId(0), 1)
-            .iter()
-            .map(|n| n.0)
-            .collect();
-        assert_eq!(ring, (0..8).map(|v| 4 * v).collect::<Vec<_>>());
-        // Routes go the shorter way round: 0 -> 6 on an 8-ring is two
-        // hops out of the minus port, not six out of the plus port.
-        let ring8 = Torus::new(TopologySpec::torus(&[8]).unwrap());
-        let route = ring8.route(NodeId(0), NodeId(6));
-        assert_eq!(route.len(), 2);
-        assert!(route.iter().all(|h| h.port == ring8.dims()[0].port_minus));
     }
 
     #[test]

@@ -89,6 +89,32 @@ fn split_even_invariants() {
     }
 }
 
+#[test]
+fn torus_coord_roundtrip() {
+    // Node ids are dimension-0-major coordinates: taking `c_d` plus steps
+    // along every dimension `d` from node 0 lands on `c0 + L0*(c1 + ...)`.
+    let mut rng = Rng::new(0xace3);
+    for _ in 0..64 {
+        let nd = rng.urange(1, 7);
+        let lens: Vec<usize> = (0..nd).map(|_| rng.urange(1, 9)).collect();
+        let spec = match TopologySpec::torus(&lens) {
+            Ok(s) if s.nodes() <= 1024 => s,
+            _ => continue,
+        };
+        let torus = Torus::new(spec);
+        for node in (0..torus.nodes()).map(NodeId) {
+            let (mut rest, mut cur) = (node.0, NodeId(0));
+            for (d, &len) in lens.iter().enumerate() {
+                for _ in 0..rest % len {
+                    cur = torus.neighbor(cur, d, true);
+                }
+                rest /= len;
+            }
+            assert_eq!(cur, node, "{spec}");
+        }
+    }
+}
+
 /// Hop distances from `src` over the fabric's point-to-point links.
 fn bfs_hops(topo: &dyn Topology, src: NodeId) -> Vec<usize> {
     let mut dist = vec![usize::MAX; topo.nodes()];
