@@ -187,37 +187,6 @@ fn bench_scenario(scenario: &Scenario, runs: usize, threads: usize) -> BenchEntr
     }
 }
 
-/// Times warm resubmission through one resident runner — the `sweep
-/// serve` daemon's steady state. The first run fills the cache untimed;
-/// the reported entry is the minimum over `runs` fully-warm resubmits of
-/// the same grid (every cell a cache hit, results still assembled,
-/// summarized, and returned in grid order). Compare against the cold
-/// entry of the same scenario for the daemon's speedup.
-fn bench_scenario_warm(scenario: &Scenario, runs: usize, threads: usize) -> BenchEntry {
-    let opts = RunnerOptions {
-        threads,
-        ..Default::default()
-    };
-    let runner = SweepRunner::new();
-    runner.run(scenario, opts).expect("scenario is valid");
-    let mut best_ms = f64::INFINITY;
-    let mut points = 0;
-    for _ in 0..runs {
-        let start = Instant::now();
-        let outcome = runner.run(scenario, opts).expect("scenario is valid");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(outcome.executed, 0, "warm run must be all cache hits");
-        points = outcome.results.len();
-        best_ms = best_ms.min(ms);
-    }
-    BenchEntry {
-        scenario: format!("{}-serve-warm", scenario.name),
-        points,
-        wall_ms: best_ms,
-        points_per_sec: points as f64 / (best_ms / 1e3),
-    }
-}
-
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     let mode = if args.smoke {
@@ -267,22 +236,6 @@ fn run() -> Result<(), String> {
         if !args.quiet {
             println!(
                 "{:<28} {:>5} points  {:>10.1} ms  {:>9.3} points/sec",
-                entry.scenario, entry.points, entry.wall_ms, entry.points_per_sec
-            );
-        }
-        entries.push(entry);
-    }
-
-    // Full mode also reports the daemon's warm-resubmission throughput on
-    // the Fig. 9a grid (smoke skips it: the gate would be pure cache-hit
-    // noise on a millisecond denominator). The distinct `-serve-warm`
-    // name keeps the entry from ever matching a cold baseline in the
-    // regression gate.
-    if !args.smoke {
-        let entry = bench_scenario_warm(&scenarios[0], args.runs, args.threads);
-        if !args.quiet {
-            println!(
-                "{:<28} {:>5} points  {:>10.1} ms  {:>9.3} points/sec (warm resident cache)",
                 entry.scenario, entry.points, entry.wall_ms, entry.points_per_sec
             );
         }

@@ -1,9 +1,9 @@
 //! The unified design-space sweep driver.
 //!
 //! Loads a declarative TOML scenario (see `examples/scenarios/`), expands
-//! it into a cartesian grid, runs every point through the simulator on a
-//! parallel work-stealing executor, and emits a terminal table plus
-//! optional CSV/JSON reports.
+//! it into a cartesian grid, runs every point through the simulator on
+//! `--threads` worker threads, and emits a terminal table plus optional
+//! CSV/JSON reports.
 //!
 //! ```text
 //! sweep examples/scenarios/design_space.toml --csv out.csv --json out.json
@@ -12,26 +12,18 @@
 //! sweep scenario.toml --cache-file sweep.cache   # reuse results across processes
 //! ```
 //!
-//! Beyond one-shot runs, the binary hosts the resident sweep service:
-//!
-//! ```text
-//! sweep serve --journal sweep.journal &    # daemon on sweep.journal.sock
-//! sweep submit scenario.toml --csv out.csv # run through the warm daemon
-//! sweep ctl stats                          # cache occupancy
-//! sweep ctl shutdown                       # graceful stop
-//! ```
+//! With `--cache-file`, each freshly executed cell is appended to the file
+//! as it finishes, so a killed run's rerun simulates only the cells the
+//! file lacks; a finished run rewrites the file sorted.
 
-use std::io::{BufRead, BufReader, IsTerminal, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::io::{IsTerminal, Write};
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::Mutex;
 
 use ace_bench::{header, subheader};
-use ace_sweep::protocol::{self, Request, Value};
 use ace_sweep::{
-    persist, report, CacheFileLock, Fidelity, PointKind, Progress, RunPoint, RunnerOptions,
-    Scenario, ServiceOptions, SweepRunner, SweepService,
+    persist, report, CacheFileLock, Fidelity, Journal, PointKind, Progress, RunPoint,
+    RunnerOptions, Scenario, SweepRunner,
 };
 use ace_system::{training_program, SystemConfig, TrainSpec};
 use ace_trace::{chrome, RecordingTracer};
@@ -53,11 +45,6 @@ struct Args {
 const USAGE: &str = "usage: sweep <scenario.toml> [--threads N] [--csv PATH] [--json PATH] \
                      [--cache-file PATH] [--fidelity exact|analytic|hybrid] [--quiet]\n\
                      \x20      [--progress | --no-progress] [--trace PATH] [--attribution]\n\
-                     \x20      sweep serve [--socket PATH] [--journal PATH] [--threads N] \
-                     [--cache-file PATH] [--stdio]\n\
-                     \x20      sweep submit <scenario.toml> [--socket PATH] [--csv PATH] \
-                     [--threads N] [--fidelity F] [--inline]\n\
-                     \x20      sweep ctl <stats|shutdown> [--socket PATH]\n\
                      \n\
                      --threads runs N grid cells concurrently (0 = machine\n\
                      parallelism). Each cell is one single-threaded simulation, and\n\
@@ -80,14 +67,10 @@ const USAGE: &str = "usage: sweep <scenario.toml> [--threads N] [--csv PATH] [--
                      overrides the scenario. Cache files key rows by fidelity tier, so\n\
                      analytic estimates never alias exact results.\n\
                      \n\
-                     `serve` starts the resident daemon: scenarios submitted over the\n\
-                     unix socket (default `<journal>.sock`, else `ace-sweep.sock`)\n\
-                     reuse the warm in-memory cache, and with --journal every executed\n\
-                     cell is flushed to an append-only write-ahead log so a killed\n\
-                     daemon resumes mid-grid on restart. `submit` runs one scenario\n\
-                     through the daemon (byte-identical CSV to a one-shot run);\n\
-                     `ctl stats`/`ctl shutdown` query and stop it. See README\n\
-                     \"Sweep service\" for the protocol reference.\n\
+                     --cache-file loads earlier results from PATH (a missing file\n\
+                     starts empty), appends each freshly simulated cell to it as the\n\
+                     cell finishes, so a killed run's rerun simulates only the cells\n\
+                     the file lacks, and rewrites it sorted when the run ends.\n\
                      \n\
                      The scenario's `topologies` axis accepts tori (\"4x2x2\", \"4x8\"),\n\
                      switches (\"switch:16\", \"switch:16@100\"), and hierarchical fabrics\n\
@@ -280,7 +263,7 @@ fn progress_enabled(quiet: bool, flag: Option<bool>) -> bool {
     !quiet && flag.unwrap_or_else(|| std::io::stderr().is_terminal())
 }
 
-fn run_oneshot(args: Args) -> Result<(), String> {
+fn run(args: Args) -> Result<(), String> {
     // Relative `file:` workload references resolve against the scenario
     // file's directory, so scenarios ship next to the models they use.
     let mut scenario = Scenario::from_toml_path(&args.scenario_path).map_err(|e| e.to_string())?;
@@ -306,26 +289,37 @@ fn run_oneshot(args: Args) -> Result<(), String> {
     // A persistent cache makes repeated sweeps across processes reuse
     // results: a missing file starts empty, anything else must parse.
     // The lock file (held until the post-run save completes) keeps two
-    // concurrent processes from interleaving saves; saves themselves are
-    // atomic temp-file + rename.
-    let (_lock, runner) = match &args.cache_file {
+    // concurrent processes from interleaving writes. Opening the file for
+    // append first drops the torn row a killed run may have left; each
+    // freshly executed cell is then appended as it finishes, and the
+    // final save rewrites the file sorted (atomic temp-file + rename).
+    let (_lock, journal, runner) = match &args.cache_file {
         Some(path) => {
             let lock = CacheFileLock::acquire(path)?;
+            let journal = Journal::open(path)?;
             let cache = persist::load_cache(path)?;
             if !args.quiet && !cache.is_empty() {
                 println!("cache: {} points loaded from {path}", cache.len());
             }
-            (Some(lock), SweepRunner::with_cache(cache))
+            (Some(lock), Some(journal), SweepRunner::with_cache(cache))
         }
-        None => (None, SweepRunner::new()),
+        None => (None, None, SweepRunner::new()),
     };
+    let journal = Mutex::new(journal);
     // Progress defaults on only for interactive stderr; --quiet wins.
     let progress_on = progress_enabled(args.quiet, args.progress);
     let start = std::time::Instant::now();
-    let progress: &(dyn Fn(Progress) + Sync) = if progress_on {
-        &move |p| render_progress(start, p)
-    } else {
-        &|_| {}
+    let on_progress = |p: Progress| {
+        if let Some((tier, point, metrics)) = p.cell {
+            let mut journal = journal.lock().expect("cache-file appends do not panic");
+            if let Some(Err(e)) = journal.as_mut().map(|j| j.append_row(tier, point, metrics)) {
+                eprintln!("warning: {e}; the remaining cells are saved when the run ends");
+                *journal = None;
+            }
+        }
+        if progress_on {
+            render_progress(start, p);
+        }
     };
     let outcome = runner.run_with_progress(
         &scenario,
@@ -333,7 +327,7 @@ fn run_oneshot(args: Args) -> Result<(), String> {
             threads: args.threads,
             ..Default::default()
         },
-        progress,
+        &on_progress,
     )?;
     // An event scheduled in the past is clamped, not dropped — the run
     // finishes, but its timing is suspect. Surface it instead of burying
@@ -346,6 +340,7 @@ fn run_oneshot(args: Args) -> Result<(), String> {
         );
     }
     if let Some(path) = &args.cache_file {
+        drop(journal);
         persist::save_cache(runner.cache(), path)?;
         if !args.quiet {
             println!("cache: {} points saved to {path}", runner.cache().len());
@@ -429,414 +424,8 @@ fn run_oneshot(args: Args) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// `sweep serve` — the resident daemon.
-// ---------------------------------------------------------------------
-
-struct ServeArgs {
-    socket: Option<String>,
-    journal: Option<String>,
-    cache_file: Option<String>,
-    threads: usize,
-    stdio: bool,
-    quiet: bool,
-}
-
-fn parse_serve_args(mut argv: impl Iterator<Item = String>) -> Result<ServeArgs, String> {
-    let mut args = ServeArgs {
-        socket: None,
-        journal: None,
-        cache_file: None,
-        threads: 0,
-        stdio: false,
-        quiet: false,
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--socket" => args.socket = Some(argv.next().ok_or("--socket needs a path")?),
-            "--journal" => args.journal = Some(argv.next().ok_or("--journal needs a path")?),
-            "--cache-file" => {
-                args.cache_file = Some(argv.next().ok_or("--cache-file needs a path")?)
-            }
-            "--threads" => {
-                let v = argv.next().ok_or("--threads needs a value")?;
-                args.threads = v.parse().map_err(|_| format!("bad thread count '{v}'"))?;
-            }
-            "--stdio" => args.stdio = true,
-            "--quiet" => args.quiet = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown serve argument {other}\n{USAGE}")),
-        }
-    }
-    Ok(args)
-}
-
-/// The socket path convention: explicit `--socket` wins, else
-/// `<journal>.sock` next to the journal, else `ace-sweep.sock` in the
-/// working directory.
-fn default_socket(socket: &Option<String>, journal: &Option<String>) -> PathBuf {
-    if let Some(s) = socket {
-        return PathBuf::from(s);
-    }
-    match journal {
-        Some(j) => PathBuf::from(format!("{j}.sock")),
-        None => PathBuf::from("ace-sweep.sock"),
-    }
-}
-
-fn run_serve(args: ServeArgs) -> Result<(), String> {
-    let mut service = SweepService::open(ServiceOptions {
-        threads: args.threads,
-        journal: args.journal.as_ref().map(PathBuf::from),
-    })?;
-    if !args.quiet {
-        let (entries, _, _) = service.scheduler().cache().tier_counts();
-        if entries > 0 {
-            eprintln!("sweep serve: journal replayed {entries} cached cells");
-        }
-    }
-    // An optional cache file seeds the warm cache beyond the journal.
-    if let Some(path) = &args.cache_file {
-        let lock = CacheFileLock::acquire(path)?;
-        let seeded = persist::load_cache(path)?;
-        for (t, p, m) in seeded.entries() {
-            service.scheduler().cache().insert_tier(t, p, m);
-        }
-        drop(lock);
-    }
-    // Finish what a killed predecessor left mid-grid before accepting new
-    // work: replayed cells are cache hits, only the remainder executes.
-    for (name, result) in service.resume_pending(|_, _| {}) {
-        match result {
-            Ok(outcome) => eprintln!(
-                "sweep serve: resumed '{name}' ({} points, {} executed, {} cache hits)",
-                outcome.results.len(),
-                outcome.executed,
-                outcome.cache_hits
-            ),
-            Err(e) => eprintln!("sweep serve: resume of '{name}' failed: {e}"),
-        }
-    }
-    let service = Arc::new(service);
-    if args.stdio {
-        if !args.quiet {
-            eprintln!("sweep serve: speaking the protocol on stdin/stdout");
-        }
-        service.serve_stream(std::io::stdin().lock(), std::io::stdout().lock())?;
-    } else {
-        let socket = default_socket(&args.socket, &args.journal);
-        if !args.quiet {
-            eprintln!(
-                "sweep serve: listening on {} ({}; stop with `sweep ctl shutdown --socket {0}`)",
-                socket.display(),
-                args.journal
-                    .as_deref()
-                    .map(|j| format!("journal {j}"))
-                    .unwrap_or_else(|| "no journal".to_string()),
-            );
-        }
-        service.serve_socket(&socket)?;
-    }
-    // Persist the warm cache for later cold runs, if asked.
-    if let Some(path) = &args.cache_file {
-        let lock = CacheFileLock::acquire(path)?;
-        persist::save_cache(service.scheduler().cache(), path)?;
-        drop(lock);
-        if !args.quiet {
-            eprintln!(
-                "sweep serve: saved {} points to {path}",
-                service.scheduler().cache().len()
-            );
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// `sweep submit` — the daemon client.
-// ---------------------------------------------------------------------
-
-struct SubmitArgs {
-    scenario_path: String,
-    socket: Option<String>,
-    csv: Option<String>,
-    threads: Option<usize>,
-    fidelity: Option<Fidelity>,
-    inline: bool,
-    quiet: bool,
-    progress: Option<bool>,
-}
-
-fn parse_submit_args(mut argv: impl Iterator<Item = String>) -> Result<SubmitArgs, String> {
-    let mut scenario_path = None;
-    let mut args = SubmitArgs {
-        scenario_path: String::new(),
-        socket: None,
-        csv: None,
-        threads: None,
-        fidelity: None,
-        inline: false,
-        quiet: false,
-        progress: None,
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--socket" => args.socket = Some(argv.next().ok_or("--socket needs a path")?),
-            "--csv" => args.csv = Some(argv.next().ok_or("--csv needs a path")?),
-            "--threads" => {
-                let v = argv.next().ok_or("--threads needs a value")?;
-                args.threads = Some(v.parse().map_err(|_| format!("bad thread count '{v}'"))?);
-            }
-            "--fidelity" => {
-                let v = argv.next().ok_or("--fidelity needs a value")?;
-                args.fidelity = Some(v.parse::<Fidelity>()?);
-            }
-            "--inline" => args.inline = true,
-            "--quiet" => args.quiet = true,
-            "--progress" => args.progress = Some(true),
-            "--no-progress" => args.progress = Some(false),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other if other.starts_with('-') => {
-                return Err(format!("unknown submit argument {other}\n{USAGE}"))
-            }
-            other => {
-                if scenario_path.replace(other.to_string()).is_some() {
-                    return Err(format!("multiple scenario files given\n{USAGE}"));
-                }
-            }
-        }
-    }
-    args.scenario_path = scenario_path.ok_or(format!("submit needs a scenario file\n{USAGE}"))?;
-    Ok(args)
-}
-
-fn connect(socket: &Option<String>) -> Result<UnixStream, String> {
-    let path = default_socket(socket, &None);
-    UnixStream::connect(&path).map_err(|e| {
-        format!(
-            "cannot connect to sweep daemon at {}: {e} (start one with `sweep serve`)",
-            path.display()
-        )
-    })
-}
-
-fn run_submit(args: SubmitArgs) -> Result<(), String> {
-    let stream = connect(&args.socket)?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
-
-    // By default the daemon reads the scenario by (absolute) path, so
-    // relative `file:` workload references resolve exactly as in a
-    // one-shot run; --inline ships the TOML text over the wire instead
-    // (with the scenario's directory as the resolution base).
-    let request = if args.inline {
-        let toml = std::fs::read_to_string(&args.scenario_path)
-            .map_err(|e| format!("cannot read scenario {}: {e}", args.scenario_path))?;
-        let base = Path::new(&args.scenario_path)
-            .canonicalize()
-            .ok()
-            .and_then(|p| p.parent().map(|d| d.to_string_lossy().into_owned()));
-        Request::Submit {
-            toml: Some(toml),
-            path: None,
-            base,
-            threads: args.threads,
-            fidelity: args.fidelity,
-        }
-    } else {
-        let path = Path::new(&args.scenario_path)
-            .canonicalize()
-            .map_err(|e| format!("cannot resolve scenario {}: {e}", args.scenario_path))?;
-        Request::Submit {
-            toml: None,
-            path: Some(path.to_string_lossy().into_owned()),
-            base: None,
-            threads: args.threads,
-            fidelity: args.fidelity,
-        }
-    };
-    writeln!(writer, "{}", protocol::request_line(&request))
-        .map_err(|e| format!("cannot send request: {e}"))?;
-
-    let progress_on = progress_enabled(args.quiet, args.progress);
-    let start = std::time::Instant::now();
-    let mut cached = 0usize;
-    let mut total = 0usize;
-    let mut csv: Option<String> = None;
-    for line in BufReader::new(stream).lines() {
-        let line = line.map_err(|e| format!("daemon connection lost: {e}"))?;
-        let map = protocol::parse_object(&line).map_err(|e| format!("bad daemon reply: {e}"))?;
-        let event = map
-            .get("event")
-            .and_then(Value::as_str)
-            .ok_or("daemon reply missing \"event\"")?;
-        let num = |k: &str| map.get(k).and_then(Value::as_num).unwrap_or(0.0) as usize;
-        match event {
-            "accepted" => {
-                if !args.quiet {
-                    header(&format!(
-                        "sweep (daemon job {}): {} ({} mode, {} fidelity)",
-                        num("job"),
-                        map.get("scenario").and_then(Value::as_str).unwrap_or("?"),
-                        map.get("mode").and_then(Value::as_str).unwrap_or("?"),
-                        map.get("fidelity").and_then(Value::as_str).unwrap_or("?"),
-                    ));
-                    println!("grid: {} points", num("cells"));
-                }
-            }
-            "batch" => {
-                cached = num("cached");
-                total = num("queued") + cached;
-                if progress_on {
-                    render_progress(
-                        start,
-                        Progress {
-                            done: cached,
-                            total,
-                            cached,
-                        },
-                    );
-                }
-            }
-            "cell" => {
-                if progress_on {
-                    render_progress(
-                        start,
-                        Progress {
-                            done: cached + num("index"),
-                            total,
-                            cached,
-                        },
-                    );
-                }
-            }
-            "finished" => {
-                if !args.quiet {
-                    println!(
-                        "{} grid cells, {} simulated, {} cache hits",
-                        num("points"),
-                        num("executed"),
-                        num("cache_hits")
-                    );
-                }
-            }
-            "stats" => {} // trailing cache occupancy; informational
-            "result" => {
-                csv = map.get("csv").and_then(Value::as_str).map(str::to_string);
-                break;
-            }
-            "superseded" => {
-                return Err("submission superseded by a newer one of the same name".into())
-            }
-            "failed" => {
-                return Err(format!(
-                    "job failed: {}",
-                    map.get("error").and_then(Value::as_str).unwrap_or("?")
-                ))
-            }
-            "error" => {
-                return Err(map
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("daemon error")
-                    .to_string())
-            }
-            other => return Err(format!("unexpected daemon event \"{other}\"")),
-        }
-    }
-    let csv = csv.ok_or("daemon closed the stream without a result")?;
-    match &args.csv {
-        Some(path) => {
-            std::fs::write(path, &csv).map_err(|e| format!("write {path}: {e}"))?;
-            if !args.quiet {
-                println!("wrote {path}");
-            }
-        }
-        // Without --csv the result goes to stdout, like `--csv /dev/stdout`.
-        None => print!("{csv}"),
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// `sweep ctl` — daemon control.
-// ---------------------------------------------------------------------
-
-fn run_ctl(mut argv: impl Iterator<Item = String>) -> Result<(), String> {
-    let action = argv.next().ok_or(format!("ctl needs an action\n{USAGE}"))?;
-    let mut socket = None;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--socket" => socket = Some(argv.next().ok_or("--socket needs a path")?),
-            other => return Err(format!("unknown ctl argument {other}\n{USAGE}")),
-        }
-    }
-    let request = match action.as_str() {
-        "stats" => Request::Stats,
-        "shutdown" => Request::Shutdown,
-        other => {
-            return Err(format!(
-                "unknown ctl action '{other}' (stats|shutdown)\n{USAGE}"
-            ))
-        }
-    };
-    let stream = connect(&socket)?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
-    writeln!(writer, "{}", protocol::request_line(&request))
-        .map_err(|e| format!("cannot send request: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("daemon connection lost: {e}"))?;
-    let map = protocol::parse_object(line.trim()).map_err(|e| format!("bad daemon reply: {e}"))?;
-    match map.get("event").and_then(Value::as_str) {
-        Some("stats") => {
-            let num = |k: &str| map.get(k).and_then(Value::as_num).unwrap_or(0.0) as usize;
-            println!(
-                "cache: {} entries ({} exact, {} analytic)",
-                num("entries"),
-                num("exact"),
-                num("analytic")
-            );
-        }
-        Some("shutdown") => println!("daemon is shutting down"),
-        Some(other) => return Err(format!("unexpected daemon event \"{other}\"")),
-        None => return Err("daemon reply missing \"event\"".into()),
-    }
-    Ok(())
-}
-
-fn run() -> Result<(), String> {
-    let mut argv = std::env::args().skip(1).peekable();
-    match argv.peek().map(String::as_str) {
-        Some("serve") => {
-            argv.next();
-            run_serve(parse_serve_args(argv)?)
-        }
-        Some("submit") => {
-            argv.next();
-            run_submit(parse_submit_args(argv)?)
-        }
-        Some("ctl") => {
-            argv.next();
-            run_ctl(argv)
-        }
-        _ => run_oneshot(parse_args(argv)?),
-    }
-}
-
 fn main() -> ExitCode {
-    match run() {
+    match parse_args(std::env::args().skip(1)).and_then(run) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

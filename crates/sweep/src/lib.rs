@@ -9,20 +9,13 @@
 //!   deserializable from a small TOML subset ([`toml`]; the build
 //!   environment is std-only, so the parser is hand-rolled),
 //! * [`grid`] — deterministic cartesian expansion into [`RunPoint`]s,
-//! * [`scheduler`] — the resident [`JobScheduler`]: a worker pool that
-//!   outlives a single grid, a `(tier, point)` [`Cache`], the serving
-//!   round-cost memo ([`ace_serve::RoundMemo`]) its cells share, coalescing
-//!   latest-generation-wins job submission, and an optional write-ahead
-//!   [`persist::Journal`],
-//! * [`bus`] — the in-process [`EventBus`] broadcasting typed
-//!   [`BusEvent`]s ([`BusEvent::CellCompleted`] carries full metrics and
-//!   bottleneck attribution),
-//! * [`runner`] — the one-shot [`SweepRunner`] frontend (a thin scheduler
-//!   client), returning results in grid order regardless of thread
-//!   interleaving,
-//! * [`service`] + [`protocol`] — the `sweep serve` daemon: newline-
-//!   delimited JSON over a unix socket or stdio, crash-safe via the
-//!   journal,
+//! * [`runner`] — the [`SweepRunner`]: runs a grid on scoped worker
+//!   threads against a `(tier, point)` [`Cache`] and the serving
+//!   round-cost memo ([`ace_serve::RoundMemo`]) its cells share, and
+//!   returns results in grid order regardless of thread interleaving,
+//! * [`fidelity`] — the exact, analytic and hybrid execution tiers,
+//! * [`persist`] — the `--cache-file` format: load, atomic sorted save,
+//!   and the [`Journal`] that appends each finished cell as it completes,
 //! * [`report`] — CSV/JSON emitters and per-axis min/mean/max speedup
 //!   summaries against a named baseline config.
 //!
@@ -53,27 +46,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bus;
 pub mod fidelity;
 pub mod grid;
 pub mod persist;
-pub mod protocol;
 pub mod report;
 pub mod runner;
 pub mod scenario;
-pub mod scheduler;
-pub mod service;
 /// The TOML-subset parser, hoisted to the `ace-toml` crate so workload
 /// specs can use it without depending on the sweep engine; re-exported
 /// here so `ace_sweep::toml::parse` keeps working.
 pub use ace_toml as toml;
 
-pub use bus::{BusEvent, EventBus, Subscription};
 pub use fidelity::{Fidelity, Tier};
 pub use grid::{expand, grid_len, PointKind, RunPoint};
 pub use persist::{
-    cache_from_str, cache_to_string, load_cache, save_cache, CacheFileLock, Journal, JournalReplay,
-    PendingJob, CACHE_HEADER,
+    cache_from_str, cache_to_string, load_cache, save_cache, CacheFileLock, Journal, CACHE_HEADER,
 };
 pub use report::{
     summarize, to_csv, to_csv_with_attribution, to_json, to_json_with_attribution, AxisSummary,
@@ -86,5 +73,3 @@ pub use scenario::{
     BaselineSpec, CustomWorkload, EngineFamily, EngineSpec, Scenario, ScenarioError, SweepMode,
     WorkloadSel,
 };
-pub use scheduler::{JobError, JobScheduler, JobTicket};
-pub use service::{ServiceOptions, SweepService};

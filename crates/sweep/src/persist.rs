@@ -2,8 +2,9 @@
 //!
 //! A [`Cache`] serializes to a versioned, line-oriented CSV file so
 //! results survive the process: `sweep … --cache-file sweep.cache` loads
-//! the file before running and saves it back afterwards, and any point
-//! already present is served without re-simulating. The simulator is
+//! the file before running, appends each freshly executed cell as it
+//! finishes, and rewrites the file sorted afterwards; any point already
+//! present is served without re-simulating. The simulator is
 //! deterministic, so a cached row is exactly what a fresh run would
 //! produce.
 //!
@@ -31,20 +32,18 @@
 //! load → save cycle is lossless. Rows are sorted by their serialized
 //! key: saving the same cache twice produces byte-identical files.
 //!
-//! Two services are layered on the same row format:
+//! Two helpers guard the file:
 //!
 //! * [`CacheFileLock`] — an `O_EXCL` advisory lock so two concurrent
-//!   `sweep --cache-file` processes cannot interleave saves (saves are
+//!   `sweep --cache-file` processes cannot interleave writes (saves are
 //!   also atomic: temp file + rename).
-//! * [`Journal`] — the sweep daemon's append-only write-ahead log. Every
-//!   freshly executed cell is appended as a v3 row and flushed before its
-//!   completion event publishes; job lifecycle is tracked with `#pending`
-//!   / `#done` comment records, so the file stays loadable by plain
-//!   [`load_cache`] and a killed daemon resumes mid-grid on restart
-//!   ([`Journal::replay`] truncates a torn final line and returns both
-//!   the recovered cache and the jobs that never finished).
+//! * [`Journal`] — the file opened for append. Each freshly executed cell
+//!   is appended as one v5 row and flushed as it finishes, so a killed
+//!   run leaves every finished cell in the file; [`Journal::open`] drops
+//!   the torn final line such a kill can leave, and [`load_cache`] then
+//!   reads the file as usual.
 
-use std::io::{Read, Seek, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use ace_net::TopologySpec;
@@ -305,41 +304,12 @@ impl Drop for CacheFileLock {
     }
 }
 
-/// Prefix of a journal record announcing a job that has started.
-const PENDING_PREFIX: &str = "#pending ";
-/// Prefix of a journal record announcing a job that finished cleanly.
-const DONE_PREFIX: &str = "#done ";
-
-/// A submitted job recovered from a journal that never logged `#done` —
-/// the daemon re-runs these on restart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingJob {
-    /// Scenario name (the coalescing key).
-    pub name: String,
-    /// The scenario's TOML text as submitted.
-    pub toml: String,
-    /// Base directory relative `file:` workload references resolve
-    /// against, when the submission carried one.
-    pub base: Option<String>,
-}
-
-/// Everything recovered from a journal file: the cell results (as a
-/// warm [`Cache`]) and the jobs that never finished.
-#[derive(Debug)]
-pub struct JournalReplay {
-    /// Every journaled cell result.
-    pub cache: Cache,
-    /// Jobs with a `#pending` record but no matching `#done`, in
-    /// first-submission order (re-submissions update in place).
-    pub pending: Vec<PendingJob>,
-}
-
-/// The sweep daemon's append-only write-ahead log.
+/// A cache file opened for append.
 ///
-/// Rows reuse the v5 cache format; job lifecycle records are `#`-prefixed
-/// comments, so the whole file doubles as a loadable cache file. Appends
-/// are flushed per record — a SIGKILL between flushes loses at most the
-/// torn final line, which [`Journal::open`] truncates away on restart.
+/// Rows use the v5 cache format, so the file stays loadable by plain
+/// [`load_cache`]. Appends are flushed per row — a SIGKILL between
+/// flushes loses at most the torn final line, which [`Journal::open`]
+/// truncates away the next time.
 #[derive(Debug)]
 pub struct Journal {
     file: std::fs::File,
@@ -347,15 +317,16 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) the journal at `path` for appending. An
-    /// existing journal must carry the current [`CACHE_HEADER`]; a torn
-    /// final line (no trailing newline) is truncated away.
+    /// Opens (or creates) the cache file at `path` for appending. An
+    /// existing file must carry the current [`CACHE_HEADER`]; a torn
+    /// final line (no trailing newline) is truncated away, and a file
+    /// left empty gets a fresh header.
     ///
     /// # Errors
     ///
     /// Returns a message when the file exists with a foreign header (a
-    /// journal written by a different simulator version cannot be
-    /// resumed) or on I/O failure.
+    /// cache written by a different simulator version cannot be reused)
+    /// or on I/O failure.
     pub fn open(path: impl AsRef<Path>) -> Result<Journal, String> {
         let path = path.as_ref().to_path_buf();
         let mut file = std::fs::OpenOptions::new()
@@ -363,43 +334,34 @@ impl Journal {
             .create(true)
             .append(true)
             .open(&path)
-            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
+            .map_err(|e| format!("cannot open cache {}: {e}", path.display()))?;
         let mut text = String::new();
         file.read_to_string(&mut text)
-            .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        if text.is_empty() {
-            file.write_all(format!("{CACHE_HEADER}\n# {COLUMNS}\n").as_bytes())
-                .map_err(|e| format!("cannot initialize journal {}: {e}", path.display()))?;
-        } else {
-            let first = text.lines().next().unwrap_or("").trim();
-            if first != CACHE_HEADER {
+            .map_err(|e| format!("cannot read cache {}: {e}", path.display()))?;
+        if let Some(first) = text.lines().next() {
+            if first.trim() != CACHE_HEADER {
                 return Err(format!(
-                    "journal {} has header '{first}' (expected '{CACHE_HEADER}'); \
-                     it cannot be resumed by this build — move it aside",
+                    "cache {} has header '{first}' (expected '{CACHE_HEADER}'); \
+                     it cannot be reused by this build — move it aside",
                     path.display()
                 ));
             }
-            if !text.ends_with('\n') {
-                // Torn tail from a kill mid-append: drop the fragment.
-                let keep = text.rfind('\n').map(|i| i + 1).unwrap_or(0) as u64;
-                file.set_len(keep)
-                    .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
-                file.seek(std::io::SeekFrom::End(0))
-                    .map_err(|e| format!("cannot seek journal {}: {e}", path.display()))?;
-            }
         }
-        file.flush()
-            .map_err(|e| format!("cannot flush journal {}: {e}", path.display()))?;
-        Ok(Journal { file, path })
+        if !text.ends_with('\n') {
+            // Torn tail from a kill mid-append: drop the fragment. Appends
+            // land at the end of the file whatever the cursor position.
+            text.truncate(text.rfind('\n').map_or(0, |i| i + 1));
+            file.set_len(text.len() as u64)
+                .map_err(|e| format!("cannot truncate cache {}: {e}", path.display()))?;
+        }
+        let mut journal = Journal { file, path };
+        if text.is_empty() {
+            journal.append_line(&format!("{CACHE_HEADER}\n# {COLUMNS}"))?;
+        }
+        Ok(journal)
     }
 
-    /// The journal file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one cell result and flushes — the write-ahead step before
-    /// the cell's completion event publishes.
+    /// Appends one cell result and flushes it.
     ///
     /// # Errors
     ///
@@ -416,132 +378,12 @@ impl Journal {
         self.append_line(&cells.join(","))
     }
 
-    /// Records that a job has been accepted and is about to run. Until a
-    /// matching [`append_done`](Journal::append_done) lands, a restart
-    /// will re-run it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error message on failure.
-    pub fn append_pending(
-        &mut self,
-        name: &str,
-        toml: &str,
-        base: Option<&str>,
-    ) -> Result<(), String> {
-        use crate::protocol::json_escape;
-        let base = match base {
-            Some(b) => format!(",\"base\":\"{}\"", json_escape(b)),
-            None => String::new(),
-        };
-        self.append_line(&format!(
-            "{PENDING_PREFIX}{{\"name\":\"{}\",\"toml\":\"{}\"{base}}}",
-            json_escape(name),
-            json_escape(toml),
-        ))
-    }
-
-    /// Records that the named job finished (or was superseded) and needs
-    /// no resume.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error message on failure.
-    pub fn append_done(&mut self, name: &str) -> Result<(), String> {
-        use crate::protocol::json_escape;
-        self.append_line(&format!(
-            "{DONE_PREFIX}{{\"name\":\"{}\"}}",
-            json_escape(name)
-        ))
-    }
-
     fn append_line(&mut self, line: &str) -> Result<(), String> {
         self.file
             .write_all(format!("{line}\n").as_bytes())
             .and_then(|()| self.file.flush())
-            .map_err(|e| format!("cannot append to journal {}: {e}", self.path.display()))
+            .map_err(|e| format!("cannot append to cache {}: {e}", self.path.display()))
     }
-
-    /// Replays the journal at `path`: recovers every completed cell into
-    /// a cache and collects the jobs that never logged `#done`. A missing
-    /// file replays as empty; a torn final line is ignored.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on a foreign header or a malformed (non-torn)
-    /// record.
-    pub fn replay(path: impl AsRef<Path>) -> Result<JournalReplay, String> {
-        let path = path.as_ref();
-        let mut text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(format!("cannot read journal {}: {e}", path.display())),
-        };
-        if !text.ends_with('\n') {
-            // Torn tail: only complete lines are replayed.
-            text.truncate(text.rfind('\n').map(|i| i + 1).unwrap_or(0));
-        }
-        let cache = Cache::new();
-        let mut pending: Vec<PendingJob> = Vec::new();
-        if text.is_empty() {
-            return Ok(JournalReplay { cache, pending });
-        }
-        let mut lines = text.lines().enumerate();
-        match lines.next() {
-            Some((_, first)) if first.trim() == CACHE_HEADER => {}
-            Some((_, first)) => {
-                return Err(format!(
-                    "journal {} has header '{first}' (expected '{CACHE_HEADER}')",
-                    path.display()
-                ))
-            }
-            None => return Ok(JournalReplay { cache, pending }),
-        }
-        for (no, line) in lines {
-            let line = line.trim();
-            if let Some(rec) = line.strip_prefix(PENDING_PREFIX) {
-                let job = parse_job_record(rec, true)
-                    .map_err(|e| format!("journal line {}: {e}", no + 1))?;
-                match pending.iter_mut().find(|p| p.name == job.name) {
-                    Some(slot) => *slot = job, // re-submission: latest wins
-                    None => pending.push(job),
-                }
-            } else if let Some(rec) = line.strip_prefix(DONE_PREFIX) {
-                let done = parse_job_record(rec, false)
-                    .map_err(|e| format!("journal line {}: {e}", no + 1))?;
-                pending.retain(|p| p.name != done.name);
-            } else if line.is_empty() || line.starts_with('#') {
-                continue;
-            } else {
-                let (tier, point, metrics) =
-                    parse_row(line).map_err(|e| format!("journal line {}: {e}", no + 1))?;
-                cache.insert_tier(tier, point, metrics);
-            }
-        }
-        Ok(JournalReplay { cache, pending })
-    }
-}
-
-/// Parses a `#pending`/`#done` record body. `#done` records carry only
-/// the name (`with_toml` = false).
-fn parse_job_record(rec: &str, with_toml: bool) -> Result<PendingJob, String> {
-    use crate::protocol::{parse_object, Value};
-    let map = parse_object(rec)?;
-    let name = map
-        .get("name")
-        .and_then(Value::as_str)
-        .ok_or("record missing \"name\"")?
-        .to_string();
-    let toml = if with_toml {
-        map.get("toml")
-            .and_then(Value::as_str)
-            .ok_or("pending record missing \"toml\"")?
-            .to_string()
-    } else {
-        String::new()
-    };
-    let base = map.get("base").and_then(Value::as_str).map(str::to_string);
-    Ok(PendingJob { name, toml, base })
 }
 
 /// The point-identity cells (first 17 columns).
@@ -1144,58 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips_rows_and_job_records() {
-        let dir = std::env::temp_dir().join("ace-sweep-journal-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.journal");
-        let _ = std::fs::remove_file(&path);
-
-        let runner = SweepRunner::new();
-        let sc = tiny_collective();
-        runner
-            .run(
-                &sc,
-                RunnerOptions {
-                    threads: 1,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-
-        let mut journal = Journal::open(&path).unwrap();
-        journal
-            .append_pending("job-a", "name = \"job-a\"\n", None)
-            .unwrap();
-        for (t, p, m) in runner.cache().entries() {
-            journal.append_row(t, &p, &m).unwrap();
-        }
-        journal.append_done("job-a").unwrap();
-        journal
-            .append_pending("job-b", "name = \"job-b\"\n", Some("/tmp/x"))
-            .unwrap();
-        drop(journal);
-
-        let replay = Journal::replay(&path).unwrap();
-        assert_eq!(replay.cache.len(), runner.cache().len());
-        for (t, p, m) in runner.cache().entries() {
-            assert_eq!(replay.cache.get_tier(t, &p), Some(m));
-        }
-        // job-a completed; job-b is pending with its base directory.
-        assert_eq!(replay.pending.len(), 1);
-        assert_eq!(replay.pending[0].name, "job-b");
-        assert_eq!(replay.pending[0].base.as_deref(), Some("/tmp/x"));
-
-        // The journal is a valid cache file as-is.
-        let as_cache = load_cache(&path).unwrap();
-        assert_eq!(as_cache.len(), runner.cache().len());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn journal_truncates_torn_tails_and_resumes() {
         let dir = std::env::temp_dir().join("ace-sweep-journal-torn-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.journal");
+        let path = dir.join("sweep.cache");
         let _ = std::fs::remove_file(&path);
 
         let runner = SweepRunner::new();
@@ -1214,24 +1008,27 @@ mod tests {
             journal.append_row(*t, p, m).unwrap();
         }
         drop(journal);
+        // The appended file is a valid cache file as-is.
+        assert_eq!(load_cache(&path).unwrap().len(), entries.len());
 
         // Simulate a SIGKILL mid-append: chop the file mid-row.
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 7]).unwrap();
 
-        // Replay drops only the torn row.
-        let replay = Journal::replay(&path).unwrap();
-        assert_eq!(replay.cache.len(), entries.len() - 1);
-
-        // Re-opening truncates the fragment so appends stay well-formed.
+        // Re-opening drops only the torn row and keeps appends well-formed.
         let mut journal = Journal::open(&path).unwrap();
+        let kept = load_cache(&path).unwrap();
+        assert_eq!(kept.len(), entries.len() - 1);
         let (t, p, m) = &entries[entries.len() - 1];
+        assert_eq!(kept.get_tier(*t, p), None, "the torn row must not load");
         journal.append_row(*t, p, m).unwrap();
         drop(journal);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.ends_with('\n'));
-        let recovered = Journal::replay(&path).unwrap();
-        assert!(recovered.cache.len() >= entries.len() - 1);
+        let recovered = load_cache(&path).unwrap();
+        for (t, p, m) in &entries {
+            assert_eq!(recovered.get_tier(*t, p), Some(*m));
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1239,10 +1036,13 @@ mod tests {
     fn journal_rejects_foreign_headers() {
         let dir = std::env::temp_dir().join("ace-sweep-journal-header-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.journal");
-        std::fs::write(&path, "# ace-sweep-cache v1 sim-0.0.0\n").unwrap();
+        let path = dir.join("sweep.cache");
+        // A foreign file is refused before anything is truncated, torn
+        // final line included.
+        let foreign = "# ace-sweep-cache v1 sim-0.0.0\nexact,collective";
+        std::fs::write(&path, foreign).unwrap();
         assert!(Journal::open(&path).is_err());
-        assert!(Journal::replay(&path).is_err());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), foreign);
         let _ = std::fs::remove_file(&path);
     }
 

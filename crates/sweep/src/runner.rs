@@ -1,23 +1,25 @@
 //! Sweep execution: the metric/result/outcome types, the per-point
-//! executors, and the one-shot [`SweepRunner`] frontend.
+//! executors, and [`SweepRunner`], which runs a scenario's grid.
 //!
-//! The batch machinery that used to live here — work queues, the worker
-//! pool, grid-order assembly — moved into the resident
-//! [`JobScheduler`]; [`SweepRunner`] is
-//! now a thin client that owns a private scheduler and adapts its
-//! [`BusEvent`] stream to a simple [`Progress`] callback. Results are
-//! assembled **in grid order** from the `(tier, point)` [`Cache`], so the
-//! output is byte-identical whether the sweep ran on one thread or
-//! sixteen, one-shot or through the daemon.
+//! A runner owns a `(tier, point)` [`Cache`] and the serving
+//! [`RoundMemo`], both kept across its runs. A run expands the grid once
+//! and executes each tier's uncached unique cells as one batch on
+//! `min(threads, cells)` scoped worker threads, which pull cell indices
+//! from one shared counter. Results are assembled **in grid order** from
+//! the cache, so the output is byte-identical whether the sweep ran on
+//! one thread or sixteen.
 //!
 //! The scenario's [`Fidelity`] picks the execution tier: `exact` runs the
 //! event-driven executor, `analytic` the closed-form α–β estimator, and
 //! `hybrid` triages the whole grid analytically before re-simulating only
 //! the Pareto frontier + top-K % cells exactly (see [`crate::fidelity`]).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
+use ace_net::NetworkParams;
 use ace_serve::RoundMemo;
 use ace_system::{
     analytic_collective_run_with_conditions, analytic_program_run_with_conditions,
@@ -25,11 +27,9 @@ use ace_system::{
 };
 use ace_trace::Attribution;
 
-use crate::bus::BusEvent;
-use crate::fidelity::{Fidelity, Tier};
-use crate::grid::{PointKind, RunPoint};
-use crate::scenario::{Scenario, SweepMode};
-use crate::scheduler::JobScheduler;
+use crate::fidelity::{select_exact_cells, Fidelity, Tier};
+use crate::grid::{self, PointKind, RunPoint};
+use crate::scenario::{BaselineSpec, Scenario, SweepMode};
 
 /// Request-latency metrics of a serving run point. All-zero for
 /// collective and training rows, which have no request stream.
@@ -238,14 +238,6 @@ impl Cache {
         self.len() == 0
     }
 
-    /// `(total, exact, analytic)` entry counts — the figures carried by
-    /// [`BusEvent::CacheStats`] and the daemon's `stats` reply.
-    pub fn tier_counts(&self) -> (usize, usize, usize) {
-        let map = self.map.lock().expect("cache lock");
-        let exact = map.keys().filter(|(t, _)| *t == Tier::Exact).count();
-        (map.len(), exact, map.len() - exact)
-    }
-
     /// Snapshot of every cached `(tier, point, metrics)` triple, in
     /// unspecified order. The persistence layer sorts before writing.
     pub fn entries(&self) -> Vec<(Tier, RunPoint, Metrics)> {
@@ -274,8 +266,8 @@ pub struct RunnerOptions {
 /// `total` counts every unique cell the batch wants — the freshly
 /// executed plus the cache-served — so a fully warm run still reports one
 /// terminal `done == total` state instead of a dangling `0/N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Progress {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Progress<'a> {
     /// Cells accounted for so far: cache hits plus completed executions.
     pub done: usize,
     /// Unique cells the current batch wants (executed + cached). Hybrid
@@ -283,9 +275,12 @@ pub struct Progress {
     pub total: usize,
     /// Cells of the batch served by the cache without executing.
     pub cached: usize,
+    /// The cell this call reports as freshly executed, with its tier and
+    /// metrics; `None` on the call that opens a batch.
+    pub cell: Option<(Tier, &'a RunPoint, &'a Metrics)>,
 }
 
-impl Progress {
+impl Progress<'_> {
     /// Cells actually executed so far in this batch.
     pub fn executed(&self) -> usize {
         self.done - self.cached
@@ -297,11 +292,12 @@ impl Progress {
     }
 }
 
-/// A one-shot sweep frontend: a thin client of a private
-/// [`JobScheduler`] whose [`Cache`] persists across runs.
+/// Runs scenarios against a [`Cache`] and a serving [`RoundMemo`] that
+/// persist across its runs (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct SweepRunner {
-    scheduler: JobScheduler,
+    cache: Cache,
+    rounds: RoundMemo,
 }
 
 impl SweepRunner {
@@ -315,19 +311,14 @@ impl SweepRunner {
     /// repeated sweeps across processes reuse results.
     pub fn with_cache(cache: Cache) -> SweepRunner {
         SweepRunner {
-            scheduler: JobScheduler::with_cache(cache),
+            cache,
+            rounds: RoundMemo::new(),
         }
     }
 
     /// The runner's cache.
     pub fn cache(&self) -> &Cache {
-        self.scheduler.cache()
-    }
-
-    /// The underlying scheduler — the full service interface (event bus,
-    /// journal, job tickets) behind this runner.
-    pub fn scheduler(&self) -> &JobScheduler {
-        &self.scheduler
+        &self.cache
     }
 
     /// Runs `scenario` at its configured [`Fidelity`] and returns results
@@ -335,7 +326,9 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// Returns the validation message if the scenario is inconsistent.
+    /// Returns the validation message if the scenario is inconsistent,
+    /// a message naming the topology and conditions when a pair of its
+    /// axes cannot run, or the panic text of a cell that panicked.
     pub fn run(&self, scenario: &Scenario, opts: RunnerOptions) -> Result<SweepOutcome, String> {
         self.run_with_progress(scenario, opts, &|_| {})
     }
@@ -343,40 +336,328 @@ impl SweepRunner {
     /// [`run`](SweepRunner::run) with a live progress callback: once when
     /// each execution batch starts (cache hits pre-counted in
     /// [`Progress::done`], so an all-cached batch immediately reports
-    /// `done == total`) and once per freshly executed cell.
+    /// `done == total`) and once per freshly executed cell, carrying that
+    /// cell's result in [`Progress::cell`]. Calls come from the worker
+    /// threads, one at a time, with `done` counting up by one.
+    ///
+    /// # Errors
+    ///
+    /// See [`run`](SweepRunner::run).
     pub fn run_with_progress(
         &self,
         scenario: &Scenario,
         opts: RunnerOptions,
         progress: &(dyn Fn(Progress) + Sync),
     ) -> Result<SweepOutcome, String> {
-        let mut cached = 0usize;
-        let mut total = 0usize;
-        let mut on_event = |ev: &BusEvent| match ev {
-            BusEvent::BatchStarted {
-                queued, cached: c, ..
-            } => {
-                cached = *c;
-                total = *queued + *c;
-                progress(Progress {
-                    done: cached,
-                    total,
-                    cached,
-                });
-            }
-            BusEvent::CellCompleted { index, .. } => {
-                progress(Progress {
-                    done: cached + *index,
-                    total,
-                    cached,
-                });
-            }
-            _ => {}
+        scenario.validate()?;
+        check_conditions(scenario)?;
+        let threads = match opts.threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         };
-        self.scheduler
-            .run_job(scenario, opts, &mut on_event)
-            .map_err(|e| e.to_string())
+        let points = grid::expand(scenario);
+        let baseline = baseline_points(scenario);
+        let wanted = || points.iter().chain(&baseline);
+
+        let (tiers, work_e, work_a) = match scenario.fidelity {
+            Fidelity::Exact => {
+                let work = self.run_batch(Tier::Exact, wanted(), threads, progress)?;
+                (vec![Tier::Exact; points.len()], work, Vec::new())
+            }
+            Fidelity::Analytic => {
+                let work = self.run_batch(Tier::Analytic, wanted(), threads, progress)?;
+                (vec![Tier::Analytic; points.len()], Vec::new(), work)
+            }
+            // α–β triage of the whole grid, then exact re-simulation of
+            // the analytic Pareto frontier + top-K % cells + the baseline.
+            Fidelity::Hybrid => {
+                let work_a = self.run_batch(Tier::Analytic, wanted(), threads, progress)?;
+                let triage: Vec<(RunPoint, Metrics)> = points
+                    .iter()
+                    .map(|p| {
+                        let m = self.cache.get_tier(Tier::Analytic, p);
+                        (p.clone(), m.expect("triage covered the grid"))
+                    })
+                    .collect();
+                let probe = |p: &RunPoint| execute_analytic(p).time_us;
+                let keep = select_exact_cells(&triage, scenario.hybrid_top_pct, &probe);
+                let selected = points
+                    .iter()
+                    .zip(&keep)
+                    .filter_map(|(p, &k)| k.then_some(p));
+                let work_e =
+                    self.run_batch(Tier::Exact, selected.chain(&baseline), threads, progress)?;
+                let tiers = keep
+                    .iter()
+                    .map(|&k| if k { Tier::Exact } else { Tier::Analytic })
+                    .collect();
+                (tiers, work_e, work_a)
+            }
+        };
+
+        let fresh_e: HashSet<&RunPoint> = work_e.iter().copied().collect();
+        let fresh_a: HashSet<&RunPoint> = work_a.iter().copied().collect();
+        let (results, cache_hits) = self.assemble(scenario, &points, &tiers, |t, p| match t {
+            Tier::Exact => fresh_e.contains(p),
+            Tier::Analytic => fresh_a.contains(p),
+        });
+        Ok(SweepOutcome {
+            scenario: scenario.name.clone(),
+            mode: scenario.mode,
+            fidelity: scenario.fidelity,
+            results,
+            executed: work_e.len(),
+            analytic_executed: work_a.len(),
+            cache_hits,
+        })
     }
+
+    /// Executes every unique point of `wanted` not yet cached in `tier`
+    /// on `min(threads, cells)` scoped workers that pull cell indices from
+    /// one counter, and returns those points in first-seen order. After a
+    /// cell panics no further cells are claimed, and the panic text comes
+    /// back as the error.
+    fn run_batch<'p>(
+        &self,
+        tier: Tier,
+        wanted: impl Iterator<Item = &'p RunPoint>,
+        threads: usize,
+        progress: &(dyn Fn(Progress) + Sync),
+    ) -> Result<Vec<&'p RunPoint>, String> {
+        let mut seen: HashSet<&RunPoint> = HashSet::new();
+        let mut work: Vec<&RunPoint> = Vec::new();
+        let mut cached = 0usize;
+        for p in wanted.filter(|p| seen.insert(*p)) {
+            if self.cache.contains_tier(tier, p) {
+                cached += 1;
+            } else {
+                work.push(p);
+            }
+        }
+        let total = work.len() + cached;
+        progress(Progress {
+            done: cached,
+            total,
+            cached,
+            cell: None,
+        });
+
+        let next = AtomicUsize::new(0);
+        // Held across each progress call, so calls arrive one at a time
+        // with `done` counting up by one.
+        let done = Mutex::new(cached);
+        let failure: OnceLock<String> = OnceLock::new();
+        std::thread::scope(|s| {
+            for _ in 0..threads.min(work.len()) {
+                s.spawn(|| {
+                    while failure.get().is_none() {
+                        // The counter only hands out indices; no data
+                        // travels with it.
+                        let Some(&point) = work.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                            break;
+                        };
+                        let run = || execute_tier_with(point, tier, &self.rounds);
+                        match catch_unwind(AssertUnwindSafe(run)) {
+                            Ok(metrics) => {
+                                self.cache.insert_tier(tier, point.clone(), metrics);
+                                let mut done = done.lock().expect("progress callback panicked");
+                                *done += 1;
+                                progress(Progress {
+                                    done: *done,
+                                    total,
+                                    cached,
+                                    cell: Some((tier, point, &metrics)),
+                                });
+                            }
+                            Err(panic) => {
+                                let text = panic_text(panic.as_ref());
+                                let label = point.label();
+                                let _ = failure.set(format!("cell {label} failed: {text}"));
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        match failure.into_inner() {
+            Some(error) => Err(error),
+            None => Ok(work),
+        }
+    }
+
+    /// Assembles grid-order rows: each point's metrics from its tier's
+    /// cache, cache-hit bookkeeping (the first occurrence of a point
+    /// freshly executed this run is the one non-hit row), and baseline
+    /// speedups compared within each row's own tier — an analytic
+    /// estimate is never divided by an event-driven baseline.
+    fn assemble(
+        &self,
+        scenario: &Scenario,
+        points: &[RunPoint],
+        tiers: &[Tier],
+        freshly_executed: impl Fn(Tier, &RunPoint) -> bool,
+    ) -> (Vec<RunResult>, usize) {
+        let mut seen: HashSet<(Tier, &RunPoint)> = HashSet::new();
+        let mut cache_hits = 0usize;
+        let mut results: Vec<RunResult> = points
+            .iter()
+            .zip(tiers)
+            .map(|(p, &tier)| {
+                let metrics = self
+                    .cache
+                    .get_tier(tier, p)
+                    .expect("every grid point was executed in its tier");
+                let cache_hit = !(freshly_executed(tier, p) && seen.insert((tier, p)));
+                if cache_hit {
+                    cache_hits += 1;
+                }
+                RunResult {
+                    point: p.clone(),
+                    metrics,
+                    fidelity: tier,
+                    cache_hit,
+                    speedup_vs_baseline: None,
+                }
+            })
+            .collect();
+
+        if scenario.baseline.is_some() {
+            for r in &mut results {
+                let bp = baseline_point_for(scenario, &r.point);
+                let base = self
+                    .cache
+                    .get_tier(r.fidelity, &bp)
+                    .expect("baseline point was executed in the row's tier");
+                if r.metrics.time_us > 0.0 {
+                    r.speedup_vs_baseline = Some(base.time_us / r.metrics.time_us);
+                }
+            }
+        }
+        (results, cache_hits)
+    }
+}
+
+/// Resolves each distinct non-pristine (topology, conditions) pair of the
+/// scenario's axes once, with the call every tier makes before it runs a
+/// cell, so a pair that cannot run is refused before any cell does.
+fn check_conditions(scenario: &Scenario) -> Result<(), String> {
+    let net = NetworkParams::paper_default();
+    let conditions = grid::conditions_product(scenario);
+    let mut seen = HashSet::new();
+    for &topology in &scenario.topologies {
+        for c in conditions.iter().filter(|c| !c.is_pristine()) {
+            if seen.insert((topology, c)) {
+                c.resolve(topology, &net)
+                    .map_err(|e| format!("topology {topology} cannot run {c}: {e}"))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Renders a panic payload as text.
+fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "cell executor panicked".to_string()
+    }
+}
+
+/// The baseline point a grid row is compared against: the row's
+/// coordinates with the engine/config swapped for the scenario baseline.
+fn baseline_point_for(scenario: &Scenario, point: &RunPoint) -> RunPoint {
+    match (scenario.baseline, &point.kind) {
+        (
+            Some(BaselineSpec::Engine(spec)),
+            PointKind::Collective {
+                op, payload_bytes, ..
+            },
+        ) => RunPoint {
+            topology: point.topology,
+            conditions: point.conditions.clone(),
+            kind: PointKind::Collective {
+                engine: spec,
+                op: *op,
+                payload_bytes: *payload_bytes,
+            },
+        },
+        (
+            Some(BaselineSpec::Config(cfg)),
+            PointKind::Training {
+                workload,
+                iterations,
+                optimized_embedding,
+                ..
+            },
+        ) => RunPoint {
+            topology: point.topology,
+            conditions: point.conditions.clone(),
+            kind: PointKind::Training {
+                config: cfg,
+                workload: workload.clone(),
+                iterations: *iterations,
+                optimized_embedding: *optimized_embedding,
+            },
+        },
+        _ => point.clone(),
+    }
+}
+
+/// All baseline points a scenario needs (one per cross-product of the
+/// non-config axes); empty when no baseline is named.
+fn baseline_points(scenario: &Scenario) -> Vec<RunPoint> {
+    let Some(baseline) = scenario.baseline else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    // Speedups compare engines/configs under identical run conditions, so
+    // every conditions cell needs its own baseline point.
+    let conditions = grid::conditions_product(scenario);
+    match (baseline, scenario.mode) {
+        (BaselineSpec::Engine(spec), SweepMode::Collective) => {
+            for &topology in &scenario.topologies {
+                for &op in &scenario.ops {
+                    for &payload_bytes in &scenario.payload_bytes {
+                        for conditions in &conditions {
+                            out.push(RunPoint {
+                                topology,
+                                conditions: conditions.clone(),
+                                kind: PointKind::Collective {
+                                    engine: spec,
+                                    op,
+                                    payload_bytes,
+                                },
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        (BaselineSpec::Config(cfg), SweepMode::Training) => {
+            for &topology in &scenario.topologies {
+                for workload in &scenario.workloads {
+                    for conditions in &conditions {
+                        out.push(RunPoint {
+                            topology,
+                            conditions: conditions.clone(),
+                            kind: PointKind::Training {
+                                config: cfg,
+                                workload: workload.clone(),
+                                iterations: scenario.iterations,
+                                optimized_embedding: scenario.optimized_embedding,
+                            },
+                        });
+                    }
+                }
+            }
+        }
+        // validate() rejects mismatched baseline kinds.
+        _ => {}
+    }
+    out
 }
 
 /// Convenience: run a scenario once with a fresh cache.
@@ -393,7 +674,7 @@ pub fn execute_tier(point: &RunPoint, tier: Tier) -> Metrics {
 /// [`execute_tier`] with the [`RoundMemo`] serving points draw round
 /// costs from. A memoized round costs what a fresh simulation does, so
 /// the metrics do not depend on the memo.
-pub fn execute_tier_with(point: &RunPoint, tier: Tier, rounds: &RoundMemo) -> Metrics {
+fn execute_tier_with(point: &RunPoint, tier: Tier, rounds: &RoundMemo) -> Metrics {
     match tier {
         Tier::Exact => execute_exact(point, rounds),
         Tier::Analytic => estimate_analytic(point, rounds),
@@ -896,7 +1177,7 @@ mod tests {
         let second = small_serving(1500.0, 2);
         let runner = SweepRunner::new();
         runner.run(&first, serial()).unwrap();
-        let memo = runner.scheduler().rounds();
+        let memo = &runner.rounds;
         let (held, simulated) = (memo.len(), memo.simulated());
         assert_eq!(simulated, held as u64, "one simulation per round program");
 
@@ -911,9 +1192,74 @@ mod tests {
             "the second job re-simulated a round the first recorded"
         );
         assert!(
-            new_programs < fresh_runner.scheduler().rounds().len(),
+            new_programs < fresh_runner.rounds.len(),
             "the second job reused none of the first job's rounds"
         );
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_the_run_and_stops_further_claims() {
+        // validate() checks the first microbatch count only, so a zero
+        // later on the axis reaches a cell, whose executor panics.
+        let mut sc = small_serving(800.0, 1);
+        sc.schedules = vec![ace_workloads::PipeSchedule::GPipe];
+        sc.microbatches = vec![1, 0, 2];
+        let runner = SweepRunner::new();
+        let err = runner.run(&sc, serial()).unwrap_err();
+        assert!(
+            err.starts_with("cell 2x1x1 ") && err.contains("mb0 failed: "),
+            "{err}"
+        );
+        assert!(err.contains("microbatches must be at least 1"), "{err}");
+        // The cell before the panic ran; the one after was never claimed.
+        assert_eq!(runner.cache().len(), 1);
+    }
+
+    #[test]
+    fn invalid_scenarios_are_rejected() {
+        let mut sc = tiny();
+        sc.topologies.clear();
+        let err = run_scenario(&sc, serial()).unwrap_err();
+        assert!(err.contains("topolog"), "{err}");
+    }
+
+    #[test]
+    fn infeasible_conditions_are_refused_before_any_cell_runs() {
+        // (topologies, condition axis, its infeasible spelling, the
+        // topology the error must name). Each axis also carries `none`,
+        // a pristine cell that must not run either.
+        let torus = r#"["4x4"]"#;
+        let both = r#"["4x4", "switch:16"]"#;
+        let probes = [
+            (torus, "faults", "kill:999@seed:1", "4x4"),
+            (both, "faults", "kill:node:3", "4x4"),
+            (torus, "contention", "uniform:1000000000", "4x4"),
+            (torus, "contention", "hotspot:999@8", "4x4"),
+            // A named cable that exists on only one fabric of the grid.
+            (both, "faults", "kill:link:0-1", "switch:16"),
+        ];
+        for (topologies, key, spelling, named) in probes {
+            let sc = Scenario::from_toml_str(&format!(
+                "name = \"probe\"\nmode = \"collective\"\ntopologies = {topologies}\n\
+                 engines = [\"ideal\"]\nops = [\"all-reduce\"]\npayloads = [\"64KB\"]\n\
+                 {key} = [\"none\", \"{spelling}\"]\n"
+            ))
+            .unwrap();
+            for fidelity in [Fidelity::Exact, Fidelity::Analytic] {
+                let runner = SweepRunner::new();
+                let sc = Scenario {
+                    fidelity,
+                    ..sc.clone()
+                };
+                let err = runner.run(&sc, serial()).unwrap_err();
+                assert!(
+                    err.contains(&format!("topology {named} cannot run"))
+                        && err.contains(&format!("{key}={spelling} ")),
+                    "{spelling} on {topologies}: {err}"
+                );
+                assert!(runner.cache().is_empty(), "a cell ran before the refusal");
+            }
+        }
     }
 
     #[test]
@@ -1099,11 +1445,10 @@ mod tests {
 
     #[test]
     fn progress_counts_every_cell_and_terminates_at_total() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         for threads in [1, 4] {
             let sc = tiny();
             let runner = SweepRunner::new();
-            let calls = AtomicUsize::new(0);
+            let calls = Mutex::new(Vec::new());
             let out = runner
                 .run_with_progress(
                     &sc,
@@ -1112,14 +1457,22 @@ mod tests {
                         ..Default::default()
                     },
                     &|p| {
-                        calls.fetch_add(1, Ordering::Relaxed);
                         assert!(p.done <= p.total);
                         assert!(p.cached <= p.done);
+                        // Each executed cell arrives with the result the
+                        // cache now holds for it.
+                        if let Some((tier, point, metrics)) = p.cell {
+                            assert_eq!(runner.cache().get_tier(tier, point), Some(*metrics));
+                        }
+                        calls.lock().unwrap().push((p.done, p.cell.is_some()));
                     },
                 )
                 .unwrap();
-            // One batch-start call plus one call per executed cell.
-            assert_eq!(calls.load(Ordering::Relaxed), out.executed + 1);
+            // One batch-start call, then one call per executed cell with
+            // `done` counting up by one.
+            let calls = calls.into_inner().unwrap();
+            let expected: Vec<(usize, bool)> = (0..=out.executed).map(|d| (d, d > 0)).collect();
+            assert_eq!(calls, expected, "threads = {threads}");
         }
     }
 
@@ -1148,17 +1501,16 @@ mod tests {
                     ..Default::default()
                 },
                 &|p| {
-                    seen.lock().unwrap().push(p);
+                    assert!(p.finished(), "warm progress must report 100%");
+                    assert_eq!(p.executed(), 0);
+                    assert_eq!(p.cell, None, "a warm batch executes no cell");
+                    seen.lock().unwrap().push((p.done, p.total, p.cached));
                 },
             )
             .unwrap();
         assert_eq!(out.executed, 0);
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 1, "warm batch fires exactly once");
-        assert!(seen[0].finished(), "warm progress must report 100%");
-        assert_eq!(seen[0].done, seen[0].total);
-        assert_eq!(seen[0].cached, 3, "unique cached cells are reported");
-        assert_eq!(seen[0].executed(), 0);
+        // One call, every unique cached cell reported.
+        assert_eq!(seen.into_inner().unwrap(), vec![(3, 3, 3)]);
     }
 
     #[test]
