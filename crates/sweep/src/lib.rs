@@ -15,7 +15,7 @@
 //!   returns results in grid order regardless of thread interleaving,
 //! * [`fidelity`] — the exact, analytic and hybrid execution tiers,
 //! * [`persist`] — the `--cache-file` format: load, atomic sorted save,
-//!   and the [`Journal`] that appends each finished cell as it completes,
+//!   and [`Journal`], which appends finished cells to the file,
 //! * [`report`] — CSV/JSON emitters and per-axis min/mean/max speedup
 //!   summaries against a named baseline config.
 //!
