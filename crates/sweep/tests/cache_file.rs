@@ -1,5 +1,6 @@
 //! Crash safety of `sweep --cache-file`: a run killed mid-grid leaves its
-//! finished cells in the file, and the rerun simulates only the rest.
+//! finished cells in the file, a row torn by the kill is dropped, and the
+//! rerun simulates only the rest.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -82,6 +83,19 @@ fn strip_cache_hit(csv: &str) -> String {
         .join("\n")
 }
 
+/// The unique cells of `sc` in grid order, with the metrics `full`
+/// produced for them.
+fn unique_cells(sc: &Scenario, full: &SweepOutcome) -> Vec<(RunPoint, Metrics)> {
+    let mut cells: Vec<(RunPoint, Metrics)> = Vec::new();
+    for p in expand(sc) {
+        if !cells.iter().any(|(q, _)| *q == p) {
+            let m = full.results.iter().find(|r| r.point == p).unwrap().metrics;
+            cells.push((p, m));
+        }
+    }
+    cells
+}
+
 #[test]
 fn a_killed_cache_file_run_resumes_with_only_the_missing_cells() {
     let sc = Scenario::from_toml_str(GRID_TOML).unwrap();
@@ -89,14 +103,7 @@ fn a_killed_cache_file_run_resumes_with_only_the_missing_cells() {
     let (full, full_executed) = run_with_cache_file(&sc, &full_path);
     let full_file = std::fs::read(&full_path).unwrap();
 
-    // The unique cells in grid order, with the metrics the full run saved.
-    let mut cells: Vec<(RunPoint, Metrics)> = Vec::new();
-    for p in expand(&sc) {
-        if !cells.iter().any(|(q, _)| *q == p) {
-            let m = full.results.iter().find(|r| r.point == p).unwrap().metrics;
-            cells.push((p, m));
-        }
-    }
+    let cells = unique_cells(&sc, &full);
     assert_eq!(cells.len(), 5);
     assert_eq!(full_executed.len(), 5);
 
@@ -139,4 +146,41 @@ fn a_killed_cache_file_run_resumes_with_only_the_missing_cells() {
     assert!(executed.is_empty());
     assert_eq!(warm.cache_hits, warm.results.len());
     assert_eq!(std::fs::read(&path).unwrap(), full_file);
+}
+
+#[test]
+fn a_row_torn_by_the_kill_is_dropped_and_its_cell_reruns() {
+    let sc = Scenario::from_toml_str(GRID_TOML).unwrap();
+    let full_path = scratch("full.cache");
+    let (full, _) = run_with_cache_file(&sc, &full_path);
+    let full_file = std::fs::read(&full_path).unwrap();
+    let cells = unique_cells(&sc, &full);
+
+    // A first run killed inside its last append, before the sorted save:
+    // the header, every cell in completion order, the last row cut short.
+    let path = scratch("torn.cache");
+    let mut journal = Journal::open(&path).unwrap();
+    for (p, m) in &cells {
+        journal.append_row(Tier::Exact, p, m).unwrap();
+    }
+    drop(journal);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+    assert!(!std::fs::read_to_string(&path).unwrap().ends_with('\n'));
+
+    let (resumed, executed) = run_with_cache_file(&sc, &path);
+    assert_eq!(
+        executed,
+        vec![cells[4].0.clone()],
+        "only the cell whose row was torn reruns"
+    );
+    assert_eq!(
+        strip_cache_hit(&report::to_csv(&resumed)),
+        strip_cache_hit(&report::to_csv(&full))
+    );
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        full_file,
+        "the saved cache file differs from an uninterrupted run's"
+    );
 }
