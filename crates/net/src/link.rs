@@ -137,11 +137,6 @@ impl Link {
         grant.end + self.params.latency_cycles
     }
 
-    /// Earliest time the wire is free for a request issued at `now`.
-    pub fn next_free(&self, now: SimTime) -> SimTime {
-        self.server.next_free(now)
-    }
-
     /// Total bytes carried.
     pub fn bytes_carried(&self) -> u64 {
         self.server.bytes_served()

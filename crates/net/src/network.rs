@@ -56,12 +56,23 @@ pub struct HopOutcome {
 /// the [`Topology`]: `links[node * ports_per_node + port.index()]`, with
 /// `None` for ports the topology leaves dead (e.g. size-1 torus
 /// dimensions).
+///
+/// The [`representative`](Network::representative) form keeps node 0's
+/// links alone and stands them in for every node's.
 #[derive(Debug)]
 pub struct Network {
     topo: Box<dyn Topology>,
     params: NetworkParams,
     nodes: usize,
     ports_per_node: usize,
+    /// Distance between consecutive nodes' slots in `links`:
+    /// `ports_per_node`, or 0 in the representative form, where every
+    /// node's slots are node 0's.
+    node_stride: usize,
+    /// How many nodes each simulated link stands for: 1, or the node
+    /// count in the representative form. The meters scale node 0's
+    /// integer totals by it.
+    replicas: u64,
     links: Vec<Option<Link>>,
     /// Per-link bucket cursor into `util_series`: each link's grants are
     /// monotone in time, so the series write is division-free in the
@@ -81,9 +92,30 @@ impl Network {
     /// Builds the fabric around an already-constructed topology.
     pub fn for_topology(topo: Box<dyn Topology>, params: NetworkParams) -> Network {
         let nodes = topo.nodes();
+        Network::with_links_for(topo, params, nodes)
+    }
+
+    /// Builds the fabric of a run in which every node sends exactly what
+    /// node 0 sends, at the same instants, over its own egress links:
+    /// only node 0's links exist, [`link`](Network::link) returns them
+    /// for every node, and [`transmit`](Network::transmit) from any node
+    /// lands on them. Link parameters depend only on the port, so every
+    /// node's link would grant exactly what node 0's does. The meters
+    /// report node 0's integer byte and busy-cycle totals times the node
+    /// count, scaled before any division, which equals the full fabric's
+    /// sums bit for bit. Faults make nodes differ and cannot be applied.
+    pub fn representative(spec: TopologySpec, params: NetworkParams) -> Network {
+        Network::with_links_for(spec.build(), params, 1)
+    }
+
+    /// Builds the fabric with links for the first `simulated` nodes:
+    /// all of them, or node 0 standing in for the rest.
+    fn with_links_for(topo: Box<dyn Topology>, params: NetworkParams, simulated: usize) -> Network {
+        let nodes = topo.nodes();
         let ports_per_node = topo.ports_per_node();
-        let mut links = Vec::with_capacity(nodes * ports_per_node);
-        for _node in 0..nodes {
+        let replicas = if simulated == nodes { 1 } else { nodes };
+        let mut links = Vec::with_capacity(simulated * ports_per_node);
+        for _node in 0..simulated {
             for idx in 0..ports_per_node {
                 links.push(
                     topo.link_params_for(Port::from_index(idx), &params)
@@ -96,12 +128,14 @@ impl Network {
                 );
             }
         }
-        let active_links = links.iter().filter(|l| l.is_some()).count();
+        let active_links = links.iter().filter(|l| l.is_some()).count() * replicas;
         Network {
             topo,
             params,
             nodes,
             ports_per_node,
+            node_stride: if replicas == 1 { ports_per_node } else { 0 },
+            replicas: replicas as u64,
             util_cursors: vec![BucketCursor::default(); links.len()],
             links,
             meter: RateMeter::new(),
@@ -139,8 +173,7 @@ impl Network {
     /// the topology's port table, whose slot would alias the next node's
     /// link.
     fn link_index(&self, node: NodeId, port: Port) -> Option<usize> {
-        (port.index() < self.ports_per_node)
-            .then(|| node.index() * self.ports_per_node + port.index())
+        (port.index() < self.ports_per_node).then(|| node.index() * self.node_stride + port.index())
     }
 
     /// The slot of the live link at `node`/`port`.
@@ -174,22 +207,10 @@ impl Network {
             .expect("the slot holds a live link");
         let grant = link.transmit(now, bytes);
         let arrival = link.arrival(grant);
-        self.meter.record(grant.end, bytes);
+        self.meter.record(grant.end, bytes * self.replicas);
         self.util_series
             .add_busy_at(&mut self.util_cursors[idx], grant.start, grant.end);
         HopOutcome { grant, arrival }
-    }
-
-    /// Earliest time the egress wire at `node`/`port` frees up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology has no link at that port.
-    pub fn next_free(&self, now: SimTime, node: NodeId, port: Port) -> SimTime {
-        self.links[self.live_link_index(node, port)]
-            .as_ref()
-            .expect("the slot holds a live link")
-            .next_free(now)
     }
 
     /// Sends a message along a multi-hop route with store-and-forward at
@@ -227,11 +248,6 @@ impl Network {
         self.achieved_gbps() / self.nodes as f64
     }
 
-    /// End of the throughput observation window.
-    pub fn window_end(&self) -> SimTime {
-        self.meter.window_end()
-    }
-
     /// Total busy cycles credited to the per-link [`BucketCursor`]
     /// meters: the sum over every transmit grant of its integer
     /// `end - start` wire occupancy, with no overlap merging. This is
@@ -239,18 +255,31 @@ impl Network {
     /// a recording tracer that captures every transmit grant must sum to
     /// exactly this value.
     pub fn util_busy_total_cycles(&self) -> f64 {
-        self.util_series.total()
+        self.busy_buckets().iter().sum()
     }
 
     /// Per-bucket fraction of links busy (Fig. 10's network-utilization
     /// metric: the share of links scheduling a flit in a cycle).
     pub fn utilization_series(&self) -> Vec<f64> {
         let denom = self.active_links as f64 * self.params.util_bucket_cycles as f64;
-        self.util_series
-            .bucket_totals()
+        self.busy_buckets()
             .iter()
             .map(|busy| (busy / denom).min(1.0))
             .collect()
+    }
+
+    /// Busy cycles per utilization bucket, summed over every node's
+    /// links. Each bucket holds a whole number of cycles, so scaling
+    /// node 0's buckets by the replica count is exact.
+    fn busy_buckets(&self) -> Vec<f64> {
+        let mut buckets = self.util_series.bucket_totals();
+        if self.replicas > 1 {
+            let r = self.replicas as f64;
+            for b in &mut buckets {
+                *b *= r;
+            }
+        }
+        buckets
     }
 
     /// Applies a resolved [`FaultPlan`]: killed egress links become
@@ -258,7 +287,16 @@ impl Network {
     /// since routes are re-planned around kills), and degraded links are
     /// rebuilt with their surviving bandwidth. Call once, right after
     /// construction, before any traffic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the [`representative`](Network::representative) form,
+    /// whose nodes must stay identical.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) {
+        assert_eq!(
+            self.replicas, 1,
+            "a representative fabric cannot be faulted"
+        );
         for node in 0..self.nodes {
             for p in 0..self.ports_per_node {
                 let port = Port::from_index(p);
@@ -281,15 +319,6 @@ impl Network {
                 }
             }
         }
-    }
-
-    /// Mean link utilization over `[0, horizon]`.
-    pub fn mean_utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.cycles() == 0 {
-            return 0.0;
-        }
-        let busy: f64 = self.links.iter().flatten().map(|l| l.busy_cycles()).sum();
-        (busy / (self.active_links as f64 * horizon.cycles() as f64)).min(1.0)
     }
 }
 
@@ -368,7 +397,6 @@ mod tests {
         for u in net.utilization_series() {
             assert!((0.0..=1.0).contains(&u));
         }
-        assert!(net.mean_utilization(net.window_end()) > 0.0);
     }
 
     #[test]
@@ -394,12 +422,6 @@ mod tests {
         let t = net.send_route(SimTime::from_cycles(7), NodeId(3), &Vec::new(), 4096);
         assert_eq!(t, SimTime::from_cycles(7));
         assert_eq!(net.total_bytes(), 0);
-    }
-
-    #[test]
-    fn zero_horizon_utilization_is_zero() {
-        let net = small_net();
-        assert_eq!(net.mean_utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]
@@ -429,10 +451,6 @@ mod tests {
             }));
             assert!(sent.is_err(), "{spec}: transmit on {port} must panic");
             assert_eq!(net.total_bytes(), 0, "{spec}: no link carried bytes");
-            let free = catch_unwind(AssertUnwindSafe(|| {
-                net.next_free(SimTime::ZERO, NodeId(0), port)
-            }));
-            assert!(free.is_err(), "{spec}: next_free on {port} must panic");
             let plan = FaultPlan::pristine(net.topology(), &params);
             let scale = catch_unwind(AssertUnwindSafe(|| plan.link_scale(NodeId(0), port)));
             assert!(scale.is_err(), "{spec}: link_scale on {port} must panic");

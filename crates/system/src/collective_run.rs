@@ -67,7 +67,8 @@ pub struct CollectiveRunReport {
 /// the optional [`FaultPlan`] before calling here. Each engine kind
 /// dispatches to a monomorphized executor run, so the per-event engine
 /// charges inline instead of going through a vtable — these runs
-/// dominate design-space sweep wall time.
+/// dominate design-space sweep wall time. Also returns the number of
+/// nodes the executor simulated.
 ///
 /// [`RunSpec`]: crate::RunSpec
 pub(crate) fn run_with_conditions<T: Tracer>(
@@ -78,7 +79,7 @@ pub(crate) fn run_with_conditions<T: Tracer>(
     options: ExecutorOptions,
     faults: Option<&FaultPlan>,
     tracer: T,
-) -> (CollectiveRunReport, T) {
+) -> (CollectiveRunReport, T, usize) {
     let net_params = NetworkParams::paper_default();
     // ACE's SRAM partition weights must follow the plan of the op actually
     // being run — a single-phase all-to-all partitioned by the 4-phase
@@ -158,8 +159,17 @@ fn run_typed<E: CollectiveEngine, T: Tracer>(
     faults: Option<&FaultPlan>,
     make_engine: impl Fn() -> E,
     tracer: T,
-) -> (CollectiveRunReport, T) {
-    let mut ex = CollectiveExecutor::new(spec, net_params, options, faults, make_engine, tracer);
+) -> (CollectiveRunReport, T, usize) {
+    let ring_only = op != CollectiveOp::AllToAll;
+    let mut ex = CollectiveExecutor::build(
+        spec,
+        net_params,
+        options,
+        faults,
+        make_engine,
+        tracer,
+        ring_only,
+    );
     let h = ex.issue(op, payload_bytes, SimTime::ZERO);
     let completion = ex.run_until_complete(h);
     let cycles = completion.cycles().max(1);
@@ -180,7 +190,8 @@ fn run_typed<E: CollectiveEngine, T: Tracer>(
         past_schedules: ex.past_schedules(),
         attribution,
     };
-    (report, ex.into_tracer())
+    let simulated = ex.simulated_nodes();
+    (report, ex.into_tracer(), simulated)
 }
 
 #[cfg(test)]

@@ -22,6 +22,29 @@
 //! which the golden traces pin. A sweep runs its grid cells in parallel;
 //! a single cell never spreads over threads.
 //!
+//! # One representative NPU
+//!
+//! When every node runs the same schedule, the executor simulates node 0
+//! alone: one engine, one admission queue, one arena column per chunk,
+//! and a neighbor table that sends every ring hop back to node 0. A run
+//! qualifies when its fault plan is pristine, its tracer is disabled and
+//! it issues only ring collectives (all-reduce, reduce-scatter,
+//! all-gather, send-recv). `RunSpec` and `TrainSpec` make that choice;
+//! [`CollectiveExecutor::new`] always simulates the full fabric. The
+//! outputs are unchanged, bit for bit. Link parameters depend only on the
+//! port, every node gets the same engine, and a ring send uses only the
+//! sender's own egress link and lands at a neighbor that behaves
+//! identically. Same-time events pop by kind, collective and chunk
+//! before node, so node 0 performs the same operations in the same order
+//! either way; a chunk completes after node 0's drain, which the full run
+//! follows at that instant only with the other nodes' drains of the same
+//! chunk. The network and the executor report node 0's integer totals
+//! times the node count, before any division. All-to-all breaks the
+//! symmetry: flows from different sources share a link in source-index
+//! order, which wraps differently at each node. Faults, contention and
+//! per-node trace spans need per-node state too, so those runs simulate
+//! every node.
+//!
 //! # Hot-path layout
 //!
 //! The event loop processes tens of millions of events per design-space
@@ -454,6 +477,9 @@ struct Waiter {
 /// them — chunk completion — leaves through `notices`.
 struct ExecCtx<'a, E, T> {
     nodes: usize,
+    /// Simulated nodes: `nodes`, or 1 in the one-node form. Strides the
+    /// neighbor table.
+    sim_nodes: usize,
     options: ExecutorOptions,
     colls: &'a [Coll],
     dim_nbrs: &'a [NodeId],
@@ -827,7 +853,7 @@ impl<E: CollectiveEngine, T: Tracer> ExecCtx<'_, E, T> {
         } else {
             (hot.port_idx_minus as usize, 1)
         };
-        let dst = self.dim_nbrs[(hot.dim as usize * 2 + dir) * self.nodes + node];
+        let dst = self.dim_nbrs[(hot.dim as usize * 2 + dir) * self.sim_nodes + node];
         // On a faulted fabric the direct ring link may be killed: the
         // fault plan then carries a BFS detour route to the same ring
         // neighbor, and the message travels it hop by hop instead.
@@ -1133,6 +1159,10 @@ pub struct CollectiveExecutor<
 > {
     spec: TopologySpec,
     nodes: usize,
+    /// Nodes with simulated state: `nodes`, or 1 when node 0 stands for
+    /// every node (see the module docs). Engines, admission queues and
+    /// arena columns exist for these nodes only.
+    sim_nodes: usize,
     net: Network,
     engines: Vec<E>,
     options: ExecutorOptions,
@@ -1159,9 +1189,10 @@ pub struct CollectiveExecutor<
     /// Earliest pending `TryInject` timestamp; later duplicates are not
     /// scheduled (the earlier drain subsumes them).
     inject_at: Option<SimTime>,
-    /// `dim_nbrs[(dim * 2 + dir) * nodes + node]` neighbor table, `dir`
-    /// 0 = positive, 1 = negative — the flat form of
-    /// [`Topology::neighbor`] the ring hot path reads.
+    /// `dim_nbrs[(dim * 2 + dir) * sim_nodes + node]` neighbor table,
+    /// `dir` 0 = positive, 1 = negative — the flat form of
+    /// [`Topology::neighbor`] the ring hot path reads. Every entry is
+    /// node 0 in the one-node form.
     dim_nbrs: Vec<NodeId>,
     /// Route per all-to-all flow index (built on first all-to-all).
     a2a_routes: Vec<Route>,
@@ -1241,6 +1272,10 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// `tracer` receives the run's events: [`NullTracer`] compiles every
     /// hook away, while an [`ace_trace::RecordingTracer`] is read back
     /// through [`tracer`](CollectiveExecutor::tracer) after the run.
+    ///
+    /// Every node is simulated. `RunSpec` and `TrainSpec` simulate node 0
+    /// alone when the fabric is pristine, the tracer disabled and every
+    /// collective a ring collective, which reports the same results.
     pub fn new(
         topology: TopologySpec,
         net_params: NetworkParams,
@@ -1249,22 +1284,53 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         make_engine: impl Fn() -> E,
         tracer: T,
     ) -> CollectiveExecutor<E, T> {
+        Self::build(
+            topology,
+            net_params,
+            options,
+            faults,
+            make_engine,
+            tracer,
+            false,
+        )
+    }
+
+    /// [`new`](CollectiveExecutor::new), simulating node 0 alone when
+    /// the run is symmetric: `ring_only` (the caller issues no
+    /// all-to-all), a pristine fault plan and a disabled tracer.
+    pub(crate) fn build(
+        topology: TopologySpec,
+        net_params: NetworkParams,
+        options: ExecutorOptions,
+        faults: Option<&FaultPlan>,
+        make_engine: impl Fn() -> E,
+        tracer: T,
+        ring_only: bool,
+    ) -> CollectiveExecutor<E, T> {
         let fault = faults.filter(|fp| !fp.is_pristine()).cloned();
-        let mut net = Network::new(topology, net_params);
+        let one_node = ring_only && fault.is_none() && !tracer.enabled();
+        let mut net = if one_node {
+            Network::representative(topology, net_params)
+        } else {
+            Network::new(topology, net_params)
+        };
         if let Some(fp) = &fault {
             net.apply_fault_plan(fp);
         }
         let topo = net.topology();
         let nodes = topo.nodes();
-        let engines = (0..nodes).map(|_| make_engine()).collect();
+        let sim_nodes = if one_node { 1 } else { nodes };
+        let engines = (0..sim_nodes).map(|_| make_engine()).collect();
         let max_inflight = options.max_inflight_chunks.max(1);
         // Flatten the topology's neighbor function into the table the
-        // ring hot path indexes: `(dim * 2 + dir) * nodes + node`.
-        let mut dim_nbrs = Vec::with_capacity(topo.dims().len() * 2 * nodes);
+        // ring hot path indexes: `(dim * 2 + dir) * sim_nodes + node`.
+        // Node 0's ring neighbors behave exactly like node 0, so the
+        // one-node form sends every hop back to it.
+        let mut dim_nbrs = Vec::with_capacity(topo.dims().len() * 2 * sim_nodes);
         for (d, info) in topo.dims().iter().enumerate() {
             for plus in [true, false] {
-                for node in 0..nodes {
-                    dim_nbrs.push(if info.len > 1 {
+                for node in 0..sim_nodes {
+                    dim_nbrs.push(if info.len > 1 && !one_node {
                         topo.neighbor(NodeId(node), d, plus)
                     } else {
                         NodeId(node)
@@ -1285,6 +1351,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         CollectiveExecutor {
             spec: topology,
             nodes,
+            sim_nodes,
             net,
             engines,
             options,
@@ -1295,7 +1362,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
             max_inflight,
             arena: Vec::new(),
             free_slots: Vec::new(),
-            admit_wait: vec![Vec::new(); nodes],
+            admit_wait: vec![Vec::new(); sim_nodes],
             next_seq: 0,
             inject_at: None,
             dim_nbrs,
@@ -1321,6 +1388,17 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// Number of NPUs in the fabric.
     pub fn nodes(&self) -> usize {
         self.nodes
+    }
+
+    /// Number of NPUs whose state is simulated: 1 in the one-node form,
+    /// [`nodes`](CollectiveExecutor::nodes) otherwise.
+    pub(crate) fn simulated_nodes(&self) -> usize {
+        self.sim_nodes
+    }
+
+    /// How many fabric nodes each simulated node stands for.
+    fn replicas(&self) -> u64 {
+        (self.nodes / self.sim_nodes) as u64
     }
 
     /// The network (throughput/utilization meters).
@@ -1356,6 +1434,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         self.engines
             .iter()
             .fold(PipeBusy::default(), |acc, e| acc + e.pipe_busy())
+            * self.replicas()
     }
 
     /// Issues a collective of `op` with per-node `payload_bytes` at time
@@ -1366,6 +1445,10 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
             CollectiveOp::AllToAll => CollKind::AllToAll,
             _ => CollKind::Ring,
         };
+        assert!(
+            kind == CollKind::Ring || self.sim_nodes == self.nodes,
+            "all-to-all needs every node simulated"
+        );
         let mut a2a_extra = 0;
         let chunk_sizes = match kind {
             CollKind::Ring => self.options.granularity.chunks(payload_bytes),
@@ -1530,7 +1613,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// surface this so release-mode sweeps can flag the invariant
     /// violation that `debug_assert` only catches in debug builds.
     pub fn past_schedules(&self) -> u64 {
-        self.queue.past_schedules()
+        self.queue.past_schedules() * self.replicas()
     }
 
     // ------------------------------------------------------------------
@@ -1542,6 +1625,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     fn ctx(&mut self) -> ExecCtx<'_, E, T> {
         ExecCtx {
             nodes: self.nodes,
+            sim_nodes: self.sim_nodes,
             options: self.options,
             colls: &self.colls,
             dim_nbrs: &self.dim_nbrs,
@@ -1584,7 +1668,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
             NoticeKind::Drain => {
                 let st = &mut self.arena[slot];
                 st.nodes_done += 1;
-                if st.nodes_done == self.nodes {
+                if st.nodes_done == self.sim_nodes {
                     self.chunk_complete(n.at, cid, chunk);
                 }
             }
@@ -1652,7 +1736,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
                 (self.arena.len() - 1) as u32
             }
         };
-        self.arena[slot as usize].reset(self.nodes);
+        self.arena[slot as usize].reset(self.sim_nodes);
         self.colls[cid].chunk_slot[chunk] = slot;
     }
 
@@ -1665,7 +1749,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
 
     fn inject_ring_chunk(&mut self, now: SimTime, cid: usize, chunk: usize) {
         self.acquire_chunk_slot(cid, chunk);
-        let nodes = self.nodes;
+        let nodes = self.sim_nodes;
         let mut ctx = self.ctx();
         for node in 0..nodes {
             ctx.request_phase(now, cid, chunk, node, 0, NOT_STARTED);

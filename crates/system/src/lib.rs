@@ -43,6 +43,8 @@ pub mod analytic;
 mod collective_run;
 mod config;
 mod executor;
+#[cfg(test)]
+mod one_node_tests;
 mod report;
 mod run;
 mod training;

@@ -215,6 +215,13 @@ impl<T: Tracer> RunSpec<T> {
     ///
     /// Same conditions as [`run`](RunSpec::run).
     pub fn run_traced(self) -> Result<(CollectiveRunReport, T), RunError> {
+        self.run_counted()
+            .map(|(report, tracer, _)| (report, tracer))
+    }
+
+    /// [`run_traced`](RunSpec::run_traced), also returning how many nodes
+    /// the executor simulated.
+    pub(crate) fn run_counted(self) -> Result<(CollectiveRunReport, T, usize), RunError> {
         let net_params = NetworkParams::paper_default();
         let plan = (!self.conditions.is_pristine())
             .then(|| self.conditions.resolve(self.topology, &net_params))

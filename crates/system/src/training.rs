@@ -81,13 +81,25 @@ impl<T: Tracer> TrainingSim<T> {
     ) -> TrainingSim<T> {
         let plan = ace_collectives::CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let weights = CollectiveExecutor::phase_weights(&plan, &net_params);
-        let mut exec = CollectiveExecutor::new(
+        // Without all-to-all every node runs the same schedule, so the
+        // executor may simulate one representative node.
+        let ring_only = program.iter_scheduled().all(|(_, task)| {
+            !matches!(
+                task.kind(),
+                TaskKind::Collective {
+                    op: CollectiveOp::AllToAll,
+                    ..
+                }
+            )
+        });
+        let mut exec = CollectiveExecutor::build(
             spec,
             net_params,
             options,
             fault.as_ref(),
             move || config.make_engine(&weights),
             tracer,
+            ring_only,
         );
         if exec.tracer().enabled() {
             exec.tracer_mut().meta_thread(TIMELINE_TRACK, "timeline");
@@ -109,6 +121,12 @@ impl<T: Tracer> TrainingSim<T> {
     /// The program about to run.
     pub fn program(&self) -> &Program {
         &self.program
+    }
+
+    /// Number of NPUs the executor simulates (1 in its one-node form).
+    #[cfg(test)]
+    pub(crate) fn simulated_nodes(&self) -> usize {
+        self.exec.simulated_nodes()
     }
 
     /// Executes the program's schedule and produces the report.

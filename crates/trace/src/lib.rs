@@ -326,6 +326,21 @@ impl std::ops::Add for PipeBusy {
     }
 }
 
+impl std::ops::Mul<u64> for PipeBusy {
+    type Output = PipeBusy;
+
+    /// Element-wise scaling: the totals of `k` engines that each
+    /// recorded `self`.
+    fn mul(self, k: u64) -> PipeBusy {
+        PipeBusy {
+            hbm: self.hbm * k,
+            dma: self.dma * k,
+            bus: self.bus * k,
+            proc: self.proc * k,
+        }
+    }
+}
+
 /// Per-pipe weights used to split communication cycles into bound
 /// buckets. Usually the measured busy-cycle totals of each pipe.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
