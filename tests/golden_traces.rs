@@ -1,13 +1,17 @@
 //! Golden-trace regression tests.
 //!
 //! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps, plus a
-//! training grid (exact and analytic tiers) and a serving grid, are run
+//! training grid (exact and analytic tiers), a serving grid and an
+//! analytic-tier collective grid over every fabric family, are run
 //! end-to-end and their CSV/JSON reports diffed **byte-for-byte** against
 //! checked-in files under `tests/golden/`. The collective files were
 //! captured from the simulator before the topology abstraction landed,
-//! and the training/serving files before the run entry points were
-//! consolidated, so these tests prove that refactors of the
-//! network/collective/system layers do not move the paper's numbers.
+//! the training/serving files before the run entry points were
+//! consolidated, and the analytic-grid, JSON, attribution and escaping
+//! files before the α–β route footprint was memoized and the report
+//! writers were rewritten, so these tests prove that refactors of the
+//! network/collective/system/report layers do not move the paper's
+//! numbers.
 //!
 //! To regenerate after an *intentional* simulation change:
 //!
@@ -19,9 +23,11 @@
 
 use std::path::PathBuf;
 
+use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::sweep::{
-    report, run_scenario, BaselineSpec, EngineFamily, EngineSpec, RunnerOptions, Scenario,
+    report, run_scenario, BaselineSpec, EngineFamily, EngineSpec, Fidelity, RunnerOptions,
+    Scenario, SweepOutcome,
 };
 
 /// Smoke payload: big enough to exercise chunking/pipelining, small
@@ -164,6 +170,115 @@ fn serving_smoke() -> Scenario {
         "#,
     )
     .expect("valid scenario")
+}
+
+/// Analytic tier (smoke): all three engines and both α–β paths (ring
+/// phases and route-enumerated all-to-all) on 16-node fabrics, at an
+/// aligned and a prime payload, pristine and contended, with one killed
+/// cable where the fabric has point-to-point cables (a crossbar has
+/// none to kill). Speedups against the ideal engine fill the summary.
+fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
+    let mut sc = Scenario::collective(name);
+    sc.fidelity = Fidelity::Analytic;
+    sc.topologies = topologies
+        .iter()
+        .map(|t| t.parse().expect("valid topology"))
+        .collect();
+    sc.engines = vec![
+        EngineFamily::Ideal,
+        EngineFamily::Baseline,
+        EngineFamily::Ace,
+    ];
+    sc.ops = vec![CollectiveOp::AllReduce, CollectiveOp::AllToAll];
+    sc.payload_bytes = vec![16 << 20, 1_000_003];
+    sc.faults = faults
+        .iter()
+        .map(|f| f.parse().expect("valid fault"))
+        .collect();
+    sc.contention = vec![
+        "none".parse().expect("valid contention"),
+        "uniform:8".parse().expect("valid contention"),
+    ];
+    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+    sc
+}
+
+/// The cabled fabrics of the analytic grid: two tori and a hierarchical
+/// fabric, each also with one cable killed.
+fn analytic_cabled() -> Scenario {
+    analytic_grid(
+        "analytic-cabled",
+        &["4x2x2", "2x2x2x2", "hier:4x4"],
+        &["none", "kill:1@seed:42"],
+    )
+}
+
+/// The crossbar fabrics of the analytic grid, with and without the
+/// uplink-bandwidth override.
+fn analytic_switch() -> Scenario {
+    analytic_grid("analytic-switch", &["switch:16", "switch:16@100"], &["none"])
+}
+
+fn serial(scenario: &Scenario) -> SweepOutcome {
+    run_scenario(
+        scenario,
+        RunnerOptions {
+            threads: 1,
+            ..Default::default()
+        },
+    )
+    .expect("valid scenario")
+}
+
+#[test]
+fn analytic_cabled_grid_matches_golden() {
+    let out = serial(&analytic_cabled());
+    check_golden("analytic_cabled.csv", &report::to_csv(&out));
+    check_golden("analytic_cabled.json", &report::to_json(&out));
+}
+
+#[test]
+fn analytic_switch_grid_matches_golden() {
+    let out = serial(&analytic_switch());
+    check_golden("analytic_switch.csv", &report::to_csv(&out));
+    check_golden("analytic_switch.json", &report::to_json(&out));
+}
+
+#[test]
+fn training_smoke_json_and_attribution_match_golden() {
+    let out = serial(&training_smoke("exact"));
+    check_golden("training_smoke.json", &report::to_json(&out));
+    check_golden(
+        "training_smoke_attribution.csv",
+        &report::to_csv_with_attribution(&out),
+    );
+    check_golden(
+        "training_smoke_attribution.json",
+        &report::to_json_with_attribution(&out),
+    );
+}
+
+#[test]
+fn training_analytic_smoke_json_matches_golden() {
+    let out = serial(&training_smoke("analytic"));
+    check_golden("training_analytic_smoke.json", &report::to_json(&out));
+}
+
+#[test]
+fn serving_smoke_json_matches_golden() {
+    let out = serial(&serving_smoke());
+    check_golden("serving_smoke.json", &report::to_json(&out));
+}
+
+#[test]
+fn json_escapes_the_scenario_name() {
+    // A quote, a backslash, a tab, a newline and a control character:
+    // each takes its own escape path.
+    let mut sc = Scenario::collective("quote \" back\\slash\ttab\nline\u{1}ctl");
+    sc.fidelity = Fidelity::Analytic;
+    sc.engines = vec![EngineFamily::Ideal];
+    sc.payload_bytes = vec![1 << 20];
+    check_golden("escaped_name.json", &report::to_json(&serial(&sc)));
 }
 
 #[test]
