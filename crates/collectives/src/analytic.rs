@@ -33,8 +33,20 @@
 //! grid the model lands within a few percent of the executor; expect
 //! larger errors for deeply contended all-to-alls and tiny payloads
 //! (latency-dominated, below the model's chunk granularity).
+//!
+//! An all-to-all estimate walks node 0's routes once and keeps only what
+//! the model reads from them: the forwarded hops per destination, the
+//! hops per link class and the egress ports crossed. That footprint
+//! depends on the fabric alone, so a [`RouteMemo`] keeps it per
+//! [`TopologySpec`]; the sweep runner holds one memo for all its cells,
+//! and each fabric's routes are walked once per sweep.
 
-use ace_net::{FaultPlan, LinkClass, LinkParams, NetworkParams, NodeId, Topology, TopologySpec};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
+
+use ace_net::{
+    FaultPlan, LinkClass, LinkParams, NetworkParams, NodeId, Port, Topology, TopologySpec,
+};
 
 use crate::granularity::Granularity;
 use crate::plan::{CollectivePlan, PhaseLink, PhaseSpec};
@@ -129,6 +141,116 @@ struct PhaseLoad {
     steps: f64,
 }
 
+/// The fabrics estimates have resolved, keyed by [`TopologySpec`]: each
+/// fabric's built [`Topology`] and, once an all-to-all needs them, node
+/// 0's routes reduced to what the model reads. Both depend on the spec
+/// alone (link parameters are applied per estimate), so one memo serves
+/// estimates on every fabric, from any thread, without changing a bit of
+/// their results.
+#[derive(Debug, Default)]
+pub struct RouteMemo {
+    fabrics: Mutex<HashMap<TopologySpec, Arc<Fabric>>>,
+}
+
+impl RouteMemo {
+    /// An empty memo.
+    pub fn new() -> RouteMemo {
+        RouteMemo::default()
+    }
+
+    /// Number of fabrics held.
+    pub fn len(&self) -> usize {
+        self.fabrics.lock().expect("route memo lock").len()
+    }
+
+    /// Whether no fabric is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn fabric(&self, spec: TopologySpec) -> Arc<Fabric> {
+        let mut fabrics = self.fabrics.lock().expect("route memo lock");
+        let fabric = fabrics.entry(spec).or_insert_with(|| {
+            Arc::new(Fabric {
+                topo: spec.build(),
+                routes: OnceLock::new(),
+            })
+        });
+        Arc::clone(fabric)
+    }
+}
+
+/// One memoized fabric. Its routes are walked on first use, so fabrics
+/// that only ever see ring collectives never walk them.
+#[derive(Debug)]
+struct Fabric {
+    topo: Box<dyn Topology>,
+    routes: OnceLock<RouteFootprint>,
+}
+
+impl Fabric {
+    fn routes(&self) -> &RouteFootprint {
+        self.routes
+            .get_or_init(|| RouteFootprint::walk(self.topo.as_ref()))
+    }
+}
+
+/// Node 0's all-to-all routes, reduced to what the model reads from them.
+/// Topologies are vertex-transitive, so node 0 stands for every node.
+#[derive(Debug)]
+struct RouteFootprint {
+    /// Hops beyond the first, for each destination whose route has more
+    /// than one hop, in destination order.
+    forwarded_hops: Vec<usize>,
+    /// Hops over all routes, per link class (intra, inter).
+    class_hops: [usize; 2],
+    /// Live egress ports per node, per link class (intra, inter).
+    class_ports: [f64; 2],
+    /// Distinct egress ports the routes cross, in first-crossed order.
+    egress: Vec<Port>,
+}
+
+impl RouteFootprint {
+    fn walk(topo: &dyn Topology) -> RouteFootprint {
+        let mut forwarded_hops = Vec::new();
+        let mut class_hops = [0usize; 2];
+        let mut egress: Vec<Port> = Vec::new();
+        for dst in 1..topo.nodes() {
+            let route = topo.route(NodeId(0), NodeId(dst));
+            if route.len() > 1 {
+                forwarded_hops.push(route.len() - 1);
+            }
+            for hop in &route {
+                if let Some(class) = topo.port_class(hop.port) {
+                    class_hops[class_index(class)] += 1;
+                }
+                if !egress.contains(&hop.port) {
+                    egress.push(hop.port);
+                }
+            }
+        }
+        let mut class_ports = [0.0f64; 2];
+        for idx in 0..topo.ports_per_node() {
+            if let Some(class) = topo.port_class(Port::from_index(idx)) {
+                class_ports[class_index(class)] += 1.0;
+            }
+        }
+        RouteFootprint {
+            forwarded_hops,
+            class_hops,
+            class_ports,
+            egress,
+        }
+    }
+}
+
+fn class_index(class: LinkClass) -> usize {
+    match class {
+        LinkClass::IntraPackage => 0,
+        LinkClass::InterPackage => 1,
+    }
+}
+
 /// Estimates the completion time of `plan` with per-node `payload_bytes`
 /// on the endpoint described by `endpoint`. The plan's topology is
 /// rebuilt from its [`TopologySpec`] to resolve per-dimension link
@@ -139,7 +261,7 @@ pub fn estimate_collective(
     payload_bytes: u64,
     endpoint: &EndpointModel,
 ) -> AnalyticEstimate {
-    estimate_inner(plan, net, payload_bytes, endpoint, None)
+    estimate_collective_with_memo(plan, net, payload_bytes, endpoint, None, &RouteMemo::new())
 }
 
 /// [`estimate_collective`] on a degraded fabric: each ring/exchange
@@ -156,18 +278,30 @@ pub fn estimate_collective_degraded(
     endpoint: &EndpointModel,
     faults: &FaultPlan,
 ) -> AnalyticEstimate {
-    estimate_inner(plan, net, payload_bytes, endpoint, Some(faults))
+    estimate_collective_with_memo(
+        plan,
+        net,
+        payload_bytes,
+        endpoint,
+        Some(faults),
+        &RouteMemo::new(),
+    )
 }
 
-fn estimate_inner(
+/// [`estimate_collective`] (`faults` = `None`) or
+/// [`estimate_collective_degraded`], taking the plan's fabric from
+/// `memo`. The memo only saves work: the estimate is bit-identical to
+/// the one a fresh memo gives.
+pub fn estimate_collective_with_memo(
     plan: &CollectivePlan,
     net: &NetworkParams,
     payload_bytes: u64,
     endpoint: &EndpointModel,
     faults: Option<&FaultPlan>,
+    memo: &RouteMemo,
 ) -> AnalyticEstimate {
-    let spec = plan.spec();
-    let topo = spec.build();
+    let fabric = memo.fabric(plan.spec());
+    let topo = fabric.topo.as_ref();
     let payload = payload_bytes as f64;
     let gran = Granularity::paper_default();
     let message = gran.message_bytes as f64;
@@ -175,7 +309,7 @@ fn estimate_inner(
     let mut loads: Vec<PhaseLoad> = plan
         .phases()
         .iter()
-        .map(|p| phase_load(p, topo.as_ref(), net, payload))
+        .map(|p| phase_load(p, &fabric, net, payload))
         .collect();
 
     // Degradation: derate each phase's wire rate by the fault plan's
@@ -205,7 +339,7 @@ fn estimate_inner(
             }
             PhaseLink::Global { .. } => {
                 let slow = faults.map_or(1.0, FaultPlan::global_slowdown);
-                t_link = t_link.max(global_link_time(topo.as_ref(), net, load.sent_bytes) * slow);
+                t_link = t_link.max(global_link_time(&fabric, net, load.sent_bytes) * slow);
             }
         }
     }
@@ -311,13 +445,9 @@ fn fsm_group_size(fsms: usize, phases: usize, phase: usize) -> usize {
     (base + usize::from(phase < extra)).max(1)
 }
 
-/// Resolves one phase's byte load and link parameters on `topo`.
-fn phase_load(
-    phase: &PhaseSpec,
-    topo: &dyn Topology,
-    net: &NetworkParams,
-    payload: f64,
-) -> PhaseLoad {
+/// Resolves one phase's byte load and link parameters on `fabric`.
+fn phase_load(phase: &PhaseSpec, fabric: &Fabric, net: &NetworkParams, payload: f64) -> PhaseLoad {
+    let topo = fabric.topo.as_ref();
     let sent = phase.send_fraction() * payload;
     match phase.link {
         PhaseLink::Dim { index, .. } => {
@@ -348,22 +478,23 @@ fn phase_load(
             // route lengths give the fabric-wide average.
             let n = topo.nodes();
             let slice = sent / (n as f64 - 1.0).max(1.0);
+            let routes = fabric.routes();
             let mut forwarded = 0.0;
+            for &hops in &routes.forwarded_hops {
+                forwarded += slice * hops as f64;
+            }
+            // The first-crossed slowest link. A port crossed again never
+            // replaces it (the pick only moves on strictly slower links),
+            // so each port is checked once.
             let mut worst: Option<LinkParams> = None;
-            for dst in 1..n {
-                let route = topo.route(NodeId(0), NodeId(dst));
-                if route.len() > 1 {
-                    forwarded += slice * (route.len() - 1) as f64;
-                }
-                for hop in &route {
-                    if let Some(p) = topo.link_params_for(hop.port, net) {
-                        let replace = match &worst {
-                            Some(w) => p.effective_gbps() < w.effective_gbps(),
-                            None => true,
-                        };
-                        if replace {
-                            worst = Some(p);
-                        }
+            for &port in &routes.egress {
+                if let Some(p) = topo.link_params_for(port, net) {
+                    let replace = match &worst {
+                        Some(w) => p.effective_gbps() < w.effective_gbps(),
+                        None => true,
+                    };
+                    if replace {
+                        worst = Some(p);
                     }
                 }
             }
@@ -382,33 +513,23 @@ fn phase_load(
 
 /// Per-link time of a direct all-to-all under uniform traffic: total
 /// link-crossings divided evenly over the fabric's live links.
-fn global_link_time(topo: &dyn Topology, net: &NetworkParams, sent_per_node: f64) -> f64 {
-    let n = topo.nodes();
+fn global_link_time(fabric: &Fabric, net: &NetworkParams, sent_per_node: f64) -> f64 {
+    let n = fabric.topo.nodes();
     let slice = sent_per_node / (n as f64 - 1.0).max(1.0);
     // Node 0's routes, split per link class (vertex-transitivity again).
+    // Each hop adds one slice to its class, in turn: repeated addition,
+    // not `hops * slice`, which would round differently.
+    let routes = fabric.routes();
     let mut class_bytes = [0.0f64; 2];
-    for dst in 1..n {
-        for hop in topo.route(NodeId(0), NodeId(dst)) {
-            match topo.port_class(hop.port) {
-                Some(LinkClass::IntraPackage) => class_bytes[0] += slice,
-                Some(LinkClass::InterPackage) => class_bytes[1] += slice,
-                None => {}
-            }
-        }
-    }
-    // Live ports per node, per class.
-    let mut class_ports = [0.0f64; 2];
-    for idx in 0..topo.ports_per_node() {
-        match topo.port_class(ace_net::Port::from_index(idx)) {
-            Some(LinkClass::IntraPackage) => class_ports[0] += 1.0,
-            Some(LinkClass::InterPackage) => class_ports[1] += 1.0,
-            None => {}
+    for (bytes, &hops) in class_bytes.iter_mut().zip(&routes.class_hops) {
+        for _ in 0..hops {
+            *bytes += slice;
         }
     }
     let mut t: f64 = 0.0;
     for (class, (&bytes, &ports)) in [LinkClass::IntraPackage, LinkClass::InterPackage]
         .iter()
-        .zip(class_bytes.iter().zip(&class_ports))
+        .zip(class_bytes.iter().zip(&routes.class_ports))
     {
         if bytes > 0.0 && ports > 0.0 {
             let params = class_params(net, *class);
@@ -623,6 +744,90 @@ mod tests {
         let slowed =
             estimate_collective_degraded(&plan, &net(), 64 << 20, &EndpointModel::Ideal, &fp);
         assert!(slowed.cycles > base.cycles);
+    }
+
+    #[test]
+    fn memoized_estimates_are_bit_identical() {
+        // One memo serves every fabric below, several of them with 16
+        // nodes: a footprint keyed by anything coarser than the spec
+        // would reach the wrong fabric and move some estimate.
+        let freq = ace_simcore::npu_frequency();
+        let endpoints = [
+            EndpointModel::Ideal,
+            EndpointModel::Baseline {
+                mem_bytes_per_cycle: freq.bytes_per_cycle(128.0),
+                drive_bytes_per_cycle: 6.0 * 64.0,
+                bus_bytes_per_cycle: freq.bytes_per_cycle(500.0),
+            },
+            ace(4, 16),
+        ];
+        let ops = [
+            CollectiveOp::AllReduce,
+            CollectiveOp::ReduceScatter,
+            CollectiveOp::AllGather,
+            CollectiveOp::AllToAll,
+            CollectiveOp::SendRecv,
+        ];
+        let specs = [
+            "16",
+            "4x4",
+            "4x2x2",
+            "2x2x2x2",
+            "3x5",
+            "switch:16",
+            "switch:16@100",
+            "switch:12",
+            "hier:4x4",
+            "hier:2x8",
+            "hier:3x5",
+        ];
+        let bits = |e: AnalyticEstimate| {
+            [
+                e.cycles.to_bits(),
+                e.network_bytes_per_node.to_bits(),
+                e.mem_traffic_bytes_per_node.to_bits(),
+            ]
+        };
+        let memo = RouteMemo::new();
+        for spelling in specs {
+            let spec: TopologySpec = spelling.parse().unwrap();
+            let n = spec.nodes() as u64;
+            // A crossbar has no cable to kill, so it runs pristine only.
+            let killed = FaultPlan::resolve(
+                spec.build().as_ref(),
+                &net(),
+                &"kill:1@seed:42".parse().unwrap(),
+                &ace_net::ContentionSpec::None,
+            )
+            .ok();
+            assert_eq!(killed.is_none(), spelling.starts_with("switch"));
+            for op in ops {
+                let plan = CollectivePlan::for_spec(op, spec);
+                for payload in [0, 1, n - 1, (16 << 20) + 3] {
+                    for ep in &endpoints {
+                        let case = format!("{spelling} {op} {payload} {ep:?}");
+                        let memoized =
+                            estimate_collective_with_memo(&plan, &net(), payload, ep, None, &memo);
+                        let fresh = estimate_collective(&plan, &net(), payload, ep);
+                        assert_eq!(bits(memoized), bits(fresh), "{case}");
+                        if let Some(fp) = &killed {
+                            let memoized = estimate_collective_with_memo(
+                                &plan,
+                                &net(),
+                                payload,
+                                ep,
+                                Some(fp),
+                                &memo,
+                            );
+                            let fresh =
+                                estimate_collective_degraded(&plan, &net(), payload, ep, fp);
+                            assert_eq!(bits(memoized), bits(fresh), "{case} kill:1@seed:42");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(memo.len(), specs.len());
     }
 
     #[test]

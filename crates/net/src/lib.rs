@@ -196,8 +196,48 @@ mod topology {
             );
             assert_eq!(
                 TopologySpec::torus3(1, 1, 1).unwrap_err().to_string(),
-                "torus must contain at least two nodes"
+                "must contain at least two nodes"
             );
+            // Every family's spelling error names its family once, in the
+            // parser's prefix, and never calls a switch or hierarchical
+            // fabric a torus.
+            for (spelling, message) in [
+                (
+                    "1x1",
+                    "torus topology '1x1': must contain at least two nodes",
+                ),
+                ("0x2", "torus topology '0x2': dimensions must be nonzero"),
+                (
+                    "2x2x2x2x2x2x2",
+                    "torus topology '2x2x2x2x2x2x2': needs 1..=6 dimensions, got 7",
+                ),
+                (
+                    "switch:1",
+                    "switch topology 'switch:1': must contain at least two nodes",
+                ),
+                (
+                    "switch:0",
+                    "switch topology 'switch:0': must contain at least two nodes",
+                ),
+                (
+                    "switch:16@0",
+                    "switch topology 'switch:16@0': dimensions must be nonzero",
+                ),
+                (
+                    "hier:1x1",
+                    "hierarchical topology 'hier:1x1': must contain at least two nodes",
+                ),
+                (
+                    "hier:0x4",
+                    "hierarchical topology 'hier:0x4': dimensions must be nonzero",
+                ),
+            ] {
+                let err = spelling.parse::<TopologySpec>().unwrap_err();
+                assert!(err.contains(message), "{spelling}: {err}");
+                if spelling.contains(':') {
+                    assert!(!err.contains("torus"), "{spelling}: {err}");
+                }
+            }
         }
     }
 }

@@ -89,13 +89,15 @@ pub enum ShapeError {
     TooManyNodes,
 }
 
+/// The messages name no topology family: callers prefix the spelling
+/// ("switch topology 'switch:1': …"), which already does.
 impl fmt::Display for ShapeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ShapeError::ZeroDimension => f.write_str("torus dimensions must be nonzero"),
-            ShapeError::TooSmall => f.write_str("torus must contain at least two nodes"),
+            ShapeError::ZeroDimension => f.write_str("dimensions must be nonzero"),
+            ShapeError::TooSmall => f.write_str("must contain at least two nodes"),
             ShapeError::BadDimensionCount(n) => {
-                write!(f, "torus needs 1..=6 dimensions, got {n}")
+                write!(f, "needs 1..={MAX_TORUS_DIMS} dimensions, got {n}")
             }
             ShapeError::DimensionTooLarge(n) => write!(f, "dimension {n} is too large"),
             ShapeError::TooManyNodes => f.write_str("topology node count overflows"),

@@ -44,6 +44,7 @@
 //!   reads the file as usual.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ace_net::TopologySpec;
@@ -51,6 +52,7 @@ use ace_system::{RunConditions, SystemConfig};
 
 use crate::fidelity::Tier;
 use crate::grid::{PointKind, RunPoint};
+use crate::report::Row;
 use crate::runner::{Cache, Metrics};
 use crate::scenario::{parse_op, EngineSpec, WorkloadSel};
 
@@ -74,26 +76,25 @@ const COLUMNS: &str = "fidelity,kind,topology,engine,mem_gbps,comm_sms,sram_mb,f
 /// Serializes `cache` to the versioned file format, rows sorted for
 /// byte-identical output across runs.
 pub fn cache_to_string(cache: &Cache) -> String {
-    let mut rows: Vec<String> = cache
-        .entries()
-        .iter()
-        .map(|(tier, p, m)| {
-            let mut cells = vec![tier.to_string()];
-            cells.extend(point_cells(p));
-            cells.extend(metric_cells(m));
-            cells.join(",")
-        })
-        .collect();
-    rows.sort_unstable();
-    let mut out = String::new();
+    // Every row lands in one buffer; the rows are then sorted by text.
+    let mut row = Row::default();
+    let mut rows = String::new();
+    let mut spans: Vec<Range<usize>> = Vec::new();
+    for (tier, p, m) in cache.entries() {
+        write_row(&mut row, tier, &p, &m);
+        let start = rows.len();
+        rows.push_str(row.line());
+        spans.push(start..rows.len());
+    }
+    spans.sort_unstable_by(|a, b| rows[a.clone()].cmp(&rows[b.clone()]));
+    let mut out = String::with_capacity(CACHE_HEADER.len() + COLUMNS.len() + 4 + rows.len());
     out.push_str(CACHE_HEADER);
     out.push('\n');
     out.push_str("# ");
     out.push_str(COLUMNS);
     out.push('\n');
-    for row in rows {
-        out.push_str(&row);
-        out.push('\n');
+    for span in spans {
+        out.push_str(&rows[span]);
     }
     out
 }
@@ -314,6 +315,7 @@ impl Drop for CacheFileLock {
 pub struct Journal {
     file: std::fs::File,
     path: PathBuf,
+    row: Row,
 }
 
 impl Journal {
@@ -354,11 +356,14 @@ impl Journal {
             file.set_len(text.len() as u64)
                 .map_err(|e| format!("cannot truncate cache {}: {e}", path.display()))?;
         }
-        let mut journal = Journal { file, path };
         if text.is_empty() {
-            journal.append_line(&format!("{CACHE_HEADER}\n# {COLUMNS}"))?;
+            append(&mut file, &path, &format!("{CACHE_HEADER}\n# {COLUMNS}\n"))?;
         }
-        Ok(journal)
+        Ok(Journal {
+            file,
+            path,
+            row: Row::default(),
+        })
     }
 
     /// Appends one cell result and flushes it.
@@ -372,54 +377,60 @@ impl Journal {
         point: &RunPoint,
         metrics: &Metrics,
     ) -> Result<(), String> {
-        let mut cells = vec![tier.to_string()];
-        cells.extend(point_cells(point));
-        cells.extend(metric_cells(metrics));
-        self.append_line(&cells.join(","))
-    }
-
-    fn append_line(&mut self, line: &str) -> Result<(), String> {
-        self.file
-            .write_all(format!("{line}\n").as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| format!("cannot append to cache {}: {e}", self.path.display()))
+        write_row(&mut self.row, tier, point, metrics);
+        append(&mut self.file, &self.path, self.row.line())
     }
 }
 
-/// The point-identity cells (first 17 columns).
-fn point_cells(p: &RunPoint) -> Vec<String> {
-    let mut c = vec![String::new(); 17];
-    c[1] = p.topology.to_string();
-    c[14] = p.conditions.faults.to_string();
-    c[15] = p.conditions.contention.to_string();
-    c[16] = p.conditions.straggler.to_string();
+/// Appends `text` to the cache file `file` (at `path`) and flushes it.
+fn append(file: &mut std::fs::File, path: &Path, text: &str) -> Result<(), String> {
+    file.write_all(text.as_bytes())
+        .and_then(|()| file.flush())
+        .map_err(|e| format!("cannot append to cache {}: {e}", path.display()))
+}
+
+/// Writes one cache row: the tier, the point-identity cells (the next
+/// 17 columns) and the metric cells (the last 22). The attribution total
+/// is elided: it equals `completion_cycles` in every execution path, and
+/// the loader reconstructs it from there.
+fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
+    row.clear();
+    row.display(tier);
     match &p.kind {
         PointKind::Collective {
             engine,
             op,
             payload_bytes,
         } => {
-            c[0] = "collective".into();
+            row.text("collective");
+            row.display(p.topology);
             match *engine {
-                EngineSpec::Ideal => c[2] = "ideal".into(),
+                EngineSpec::Ideal => {
+                    row.text("ideal");
+                    row.empty(4);
+                }
                 EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                    c[2] = "baseline".into();
-                    c[3] = format!("{mem_gbps}");
-                    c[4] = comm_sms.to_string();
+                    row.text("baseline");
+                    row.display(mem_gbps);
+                    row.display(comm_sms);
+                    row.empty(2);
                 }
                 EngineSpec::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
                 } => {
-                    c[2] = "ace".into();
-                    c[3] = format!("{dma_mem_gbps}");
-                    c[5] = sram_mb.to_string();
-                    c[6] = fsms.to_string();
+                    row.text("ace");
+                    row.display(dma_mem_gbps);
+                    row.empty(1);
+                    row.display(sram_mb);
+                    row.display(fsms);
                 }
             }
-            c[7] = op.to_string();
-            c[8] = payload_bytes.to_string();
+            row.display(op);
+            row.display(payload_bytes);
+            // config … serving
+            row.empty(5);
         }
         PointKind::Training {
             config,
@@ -427,49 +438,56 @@ fn point_cells(p: &RunPoint) -> Vec<String> {
             iterations,
             optimized_embedding,
         } => {
-            c[0] = "training".into();
-            c[9] = config.to_string();
-            c[10] = workload.to_string();
-            c[11] = iterations.to_string();
-            c[12] = if *optimized_embedding { "1" } else { "0" }.into();
+            row.text("training");
+            row.display(p.topology);
+            // engine … payload_bytes
+            row.empty(7);
+            row.display(config);
+            row.display(workload);
+            row.display(iterations);
+            row.text(if *optimized_embedding { "1" } else { "0" });
+            row.empty(1);
         }
         PointKind::Serving {
             config,
             workload,
             spec,
         } => {
-            c[0] = "serving".into();
-            c[9] = config.to_string();
-            c[10] = workload.to_string();
-            c[13] = spec.cache_key();
+            row.text("serving");
+            row.display(p.topology);
+            row.empty(7);
+            row.display(config);
+            row.display(workload);
+            row.empty(2);
+            row.text(&spec.cache_key());
         }
     }
-    c
-}
-
-/// The metric cells (last 22 columns). The attribution total is elided:
-/// it equals `completion_cycles` in every execution path, and the loader
-/// reconstructs it from there.
-fn metric_cells(m: &Metrics) -> Vec<String> {
-    let mut cells = vec![
-        format!("{}", m.time_us),
-        m.completion_cycles.to_string(),
-        format!("{}", m.gbps_per_npu),
-        m.mem_traffic_bytes.to_string(),
-        m.network_bytes.to_string(),
-        format!("{}", m.compute_us),
-        format!("{}", m.exposed_comm_us),
-        m.past_schedules.to_string(),
-        format!("{}", m.serving.ttft_p50_us),
-        format!("{}", m.serving.ttft_p95_us),
-        format!("{}", m.serving.ttft_p99_us),
-        format!("{}", m.serving.e2e_p50_us),
-        format!("{}", m.serving.e2e_p95_us),
-        format!("{}", m.serving.e2e_p99_us),
-        format!("{}", m.serving.goodput_rps),
-    ];
-    cells.extend(m.attribution.buckets().iter().map(|(_, v)| v.to_string()));
-    cells
+    row.display(&p.conditions.faults);
+    row.display(p.conditions.contention);
+    row.display(p.conditions.straggler);
+    row.display(m.time_us);
+    row.display(m.completion_cycles);
+    row.display(m.gbps_per_npu);
+    row.display(m.mem_traffic_bytes);
+    row.display(m.network_bytes);
+    row.display(m.compute_us);
+    row.display(m.exposed_comm_us);
+    row.display(m.past_schedules);
+    let s = &m.serving;
+    for v in [
+        s.ttft_p50_us,
+        s.ttft_p95_us,
+        s.ttft_p99_us,
+        s.e2e_p50_us,
+        s.e2e_p95_us,
+        s.e2e_p99_us,
+        s.goodput_rps,
+    ] {
+        row.display(v);
+    }
+    for (_, cycles) in m.attribution.buckets() {
+        row.display(cycles);
+    }
 }
 
 fn parse_row(line: &str) -> Result<(Tier, RunPoint, Metrics), String> {

@@ -5,6 +5,8 @@
 //! formatting, rows in grid order. A parallel run therefore emits a CSV
 //! byte-identical to a single-threaded run of the same scenario.
 
+use std::fmt::{self, Write};
+
 use crate::grid::{PointKind, RunPoint};
 use crate::runner::{RunResult, SweepOutcome};
 use crate::scenario::EngineSpec;
@@ -69,163 +71,265 @@ pub const ATTRIBUTION_COLUMNS: [&str; 7] = [
     "attr_other_cycles",
 ];
 
+/// How a column's non-empty cells render in JSON.
+#[derive(Debug, Clone, Copy)]
+enum JsonKind {
+    /// A quoted, escaped string.
+    Str,
+    /// `true` for the cell `1`, else `false`.
+    Bool,
+    /// The cell as written: a bare number.
+    Num,
+}
+
+/// The JSON kind of each column, indexed like [`CSV_COLUMNS`].
+const JSON_KINDS: [JsonKind; 39] = {
+    use JsonKind::{Bool, Num, Str};
+    [
+        Str,  // topology
+        Num,  // nodes
+        Str,  // engine
+        Str,  // op
+        Num,  // payload_bytes
+        Num,  // mem_gbps
+        Num,  // comm_sms
+        Num,  // sram_mb
+        Num,  // fsms
+        Str,  // config
+        Str,  // workload
+        Num,  // iterations
+        Str,  // arrival
+        Num,  // arrival_rate
+        Str,  // schedule
+        Num,  // microbatches
+        Str,  // faults
+        Str,  // contention
+        Str,  // straggler
+        Num,  // failed_links
+        Num,  // degradation_pct
+        Num,  // time_us
+        Num,  // completion_cycles
+        Num,  // gbps_per_npu
+        Num,  // mem_traffic_bytes
+        Num,  // network_bytes
+        Num,  // compute_us
+        Num,  // exposed_comm_us
+        Num,  // ttft_p50_us
+        Num,  // ttft_p95_us
+        Num,  // ttft_p99_us
+        Num,  // e2e_p50_us
+        Num,  // e2e_p95_us
+        Num,  // e2e_p99_us
+        Num,  // goodput_rps
+        Num,  // past_schedules
+        Str,  // fidelity
+        Bool, // cache_hit
+        Num,  // speedup_vs_baseline
+    ]
+};
+
+/// `bytes` with a binary-power suffix when exact (`64MB`), else raw
+/// bytes (`1000B`).
+struct HumanBytes(u64);
+
+impl fmt::Display for HumanBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (shift, suffix) in [(30, "GB"), (20, "MB"), (10, "KB")] {
+            if self.0 >= (1 << shift) && self.0.is_multiple_of(1 << shift) {
+                return write!(f, "{}{suffix}", self.0 >> shift);
+            }
+        }
+        write!(f, "{}B", self.0)
+    }
+}
+
 /// Formats `bytes` with a binary-power suffix when exact (`64MB`),
 /// falling back to raw bytes.
 pub fn human_bytes(bytes: u64) -> String {
-    for (shift, suffix) in [(30, "GB"), (20, "MB"), (10, "KB")] {
-        if bytes >= (1 << shift) && bytes.is_multiple_of(1 << shift) {
-            return format!("{}{suffix}", bytes >> shift);
-        }
-    }
-    format!("{bytes}B")
+    HumanBytes(bytes).to_string()
 }
 
-/// One row's cell values in [`CSV_COLUMNS`] order.
-fn row_cells(r: &RunResult) -> Vec<String> {
-    let mut engine = String::new();
-    let mut op = String::new();
-    let mut payload = String::new();
-    let mut mem = String::new();
-    let mut sms = String::new();
-    let mut sram = String::new();
-    let mut fsm = String::new();
-    let mut config = String::new();
-    let mut workload = String::new();
-    let mut iters = String::new();
-    let mut arrival = String::new();
-    let mut arrival_rate = String::new();
-    let mut schedule = String::new();
-    let mut microbatches = String::new();
-    let mut serving_cells = vec![String::new(); 7];
-    match &r.point.kind {
+/// One row's cells, written back to back into a buffer reused from row
+/// to row. Each cell is followed by a comma, which [`Row::line`] turns
+/// into the row's newline; `ends[i]` is where cell `i` ends. The reports
+/// and the cache file both write their rows through it.
+#[derive(Debug, Default)]
+pub(crate) struct Row {
+    buf: String,
+    ends: Vec<usize>,
+}
+
+impl Row {
+    pub(crate) fn clear(&mut self) {
+        self.buf.clear();
+        self.ends.clear();
+    }
+
+    /// Closes the cell written since the previous one.
+    fn end_cell(&mut self) {
+        self.ends.push(self.buf.len());
+        self.buf.push(',');
+    }
+
+    pub(crate) fn empty(&mut self, cells: usize) {
+        for _ in 0..cells {
+            self.end_cell();
+        }
+    }
+
+    pub(crate) fn text(&mut self, s: &str) {
+        self.buf.push_str(s);
+        self.end_cell();
+    }
+
+    /// A cell in the value's `Display` form — for floats, the shortest
+    /// string that round-trips, without a trailing `.0` ("128").
+    pub(crate) fn display(&mut self, v: impl fmt::Display) {
+        write!(self.buf, "{v}").expect("writing to a String cannot fail");
+        self.end_cell();
+    }
+
+    /// A float with a fixed number of decimals.
+    pub(crate) fn fixed(&mut self, v: f64, decimals: usize) {
+        write!(self.buf, "{v:.decimals$}").expect("writing to a String cannot fail");
+        self.end_cell();
+    }
+
+    fn cell(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] + 1 };
+        &self.buf[start..self.ends[i]]
+    }
+
+    /// The row as one CSV line, newline included.
+    pub(crate) fn line(&mut self) -> &str {
+        self.buf.pop();
+        self.buf.push('\n');
+        &self.buf
+    }
+}
+
+/// Writes one row's cells in [`CSV_COLUMNS`] order, then, when
+/// `attribution` is set, its [`ATTRIBUTION_COLUMNS`] cells (which are in
+/// [`ace_trace::Attribution::buckets`] order by construction).
+fn write_row(row: &mut Row, r: &RunResult, attribution: bool) {
+    row.clear();
+    let p = &r.point;
+    row.display(p.topology);
+    row.display(p.topology.nodes());
+    match &p.kind {
         PointKind::Collective {
-            engine: spec,
-            op: o,
+            engine,
+            op,
             payload_bytes,
         } => {
-            engine = spec.family().name().to_string();
-            op = o.to_string();
-            payload = payload_bytes.to_string();
-            match *spec {
-                EngineSpec::Ideal => {}
+            row.text(engine.family().name());
+            row.display(op);
+            row.display(payload_bytes);
+            match *engine {
+                EngineSpec::Ideal => row.empty(4),
                 EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                    mem = format_f64(mem_gbps);
-                    sms = comm_sms.to_string();
+                    row.display(mem_gbps);
+                    row.display(comm_sms);
+                    row.empty(2);
                 }
                 EngineSpec::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
                 } => {
-                    mem = format_f64(dma_mem_gbps);
-                    sram = sram_mb.to_string();
-                    fsm = fsms.to_string();
+                    row.display(dma_mem_gbps);
+                    row.empty(1);
+                    row.display(sram_mb);
+                    row.display(fsms);
                 }
             }
+            // config … microbatches
+            row.empty(7);
         }
         PointKind::Training {
-            config: c,
-            workload: w,
+            config,
+            workload,
             iterations,
             ..
         } => {
-            config = c.to_string();
-            workload = w.to_string();
-            iters = iterations.to_string();
+            // engine … fsms
+            row.empty(7);
+            row.display(config);
+            row.display(workload);
+            row.display(iterations);
+            // arrival … microbatches
+            row.empty(4);
         }
         PointKind::Serving {
-            config: c,
-            workload: w,
+            config,
+            workload,
             spec,
         } => {
-            config = c.to_string();
-            workload = w.to_string();
-            arrival = spec.arrival.to_string();
-            arrival_rate = format_f64(spec.rate_rps);
-            schedule = spec.schedule.to_string();
-            microbatches = spec.microbatches.to_string();
-            let s = &r.metrics.serving;
-            serving_cells = [
-                s.ttft_p50_us,
-                s.ttft_p95_us,
-                s.ttft_p99_us,
-                s.e2e_p50_us,
-                s.e2e_p95_us,
-                s.e2e_p99_us,
-                s.goodput_rps,
-            ]
-            .iter()
-            .map(|v| format!("{v:.3}"))
-            .collect();
+            row.empty(7);
+            row.display(config);
+            row.display(workload);
+            row.empty(1);
+            row.display(&spec.arrival);
+            row.display(spec.rate_rps);
+            row.display(spec.schedule);
+            row.display(spec.microbatches);
         }
     }
     // `failed_links` / `degradation_pct` come from re-resolving the fault
     // plan against the row's topology — cheap, and spares RunResult a
     // field that only reports care about. Pristine rows short-circuit.
-    let (failed_links, degradation_pct) = if r.point.conditions.is_pristine() {
+    let (failed_links, degradation_pct) = if p.conditions.is_pristine() {
         (0, 0.0)
     } else {
-        match r
-            .point
+        match p
             .conditions
-            .resolve(r.point.topology, &NetworkParams::paper_default())
+            .resolve(p.topology, &NetworkParams::paper_default())
         {
             Ok(plan) => (plan.failed_links(), plan.degradation_pct()),
             Err(_) => (0, 0.0),
         }
     };
+    row.display(&p.conditions.faults);
+    row.display(p.conditions.contention);
+    row.display(p.conditions.straggler);
+    row.display(failed_links);
+    row.fixed(degradation_pct, 3);
     let m = &r.metrics;
-    let mut cells = vec![
-        r.point.topology.to_string(),
-        r.point.topology.nodes().to_string(),
-        engine,
-        op,
-        payload,
-        mem,
-        sms,
-        sram,
-        fsm,
-        config,
-        workload,
-        iters,
-        arrival,
-        arrival_rate,
-        schedule,
-        microbatches,
-        r.point.conditions.faults.to_string(),
-        r.point.conditions.contention.to_string(),
-        r.point.conditions.straggler.to_string(),
-        failed_links.to_string(),
-        format!("{degradation_pct:.3}"),
-        format!("{:.3}", m.time_us),
-        m.completion_cycles.to_string(),
-        format!("{:.3}", m.gbps_per_npu),
-        m.mem_traffic_bytes.to_string(),
-        m.network_bytes.to_string(),
-        format!("{:.3}", m.compute_us),
-        format!("{:.3}", m.exposed_comm_us),
-    ];
-    cells.extend(serving_cells);
-    cells.extend([
-        m.past_schedules.to_string(),
-        r.fidelity.to_string(),
-        if r.cache_hit { "1" } else { "0" }.to_string(),
-        r.speedup_vs_baseline
-            .map(|s| format!("{s:.4}"))
-            .unwrap_or_default(),
-    ]);
-    cells
-}
-
-/// The attribution cells of one row, in [`ATTRIBUTION_COLUMNS`] order
-/// (which is [`ace_trace::Attribution::buckets`] order by construction).
-fn attribution_cells(r: &RunResult) -> Vec<String> {
-    r.metrics
-        .attribution
-        .buckets()
-        .iter()
-        .map(|(_, v)| v.to_string())
-        .collect()
+    row.fixed(m.time_us, 3);
+    row.display(m.completion_cycles);
+    row.fixed(m.gbps_per_npu, 3);
+    row.display(m.mem_traffic_bytes);
+    row.display(m.network_bytes);
+    row.fixed(m.compute_us, 3);
+    row.fixed(m.exposed_comm_us, 3);
+    if matches!(p.kind, PointKind::Serving { .. }) {
+        let s = &m.serving;
+        for v in [
+            s.ttft_p50_us,
+            s.ttft_p95_us,
+            s.ttft_p99_us,
+            s.e2e_p50_us,
+            s.e2e_p95_us,
+            s.e2e_p99_us,
+            s.goodput_rps,
+        ] {
+            row.fixed(v, 3);
+        }
+    } else {
+        row.empty(7);
+    }
+    row.display(m.past_schedules);
+    row.display(r.fidelity);
+    row.text(if r.cache_hit { "1" } else { "0" });
+    match r.speedup_vs_baseline {
+        Some(s) => row.fixed(s, 4),
+        None => row.empty(1),
+    }
+    if attribution {
+        for (_, cycles) in m.attribution.buckets() {
+            row.display(cycles);
+        }
+    }
 }
 
 /// Renders the outcome as CSV (header + one row per grid cell).
@@ -248,25 +352,28 @@ fn csv_impl(outcome: &SweepOutcome, attribution: bool) -> String {
         out.push_str(&ATTRIBUTION_COLUMNS.join(","));
     }
     out.push('\n');
+    let mut row = Row::default();
     for r in &outcome.results {
-        let mut cells = row_cells(r);
-        if attribution {
-            cells.extend(attribution_cells(r));
-        }
-        out.push_str(&cells.join(","));
-        out.push('\n');
+        write_row(&mut row, r, attribution);
+        out.push_str(row.line());
     }
     out
 }
 
-fn format_f64(v: f64) -> String {
-    // `Display` prints integral floats without a trailing `.0`, which is
-    // what scenario authors wrote ("128"), and is deterministic.
-    format!("{v}")
+/// Appends `s` to `out` as a JSON string, escaping only when a character
+/// needs it.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    if s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        json_escape(out, s);
+    } else {
+        out.push_str(s);
+    }
+    out.push('"');
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` with JSON string escapes.
+fn json_escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -274,18 +381,20 @@ fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
-fn json_num(v: f64) -> String {
+/// Appends `v` as a JSON number, or `null` when it is not finite.
+fn push_json_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        write!(out, "{v}").expect("writing to a String cannot fail");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -303,77 +412,87 @@ pub fn to_json_with_attribution(outcome: &SweepOutcome) -> String {
 
 fn json_impl(outcome: &SweepOutcome, attribution: bool) -> String {
     let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"scenario\": \"{}\",\n",
-        json_escape(&outcome.scenario)
-    ));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", outcome.mode));
-    out.push_str(&format!("  \"fidelity\": \"{}\",\n", outcome.fidelity));
-    out.push_str(&format!("  \"points\": {},\n", outcome.results.len()));
-    out.push_str(&format!("  \"executed\": {},\n", outcome.executed));
-    out.push_str(&format!(
-        "  \"analytic_executed\": {},\n",
-        outcome.analytic_executed
-    ));
-    out.push_str(&format!("  \"cache_hits\": {},\n", outcome.cache_hits));
+    out.push_str("{\n  \"scenario\": ");
+    push_json_str(&mut out, &outcome.scenario);
+    write!(
+        out,
+        ",\n  \"mode\": \"{}\",\n  \"fidelity\": \"{}\",\n  \"points\": {},\n  \
+         \"executed\": {},\n  \"analytic_executed\": {},\n  \"cache_hits\": {},\n",
+        outcome.mode,
+        outcome.fidelity,
+        outcome.results.len(),
+        outcome.executed,
+        outcome.analytic_executed,
+        outcome.cache_hits,
+    )
+    .expect("writing to a String cannot fail");
     out.push_str("  \"results\": [\n");
+    let mut row = Row::default();
     for (i, r) in outcome.results.iter().enumerate() {
-        let cells = row_cells(r);
-        let mut fields: Vec<String> = Vec::with_capacity(CSV_COLUMNS.len());
-        for (name, cell) in CSV_COLUMNS.iter().zip(&cells) {
+        let row_start = out.len();
+        write_row(&mut row, r, attribution);
+        out.push_str("    {");
+        let mut sep = "";
+        for (col, (name, kind)) in CSV_COLUMNS.iter().zip(JSON_KINDS).enumerate() {
+            let cell = row.cell(col);
             if cell.is_empty() {
                 continue;
             }
-            // Numeric columns emit bare numbers; the rest are strings.
-            let is_string = matches!(
-                *name,
-                "topology"
-                    | "engine"
-                    | "op"
-                    | "config"
-                    | "workload"
-                    | "fidelity"
-                    | "arrival"
-                    | "schedule"
-                    | "faults"
-                    | "contention"
-                    | "straggler"
-            );
-            if is_string {
-                fields.push(format!("\"{name}\": \"{}\"", json_escape(cell)));
-            } else if *name == "cache_hit" {
-                fields.push(format!("\"cache_hit\": {}", cell == "1"));
-            } else {
-                fields.push(format!("\"{name}\": {cell}"));
+            out.push_str(sep);
+            sep = ", ";
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\": ");
+            match kind {
+                JsonKind::Str => push_json_str(&mut out, cell),
+                JsonKind::Bool => out.push_str(if cell == "1" { "true" } else { "false" }),
+                JsonKind::Num => out.push_str(cell),
             }
         }
         if attribution {
-            for (name, cell) in ATTRIBUTION_COLUMNS.iter().zip(attribution_cells(r)) {
-                fields.push(format!("\"{name}\": {cell}"));
+            for (k, name) in ATTRIBUTION_COLUMNS.iter().enumerate() {
+                out.push_str(", \"");
+                out.push_str(name);
+                out.push_str("\": ");
+                out.push_str(row.cell(CSV_COLUMNS.len() + k));
             }
         }
-        let sep = if i + 1 == outcome.results.len() {
-            ""
-        } else {
-            ","
-        };
-        out.push_str(&format!("    {{{}}}{sep}\n", fields.join(", ")));
+        out.push('}');
+        if i + 1 < outcome.results.len() {
+            out.push(',');
+        }
+        out.push('\n');
+        if i == 0 {
+            // Size the text for every row once the first is written. The
+            // JSON is the largest text a sweep renders; grown by doubling,
+            // it is now and then copied, and the copy, holding the text
+            // twice, sets the process's peak memory. Rows differ in length
+            // by their empty cells, hence the slack: capacity never written
+            // to costs no memory.
+            let first_row = out.len() - row_start;
+            out.reserve(2 * first_row * outcome.results.len());
+        }
     }
     out.push_str("  ],\n");
     out.push_str("  \"summary\": [\n");
     let summaries = summarize(outcome);
     for (i, s) in summaries.iter().enumerate() {
-        let sep = if i + 1 == summaries.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"axis\": \"{}\", \"value\": \"{}\", \"count\": {}, \"min_speedup\": {}, \"mean_speedup\": {}, \"max_speedup\": {}}}{sep}\n",
-            json_escape(&s.axis),
-            json_escape(&s.value),
-            s.count,
-            json_num(s.min),
-            json_num(s.mean),
-            json_num(s.max),
-        ));
+        out.push_str("    {\"axis\": ");
+        push_json_str(&mut out, &s.axis);
+        out.push_str(", \"value\": ");
+        push_json_str(&mut out, &s.value);
+        write!(out, ", \"count\": {}, \"min_speedup\": ", s.count)
+            .expect("writing to a String cannot fail");
+        push_json_num(&mut out, s.min);
+        out.push_str(", \"mean_speedup\": ");
+        push_json_num(&mut out, s.mean);
+        out.push_str(", \"max_speedup\": ");
+        push_json_num(&mut out, s.max);
+        out.push('}');
+        if i + 1 < summaries.len() {
+            out.push(',');
+        }
+        out.push('\n');
     }
     out.push_str("  ]\n");
     out.push_str("}\n");
@@ -397,57 +516,62 @@ pub struct AxisSummary {
     pub max: f64,
 }
 
-/// The (axis, value) coordinates a point contributes to.
-fn axis_values(point: &RunPoint) -> Vec<(&'static str, String)> {
-    let mut v = vec![("topology", point.topology.to_string())];
-    v.push(("faults", point.conditions.faults.to_string()));
-    v.push(("contention", point.conditions.contention.to_string()));
-    v.push(("straggler", point.conditions.straggler.to_string()));
+/// Calls `f` with each (axis, value) coordinate `point` contributes to,
+/// writing each value into `buf` (reused across calls).
+fn for_each_axis_value(point: &RunPoint, buf: &mut String, mut f: impl FnMut(&'static str, &str)) {
+    let mut emit = |axis: &'static str, value: &dyn fmt::Display| {
+        buf.clear();
+        write!(buf, "{value}").expect("writing to a String cannot fail");
+        f(axis, buf);
+    };
+    emit("topology", &point.topology);
+    emit("faults", &point.conditions.faults);
+    emit("contention", &point.conditions.contention);
+    emit("straggler", &point.conditions.straggler);
     match &point.kind {
         PointKind::Collective {
             engine,
             op,
             payload_bytes,
         } => {
-            v.push(("engine", engine.family().name().to_string()));
-            v.push(("op", op.to_string()));
-            v.push(("payload", human_bytes(*payload_bytes)));
-            match *engine {
+            emit("engine", &engine.family().name());
+            emit("op", op);
+            emit("payload", &HumanBytes(*payload_bytes));
+            match engine {
                 EngineSpec::Ideal => {}
                 EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                    v.push(("mem_gbps", format_f64(mem_gbps)));
-                    v.push(("comm_sms", comm_sms.to_string()));
+                    emit("mem_gbps", mem_gbps);
+                    emit("comm_sms", comm_sms);
                 }
                 EngineSpec::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
                 } => {
-                    v.push(("mem_gbps", format_f64(dma_mem_gbps)));
-                    v.push(("sram_mb", sram_mb.to_string()));
-                    v.push(("fsms", fsms.to_string()));
+                    emit("mem_gbps", dma_mem_gbps);
+                    emit("sram_mb", sram_mb);
+                    emit("fsms", fsms);
                 }
             }
         }
         PointKind::Training {
             config, workload, ..
         } => {
-            v.push(("config", config.to_string()));
-            v.push(("workload", workload.to_string()));
+            emit("config", config);
+            emit("workload", workload);
         }
         PointKind::Serving {
             config,
             workload,
             spec,
         } => {
-            v.push(("config", config.to_string()));
-            v.push(("workload", workload.to_string()));
-            v.push(("arrival_rate", format_f64(spec.rate_rps)));
-            v.push(("schedule", spec.schedule.to_string()));
-            v.push(("microbatches", spec.microbatches.to_string()));
+            emit("config", config);
+            emit("workload", workload);
+            emit("arrival_rate", &spec.rate_rps);
+            emit("schedule", &spec.schedule);
+            emit("microbatches", &spec.microbatches);
         }
     }
-    v
 }
 
 /// Aggregates speedup-vs-baseline per axis value, for every axis with at
@@ -458,23 +582,24 @@ pub fn summarize(outcome: &SweepOutcome) -> Vec<AxisSummary> {
     // axis -> ordered (value, speedups)
     type ValueSamples = Vec<(String, Vec<f64>)>;
     let mut axes: Vec<(&'static str, ValueSamples)> = Vec::new();
+    let mut buf = String::new();
     for r in &outcome.results {
         let Some(speedup) = r.speedup_vs_baseline else {
             continue;
         };
-        for (axis, value) in axis_values(&r.point) {
-            let entry = match axes.iter_mut().find(|(a, _)| *a == axis) {
-                Some(e) => e,
+        for_each_axis_value(&r.point, &mut buf, |axis, value| {
+            let values = match axes.iter_mut().position(|(a, _)| *a == axis) {
+                Some(i) => &mut axes[i].1,
                 None => {
                     axes.push((axis, Vec::new()));
-                    axes.last_mut().expect("just pushed")
+                    &mut axes.last_mut().expect("just pushed").1
                 }
             };
-            match entry.1.iter_mut().find(|(v, _)| *v == value) {
+            match values.iter_mut().find(|(v, _)| v == value) {
                 Some((_, samples)) => samples.push(speedup),
-                None => entry.1.push((value, vec![speedup])),
+                None => values.push((value.to_string(), vec![speedup])),
             }
-        }
+        });
     }
     let mut out = Vec::new();
     for (axis, values) in axes {

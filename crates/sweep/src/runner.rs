@@ -1,8 +1,11 @@
 //! Sweep execution: the metric/result/outcome types, the per-point
 //! executors, and [`SweepRunner`], which runs a scenario's grid.
 //!
-//! A runner owns a `(tier, point)` [`Cache`] and the serving
-//! [`RoundMemo`], both kept across its runs. A run expands the grid once
+//! A runner owns a `(tier, point)` [`Cache`], the serving [`RoundMemo`]
+//! and the α–β [`RouteMemo`], all kept across its runs. The route memo
+//! holds each fabric's all-to-all route footprint, so the analytic tier
+//! and hybrid's sensitivity probes walk a fabric's routes once, not once
+//! per cell. A run expands the grid once
 //! and executes each tier's uncached unique cells as one batch on
 //! `min(threads, cells)` scoped worker threads, which pull cell indices
 //! from one shared counter. Results are assembled **in grid order** from
@@ -19,11 +22,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use ace_collectives::RouteMemo;
 use ace_net::NetworkParams;
 use ace_serve::RoundMemo;
 use ace_system::{
-    analytic_collective_run_with_conditions, analytic_program_run_with_conditions,
-    training_program, RunSpec, TrainSpec,
+    analytic_collective_run_with_memo, analytic_program_run_with_memo, training_program, RunSpec,
+    TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -292,12 +296,15 @@ impl Progress<'_> {
     }
 }
 
-/// Runs scenarios against a [`Cache`] and a serving [`RoundMemo`] that
-/// persist across its runs (see the [module docs](self)).
+/// Runs scenarios against a [`Cache`], a serving [`RoundMemo`] and an
+/// α–β [`RouteMemo`] that persist across its runs (see the
+/// [module docs](self)). Neither memo changes a result; both only save
+/// work.
 #[derive(Debug, Default)]
 pub struct SweepRunner {
     cache: Cache,
     rounds: RoundMemo,
+    routes: RouteMemo,
 }
 
 impl SweepRunner {
@@ -312,7 +319,7 @@ impl SweepRunner {
     pub fn with_cache(cache: Cache) -> SweepRunner {
         SweepRunner {
             cache,
-            rounds: RoundMemo::new(),
+            ..SweepRunner::default()
         }
     }
 
@@ -379,7 +386,7 @@ impl SweepRunner {
                         (p.clone(), m.expect("triage covered the grid"))
                     })
                     .collect();
-                let probe = |p: &RunPoint| execute_analytic(p).time_us;
+                let probe = |p: &RunPoint| estimate_analytic(p, &self.rounds, &self.routes).time_us;
                 let keep = select_exact_cells(&triage, scenario.hybrid_top_pct, &probe);
                 let selected = points
                     .iter()
@@ -456,7 +463,7 @@ impl SweepRunner {
                         let Some(&point) = work.get(next.fetch_add(1, Ordering::Relaxed)) else {
                             break;
                         };
-                        let run = || execute_tier_with(point, tier, &self.rounds);
+                        let run = || execute_tier_with(point, tier, &self.rounds, &self.routes);
                         match catch_unwind(AssertUnwindSafe(run)) {
                             Ok(metrics) => {
                                 self.cache.insert_tier(tier, point.clone(), metrics);
@@ -668,16 +675,23 @@ pub fn run_scenario(scenario: &Scenario, opts: RunnerOptions) -> Result<SweepOut
 /// Executes one point in the given tier. Pure and deterministic within a
 /// tier: the same `(tier, point)` always produces the same metrics.
 pub fn execute_tier(point: &RunPoint, tier: Tier) -> Metrics {
-    execute_tier_with(point, tier, &RoundMemo::new())
+    execute_tier_with(point, tier, &RoundMemo::new(), &RouteMemo::new())
 }
 
 /// [`execute_tier`] with the [`RoundMemo`] serving points draw round
-/// costs from. A memoized round costs what a fresh simulation does, so
-/// the metrics do not depend on the memo.
-fn execute_tier_with(point: &RunPoint, tier: Tier, rounds: &RoundMemo) -> Metrics {
+/// costs from and the [`RouteMemo`] α–β estimates draw fabric routes
+/// from. A memoized round costs what a fresh simulation does, and a
+/// memoized route footprint is the one a fresh walk gives, so the
+/// metrics do not depend on either memo.
+fn execute_tier_with(
+    point: &RunPoint,
+    tier: Tier,
+    rounds: &RoundMemo,
+    routes: &RouteMemo,
+) -> Metrics {
     match tier {
         Tier::Exact => execute_exact(point, rounds),
-        Tier::Analytic => estimate_analytic(point, rounds),
+        Tier::Analytic => estimate_analytic(point, rounds, routes),
     }
 }
 
@@ -825,7 +839,7 @@ fn execute_serving(
 }
 
 /// Estimates one point with the closed-form α–β model.
-fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
+fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo, routes: &RouteMemo) -> Metrics {
     let freq = ace_simcore::npu_frequency();
     match &point.kind {
         PointKind::Collective {
@@ -833,12 +847,13 @@ fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
             op,
             payload_bytes,
         } => {
-            let r = analytic_collective_run_with_conditions(
+            let r = analytic_collective_run_with_memo(
                 point.topology,
                 engine.to_engine_kind(),
                 *op,
                 *payload_bytes,
                 &point.conditions,
+                routes,
             )
             .expect("expanded point conditions are resolvable");
             let total_u = r.cycles.round() as u64;
@@ -869,7 +884,7 @@ fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
             let workload = workload.instantiate(spec.nodes());
             let program = training_program(*config, &workload, *iterations, *optimized_embedding);
             let r =
-                analytic_program_run_with_conditions(*config, &program, spec, &point.conditions)
+                analytic_program_run_with_memo(*config, &program, spec, &point.conditions, routes)
                     .expect("expanded point conditions are resolvable");
             let to_us = |cycles: f64| cycles / freq.hz() * 1e6;
             let gbps = if r.total_cycles > 0.0 {
@@ -1195,6 +1210,46 @@ mod tests {
             new_programs < fresh_runner.rounds.len(),
             "the second job reused none of the first job's rounds"
         );
+    }
+
+    #[test]
+    fn route_memo_shared_across_scenarios_changes_no_row() {
+        // Two analytic scenarios on the same 16-node fabrics with no
+        // cell in common: the second reuses the first's route
+        // footprints, and both render what fresh runners render.
+        let scenario = |name: &str, payload: u64, contention: &str| {
+            let mut sc = Scenario::collective(name);
+            sc.fidelity = Fidelity::Analytic;
+            sc.topologies = ["4x4", "2x2x2x2", "switch:16", "hier:4x4"]
+                .iter()
+                .map(|t| t.parse().unwrap())
+                .collect();
+            sc.ops = vec![
+                ace_collectives::CollectiveOp::AllReduce,
+                ace_collectives::CollectiveOp::AllToAll,
+            ];
+            sc.payload_bytes = vec![payload];
+            sc.contention = vec![contention.parse().unwrap()];
+            sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+            sc
+        };
+        let first = scenario("first", 1 << 20, "none");
+        let second = scenario("second", (16 << 20) + 3, "uniform:8");
+        let render = |runner: &SweepRunner, sc: &Scenario| {
+            let out = runner.run(sc, serial()).unwrap();
+            (crate::report::to_csv(&out), crate::report::to_json(&out))
+        };
+        let shared = SweepRunner::new();
+        let first_rows = render(&shared, &first);
+        assert_eq!(shared.routes.len(), 4, "one footprint per fabric");
+        let second_rows = render(&shared, &second);
+        assert_eq!(
+            shared.routes.len(),
+            4,
+            "the second scenario rebuilt a fabric"
+        );
+        assert_eq!(first_rows, render(&SweepRunner::new(), &first));
+        assert_eq!(second_rows, render(&SweepRunner::new(), &second));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! table into `BENCH_analytic.json`.
 
 use ace_collectives::analytic::{
-    estimate_collective, estimate_collective_degraded, AnalyticEstimate, EndpointModel,
+    estimate_collective, estimate_collective_with_memo, AnalyticEstimate, EndpointModel, RouteMemo,
 };
 use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_compute::{NpuParams, SmDriveModel};
@@ -136,19 +136,48 @@ pub fn analytic_collective_run_with_conditions(
     payload_bytes: u64,
     conditions: &RunConditions,
 ) -> Result<AnalyticCollectiveReport, RunError> {
-    if conditions.is_pristine() {
-        return Ok(analytic_collective_run(spec, engine, op, payload_bytes));
-    }
+    analytic_collective_run_with_memo(
+        spec,
+        engine,
+        op,
+        payload_bytes,
+        conditions,
+        &RouteMemo::new(),
+    )
+}
+
+/// [`analytic_collective_run_with_conditions`] taking the fabric's routes
+/// from `routes`, so a sweep walks each fabric's all-to-all routes once.
+/// The report does not depend on the memo.
+pub fn analytic_collective_run_with_memo(
+    spec: TopologySpec,
+    engine: EngineKind,
+    op: CollectiveOp,
+    payload_bytes: u64,
+    conditions: &RunConditions,
+    routes: &RouteMemo,
+) -> Result<AnalyticCollectiveReport, RunError> {
     let net = NetworkParams::paper_default();
-    let fault = conditions.resolve(spec, &net)?;
+    let fault = resolve_degradation(spec, &net, conditions)?;
     let plan = CollectivePlan::for_spec(op, spec);
     let model = endpoint_model(engine);
-    let est = if fault.is_pristine() {
-        estimate_collective(&plan, &net, payload_bytes, &model)
-    } else {
-        estimate_collective_degraded(&plan, &net, payload_bytes, &model, &fault)
-    };
+    let est =
+        estimate_collective_with_memo(&plan, &net, payload_bytes, &model, fault.as_ref(), routes);
     Ok(report_from_estimate(&est, spec, &net))
+}
+
+/// The fault plan `conditions` resolve to on `spec`, or `None` when they
+/// leave the fabric pristine.
+fn resolve_degradation(
+    spec: TopologySpec,
+    net: &NetworkParams,
+    conditions: &RunConditions,
+) -> Result<Option<FaultPlan>, RunError> {
+    if conditions.is_pristine() {
+        return Ok(None);
+    }
+    let fault = conditions.resolve(spec, net)?;
+    Ok((!fault.is_pristine()).then_some(fault))
 }
 
 fn report_from_estimate(
@@ -192,7 +221,7 @@ pub fn analytic_program_run(
     program: &Program,
     topology: TopologySpec,
 ) -> AnalyticTrainingReport {
-    analytic_program_walk(config, program, topology, None)
+    analytic_program_walk(config, program, topology, None, &RouteMemo::new())
 }
 
 /// [`analytic_program_run`] under explicit [`RunConditions`]: collective
@@ -206,19 +235,31 @@ pub fn analytic_program_run_with_conditions(
     spec: TopologySpec,
     conditions: &RunConditions,
 ) -> Result<AnalyticTrainingReport, RunError> {
+    analytic_program_run_with_memo(config, program, spec, conditions, &RouteMemo::new())
+}
+
+/// [`analytic_program_run_with_conditions`] taking the fabric's routes
+/// from `routes`. The report does not depend on the memo.
+pub fn analytic_program_run_with_memo(
+    config: SystemConfig,
+    program: &Program,
+    spec: TopologySpec,
+    conditions: &RunConditions,
+    routes: &RouteMemo,
+) -> Result<AnalyticTrainingReport, RunError> {
     if conditions.is_pristine() {
-        return Ok(analytic_program_walk(config, program, spec, None));
+        return Ok(analytic_program_walk(config, program, spec, None, routes));
     }
     let net = NetworkParams::paper_default();
-    let fault = conditions.resolve(spec, &net)?;
+    let fault = resolve_degradation(spec, &net, conditions)?;
     let mut program = program.clone();
     program.apply_stragglers(&conditions.straggler);
-    let fault = (!fault.is_pristine()).then_some(fault);
     Ok(analytic_program_walk(
         config,
         &program,
         spec,
         fault.as_ref(),
+        routes,
     ))
 }
 
@@ -227,6 +268,7 @@ fn analytic_program_walk(
     program: &Program,
     spec: TopologySpec,
     fault: Option<&FaultPlan>,
+    routes: &RouteMemo,
 ) -> AnalyticTrainingReport {
     let net = NetworkParams::paper_default();
     let npu = NpuParams::paper_default();
@@ -252,10 +294,7 @@ fn analytic_program_walk(
         |op, bytes| {
             let est = *memo.entry((op, bytes)).or_insert_with(|| {
                 let plan = CollectivePlan::for_spec(op, spec);
-                match fault {
-                    Some(fp) => estimate_collective_degraded(&plan, &net, bytes, &model, fp),
-                    None => estimate_collective(&plan, &net, bytes, &model),
-                }
+                estimate_collective_with_memo(&plan, &net, bytes, &model, fault, routes)
             });
             mem_traffic += est.mem_traffic_bytes_per_node;
             network += est.network_bytes_per_node * spec.nodes() as f64;

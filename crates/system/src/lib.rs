@@ -50,8 +50,9 @@ mod run;
 mod training;
 
 pub use analytic::{
-    analytic_collective_run, analytic_collective_run_with_conditions, analytic_program_run,
-    analytic_program_run_with_conditions, config_endpoint_model, endpoint_model,
+    analytic_collective_run, analytic_collective_run_with_conditions,
+    analytic_collective_run_with_memo, analytic_program_run, analytic_program_run_with_conditions,
+    analytic_program_run_with_memo, config_endpoint_model, endpoint_model,
     AnalyticCollectiveReport, AnalyticTrainingReport,
 };
 pub use collective_run::{CollectiveRunReport, EngineKind};

@@ -216,7 +216,11 @@ fn analytic_cabled() -> Scenario {
 /// The crossbar fabrics of the analytic grid, with and without the
 /// uplink-bandwidth override.
 fn analytic_switch() -> Scenario {
-    analytic_grid("analytic-switch", &["switch:16", "switch:16@100"], &["none"])
+    analytic_grid(
+        "analytic-switch",
+        &["switch:16", "switch:16@100"],
+        &["none"],
+    )
 }
 
 fn serial(scenario: &Scenario) -> SweepOutcome {
