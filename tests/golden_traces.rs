@@ -1,15 +1,17 @@
 //! Golden-trace regression tests.
 //!
 //! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps, plus a
-//! training grid (exact and analytic tiers), a serving grid and an
-//! analytic-tier collective grid over every fabric family, are run
-//! end-to-end and their CSV/JSON reports diffed **byte-for-byte** against
-//! checked-in files under `tests/golden/`. The collective files were
-//! captured from the simulator before the topology abstraction landed,
-//! the training/serving files before the run entry points were
-//! consolidated, and the analytic-grid, JSON, attribution and escaping
-//! files before the α–β route footprint was memoized and the report
-//! writers were rewritten, so these tests prove that refactors of the
+//! training grid (exact and analytic tiers), a pipeline-parallel training
+//! grid, a serving grid and an analytic-tier collective grid over every
+//! fabric family, are run end-to-end and their CSV/JSON reports diffed
+//! **byte-for-byte** against checked-in files under `tests/golden/`. The
+//! collective files were captured from the simulator before the topology
+//! abstraction landed, the training/serving files before the run entry
+//! points were consolidated, the analytic-grid, JSON, attribution and
+//! escaping files before the α–β route footprint was memoized and the
+//! report writers were rewritten, and the pipeline files before the
+//! training simulator's one-timeline and pipeline schedule walkers were
+//! merged, so these tests prove that refactors of the
 //! network/collective/system/report layers do not move the paper's
 //! numbers.
 //!
@@ -147,6 +149,27 @@ fn training_smoke(fidelity: &str) -> Scenario {
     .expect("valid scenario")
 }
 
+/// Pipeline training (smoke): both pipeline schedules on a torus and a
+/// crossbar, under the no-overlap and ACE configs, pristine and
+/// contended, with and without stragglers.
+fn pipeline_smoke() -> Scenario {
+    Scenario::from_toml_str(
+        r#"
+        name = "pipeline-smoke"
+        mode = "training"
+        topologies = ["2x2", "switch:4"]
+        configs = ["NoOverlap", "ACE"]
+        workloads = ["transformer@pipeline@gpipe@2x4", "transformer@pipeline@1f1b@2x4"]
+        iterations = 1
+        contention = ["none", "uniform:20"]
+        stragglers = ["det", "lognormal:0.2@seed:7"]
+        [baseline]
+        config = "NoOverlap"
+        "#,
+    )
+    .expect("valid scenario")
+}
+
 /// Serving (smoke): continuous batching of a data- and a tensor-parallel
 /// transformer under both schedules, pristine and contended.
 fn serving_smoke() -> Scenario {
@@ -266,6 +289,13 @@ fn training_smoke_json_and_attribution_match_golden() {
 fn training_analytic_smoke_json_matches_golden() {
     let out = serial(&training_smoke("analytic"));
     check_golden("training_analytic_smoke.json", &report::to_json(&out));
+}
+
+#[test]
+fn pipeline_smoke_matches_golden() {
+    let out = serial(&pipeline_smoke());
+    check_golden("pipeline_smoke.csv", &report::to_csv(&out));
+    check_golden("pipeline_smoke.json", &report::to_json(&out));
 }
 
 #[test]
