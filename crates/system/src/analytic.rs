@@ -273,13 +273,7 @@ fn analytic_program_walk(
     let net = NetworkParams::paper_default();
     let npu = NpuParams::paper_default();
     let model = config_endpoint_model(config);
-    let (sms, mem_gbps) = match program.carveout() {
-        Some(c) => (
-            config.compute_sms().saturating_sub(c.sms).max(1),
-            (config.compute_mem_gbps() - c.mem_gbps).max(1.0),
-        ),
-        None => (config.compute_sms(), config.compute_mem_gbps()),
-    };
+    let (sms, mem_gbps) = config.kernel_resources(program.carveout());
 
     // Lowered programs repeat identical collectives (per-layer backward
     // all-reduces × iterations); the estimate is a pure function of

@@ -5,6 +5,7 @@ use std::fmt;
 use ace_endpoint::{
     AceEndpoint, AceEndpointParams, BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint,
 };
+use ace_workloads::ComputeCarveout;
 
 /// The endpoint configurations compared throughout Section VI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,6 +57,19 @@ impl SystemConfig {
             SystemConfig::BaselineCompOpt => 772.0,
             SystemConfig::Ace => 772.0,
             SystemConfig::Ideal => 900.0,
+        }
+    }
+
+    /// SMs and HBM GB/s left to training kernels once a program's
+    /// `carveout` is loaned away, never below 1 SM or 1 GB/s. Both the
+    /// exact and the analytic tier size every kernel with this.
+    pub fn kernel_resources(self, carveout: Option<ComputeCarveout>) -> (u32, f64) {
+        match carveout {
+            Some(c) => (
+                self.compute_sms().saturating_sub(c.sms).max(1),
+                (self.compute_mem_gbps() - c.mem_gbps).max(1.0),
+            ),
+            None => (self.compute_sms(), self.compute_mem_gbps()),
         }
     }
 

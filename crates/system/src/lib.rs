@@ -11,10 +11,12 @@
 //!   (Table VI).
 //! * [`CollectiveExecutor`] — event-driven, message-granularity execution
 //!   of ring and all-to-all collectives across every node.
-//! * [`TrainingSim`] — the training loop: forward passes that block on
-//!   the previous iteration's all-reduces, backward passes that emit
-//!   LIFO-scheduled collectives, DLRM's blocking all-to-alls, and
-//!   exposed-communication accounting.
+//! * [`TrainingSim`] — runs any training [`Program`](ace_workloads::Program)
+//!   in one walk of its schedule, with one compute frontier per timeline
+//!   (a single NPU, or each pipeline stage): collectives are issued at
+//!   their timeline's frontier and drained LIFO, compute and barrier
+//!   tasks wait on their dependencies, and every cycle a frontier waits
+//!   counts as exposed communication.
 //! * [`RunSpec`] / [`TrainSpec`] — the one entry point per run kind:
 //!   standalone collectives (the harness behind Fig. 5 and Fig. 6) and
 //!   training runs ([`training_program`] lowers a workload), with

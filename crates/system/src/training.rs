@@ -2,12 +2,14 @@
 //!
 //! [`TrainingSim`] executes any acyclic [`Program`] against the
 //! [`CollectiveExecutor`]: it walks the program's schedule (a topological
-//! linearization of the dependency DAG), advancing one serial NPU compute
-//! timeline. Compute and barrier tasks block on the collectives among
-//! their dependencies — every cycle the timeline spends stalled on a
-//! collective is **exposed communication** — and collective tasks are
-//! issued non-blocking at the current instant (the executor drains them
-//! LIFO, Section V).
+//! linearization of the dependency DAG) once, keeping one compute
+//! frontier per timeline — one for a single NPU, one per stage for a
+//! pipeline lowering. A collective is issued non-blocking at its
+//! timeline's frontier (the executor drains collectives LIFO, Section V).
+//! A compute or barrier task first waits on its dependencies in order —
+//! a collective until the executor completes it, any other task until
+//! its recorded finish — then runs its kernel. Every cycle a frontier
+//! spends waiting is **exposed communication** (or a pipeline bubble).
 //!
 //! The paper's two-iteration training loop is no longer hard-coded here:
 //! [`Program::lower`] compiles `(workload, parallelism, iterations)` into
@@ -18,20 +20,25 @@
 //! transform.
 
 use ace_collectives::CollectiveOp;
-use ace_compute::{KernelDesc, NpuParams};
+use ace_compute::NpuParams;
 use ace_endpoint::CollectiveEngine;
 use ace_net::{FaultPlan, NetworkParams, TopologySpec};
 use ace_simcore::{SimTime, TimeSeries};
 use ace_trace::{Attribution, NullTracer, PipeWeights, Tracer, Track};
-use ace_workloads::{Parallelism, Program, TaskId, TaskKind, TaskPhase};
+use ace_workloads::{Program, TaskKind, TaskPhase};
 
 use crate::config::SystemConfig;
 use crate::executor::{CollHandle, CollectiveExecutor, ExecutorOptions};
 use crate::report::IterationReport;
 
-/// Trace lane for the serial compute timeline's task spans (pid 0 is the
+/// Trace lane of timeline `k`'s task spans and issue marks (pid 0 is the
 /// scheduler/sim process; tid 0 is the executor's event lane).
-const TIMELINE_TRACK: Track = Track { pid: 0, tid: 1 };
+fn timeline_track(k: usize) -> Track {
+    Track {
+        pid: 0,
+        tid: 1 + k as u32,
+    }
+}
 
 /// Simulates a training [`Program`] on one system configuration.
 ///
@@ -46,11 +53,6 @@ pub struct TrainingSim<T: Tracer = NullTracer> {
     npu: NpuParams,
     net_params: NetworkParams,
     exec: CollectiveExecutor<Box<dyn CollectiveEngine>, T>,
-    // running state
-    t: SimTime,
-    compute_busy: u64,
-    exposed: u64,
-    compute_series: TimeSeries,
 }
 
 impl<T: Tracer> std::fmt::Debug for TrainingSim<T> {
@@ -102,7 +104,13 @@ impl<T: Tracer> TrainingSim<T> {
             ring_only,
         );
         if exec.tracer().enabled() {
-            exec.tracer_mut().meta_thread(TIMELINE_TRACK, "timeline");
+            // The first lane is `timeline` (a pipeline's stage 0 too);
+            // a pipeline's later stages are `stage{k}`.
+            exec.tracer_mut().meta_thread(timeline_track(0), "timeline");
+            for k in 1..program.timelines() {
+                exec.tracer_mut()
+                    .meta_thread(timeline_track(k), &format!("stage{k}"));
+            }
         }
         TrainingSim {
             config,
@@ -111,10 +119,6 @@ impl<T: Tracer> TrainingSim<T> {
             npu,
             net_params,
             exec,
-            t: SimTime::ZERO,
-            compute_busy: 0,
-            exposed: 0,
-            compute_series: TimeSeries::new(1000),
         }
     }
 
@@ -136,160 +140,178 @@ impl<T: Tracer> TrainingSim<T> {
 
     /// Executes the schedule and returns the report together with the
     /// tracer (export the recorded events after the run).
+    ///
+    /// Reported `compute_cycles` is the per-timeline mean kernel time
+    /// (total kernel cycles / timelines) and `exposed_comm_cycles` the
+    /// remainder of the end-to-end time, so `total = compute + exposed`
+    /// holds exactly. With one timeline that is the kernel sum and the
+    /// sum of every stall; for a communication-free uniform GPipe
+    /// pipeline the exposed fraction is the textbook bubble fraction
+    /// `(S-1)/(M+S-1)`. The Fig. 9b forward/backward ACE-utilization
+    /// split is defined for one timeline only; concurrent stages report
+    /// `None`.
     pub fn run_with_tracer(mut self) -> (IterationReport, T) {
-        if self.program.timelines() > 1 {
-            return self.run_pipeline_with_tracer();
-        }
-        let mut handles: Vec<Option<CollHandle>> = vec![None; self.program.task_slots()];
-        // Fig. 9b forward/backward split: one (ace-busy, window) pair per
-        // contiguous run of forward-phase timeline tasks.
-        let mut fwd_busy_windows: Vec<(u64, u64)> = Vec::new();
-        let mut fwd_cycles_total: u64 = 0;
+        let timelines = self.program.timelines();
+        let slots = self.program.task_slots();
+        let mut handles: Vec<Option<CollHandle>> = vec![None; slots];
+        let mut finish: Vec<SimTime> = vec![SimTime::ZERO; slots];
+        let mut frontier: Vec<SimTime> = vec![SimTime::ZERO; timelines];
+        let mut kernel_cycles: u64 = 0;
+        let mut compute_series = TimeSeries::new(1000);
+        // A program carve-out (the optimized DLRM loop permanently loans
+        // 1 SM and 80 GB/s of HBM to the background embedding pipeline,
+        // Section VI-D) reduces the resources every training kernel sees.
+        let (sms, mem_gbps) = self.config.kernel_resources(self.program.carveout());
+        // Fig. 9b forward/backward split: engine-busy cycles and length of
+        // each contiguous run of forward-phase timeline tasks, summed.
+        let split = timelines == 1;
+        let (mut fwd_busy, mut fwd_cycles) = (0u64, 0u64);
         let mut window: Option<(SimTime, u64)> = None; // (start, busy at start)
 
-        let schedule: Vec<TaskId> = self.program.schedule().to_vec();
-        for id in schedule {
+        for &id in self.program.schedule() {
             let task = self.program.task(id);
+            let k = task.timeline();
+            let track = timeline_track(k);
             match task.kind() {
                 TaskKind::Collective { op, bytes } => {
-                    // Non-blocking issue at the current timeline instant;
+                    // Non-blocking issue at the timeline's frontier;
                     // schedule order fixes the executor's LIFO priority.
-                    handles[id.index()] = Some(self.exec.issue(*op, *bytes, self.t));
+                    // The executor clamps injection to its own clock,
+                    // which another stage may already have advanced.
+                    handles[id.index()] = Some(self.exec.issue(*op, *bytes, frontier[k]));
                     if self.exec.tracer().enabled() {
                         let name = format!("issue:{}:i{}", task.role().short_name(), task.iter());
-                        let at = self.t;
-                        self.exec.tracer_mut().instant(TIMELINE_TRACK, &name, at);
+                        self.exec.tracer_mut().instant(track, &name, frontier[k]);
                     }
                 }
                 TaskKind::Compute(_) | TaskKind::Barrier => {
-                    let (t_begin, span_phase, span_role, span_iter) =
-                        (self.t, task.phase(), task.role(), task.iter());
+                    let begin = frontier[k];
                     // Forward-window bookkeeping keys on timeline tasks
                     // only: a collective issued for the *next* iteration
                     // during this backward pass must not open a window.
-                    match task.phase() {
-                        TaskPhase::Forward => {
-                            if window.is_none() {
-                                window = Some((self.t, self.ace_busy_cycles()));
+                    // The exact integer busy counter is read, never a
+                    // cycle count rebuilt from the utilization ratio.
+                    if split {
+                        let busy = || self.exec.ace_busy_cycles(begin).unwrap_or(0);
+                        match (task.phase(), window) {
+                            (TaskPhase::Forward, None) => window = Some((begin, busy())),
+                            (TaskPhase::Backward, Some((start, busy_start))) => {
+                                fwd_busy += busy().saturating_sub(busy_start);
+                                fwd_cycles += begin - start;
+                                window = None;
                             }
-                        }
-                        TaskPhase::Backward => {
-                            if let Some((start, busy_start)) = window.take() {
-                                fwd_busy_windows.push((
-                                    self.ace_busy_cycles().saturating_sub(busy_start),
-                                    self.t - start,
-                                ));
-                                fwd_cycles_total += self.t - start;
-                            }
+                            _ => {}
                         }
                     }
-                    // Block on the collective dependencies, in order.
-                    let waits: Vec<CollHandle> = task
-                        .deps()
-                        .iter()
-                        .filter_map(|dep| handles[dep.index()])
-                        .collect();
-                    let kernel = match task.kind() {
-                        TaskKind::Compute(k) => Some(k.clone()),
-                        _ => None,
-                    };
-                    for h in waits {
-                        self.wait_on(h);
+                    // Wait on the dependencies in order: a collective
+                    // (exposed communication, or a stage-boundary
+                    // transfer) until it completes, a compute or barrier
+                    // task (a serialization edge, or a cross-timeline
+                    // dependency) until its finish.
+                    for &dep in task.deps() {
+                        let done = match handles[dep.index()] {
+                            Some(h) => self.exec.run_until_complete(h),
+                            None => finish[dep.index()],
+                        };
+                        frontier[k] = frontier[k].max(done);
                     }
-                    if let Some(kernel) = kernel {
-                        self.run_kernel(&kernel);
+                    if let TaskKind::Compute(kernel) = task.kind() {
+                        let cycles = self.npu.kernel_cycles(kernel, sms, mem_gbps);
+                        if cycles > 0 {
+                            let end = frontier[k] + cycles;
+                            compute_series.add_interval(frontier[k], end, cycles as f64);
+                            kernel_cycles += cycles;
+                            frontier[k] = end;
+                            // Keep the network draining up to the newest
+                            // frontier (no-op when already past it).
+                            self.exec.run_until(end);
+                        }
                     }
-                    // Task span covers the wait (exposed comm) plus the
-                    // kernel itself — the timeline's full occupancy.
+                    finish[id.index()] = frontier[k];
+                    // The task span covers the wait plus the kernel
+                    // itself — the timeline's full occupancy.
                     if self.exec.tracer().enabled() {
                         let name = format!(
                             "task:{}:{}:i{}",
-                            span_phase.short_name(),
-                            span_role.short_name(),
-                            span_iter
+                            task.phase().short_name(),
+                            task.role().short_name(),
+                            task.iter()
                         );
-                        let end = self.t;
                         self.exec
                             .tracer_mut()
-                            .span(TIMELINE_TRACK, &name, t_begin, end);
+                            .span(track, &name, begin, frontier[k]);
                     }
                 }
             }
         }
         if let Some((start, busy_start)) = window.take() {
             // A program ending mid-forward still closes its window.
-            fwd_busy_windows.push((
-                self.ace_busy_cycles().saturating_sub(busy_start),
-                self.t - start,
-            ));
-            fwd_cycles_total += self.t - start;
+            let busy = self.exec.ace_busy_cycles(frontier[0]).unwrap_or(0);
+            fwd_busy += busy.saturating_sub(busy_start);
+            fwd_cycles += frontier[0] - start;
         }
 
-        // Drain the outstanding collectives: the next forward pass could
-        // not start before they finish, so the stall is exposed
-        // communication.
+        // Drain the outstanding collectives: the next iteration could not
+        // start before they finish, so the tail is exposed communication.
+        // The end-to-end time is the slowest timeline or the fabric,
+        // whichever finishes last.
         let idle = self.exec.run_to_idle();
-        if idle > self.t {
-            self.exposed += idle - self.t;
-            self.t = idle;
-        }
+        let total = frontier.iter().copied().fold(idle, SimTime::max);
+        let compute = kernel_cycles / timelines as u64;
+        let exposed = total.cycles().saturating_sub(compute);
 
         // Fig. 9b: ACE utilization split into fwd and bwd windows, from the
-        // engine's exact integer busy-cycle counters — reconstructing the
-        // cycle count from the f64 utilization ratio loses precision, and
-        // clamping the per-window ratios at 1.0 would mask over-unity
-        // accounting bugs instead of surfacing them.
-        let total = self.t;
+        // engine's exact integer busy-cycle counters. Clamping the
+        // per-window ratios at 1.0 would mask over-unity accounting bugs
+        // instead of surfacing them.
         let ace_busy_cycles = self.exec.ace_busy_cycles(total);
         let (ace_util_fwd, ace_util_bwd) = match ace_busy_cycles {
-            Some(busy_total) => {
-                let fwd_busy: u64 = fwd_busy_windows.iter().map(|(b, _)| *b).sum();
+            Some(busy_total) if split => {
                 debug_assert!(
                     fwd_busy <= busy_total,
                     "forward-window busy cycles ({fwd_busy}) exceed the engine total \
                      ({busy_total})"
                 );
                 let bwd_busy = busy_total.saturating_sub(fwd_busy);
-                let bwd_cycles = total.cycles().saturating_sub(fwd_cycles_total);
-                let f = if fwd_cycles_total == 0 {
-                    0.0
-                } else {
-                    fwd_busy as f64 / fwd_cycles_total as f64
+                let bwd_cycles = total.cycles().saturating_sub(fwd_cycles);
+                let ratio = |busy: u64, cycles: u64| {
+                    if cycles == 0 {
+                        0.0
+                    } else {
+                        busy as f64 / cycles as f64
+                    }
                 };
-                let b = if bwd_cycles == 0 {
-                    0.0
-                } else {
-                    bwd_busy as f64 / bwd_cycles as f64
-                };
-                (Some(f), Some(b))
+                (
+                    Some(ratio(fwd_busy, fwd_cycles)),
+                    Some(ratio(bwd_busy, bwd_cycles)),
+                )
             }
-            None => (None, None),
+            _ => (None, None),
         };
 
         // Bottleneck attribution: the communication share (exposed comm,
         // by the exact total = compute + exposed identity) is apportioned
         // across the endpoint pipes and the fabric by their busy cycles.
         let attribution = Attribution::attribute(
-            self.t.cycles(),
-            self.compute_busy,
+            total.cycles(),
+            compute,
             &PipeWeights::from_pipes(
                 self.exec.pipe_busy_totals(),
                 self.exec.network().util_busy_total_cycles(),
             ),
         );
 
-        let network_series = self.exec.network().utilization_series();
         let report = IterationReport {
             workload: self.program.name().to_string(),
             config: self.config.short_name().to_string(),
             nodes: self.spec.nodes(),
             freq: self.net_params.freq,
             iterations: self.program.iterations(),
-            total_cycles: self.t.cycles(),
-            compute_cycles: self.compute_busy,
-            exposed_comm_cycles: self.exposed,
-            compute_series: self.compute_series.bucket_means(),
-            network_series,
+            total_cycles: total.cycles(),
+            compute_cycles: compute,
+            exposed_comm_cycles: exposed,
+            compute_series: compute_series.bucket_means(),
+            network_series: self.exec.network().utilization_series(),
             ace_util_fwd,
             ace_util_bwd,
             ace_busy_cycles,
@@ -300,207 +322,15 @@ impl<T: Tracer> TrainingSim<T> {
         };
         (report, self.exec.into_tracer())
     }
-
-    /// Executes a multi-timeline (pipeline-parallel) program: one
-    /// compute frontier per stage, cross-timeline dependencies becoming
-    /// real waits (pipeline bubbles), collectives issued at their
-    /// stage's frontier against the shared fabric.
-    ///
-    /// Reported `compute_cycles` is the *per-stage mean* kernel time
-    /// (total kernel cycles / stages) and `exposed_comm_cycles` the
-    /// remainder, preserving the exact `total = compute + exposed`
-    /// identity — the exposed fraction of a communication-free uniform
-    /// GPipe pipeline is then the textbook bubble fraction
-    /// `(S-1)/(M+S-1)`. The Fig. 9b forward/backward ACE-utilization
-    /// split is not defined for concurrent stages and reports `None`.
-    fn run_pipeline_with_tracer(mut self) -> (IterationReport, T) {
-        let stages = self.program.timelines();
-        let mut handles: Vec<Option<CollHandle>> = vec![None; self.program.task_slots()];
-        let mut finish: Vec<SimTime> = vec![SimTime::ZERO; self.program.task_slots()];
-        let mut tls: Vec<SimTime> = vec![SimTime::ZERO; stages];
-        let mut kernel_total: u64 = 0;
-
-        if self.exec.tracer().enabled() {
-            for k in 0..stages {
-                let track = Track {
-                    pid: 0,
-                    tid: 1 + k as u32,
-                };
-                self.exec
-                    .tracer_mut()
-                    .meta_thread(track, &format!("stage{k}"));
-            }
-        }
-
-        let schedule: Vec<TaskId> = self.program.schedule().to_vec();
-        for id in schedule {
-            let task = self.program.task(id);
-            let k = task.timeline();
-            match task.kind() {
-                TaskKind::Collective { op, bytes } => {
-                    // Issued at the stage's frontier; the executor clamps
-                    // injection to its own clock (the shared event queue
-                    // may already have advanced past it).
-                    handles[id.index()] = Some(self.exec.issue(*op, *bytes, tls[k]));
-                }
-                TaskKind::Compute(_) | TaskKind::Barrier => {
-                    let t_begin = tls[k];
-                    for &dep in task.deps() {
-                        match handles[dep.index()] {
-                            Some(h) => {
-                                // Stage-boundary transfer: the stall is a
-                                // pipeline bubble on this stage.
-                                let tc = self.exec.run_until_complete(h);
-                                if tc > tls[k] {
-                                    tls[k] = tc;
-                                }
-                            }
-                            None => {
-                                // Cross-timeline compute dependency
-                                // (zero-byte boundary) or serialization
-                                // edge — wait for its finish time.
-                                if finish[dep.index()] > tls[k] {
-                                    tls[k] = finish[dep.index()];
-                                }
-                            }
-                        }
-                    }
-                    if let TaskKind::Compute(kernel) = task.kind() {
-                        let (sms, mem) = match self.program.carveout() {
-                            Some(c) => (
-                                self.config.compute_sms().saturating_sub(c.sms).max(1),
-                                (self.config.compute_mem_gbps() - c.mem_gbps).max(1.0),
-                            ),
-                            None => (self.config.compute_sms(), self.config.compute_mem_gbps()),
-                        };
-                        let cycles = self.npu.kernel_cycles(kernel, sms, mem);
-                        if cycles > 0 {
-                            let start = tls[k];
-                            let end = start + cycles;
-                            self.compute_series.add_interval(start, end, cycles as f64);
-                            kernel_total += cycles;
-                            tls[k] = end;
-                            // Keep the network draining up to the newest
-                            // frontier (no-op when already past it).
-                            self.exec.run_until(end);
-                        }
-                    }
-                    finish[id.index()] = tls[k];
-                    if self.exec.tracer().enabled() {
-                        let name = format!(
-                            "task:{}:{}:i{}",
-                            task.phase().short_name(),
-                            task.role().short_name(),
-                            task.iter()
-                        );
-                        let end = tls[k];
-                        let track = Track {
-                            pid: 0,
-                            tid: 1 + k as u32,
-                        };
-                        self.exec.tracer_mut().span(track, &name, t_begin, end);
-                    }
-                }
-            }
-        }
-
-        // Drain outstanding transfers; the end-to-end time is the slowest
-        // stage or the fabric, whichever finishes last.
-        let idle = self.exec.run_to_idle();
-        let mut end = tls.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        if idle > end {
-            end = idle;
-        }
-        self.t = end;
-        // Per-stage mean accounting (see doc comment above).
-        self.compute_busy = kernel_total / stages as u64;
-        self.exposed = self.t.cycles().saturating_sub(self.compute_busy);
-
-        let attribution = Attribution::attribute(
-            self.t.cycles(),
-            self.compute_busy,
-            &PipeWeights::from_pipes(
-                self.exec.pipe_busy_totals(),
-                self.exec.network().util_busy_total_cycles(),
-            ),
-        );
-        let network_series = self.exec.network().utilization_series();
-        let report = IterationReport {
-            workload: self.program.name().to_string(),
-            config: self.config.short_name().to_string(),
-            nodes: self.spec.nodes(),
-            freq: self.net_params.freq,
-            iterations: self.program.iterations(),
-            total_cycles: self.t.cycles(),
-            compute_cycles: self.compute_busy,
-            exposed_comm_cycles: self.exposed,
-            compute_series: self.compute_series.bucket_means(),
-            network_series,
-            ace_util_fwd: None,
-            ace_util_bwd: None,
-            ace_busy_cycles: self.exec.ace_busy_cycles(self.t),
-            comm_mem_traffic_bytes: self.exec.comm_mem_traffic_bytes(),
-            network_bytes: self.exec.network().total_bytes(),
-            past_schedules: self.exec.past_schedules(),
-            attribution,
-        };
-        (report, self.exec.into_tracer())
-    }
-
-    /// Advances the compute timeline by one kernel.
-    ///
-    /// A program carve-out (the optimized DLRM loop permanently loans
-    /// 1 SM and 80 GB/s of HBM to the background embedding pipeline,
-    /// Section VI-D) reduces the resources every training kernel sees.
-    fn run_kernel(&mut self, kernel: &KernelDesc) {
-        let (sms, mem) = match self.program.carveout() {
-            Some(c) => (
-                self.config.compute_sms().saturating_sub(c.sms).max(1),
-                (self.config.compute_mem_gbps() - c.mem_gbps).max(1.0),
-            ),
-            None => (self.config.compute_sms(), self.config.compute_mem_gbps()),
-        };
-        let cycles = self.npu.kernel_cycles(kernel, sms, mem);
-        if cycles == 0 {
-            return;
-        }
-        let start = self.t;
-        let end = self.t + cycles;
-        self.compute_series.add_interval(start, end, cycles as f64);
-        self.compute_busy += cycles;
-        self.t = end;
-        self.exec.run_until(self.t);
-    }
-
-    /// Blocks the compute timeline on a collective; the stall is exposed
-    /// communication.
-    fn wait_on(&mut self, h: CollHandle) {
-        let tc = self.exec.run_until_complete(h);
-        if tc > self.t {
-            self.exposed += tc - self.t;
-            self.t = tc;
-        }
-    }
-
-    /// ACE cumulative busy cycles at the current frontier (0 for
-    /// non-ACE engines) — the exact integer counter, not a value
-    /// reconstructed from the utilization ratio.
-    fn ace_busy_cycles(&self) -> u64 {
-        self.exec.ace_busy_cycles(self.t).unwrap_or(0)
-    }
-
-    /// Whether the program trains hybrid-parallel (DLRM).
-    pub fn is_hybrid(&self) -> bool {
-        self.program.parallelism() == Parallelism::Hybrid
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{training_program, TrainSpec};
+    use ace_compute::KernelDesc;
     use ace_net::TopologySpec;
-    use ace_workloads::{Layer, LayerComm, LoweringOptions, TaskRole, Workload};
+    use ace_workloads::{Layer, LayerComm, LoweringOptions, Parallelism, TaskRole, Workload};
 
     /// Builds the simulator for `workload` lowered under `config`.
     fn sim(
@@ -630,6 +460,38 @@ mod tests {
     }
 
     #[test]
+    fn traced_pipeline_training_marks_issues_on_every_stage() {
+        let w = Workload::transformer_lm()
+            .with_parallelism("pipeline@gpipe@2x4".parse().unwrap())
+            .unwrap();
+        let program = training_program(SystemConfig::Ace, &w, 1, false);
+        assert_eq!(program.timelines(), 2);
+        let shape = TopologySpec::torus3(2, 2, 1).unwrap();
+        let (_, tr) = TrainSpec::new(SystemConfig::Ace, program, shape)
+            .tracer(ace_trace::RecordingTracer::new())
+            .build()
+            .unwrap()
+            .run_with_tracer();
+        for (k, lane) in ["timeline", "stage1"].into_iter().enumerate() {
+            let track = timeline_track(k);
+            assert!(
+                tr.threads().contains(&(track, lane.to_string())),
+                "stage {k} lane is named {lane}"
+            );
+            let issues = tr
+                .events()
+                .iter()
+                .filter(|e| {
+                    e.track == track
+                        && e.payload == ace_trace::Payload::Instant
+                        && tr.name(e.name).starts_with("issue:")
+                })
+                .count();
+            assert!(issues > 0, "stage {k} records its collective issues");
+        }
+    }
+
+    #[test]
     fn custom_program_runs_end_to_end() {
         use ace_workloads::TaskPhase;
         let mut p = Program::new("hand-rolled", Parallelism::Data, 1);
@@ -746,6 +608,6 @@ mod tests {
             TaskRole::EmbeddingFwdA2a,
             "iteration 0's exchange is in flight at t = 0"
         );
-        assert!(dlrm.is_hybrid());
+        assert_eq!(p.parallelism(), Parallelism::Hybrid);
     }
 }

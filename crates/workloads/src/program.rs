@@ -3,9 +3,9 @@
 //! A [`Program`] is an acyclic graph of compute kernels, collectives and
 //! synchronization barriers with explicit precedence edges, plus a
 //! deterministic *schedule* — a topological linearization that fixes the
-//! order in which the single NPU compute timeline executes its tasks and
-//! the order in which collectives are issued (the LIFO scheduling policy
-//! of the collective executor makes issue order meaningful).
+//! order in which each compute timeline executes its tasks and the order
+//! in which collectives are issued (the LIFO scheduling policy of the
+//! collective executor makes issue order meaningful).
 //!
 //! Workloads no longer hard-code control flow in the simulator: the
 //! training loop of the paper (forward passes blocking on the previous
@@ -18,20 +18,23 @@
 //!
 //! # Execution model
 //!
-//! The schedule is executed in order by a scheduler owning one compute
-//! timeline and a collective executor:
+//! The schedule is executed in order, in one walk, by a scheduler owning
+//! a collective executor and one compute frontier per timeline — one for
+//! a single NPU, one per stage for a pipeline lowering:
 //!
-//! * a **compute** task first blocks on every *collective* among its
-//!   dependencies (in dependency order — the stall is exposed
-//!   communication), then advances the timeline by its kernel;
-//! * a **collective** task is issued (non-blocking) at the current
-//!   timeline instant;
-//! * a **barrier** blocks on its collective dependencies without running
-//!   any kernel.
+//! * a **collective** task is issued (non-blocking) at its timeline's
+//!   frontier;
+//! * a **compute** task first waits on its dependencies in dependency
+//!   order — a collective until it completes (the stall is exposed
+//!   communication), any other task until it finishes — then advances
+//!   its timeline by its kernel;
+//! * a **barrier** waits on its dependencies the same way without
+//!   running any kernel.
 //!
-//! Dependencies between two timeline tasks (compute/barrier) are
-//! serialization edges — already satisfied by schedule order, which
-//! [`Program::validate`] enforces is topological.
+//! Within one timeline, a dependency between two timeline tasks
+//! (compute/barrier) is a serialization edge, already satisfied by
+//! schedule order, which [`Program::validate`] enforces is topological.
+//! Across timelines it is a real wait: a pipeline bubble.
 
 use std::fmt;
 
@@ -1165,13 +1168,14 @@ pub struct AnalyticWalk {
 impl Program {
     /// Walks the schedule with closed-form task durations — the analytic
     /// tier's critical-path scheduler. Mirrors the event-driven
-    /// scheduler's execution model exactly (one serial compute timeline;
-    /// collectives issued non-blocking at the current instant; compute
-    /// and barriers stalling on their collective dependencies) but
-    /// replaces the collective executor with `collective_cycles` and the
-    /// NPU roofline with `compute_cycles`, and approximates the shared
-    /// fabric as a single serializing resource: a collective issued while
-    /// an earlier one is still draining starts after it.
+    /// scheduler's execution model exactly (one compute frontier per
+    /// timeline; collectives issued non-blocking at their timeline's
+    /// frontier; compute and barriers waiting on their dependencies in
+    /// order) but replaces the collective executor with
+    /// `collective_cycles` and the NPU roofline with `compute_cycles`, and
+    /// approximates the shared fabric as a single serializing resource: a
+    /// collective issued while an earlier one is still draining starts
+    /// after it.
     ///
     /// The walk therefore computes the critical path of the DAG under
     /// those durations, in one pass over the schedule.
