@@ -10,7 +10,6 @@ use std::fmt::{self, Write};
 use crate::grid::{PointKind, RunPoint};
 use crate::runner::{RunResult, SweepOutcome};
 use crate::scenario::EngineSpec;
-use ace_net::NetworkParams;
 
 /// The fixed CSV column set (a superset across the three sweep modes;
 /// inapplicable cells are empty).
@@ -275,25 +274,11 @@ fn write_row(row: &mut Row, r: &RunResult, attribution: bool) {
             row.display(spec.microbatches);
         }
     }
-    // `failed_links` / `degradation_pct` come from re-resolving the fault
-    // plan against the row's topology — cheap, and spares RunResult a
-    // field that only reports care about. Pristine rows short-circuit.
-    let (failed_links, degradation_pct) = if p.conditions.is_pristine() {
-        (0, 0.0)
-    } else {
-        match p
-            .conditions
-            .resolve(p.topology, &NetworkParams::paper_default())
-        {
-            Ok(plan) => (plan.failed_links(), plan.degradation_pct()),
-            Err(_) => (0, 0.0),
-        }
-    };
     row.display(&p.conditions.faults);
     row.display(p.conditions.contention);
     row.display(p.conditions.straggler);
-    row.display(failed_links);
-    row.fixed(degradation_pct, 3);
+    row.display(r.failed_links);
+    row.fixed(r.degradation_pct, 3);
     let m = &r.metrics;
     row.fixed(m.time_us, 3);
     row.display(m.completion_cycles);

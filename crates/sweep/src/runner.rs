@@ -17,17 +17,18 @@
 //! `hybrid` triages the whole grid analytically before re-simulating only
 //! the Pareto frontier + top-K % cells exactly (see [`crate::fidelity`]).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use ace_collectives::RouteMemo;
-use ace_net::NetworkParams;
+use ace_net::{NetworkParams, TopologySpec};
 use ace_serve::RoundMemo;
 use ace_system::{
-    analytic_collective_run_with_memo, analytic_program_run_with_memo, training_program, RunSpec,
-    TrainSpec,
+    analytic_collective_run_with_memo, analytic_program_run_with_memo, training_program,
+    RunConditions, RunSpec, TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -111,6 +112,11 @@ pub struct RunResult {
     /// `baseline_time / this_time` when the scenario names a baseline
     /// (always compared within the row's own tier).
     pub speedup_vs_baseline: Option<f64>,
+    /// Physical cables the row's fault plan kills (0 when pristine).
+    pub failed_links: usize,
+    /// Aggregate fabric bandwidth the row's fault plan loses, percent
+    /// (0 when pristine).
+    pub degradation_pct: f64,
 }
 
 /// The outcome of one sweep.
@@ -357,7 +363,7 @@ impl SweepRunner {
         progress: &(dyn Fn(Progress) + Sync),
     ) -> Result<SweepOutcome, String> {
         scenario.validate()?;
-        check_conditions(scenario)?;
+        let degradations = check_conditions(scenario)?;
         let threads = match opts.threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
@@ -404,10 +410,11 @@ impl SweepRunner {
 
         let fresh_e: HashSet<&RunPoint> = work_e.iter().copied().collect();
         let fresh_a: HashSet<&RunPoint> = work_a.iter().copied().collect();
-        let (results, cache_hits) = self.assemble(scenario, &points, &tiers, |t, p| match t {
-            Tier::Exact => fresh_e.contains(p),
-            Tier::Analytic => fresh_a.contains(p),
-        });
+        let (results, cache_hits) =
+            self.assemble(scenario, &points, &tiers, &degradations, |t, p| match t {
+                Tier::Exact => fresh_e.contains(p),
+                Tier::Analytic => fresh_a.contains(p),
+            });
         Ok(SweepOutcome {
             scenario: scenario.name.clone(),
             mode: scenario.mode,
@@ -493,15 +500,17 @@ impl SweepRunner {
     }
 
     /// Assembles grid-order rows: each point's metrics from its tier's
-    /// cache, cache-hit bookkeeping (the first occurrence of a point
-    /// freshly executed this run is the one non-hit row), and baseline
-    /// speedups compared within each row's own tier — an analytic
-    /// estimate is never divided by an event-driven baseline.
+    /// cache, its fault plan's figures from `degradations`, cache-hit
+    /// bookkeeping (the first occurrence of a point freshly executed
+    /// this run is the one non-hit row), and baseline speedups compared
+    /// within each row's own tier — an analytic estimate is never
+    /// divided by an event-driven baseline.
     fn assemble(
         &self,
         scenario: &Scenario,
         points: &[RunPoint],
         tiers: &[Tier],
+        degradations: &Degradations,
         freshly_executed: impl Fn(Tier, &RunPoint) -> bool,
     ) -> (Vec<RunResult>, usize) {
         let mut seen: HashSet<(Tier, &RunPoint)> = HashSet::new();
@@ -518,12 +527,19 @@ impl SweepRunner {
                 if cache_hit {
                     cache_hits += 1;
                 }
+                let (failed_links, degradation_pct) = if p.conditions.is_pristine() {
+                    (0, 0.0)
+                } else {
+                    degradations[&(p.topology, p.conditions.clone())]
+                };
                 RunResult {
                     point: p.clone(),
                     metrics,
                     fidelity: tier,
                     cache_hit,
                     speedup_vs_baseline: None,
+                    failed_links,
+                    degradation_pct,
                 }
             })
             .collect();
@@ -544,22 +560,28 @@ impl SweepRunner {
     }
 }
 
+/// Each distinct non-pristine (topology, conditions) pair's
+/// `(failed_links, degradation_pct)`, the fault figures a report row shows.
+type Degradations = HashMap<(TopologySpec, RunConditions), (usize, f64)>;
+
 /// Resolves each distinct non-pristine (topology, conditions) pair of the
 /// scenario's axes once, with the call every tier makes before it runs a
 /// cell, so a pair that cannot run is refused before any cell does.
-fn check_conditions(scenario: &Scenario) -> Result<(), String> {
+fn check_conditions(scenario: &Scenario) -> Result<Degradations, String> {
     let net = NetworkParams::paper_default();
     let conditions = grid::conditions_product(scenario);
-    let mut seen = HashSet::new();
+    let mut resolved = Degradations::new();
     for &topology in &scenario.topologies {
         for c in conditions.iter().filter(|c| !c.is_pristine()) {
-            if seen.insert((topology, c)) {
-                c.resolve(topology, &net)
+            if let Entry::Vacant(slot) = resolved.entry((topology, c.clone())) {
+                let plan = c
+                    .resolve(topology, &net)
                     .map_err(|e| format!("topology {topology} cannot run {c}: {e}"))?;
+                slot.insert((plan.failed_links(), plan.degradation_pct()));
             }
         }
     }
-    Ok(())
+    Ok(resolved)
 }
 
 /// Renders a panic payload as text.
