@@ -198,6 +198,10 @@ mod topology {
                 TopologySpec::torus3(1, 1, 1).unwrap_err().to_string(),
                 "must contain at least two nodes"
             );
+            assert_eq!(
+                TopologySpec::switch_with_gbps(16, 0).unwrap_err(),
+                ShapeError::ZeroBandwidth
+            );
             // Every family's spelling error names its family once, in the
             // parser's prefix, and never calls a switch or hierarchical
             // fabric a torus.
@@ -221,7 +225,7 @@ mod topology {
                 ),
                 (
                     "switch:16@0",
-                    "switch topology 'switch:16@0': dimensions must be nonzero",
+                    "switch topology 'switch:16@0': uplink bandwidth must be nonzero GB/s",
                 ),
                 (
                     "hier:1x1",

@@ -87,6 +87,8 @@ pub enum ShapeError {
     DimensionTooLarge(usize),
     /// The topology's total node count overflows the address space.
     TooManyNodes,
+    /// A crossbar's uplink-bandwidth override was zero GB/s.
+    ZeroBandwidth,
 }
 
 /// The messages name no topology family: callers prefix the spelling
@@ -101,6 +103,7 @@ impl fmt::Display for ShapeError {
             }
             ShapeError::DimensionTooLarge(n) => write!(f, "dimension {n} is too large"),
             ShapeError::TooManyNodes => f.write_str("topology node count overflows"),
+            ShapeError::ZeroBandwidth => f.write_str("uplink bandwidth must be nonzero GB/s"),
         }
     }
 }
@@ -199,7 +202,7 @@ impl TopologySpec {
     pub fn switch_with_gbps(nodes: usize, gbps: u32) -> Result<TopologySpec, ShapeError> {
         let mut s = TopologySpec::switch(nodes)?;
         if gbps == 0 {
-            return Err(ShapeError::ZeroDimension);
+            return Err(ShapeError::ZeroBandwidth);
         }
         if let TopologySpec::Switch { gbps: g, .. } = &mut s {
             *g = Some(gbps);
