@@ -63,7 +63,7 @@ impl SystemConfig {
     /// SMs and HBM GB/s left to training kernels once a program's
     /// `carveout` is loaned away, never below 1 SM or 1 GB/s. Both the
     /// exact and the analytic tier size every kernel with this.
-    pub fn kernel_resources(self, carveout: Option<ComputeCarveout>) -> (u32, f64) {
+    pub(crate) fn kernel_resources(self, carveout: Option<ComputeCarveout>) -> (u32, f64) {
         match carveout {
             Some(c) => (
                 self.compute_sms().saturating_sub(c.sms).max(1),
