@@ -5,7 +5,7 @@
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::{traffic, CollectiveOp, CollectivePlan};
 use ace_net::TopologySpec;
-use ace_system::{EngineKind, RunSpec};
+use ace_system::{RunSpec, SystemConfig};
 
 fn main() {
     header("Section VI-A: endpoint memory traffic, baseline vs ACE");
@@ -43,10 +43,7 @@ fn main() {
     let shape = TopologySpec::torus3(4, 4, 4).expect("valid shape");
     let base = RunSpec::new(
         shape,
-        EngineKind::Baseline {
-            comm_mem_gbps: 450.0,
-            comm_sms: 6,
-        },
+        SystemConfig::BaselineCommOpt.engine(),
         CollectiveOp::AllReduce,
         payload,
     )
@@ -54,9 +51,7 @@ fn main() {
     .expect("pristine run cannot fail");
     let ace = RunSpec::new(
         shape,
-        EngineKind::Ace {
-            dma_mem_gbps: 128.0,
-        },
+        SystemConfig::Ace.engine(),
         CollectiveOp::AllReduce,
         payload,
     )

@@ -20,10 +20,10 @@
 
 use std::process::ExitCode;
 
-use ace_bench::perf_json::json_escape;
 use ace_bench::{header, subheader};
 use ace_sweep::fidelity::pareto_frontier;
 use ace_sweep::{Fidelity, RunPoint, RunnerOptions, Scenario, SweepOutcome, SweepRunner, Tier};
+use ace_trace::chrome::json_escape;
 
 const DESIGN_SPACE_TOML: &str = include_str!("../../../../examples/scenarios/design_space.toml");
 const TRAINING_SUITE_TOML: &str =
@@ -203,11 +203,12 @@ fn to_json(reports: &[ScenarioReport]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"version\": 1,\n  \"scenarios\": [\n");
     for (i, r) in reports.iter().enumerate() {
+        out.push_str("    {\"scenario\": \"");
+        json_escape(&mut out, &r.name);
         out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"points\": {}, \"mean_rel_error\": {:.4}, \
+            "\", \"points\": {}, \"mean_rel_error\": {:.4}, \
              \"max_rel_error\": {:.4}, \"hybrid_exact_sims\": {}, \"hybrid_grid_cells\": {}, \
              \"hybrid_frontier_matches_exact\": {},\n     \"errors\": [\n",
-            json_escape(&r.name),
             r.points.len(),
             r.mean,
             r.max,
@@ -217,13 +218,11 @@ fn to_json(reports: &[ScenarioReport]) -> String {
         ));
         for (j, p) in r.points.iter().enumerate() {
             let sep = if j + 1 == r.points.len() { "" } else { "," };
+            out.push_str("       {\"point\": \"");
+            json_escape(&mut out, &p.label);
             out.push_str(&format!(
-                "       {{\"point\": \"{}\", \"exact_us\": {:.3}, \"analytic_us\": {:.3}, \
-                 \"rel_error\": {:.4}}}{sep}\n",
-                json_escape(&p.label),
-                p.exact_us,
-                p.analytic_us,
-                p.rel_error,
+                "\", \"exact_us\": {:.3}, \"analytic_us\": {:.3}, \"rel_error\": {:.4}}}{sep}\n",
+                p.exact_us, p.analytic_us, p.rel_error,
             ));
         }
         let sep = if i + 1 == reports.len() { "" } else { "," };

@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use ace_trace::chrome::json_escape;
+
 /// Which grids the perf run timed. Threaded explicitly through the
 /// emitter so `--smoke` output can never be mislabeled `full`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,23 +91,6 @@ pub struct BenchBaseline {
     pub points_per_sec: f64,
 }
 
-/// Minimal JSON string escaping for interpolated names/labels.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the benchmark JSON (`version` 1). The `mode` field is the
 /// explicit [`BenchMode`] — regression-tested, since the CI gate keys
 /// off it.
@@ -123,25 +108,24 @@ pub fn to_json(
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"runs\": {runs},\n"));
-    out.push_str(&format!("  \"rustc\": \"{}\",\n", json_escape(&info.rustc)));
-    out.push_str(&format!(
-        "  \"rustflags\": \"{}\",\n",
-        json_escape(&info.rustflags)
-    ));
-    out.push_str(&format!(
-        "  \"profile\": \"{}\",\n",
-        json_escape(&info.profile)
-    ));
+    for (key, value) in [
+        ("rustc", &info.rustc),
+        ("rustflags", &info.rustflags),
+        ("profile", &info.profile),
+    ] {
+        out.push_str(&format!("  \"{key}\": \""));
+        json_escape(&mut out, value);
+        out.push_str("\",\n");
+    }
     out.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         let sep = if i + 1 == entries.len() { "" } else { "," };
+        out.push_str("    {\"scenario\": \"");
+        json_escape(&mut out, &e.scenario);
         out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"points\": {}, \"wall_ms\": {:.1}, \
+            "\", \"points\": {}, \"wall_ms\": {:.1}, \
              \"points_per_sec\": {:.3}, \"threads\": {threads}}}{sep}\n",
-            json_escape(&e.scenario),
-            e.points,
-            e.wall_ms,
-            e.points_per_sec,
+            e.points, e.wall_ms, e.points_per_sec,
         ));
     }
     out.push_str("  ]");
@@ -152,7 +136,9 @@ pub fn to_json(
             .unwrap_or(f64::NAN);
         out.push_str(",\n  \"baseline\": {");
         if let Some(label) = &b.label {
-            out.push_str(&format!("\"label\": \"{}\", ", json_escape(label)));
+            out.push_str("\"label\": \"");
+            json_escape(&mut out, label);
+            out.push_str("\", ");
         }
         out.push_str(&format!(
             "\"points_per_sec\": {:.3}, \"speedup\": {speedup:.3}}}",
@@ -370,8 +356,16 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let mut build = info();
+        build.rustflags = "a\"b\\c\nd".into();
+        let mut named = entries();
+        named[0].scenario = "\u{1}".into();
+        let json = to_json(BenchMode::Smoke, 1, 1, &build, &named, None);
+        assert!(
+            json.contains("\"rustflags\": \"a\\\"b\\\\c\\nd\","),
+            "{json}"
+        );
+        assert!(json.contains("{\"scenario\": \"\\u0001\","), "{json}");
     }
 
     #[test]

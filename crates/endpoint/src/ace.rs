@@ -91,12 +91,6 @@ impl AceEndpoint {
     pub fn ace(&self) -> &AceState {
         &self.ace
     }
-
-    /// HBM bandwidth left for training compute, GB/s (772 with the paper's
-    /// 128 GB/s DMA carve-out).
-    pub fn compute_mem_gbps(&self) -> f64 {
-        self.mem.compute_gbps()
-    }
 }
 
 impl CollectiveEngine for AceEndpoint {
@@ -217,7 +211,7 @@ mod tests {
 
     #[test]
     fn compute_keeps_772_gbps() {
-        assert!((endpoint().compute_mem_gbps() - 772.0).abs() < 1e-9);
+        assert!((endpoint().mem.compute_gbps() - 772.0).abs() < 1e-9);
     }
 
     #[test]
@@ -246,7 +240,7 @@ mod tests {
     fn step_costs_are_cheaper_than_baseline() {
         use crate::baseline::{BaselineEngine, BaselineParams};
         let mut ace = endpoint();
-        let mut base = BaselineEngine::new(BaselineParams::comp_opt());
+        let mut base = BaselineEngine::new(BaselineParams::custom(128.0, 2));
         let ta = ace.reduce_and_send(SimTime::ZERO, 64 * 1024, 0);
         let tb = base.reduce_and_send(SimTime::ZERO, 64 * 1024, 0);
         assert!(

@@ -27,37 +27,9 @@ pub struct BaselineParams {
 }
 
 impl BaselineParams {
-    /// Table VI BaselineCommOpt: 450 GB/s + 6 SMs — enough endpoint
-    /// bandwidth to reach ≈90 % of the ideal network performance.
-    pub fn comm_opt() -> BaselineParams {
-        BaselineParams {
-            comm_mem_gbps: 450.0,
-            comm_sms: 6,
-            bus: BusParams::paper_default(),
-        }
-    }
-
-    /// Table VI BaselineCompOpt: 128 GB/s + 2 SMs — compute keeps most of
-    /// the memory bandwidth, communication is starved.
-    pub fn comp_opt() -> BaselineParams {
-        BaselineParams {
-            comm_mem_gbps: 128.0,
-            comm_sms: 2,
-            bus: BusParams::paper_default(),
-        }
-    }
-
-    /// Table VI BaselineNoOverlap: communication runs alone at the end of
-    /// back-propagation with every endpoint resource available.
-    pub fn no_overlap() -> BaselineParams {
-        BaselineParams {
-            comm_mem_gbps: 900.0,
-            comm_sms: 80,
-            bus: BusParams::paper_default(),
-        }
-    }
-
-    /// Custom allocation (Figs. 5 and 6 sweep these knobs).
+    /// An allocation of HBM and SMs to communication (Table VI's
+    /// presets live on `SystemConfig::engine`; Figs. 5 and 6 sweep these
+    /// knobs).
     pub fn custom(comm_mem_gbps: f64, comm_sms: u32) -> BaselineParams {
         BaselineParams {
             comm_mem_gbps,
@@ -97,11 +69,6 @@ impl BaselineEngine {
     /// The engine's resource allocation.
     pub fn params(&self) -> &BaselineParams {
         &self.params
-    }
-
-    /// HBM bandwidth left for training compute, GB/s.
-    pub fn compute_mem_gbps(&self) -> f64 {
-        self.mem.compute_gbps()
     }
 
     /// Read `bytes` from HBM, pump through the SM drive, cross the bus.
@@ -195,24 +162,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_match_table_vi() {
-        assert_eq!(BaselineParams::comm_opt().comm_mem_gbps, 450.0);
-        assert_eq!(BaselineParams::comm_opt().comm_sms, 6);
-        assert_eq!(BaselineParams::comp_opt().comm_mem_gbps, 128.0);
-        assert_eq!(BaselineParams::comp_opt().comm_sms, 2);
-        assert_eq!(BaselineParams::no_overlap().comm_sms, 80);
-    }
-
-    #[test]
     fn compute_side_sees_remainder() {
-        let e = BaselineEngine::new(BaselineParams::comp_opt());
-        assert!((e.compute_mem_gbps() - 772.0).abs() < 1e-9);
+        let e = BaselineEngine::new(BaselineParams::custom(128.0, 2));
+        assert!((e.mem.compute_gbps() - 772.0).abs() < 1e-9);
     }
 
     #[test]
     fn reduce_and_send_costs_more_than_fetch() {
-        let mut a = BaselineEngine::new(BaselineParams::comp_opt());
-        let mut b = BaselineEngine::new(BaselineParams::comp_opt());
+        let mut a = BaselineEngine::new(BaselineParams::custom(128.0, 2));
+        let mut b = BaselineEngine::new(BaselineParams::custom(128.0, 2));
         let fetch = a.fetch_and_send(SimTime::ZERO, 64 * 1024, 0);
         let reduce = b.reduce_and_send(SimTime::ZERO, 64 * 1024, 0);
         assert!(reduce > fetch, "2N reads must cost more than N");
@@ -220,7 +178,7 @@ mod tests {
 
     #[test]
     fn mem_traffic_accumulates_per_section_vi_a() {
-        let mut e = BaselineEngine::new(BaselineParams::comm_opt());
+        let mut e = BaselineEngine::new(BaselineParams::custom(450.0, 6));
         e.fetch_and_send(SimTime::ZERO, 1000, 0); // 1000 read
         e.reduce_and_send(SimTime::ZERO, 1000, 0); // 2000 read
         e.receive(SimTime::ZERO, 1000, 0); // 1000 write
@@ -247,14 +205,14 @@ mod tests {
 
     #[test]
     fn store_and_forward_touches_memory_twice() {
-        let mut e = BaselineEngine::new(BaselineParams::comm_opt());
+        let mut e = BaselineEngine::new(BaselineParams::custom(450.0, 6));
         e.store_and_forward(SimTime::ZERO, 1000, 0);
         assert_eq!(e.mem_traffic_bytes(), 2000);
     }
 
     #[test]
     fn pipe_busy_accumulates_per_pipe() {
-        let mut e = BaselineEngine::new(BaselineParams::comp_opt());
+        let mut e = BaselineEngine::new(BaselineParams::custom(128.0, 2));
         assert_eq!(e.pipe_busy(), PipeBusy::default());
         e.reduce_and_send(SimTime::ZERO, 1 << 20, 0);
         let p = e.pipe_busy();
@@ -264,7 +222,7 @@ mod tests {
 
     #[test]
     fn admission_is_unbounded() {
-        let mut e = BaselineEngine::new(BaselineParams::comm_opt());
+        let mut e = BaselineEngine::new(BaselineParams::custom(450.0, 6));
         for _ in 0..1000 {
             assert!(e.try_admit(0, 64 * 1024, SimTime::ZERO));
         }

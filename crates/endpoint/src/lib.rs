@@ -24,7 +24,7 @@
 //! use ace_endpoint::{BaselineEngine, BaselineParams, CollectiveEngine};
 //! use ace_simcore::SimTime;
 //!
-//! let mut ep = BaselineEngine::new(BaselineParams::comm_opt());
+//! let mut ep = BaselineEngine::new(BaselineParams::custom(450.0, 6));
 //! let ready = ep.fetch_and_send(SimTime::ZERO, 8 * 1024, 0);
 //! assert!(ready.cycles() > 0);
 //! ```

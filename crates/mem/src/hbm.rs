@@ -92,25 +92,9 @@ impl EndpointMemory {
         self.comm_wr.request(now, bytes)
     }
 
-    /// Issues a communication-side memory read (kept for call sites that
-    /// do not distinguish directions).
-    pub fn comm_access(&mut self, now: SimTime, bytes: u64) -> Grant {
-        self.comm_read(now, bytes)
-    }
-
-    /// Earliest time the comm read channel frees up for a request at `now`.
-    pub fn comm_next_free(&self, now: SimTime) -> SimTime {
-        self.comm_rd.next_free(now)
-    }
-
     /// Total bytes moved through the comm partition (reads + writes).
     pub fn comm_bytes(&self) -> u64 {
         self.comm_rd.bytes_served() + self.comm_wr.bytes_served()
-    }
-
-    /// Total read bytes (the Section VI-A accounting basis).
-    pub fn comm_read_bytes(&self) -> u64 {
-        self.comm_rd.bytes_served()
     }
 
     /// Comm read-channel busy fraction over `[0, horizon]`.
@@ -140,8 +124,8 @@ mod tests {
     #[test]
     fn comm_accesses_serialize_within_partition() {
         let mut mem = EndpointMemory::new(MemoryParams::paper_default(128.0));
-        let a = mem.comm_access(SimTime::ZERO, 1 << 20);
-        let b = mem.comm_access(SimTime::ZERO, 1 << 20);
+        let a = mem.comm_read(SimTime::ZERO, 1 << 20);
+        let b = mem.comm_read(SimTime::ZERO, 1 << 20);
         assert!(b.start >= a.start);
         assert!(b.end > a.end);
         assert_eq!(mem.comm_bytes(), 2 << 20);
@@ -151,8 +135,8 @@ mod tests {
     fn narrower_partition_is_slower() {
         let mut narrow = EndpointMemory::new(MemoryParams::paper_default(128.0));
         let mut wide = EndpointMemory::new(MemoryParams::paper_default(450.0));
-        let gn = narrow.comm_access(SimTime::ZERO, 64 << 20);
-        let gw = wide.comm_access(SimTime::ZERO, 64 << 20);
+        let gn = narrow.comm_read(SimTime::ZERO, 64 << 20);
+        let gw = wide.comm_read(SimTime::ZERO, 64 << 20);
         assert!(gn.end > gw.end);
         // Ratio of service times tracks the bandwidth ratio.
         let ratio = gn.service() as f64 / gw.service() as f64;
@@ -162,7 +146,7 @@ mod tests {
     #[test]
     fn utilization_accounting() {
         let mut mem = EndpointMemory::new(MemoryParams::paper_default(128.0));
-        let g = mem.comm_access(SimTime::ZERO, 1 << 20);
+        let g = mem.comm_read(SimTime::ZERO, 1 << 20);
         let u = mem.comm_utilization(SimTime::from_cycles(g.end.cycles() * 4));
         assert!(u > 0.2 && u < 0.3);
     }

@@ -16,7 +16,7 @@
 //!
 //! let mut mem = EndpointMemory::new(MemoryParams::paper_default(128.0));
 //! // Communication reads contend only for the comm partition.
-//! let g = mem.comm_access(SimTime::ZERO, 1 << 20);
+//! let g = mem.comm_read(SimTime::ZERO, 1 << 20);
 //! assert!(g.end > g.start);
 //! // The compute side sees the remaining 772 GB/s.
 //! assert!((mem.compute_gbps() - 772.0).abs() < 1e-9);

@@ -23,22 +23,12 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
+use ace_simcore::SplitMix64;
 use ace_toml::{Spelling, SpellingError};
 
 use crate::link::Port;
 use crate::network::NetworkParams;
 use crate::topo::{Hop, NodeId, Route, Topology};
-
-/// SplitMix64 step (Steele et al.) — the workspace's standard seeded
-/// generator, duplicated here because the fault layer sits below the
-/// serving crate that also carries one.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// What one fault clause targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,16 +117,6 @@ impl FaultSpec {
     /// The clauses, in application order.
     pub fn clauses(&self) -> &[FaultClause] {
         &self.clauses
-    }
-
-    /// A spec that kills `count` seeded-random cables.
-    pub fn kill_random(count: u32, seed: u64) -> FaultSpec {
-        FaultSpec {
-            clauses: vec![FaultClause {
-                loss: 1.0,
-                target: FaultTarget::Random { count, seed },
-            }],
-        }
     }
 }
 
@@ -695,9 +675,9 @@ impl FaultPlan {
                 }
                 // Partial Fisher–Yates: the first `count` slots are a
                 // uniform sample, deterministic for a seed.
-                let mut state = seed;
+                let mut rng = SplitMix64::new(seed);
                 for i in 0..count as usize {
-                    let j = i + (splitmix64(&mut state) % (pool.len() - i) as u64) as usize;
+                    let j = i + (rng.next_u64() % (pool.len() - i) as u64) as usize;
                     pool.swap(i, j);
                     self.apply_cable(pool[i], clause.loss);
                 }

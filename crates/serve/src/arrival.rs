@@ -12,35 +12,7 @@ use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 use std::sync::Arc;
 
-/// SplitMix64: a tiny, high-quality, seedable PRNG (Steele et al.,
-/// "Fast splittable pseudorandom number generators"). One u64 of state,
-/// full-period, and — unlike the platform RNG — identical on every
-/// machine, which the byte-identical-reports guarantee requires.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Seeds the generator. Any seed (including 0) is fine.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// The next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A uniform draw in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+use ace_simcore::SplitMix64;
 
 /// A replayed arrival trace: the file path plus its content fingerprint.
 /// Two references denote the same process iff path *and* fingerprint

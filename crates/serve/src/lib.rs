@@ -60,7 +60,7 @@ mod arrival;
 mod sim;
 mod spec;
 
-pub use arrival::{ArrivalKind, SplitMix64, TraceRef};
+pub use arrival::{ArrivalKind, TraceRef};
 pub use sim::{
     first_round_program, simulate, simulate_with_conditions, simulate_with_memo, RequestRecord,
     RoundMemo, ServingOptions, ServingOutcome, ServingTier,

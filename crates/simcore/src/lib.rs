@@ -30,13 +30,15 @@
 #![warn(missing_docs)]
 
 mod event;
+mod rng;
 mod server;
 mod stats;
 mod time;
 
 pub use event::EventQueue;
+pub use rng::SplitMix64;
 pub use server::{BandwidthServer, Grant, SlotServer};
-pub use stats::{BucketCursor, RateMeter, Summary, TimeSeries, UtilizationTracker};
+pub use stats::{BucketCursor, RateMeter, TimeSeries, UtilizationTracker};
 pub use time::{Frequency, SimTime};
 
 /// The paper's NPU clock frequency: 1245 MHz (Section V).

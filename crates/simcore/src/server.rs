@@ -123,11 +123,6 @@ impl BandwidthServer {
         SimTime::from_cycles((self.busy_until.max(now.cycles() as f64)).ceil() as u64)
     }
 
-    /// Whether the server would make a request issued at `now` wait.
-    pub fn is_busy_at(&self, now: SimTime) -> bool {
-        self.busy_until > now.cycles() as f64
-    }
-
     /// Total bytes served so far.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_served
@@ -263,8 +258,8 @@ mod tests {
         let g = s.request(SimTime::from_cycles(50), 100);
         assert_eq!(g.start.cycles(), 50);
         assert_eq!(g.end.cycles(), 60);
-        assert!(!s.is_busy_at(SimTime::from_cycles(61)));
-        assert!(s.is_busy_at(SimTime::from_cycles(55)));
+        assert_eq!(s.next_free(SimTime::from_cycles(61)).cycles(), 61);
+        assert_eq!(s.next_free(SimTime::from_cycles(55)).cycles(), 60);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Statistics recorders: bucketed time series, busy-time trackers, rate
-//! meters, and scalar summaries.
+//! Statistics recorders: bucketed time series, busy-time trackers and
+//! rate meters.
 
 use crate::SimTime;
 
@@ -251,78 +251,6 @@ impl RateMeter {
     }
 }
 
-/// Running scalar summary: count, mean, min, max.
-///
-/// ```
-/// use ace_simcore::Summary;
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0] { s.add(v); }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 3.0);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn add(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of samples, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Minimum sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summary is empty.
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "empty summary has no min");
-        self.min
-    }
-
-    /// Maximum sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summary is empty.
-    pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "empty summary has no max");
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,21 +369,5 @@ mod tests {
         let m = RateMeter::new();
         assert_eq!(m.rate(), 0.0);
         assert_eq!(m.bytes(), 0);
-    }
-
-    #[test]
-    fn summary_tracks_extremes() {
-        let mut s = Summary::new();
-        s.add(3.0);
-        s.add(-1.0);
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.mean(), 1.0);
-        assert_eq!(s.min(), -1.0);
-        assert_eq!(s.max(), 3.0);
-    }
-
-    #[test]
-    fn empty_summary_mean_is_zero() {
-        assert_eq!(Summary::new().mean(), 0.0);
     }
 }

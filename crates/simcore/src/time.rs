@@ -145,11 +145,6 @@ impl Frequency {
         bytes_per_cycle * self.hz / 1e9
     }
 
-    /// Number of whole cycles in `seconds` of wall time, rounded up.
-    pub fn cycles_in(self, seconds: f64) -> u64 {
-        (seconds * self.hz).ceil() as u64
-    }
-
     /// The number of cycles needed to move `bytes` at `gbps`, rounded up,
     /// and always at least one cycle for a non-empty transfer.
     pub fn transfer_cycles(self, bytes: u64, gbps: f64) -> u64 {

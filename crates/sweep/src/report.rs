@@ -7,6 +7,8 @@
 
 use std::fmt::{self, Write};
 
+use ace_trace::chrome::json_escape;
+
 use crate::grid::{PointKind, RunPoint};
 use crate::runner::{RunResult, SweepOutcome};
 use crate::scenario::EngineSpec;
@@ -355,23 +357,6 @@ fn push_json_str(out: &mut String, s: &str) {
         out.push_str(s);
     }
     out.push('"');
-}
-
-/// Appends `s` to `out` with JSON string escapes.
-fn json_escape(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 /// Appends `v` as a JSON number, or `null` when it is not finite.

@@ -27,8 +27,8 @@ use ace_collectives::RouteMemo;
 use ace_net::{NetworkParams, TopologySpec};
 use ace_serve::RoundMemo;
 use ace_system::{
-    analytic_collective_run_with_memo, analytic_program_run_with_memo, training_program,
-    RunConditions, RunSpec, TrainSpec,
+    analytic_collective_run, analytic_program_run_with_memo, training_program, RunConditions,
+    RunSpec, TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -167,11 +167,6 @@ impl SweepOutcome {
             .iter()
             .filter(|r| r.fidelity == Tier::Exact)
             .count()
-    }
-
-    /// Rows carrying α–β estimates.
-    pub fn analytic_rows(&self) -> usize {
-        self.results.len() - self.exact_rows()
     }
 
     /// Sum of clamped past-scheduled events over every row — nonzero
@@ -869,7 +864,7 @@ fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo, routes: &RouteMemo) -
             op,
             payload_bytes,
         } => {
-            let r = analytic_collective_run_with_memo(
+            let r = analytic_collective_run(
                 point.topology,
                 engine.to_engine_kind(),
                 *op,

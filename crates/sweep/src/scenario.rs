@@ -144,15 +144,6 @@ impl EngineSpec {
         }
     }
 
-    /// ACE at an arbitrary Fig. 9a design-space point.
-    pub fn ace_dse(dma_mem_gbps: f64, sram_mb: u64, fsms: usize) -> EngineSpec {
-        EngineSpec::Ace {
-            dma_mem_gbps,
-            sram_mb,
-            fsms,
-        }
-    }
-
     /// The family this spec resolves.
     pub fn family(&self) -> EngineFamily {
         match self {
@@ -174,7 +165,7 @@ impl EngineSpec {
                 dma_mem_gbps,
                 sram_mb,
                 fsms,
-            } => EngineKind::AceDse {
+            } => EngineKind::Ace {
                 dma_mem_gbps,
                 sram_mb,
                 fsms,

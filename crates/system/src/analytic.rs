@@ -2,19 +2,20 @@
 //!
 //! This module is the bridge between the event-driven simulator and the
 //! α–β model in [`ace_collectives::analytic`]: it derives each engine's
-//! [`EndpointModel`] **from the same parameter structs the event-driven
-//! endpoints consume** (Table V/VI resource splits — `BaselineParams`,
-//! `AceEndpointParams`, `MemoryParams`, `BusParams`, `SmDriveModel`,
-//! `AceConfig`), so a change to the simulated hardware automatically
-//! moves the analytic tier too, and offers drop-in analytic counterparts
-//! of [`RunSpec`](crate::RunSpec) and [`TrainSpec`](crate::TrainSpec).
+//! [`EndpointModel`] **from the same [`EngineKind`] and parameter structs
+//! the event-driven endpoints consume** (Table VI's split through
+//! [`SystemConfig::engine`], and `MemoryParams`, `BusParams`,
+//! `SmDriveModel`, `AceConfig`), so a change to the simulated hardware
+//! automatically moves the analytic tier too, and offers drop-in analytic
+//! counterparts of [`RunSpec`](crate::RunSpec) and
+//! [`TrainSpec`](crate::TrainSpec).
 //!
 //! Accuracy is tracked by the `validate` binary, which runs both tiers
 //! over the Fig. 9a grid and the training suite and checks the error
 //! table into `BENCH_analytic.json`.
 
 use ace_collectives::analytic::{
-    estimate_collective, estimate_collective_with_memo, AnalyticEstimate, EndpointModel, RouteMemo,
+    estimate_collective_with_memo, AnalyticEstimate, EndpointModel, RouteMemo,
 };
 use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_compute::{NpuParams, SmDriveModel};
@@ -34,8 +35,7 @@ use crate::run::{RunConditions, RunError};
 /// NPU-AFI bus, the ACE DMA carve-out and SRAM/FSM design point.
 pub fn endpoint_model(engine: EngineKind) -> EndpointModel {
     let freq = ace_simcore::npu_frequency();
-    let bus = BusParams::paper_default();
-    let bus_bpc = freq.bytes_per_cycle(bus.bandwidth_gbps);
+    let bus_bytes_per_cycle = freq.bytes_per_cycle(BusParams::paper_default().bandwidth_gbps);
     match engine {
         EngineKind::Ideal => EndpointModel::Ideal,
         EngineKind::Baseline {
@@ -47,50 +47,23 @@ pub fn endpoint_model(engine: EngineKind) -> EndpointModel {
             EndpointModel::Baseline {
                 mem_bytes_per_cycle: freq.bytes_per_cycle(mem.comm_gbps),
                 drive_bytes_per_cycle: drive.drive_bytes_per_cycle(comm_sms),
-                bus_bytes_per_cycle: bus_bpc,
+                bus_bytes_per_cycle,
             }
         }
-        EngineKind::Ace { dma_mem_gbps } => ace_model(dma_mem_gbps, AceConfig::paper_default()),
-        EngineKind::AceDse {
+        EngineKind::Ace {
             dma_mem_gbps,
             sram_mb,
             fsms,
-        } => ace_model(dma_mem_gbps, AceConfig::with_dse_point(sram_mb, fsms)),
-    }
-}
-
-/// Derives the endpoint constants for a training-mode [`SystemConfig`]
-/// (the Table VI resource splits).
-pub fn config_endpoint_model(config: SystemConfig) -> EndpointModel {
-    match config {
-        SystemConfig::BaselineNoOverlap => endpoint_model(EngineKind::Baseline {
-            comm_mem_gbps: 900.0,
-            comm_sms: 80,
-        }),
-        SystemConfig::BaselineCommOpt => endpoint_model(EngineKind::Baseline {
-            comm_mem_gbps: 450.0,
-            comm_sms: 6,
-        }),
-        SystemConfig::BaselineCompOpt => endpoint_model(EngineKind::Baseline {
-            comm_mem_gbps: 128.0,
-            comm_sms: 2,
-        }),
-        SystemConfig::Ace => endpoint_model(EngineKind::Ace {
-            dma_mem_gbps: 128.0,
-        }),
-        SystemConfig::Ideal => EndpointModel::Ideal,
-    }
-}
-
-fn ace_model(dma_mem_gbps: f64, config: AceConfig) -> EndpointModel {
-    let freq = ace_simcore::npu_frequency();
-    let bus = BusParams::paper_default();
-    EndpointModel::Ace {
-        dma_bytes_per_cycle: freq.bytes_per_cycle(dma_mem_gbps),
-        bus_bytes_per_cycle: freq.bytes_per_cycle(bus.bandwidth_gbps),
-        sram_bytes: config.sram_bytes,
-        fsms: config.num_fsms,
-        fsm_bus_bytes: config.bus_width_bytes,
+        } => {
+            let config = AceConfig::with_dse_point(sram_mb, fsms);
+            EndpointModel::Ace {
+                dma_bytes_per_cycle: freq.bytes_per_cycle(dma_mem_gbps),
+                bus_bytes_per_cycle,
+                sram_bytes: config.sram_bytes,
+                fsms: config.num_fsms,
+                fsm_bus_bytes: config.bus_width_bytes,
+            }
+        }
     }
 }
 
@@ -111,45 +84,17 @@ pub struct AnalyticCollectiveReport {
 }
 
 /// Analytic estimate of one standalone collective — the α–β counterpart
-/// of [`RunSpec`](crate::RunSpec).
+/// of [`RunSpec`](crate::RunSpec). Each phase's wire rate is derated by
+/// the [`FaultPlan`] `conditions` resolve to (worst surviving-link load,
+/// detour congestion included); stragglers do not apply, since a
+/// standalone collective has no compute tasks. The fabric's routes come
+/// from `routes`, so a sweep walks each fabric's all-to-all routes once;
+/// the report does not depend on the memo.
+///
+/// # Errors
+///
+/// [`RunError::Fault`] when the conditions cannot run on `spec`.
 pub fn analytic_collective_run(
-    spec: TopologySpec,
-    engine: EngineKind,
-    op: CollectiveOp,
-    payload_bytes: u64,
-) -> AnalyticCollectiveReport {
-    let net = NetworkParams::paper_default();
-    let plan = CollectivePlan::for_spec(op, spec);
-    let model = endpoint_model(engine);
-    let est = estimate_collective(&plan, &net, payload_bytes, &model);
-    report_from_estimate(&est, spec, &net)
-}
-
-/// [`analytic_collective_run`] under explicit [`RunConditions`]: each
-/// phase's wire rate is derated by the resolved [`FaultPlan`]'s slowdown
-/// (worst surviving-link load, detour congestion included). Stragglers
-/// do not apply — a standalone collective has no compute tasks.
-pub fn analytic_collective_run_with_conditions(
-    spec: TopologySpec,
-    engine: EngineKind,
-    op: CollectiveOp,
-    payload_bytes: u64,
-    conditions: &RunConditions,
-) -> Result<AnalyticCollectiveReport, RunError> {
-    analytic_collective_run_with_memo(
-        spec,
-        engine,
-        op,
-        payload_bytes,
-        conditions,
-        &RouteMemo::new(),
-    )
-}
-
-/// [`analytic_collective_run_with_conditions`] taking the fabric's routes
-/// from `routes`, so a sweep walks each fabric's all-to-all routes once.
-/// The report does not depend on the memo.
-pub fn analytic_collective_run_with_memo(
     spec: TopologySpec,
     engine: EngineKind,
     op: CollectiveOp,
@@ -215,20 +160,15 @@ pub struct AnalyticTrainingReport {
 /// [`TrainSpec`](crate::TrainSpec): the same program (lower workloads
 /// with [`training_program`](crate::training_program)), carve-out and
 /// roofline kernel model, with the critical path walked using α–β
-/// collective durations instead of event-driven execution.
-pub fn analytic_program_run(
-    config: SystemConfig,
-    program: &Program,
-    topology: TopologySpec,
-) -> AnalyticTrainingReport {
-    analytic_program_walk(config, program, topology, None, &RouteMemo::new())
-}
-
-/// [`analytic_program_run`] under explicit [`RunConditions`]: collective
-/// durations are derated by the resolved [`FaultPlan`] and the straggler
-/// distribution stretches the program's compute kernels exactly as the
-/// exact tier does, so `validate` can compare the tiers point-for-point
-/// on degraded fabrics.
+/// collective durations instead of event-driven execution. Collective
+/// durations are derated by the [`FaultPlan`] `conditions` resolve to,
+/// and the straggler distribution stretches the program's compute
+/// kernels exactly as the exact tier does, so `validate` can compare the
+/// tiers point-for-point on degraded fabrics.
+///
+/// # Errors
+///
+/// [`RunError::Fault`] when the conditions cannot run on `spec`.
 pub fn analytic_program_run_with_conditions(
     config: SystemConfig,
     program: &Program,
@@ -272,7 +212,7 @@ fn analytic_program_walk(
 ) -> AnalyticTrainingReport {
     let net = NetworkParams::paper_default();
     let npu = NpuParams::paper_default();
-    let model = config_endpoint_model(config);
+    let model = endpoint_model(config.engine());
     let (sms, mem_gbps) = config.kernel_resources(program.carveout());
 
     // Lowered programs repeat identical collectives (per-layer backward
@@ -312,6 +252,15 @@ mod tests {
 
     const MB64: u64 = 64 << 20;
 
+    fn pristine_program_run(
+        config: SystemConfig,
+        program: &Program,
+        spec: TopologySpec,
+    ) -> AnalyticTrainingReport {
+        analytic_program_run_with_conditions(config, program, spec, &RunConditions::default())
+            .expect("pristine estimate cannot fail")
+    }
+
     #[test]
     fn engine_models_track_simulator_constants() {
         let freq = ace_simcore::npu_frequency();
@@ -329,7 +278,7 @@ mod tests {
             }
             other => panic!("wrong model {other:?}"),
         }
-        match endpoint_model(EngineKind::AceDse {
+        match endpoint_model(EngineKind::Ace {
             dma_mem_gbps: 128.0,
             sram_mb: 2,
             fsms: 8,
@@ -347,7 +296,7 @@ mod tests {
     #[test]
     fn config_models_match_table_vi() {
         for config in SystemConfig::ALL {
-            let m = config_endpoint_model(config);
+            let m = endpoint_model(config.engine());
             match config {
                 SystemConfig::Ideal => assert_eq!(m, EndpointModel::Ideal),
                 SystemConfig::Ace => assert!(matches!(m, EndpointModel::Ace { .. })),
@@ -362,7 +311,7 @@ mod tests {
         // lands within 25 % of the exact executor on design-space points.
         let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         for (sram, fsms) in [(1, 16), (2, 8), (4, 16), (4, 4), (8, 20)] {
-            let engine = EngineKind::AceDse {
+            let engine = EngineKind::Ace {
                 dma_mem_gbps: 128.0,
                 sram_mb: sram,
                 fsms,
@@ -371,8 +320,16 @@ mod tests {
                 .run()
                 .expect("pristine run cannot fail")
                 .completion;
-            let analytic =
-                analytic_collective_run(shape, engine, CollectiveOp::AllReduce, MB64).cycles;
+            let analytic = analytic_collective_run(
+                shape,
+                engine,
+                CollectiveOp::AllReduce,
+                MB64,
+                &RunConditions::default(),
+                &RouteMemo::new(),
+            )
+            .expect("pristine estimate cannot fail")
+            .cycles;
             let err = (analytic - exact.cycles() as f64).abs() / exact.cycles() as f64;
             assert!(
                 err < 0.25,
@@ -390,7 +347,7 @@ mod tests {
         let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
             let program = training_program(config, &Workload::resnet50(), 1, false);
-            let est = analytic_program_run(config, &program, shape);
+            let est = pristine_program_run(config, &program, shape);
             let exact = TrainSpec::new(config, program, shape).run().unwrap();
             // Compute is the shared roofline model: must agree exactly.
             assert_eq!(
@@ -430,7 +387,7 @@ mod tests {
         let exact = TrainSpec::new(SystemConfig::Ace, p.clone(), shape)
             .run()
             .unwrap();
-        let est = analytic_program_run(SystemConfig::Ace, &p, shape);
+        let est = pristine_program_run(SystemConfig::Ace, &p, shape);
         assert_eq!(est.total_cycles, exact.total_cycles() as f64);
         assert_eq!(est.exposed_cycles, 0.0);
     }

@@ -6,6 +6,7 @@ use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_endpoint::{
     AceEndpoint, AceEndpointParams, BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint,
 };
+use ace_engine::AceConfig;
 use ace_net::{FaultPlan, NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
 use ace_trace::{Attribution, PipeWeights, Tracer};
@@ -24,14 +25,9 @@ pub enum EngineKind {
         /// SMs loaned to communication.
         comm_sms: u32,
     },
-    /// ACE with a custom DMA memory carve-out.
+    /// ACE at a Fig. 9a design-space point: a DMA memory carve-out plus
+    /// the SRAM size and FSM count.
     Ace {
-        /// HBM bandwidth available to the DMA engines, GB/s.
-        dma_mem_gbps: f64,
-    },
-    /// ACE at a full design-space point: custom DMA carve-out plus the
-    /// Fig. 9a SRAM-size and FSM-count axes.
-    AceDse {
         /// HBM bandwidth available to the DMA engines, GB/s.
         dma_mem_gbps: f64,
         /// Scratchpad SRAM size in MB (Fig. 9a sweeps 1–8).
@@ -100,22 +96,7 @@ pub(crate) fn run_with_conditions<T: Tracer>(
             move || BaselineEngine::new(BaselineParams::custom(comm_mem_gbps, comm_sms)),
             tracer,
         ),
-        EngineKind::Ace { dma_mem_gbps } => run_typed(
-            spec,
-            net_params,
-            op,
-            payload_bytes,
-            options,
-            faults,
-            move || {
-                AceEndpoint::new(AceEndpointParams {
-                    dma_mem_gbps,
-                    ..AceEndpointParams::paper_default(weights.clone())
-                })
-            },
-            tracer,
-        ),
-        EngineKind::AceDse {
+        EngineKind::Ace {
             dma_mem_gbps,
             sram_mb,
             fsms,
@@ -126,13 +107,7 @@ pub(crate) fn run_with_conditions<T: Tracer>(
             payload_bytes,
             options,
             faults,
-            move || {
-                AceEndpoint::new(AceEndpointParams {
-                    config: ace_engine::AceConfig::with_dse_point(sram_mb, fsms),
-                    dma_mem_gbps,
-                    ..AceEndpointParams::paper_default(weights.clone())
-                })
-            },
+            move || ace_endpoint(dma_mem_gbps, sram_mb, fsms, weights.clone()),
             tracer,
         ),
         EngineKind::Ideal => run_typed(
@@ -146,6 +121,21 @@ pub(crate) fn run_with_conditions<T: Tracer>(
             tracer,
         ),
     }
+}
+
+/// The ACE endpoint at one design point, its SRAM partitioned by
+/// `phase_weights`.
+pub(crate) fn ace_endpoint(
+    dma_mem_gbps: f64,
+    sram_mb: u64,
+    fsms: usize,
+    phase_weights: Vec<f64>,
+) -> AceEndpoint {
+    AceEndpoint::new(AceEndpointParams {
+        config: AceConfig::with_dse_point(sram_mb, fsms),
+        dma_mem_gbps,
+        ..AceEndpointParams::paper_default(phase_weights)
+    })
 }
 
 /// Monomorphized single-collective run over a concrete engine type.
@@ -197,7 +187,7 @@ fn run_typed<E: CollectiveEngine, T: Tracer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunSpec;
+    use crate::{RunSpec, SystemConfig};
     use ace_net::TopologySpec;
 
     fn shape16() -> TopologySpec {
@@ -228,18 +218,13 @@ mod tests {
         );
         let base = run_pristine(
             shape16(),
-            EngineKind::Baseline {
-                comm_mem_gbps: 450.0,
-                comm_sms: 6,
-            },
+            SystemConfig::BaselineCommOpt.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
         let ace = run_pristine(
             shape16(),
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
+            SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
@@ -304,9 +289,7 @@ mod tests {
         // little extra.
         let at128 = run_pristine(
             shape16(),
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
+            SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
@@ -314,6 +297,8 @@ mod tests {
             shape16(),
             EngineKind::Ace {
                 dma_mem_gbps: 450.0,
+                sram_mb: 4,
+                fsms: 16,
             },
             CollectiveOp::AllReduce,
             MB64 / 8,
@@ -331,14 +316,7 @@ mod tests {
             CollectiveOp::ReduceScatter,
             CollectiveOp::AllGather,
         ] {
-            let r = run_pristine(
-                shape16(),
-                EngineKind::Ace {
-                    dma_mem_gbps: 128.0,
-                },
-                op,
-                MB64 / 16,
-            );
+            let r = run_pristine(shape16(), SystemConfig::Ace.engine(), op, MB64 / 16);
             assert!(r.completion.cycles() > 0, "{op} did not complete");
             assert!(r.achieved_gbps_per_npu > 0.0, "{op} achieved no throughput");
         }
@@ -346,33 +324,27 @@ mod tests {
 
     #[test]
     fn ace_dse_paper_point_matches_default_ace() {
-        let a = run_pristine(
-            shape16(),
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
-            CollectiveOp::AllReduce,
-            MB64 / 8,
-        );
-        let b = run_pristine(
-            shape16(),
-            EngineKind::AceDse {
-                dma_mem_gbps: 128.0,
-                sram_mb: 4,
-                fsms: 16,
-            },
-            CollectiveOp::AllReduce,
-            MB64 / 8,
-        );
-        assert_eq!(a.completion, b.completion);
-        assert_eq!(a.mem_traffic_bytes, b.mem_traffic_bytes);
+        // Table VI's ACE is the paper's design point: building it from
+        // `SystemConfig::Ace.engine()` moves no parameter of the
+        // paper-default endpoint.
+        let EngineKind::Ace {
+            dma_mem_gbps,
+            sram_mb,
+            fsms,
+        } = SystemConfig::Ace.engine()
+        else {
+            panic!("ACE runs the ACE engine");
+        };
+        let paper = AceEndpointParams::paper_default(vec![1.0]);
+        assert_eq!(AceConfig::with_dse_point(sram_mb, fsms), paper.config);
+        assert_eq!(dma_mem_gbps, paper.dma_mem_gbps);
     }
 
     #[test]
     fn ace_dse_tiny_sram_is_slower() {
         let small = run_pristine(
             shape16(),
-            EngineKind::AceDse {
+            EngineKind::Ace {
                 dma_mem_gbps: 128.0,
                 sram_mb: 1,
                 fsms: 4,
@@ -382,11 +354,7 @@ mod tests {
         );
         let chosen = run_pristine(
             shape16(),
-            EngineKind::AceDse {
-                dma_mem_gbps: 128.0,
-                sram_mb: 4,
-                fsms: 16,
-            },
+            SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
@@ -397,13 +365,8 @@ mod tests {
     fn attribution_conserves_and_is_all_comm() {
         for engine in [
             EngineKind::Ideal,
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
-            EngineKind::Baseline {
-                comm_mem_gbps: 450.0,
-                comm_sms: 6,
-            },
+            SystemConfig::Ace.engine(),
+            SystemConfig::BaselineCommOpt.engine(),
         ] {
             let r = run_pristine(shape16(), engine, CollectiveOp::AllReduce, MB64 / 8);
             let a = r.attribution;
@@ -416,9 +379,7 @@ mod tests {
         // spread the comm share across their modeled pipes.
         let ace = run_pristine(
             shape16(),
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
+            SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
@@ -428,9 +389,7 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_reconciles() {
-        let engine = EngineKind::Ace {
-            dma_mem_gbps: 128.0,
-        };
+        let engine = SystemConfig::Ace.engine();
         let plain = run_pristine(shape16(), engine, CollectiveOp::AllReduce, MB64 / 16);
         let (traced, tr) = RunSpec::new(shape16(), engine, CollectiveOp::AllReduce, MB64 / 16)
             .traced()
@@ -449,18 +408,13 @@ mod tests {
     fn mem_traffic_ratio_matches_section_vi_a() {
         let base = run_pristine(
             shape16(),
-            EngineKind::Baseline {
-                comm_mem_gbps: 450.0,
-                comm_sms: 6,
-            },
+            SystemConfig::BaselineCommOpt.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );
         let ace = run_pristine(
             shape16(),
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
+            SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             MB64 / 8,
         );

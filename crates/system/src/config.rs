@@ -2,27 +2,33 @@
 
 use std::fmt;
 
-use ace_endpoint::{
-    AceEndpoint, AceEndpointParams, BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint,
-};
+use ace_compute::NpuParams;
+use ace_endpoint::{BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint};
 use ace_workloads::ComputeCarveout;
 
-/// The endpoint configurations compared throughout Section VI.
+use crate::collective_run::{ace_endpoint, EngineKind};
+
+/// Table V's NPU-MEM bandwidth, GB/s.
+const HBM_GBPS: f64 = 900.0;
+
+/// The endpoint configurations compared throughout Section VI. Each
+/// one's split of the NPU between training compute and communication is
+/// written once, in [`engine`](SystemConfig::engine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemConfig {
     /// No compute/communication overlap: collectives are gathered and
     /// issued in one batch at the end of back-propagation with every
     /// endpoint resource available to them.
     BaselineNoOverlap,
-    /// Overlapped, tuned for communication: 450 GB/s of HBM and 6 SMs go
-    /// to the communication task (reaches ≈90 % of ideal network
-    /// performance).
+    /// Overlapped, tuned for communication: enough HBM and SMs go to
+    /// the communication task to reach ≈90 % of ideal network
+    /// performance.
     BaselineCommOpt,
-    /// Overlapped, tuned for compute: communication gets 128 GB/s and
-    /// 2 SMs; compute keeps 772 GB/s and 78 SMs.
+    /// Overlapped, tuned for compute: communication is starved so that
+    /// compute keeps most of the SMs and HBM.
     BaselineCompOpt,
-    /// The proposed system: ACE handles collectives with a 128 GB/s DMA
-    /// carve-out; all 80 SMs and 772 GB/s remain for training compute.
+    /// The proposed system: ACE handles collectives behind a DMA
+    /// carve-out of HBM; every SM remains for training compute.
     Ace,
     /// Endpoint processes messages in one cycle; upper bound.
     Ideal,
@@ -38,38 +44,57 @@ impl SystemConfig {
         SystemConfig::Ideal,
     ];
 
-    /// SMs available to training compute.
-    pub fn compute_sms(self) -> u32 {
+    /// The collective engine this configuration runs: the one place
+    /// Table VI's communication allocation is written. The exact tier's
+    /// endpoint ([`make_engine`](SystemConfig::make_engine)), the α–β
+    /// tier's [`endpoint_model`](crate::endpoint_model) and the kernel
+    /// budget all derive from it.
+    pub fn engine(self) -> EngineKind {
         match self {
-            SystemConfig::BaselineNoOverlap => 80,
-            SystemConfig::BaselineCommOpt => 74,
-            SystemConfig::BaselineCompOpt => 78,
-            SystemConfig::Ace => 80,
-            SystemConfig::Ideal => 80,
+            SystemConfig::BaselineNoOverlap => EngineKind::Baseline {
+                comm_mem_gbps: 900.0,
+                comm_sms: 80,
+            },
+            SystemConfig::BaselineCommOpt => EngineKind::Baseline {
+                comm_mem_gbps: 450.0,
+                comm_sms: 6,
+            },
+            SystemConfig::BaselineCompOpt => EngineKind::Baseline {
+                comm_mem_gbps: 128.0,
+                comm_sms: 2,
+            },
+            SystemConfig::Ace => EngineKind::Ace {
+                dma_mem_gbps: 128.0,
+                sram_mb: 4,
+                fsms: 16,
+            },
+            SystemConfig::Ideal => EngineKind::Ideal,
         }
     }
 
-    /// HBM bandwidth available to training compute, GB/s.
-    pub fn compute_mem_gbps(self) -> f64 {
-        match self {
-            SystemConfig::BaselineNoOverlap => 900.0,
-            SystemConfig::BaselineCommOpt => 450.0,
-            SystemConfig::BaselineCompOpt => 772.0,
-            SystemConfig::Ace => 772.0,
-            SystemConfig::Ideal => 900.0,
-        }
-    }
-
-    /// SMs and HBM GB/s left to training kernels once a program's
-    /// `carveout` is loaned away, never below 1 SM or 1 GB/s. Both the
+    /// SMs and HBM GB/s left to training kernels: what the
+    /// [`engine`](SystemConfig::engine) does not hold while they run,
+    /// less a program's `carveout`, never below 1 SM or 1 GB/s. Both the
     /// exact and the analytic tier size every kernel with this.
     pub(crate) fn kernel_resources(self, carveout: Option<ComputeCarveout>) -> (u32, f64) {
+        // NoOverlap's communication runs alone and Ideal's costs nothing,
+        // so their kernels keep the whole NPU.
+        let (comm_sms, comm_gbps) = match self.engine() {
+            EngineKind::Baseline {
+                comm_mem_gbps,
+                comm_sms,
+            } if self.overlaps() => (comm_sms, comm_mem_gbps),
+            EngineKind::Ace { dma_mem_gbps, .. } => (0, dma_mem_gbps),
+            _ => (0, 0.0),
+        };
+        let sms = NpuParams::paper_default().sms - comm_sms;
+        let mem_gbps = HBM_GBPS - comm_gbps;
         match carveout {
             Some(c) => (
-                self.compute_sms().saturating_sub(c.sms).max(1),
-                (self.compute_mem_gbps() - c.mem_gbps).max(1.0),
+                sms.saturating_sub(c.sms).max(1),
+                (mem_gbps - c.mem_gbps).max(1.0),
             ),
-            None => (self.compute_sms(), self.compute_mem_gbps()),
+            None => (sms, mem_gbps),
         }
     }
 
@@ -83,20 +108,25 @@ impl SystemConfig {
     /// ACE SRAM-partition heuristic weights for the workload's all-reduce
     /// plan.
     pub fn make_engine(self, phase_weights: &[f64]) -> Box<dyn CollectiveEngine> {
-        match self {
-            SystemConfig::BaselineNoOverlap => {
-                Box::new(BaselineEngine::new(BaselineParams::no_overlap()))
-            }
-            SystemConfig::BaselineCommOpt => {
-                Box::new(BaselineEngine::new(BaselineParams::comm_opt()))
-            }
-            SystemConfig::BaselineCompOpt => {
-                Box::new(BaselineEngine::new(BaselineParams::comp_opt()))
-            }
-            SystemConfig::Ace => Box::new(AceEndpoint::new(AceEndpointParams::paper_default(
-                phase_weights.to_vec(),
+        match self.engine() {
+            EngineKind::Baseline {
+                comm_mem_gbps,
+                comm_sms,
+            } => Box::new(BaselineEngine::new(BaselineParams::custom(
+                comm_mem_gbps,
+                comm_sms,
             ))),
-            SystemConfig::Ideal => Box::new(IdealEndpoint::new()),
+            EngineKind::Ace {
+                dma_mem_gbps,
+                sram_mb,
+                fsms,
+            } => Box::new(ace_endpoint(
+                dma_mem_gbps,
+                sram_mb,
+                fsms,
+                phase_weights.to_vec(),
+            )),
+            EngineKind::Ideal => Box::new(IdealEndpoint::new()),
         }
     }
 
@@ -155,14 +185,39 @@ mod tests {
     use super::*;
 
     #[test]
+    fn presets_match_table_vi() {
+        let baseline = |comm_mem_gbps, comm_sms| EngineKind::Baseline {
+            comm_mem_gbps,
+            comm_sms,
+        };
+        assert_eq!(
+            SystemConfig::BaselineNoOverlap.engine(),
+            baseline(900.0, 80)
+        );
+        assert_eq!(SystemConfig::BaselineCommOpt.engine(), baseline(450.0, 6));
+        assert_eq!(SystemConfig::BaselineCompOpt.engine(), baseline(128.0, 2));
+        assert_eq!(
+            SystemConfig::Ace.engine(),
+            EngineKind::Ace {
+                dma_mem_gbps: 128.0,
+                sram_mb: 4,
+                fsms: 16
+            }
+        );
+        assert_eq!(SystemConfig::Ideal.engine(), EngineKind::Ideal);
+    }
+
+    #[test]
     fn table_vi_resource_splits() {
-        assert_eq!(SystemConfig::BaselineCommOpt.compute_sms(), 74);
-        assert_eq!(SystemConfig::BaselineCommOpt.compute_mem_gbps(), 450.0);
-        assert_eq!(SystemConfig::BaselineCompOpt.compute_sms(), 78);
-        assert_eq!(SystemConfig::BaselineCompOpt.compute_mem_gbps(), 772.0);
-        assert_eq!(SystemConfig::Ace.compute_sms(), 80);
-        assert_eq!(SystemConfig::Ace.compute_mem_gbps(), 772.0);
-        assert_eq!(SystemConfig::Ideal.compute_mem_gbps(), 900.0);
+        let kernel = |c: SystemConfig| c.kernel_resources(None);
+        assert_eq!(kernel(SystemConfig::BaselineNoOverlap), (80, 900.0));
+        assert_eq!(kernel(SystemConfig::BaselineCommOpt), (74, 450.0));
+        assert_eq!(kernel(SystemConfig::BaselineCompOpt), (78, 772.0));
+        assert_eq!(kernel(SystemConfig::Ace), (80, 772.0));
+        assert_eq!(kernel(SystemConfig::Ideal), (80, 900.0));
+        // A program carve-out comes off what the engine leaves.
+        let carveout = Some(ComputeCarveout::embedding_default());
+        assert_eq!(SystemConfig::Ace.kernel_resources(carveout), (79, 692.0));
     }
 
     #[test]

@@ -1375,11 +1375,6 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         }
     }
 
-    /// The fault plan this executor was degraded with, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref()
-    }
-
     /// The fabric's topology identity.
     pub fn spec(&self) -> TopologySpec {
         self.spec

@@ -8,7 +8,7 @@
 //! training loop with LIFO collective scheduling over them.
 //!
 //! * [`SystemConfig`] — the five evaluated endpoint configurations
-//!   (Table VI).
+//!   (Table VI), each naming the [`EngineKind`] both tiers build from.
 //! * [`CollectiveExecutor`] — event-driven, message-granularity execution
 //!   of ring and all-to-all collectives across every node.
 //! * [`TrainingSim`] — runs any training [`Program`](ace_workloads::Program)
@@ -52,10 +52,8 @@ mod run;
 mod training;
 
 pub use analytic::{
-    analytic_collective_run, analytic_collective_run_with_conditions,
-    analytic_collective_run_with_memo, analytic_program_run, analytic_program_run_with_conditions,
-    analytic_program_run_with_memo, config_endpoint_model, endpoint_model,
-    AnalyticCollectiveReport, AnalyticTrainingReport,
+    analytic_collective_run, analytic_program_run_with_conditions, analytic_program_run_with_memo,
+    endpoint_model, AnalyticCollectiveReport, AnalyticTrainingReport,
 };
 pub use collective_run::{CollectiveRunReport, EngineKind};
 pub use config::SystemConfig;

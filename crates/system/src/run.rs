@@ -28,7 +28,6 @@
 use std::fmt;
 
 use ace_collectives::CollectiveOp;
-use ace_compute::NpuParams;
 use ace_net::{ContentionSpec, FaultError, FaultPlan, FaultSpec, NetworkParams, TopologySpec};
 use ace_trace::{NullTracer, RecordingTracer, Tracer};
 use ace_workloads::{LoweringOptions, Program, StragglerSpec, Workload};
@@ -259,11 +258,9 @@ impl<T: Tracer> RunSpec<T> {
 ///
 /// Re-parallelize with [`Workload::with_parallelism`] first; a
 /// declarative TOML `WorkloadSpec` instantiates into a [`Workload`] for
-/// the fabric's node count. NPU and network parameters default to the
-/// paper's platform and are overridden on [`TrainSpec`]:
+/// the fabric's node count:
 ///
 /// ```
-/// use ace_net::NetworkParams;
 /// use ace_system::{training_program, SystemConfig, TrainSpec};
 /// use ace_workloads::WorkloadSpec;
 ///
@@ -277,14 +274,9 @@ impl<T: Tracer> RunSpec<T> {
 ///     comm_bytes = "2MB"
 /// "#).unwrap();
 ///
-/// let mut net = NetworkParams::paper_default();
-/// net.inter.bandwidth_gbps = 50.0;   // double the scale-out links
 /// let program = training_program(SystemConfig::Ace, &spec.instantiate(4), 1, false);
 /// let topo: ace_net::TopologySpec = "2x2".parse().unwrap();
-/// let report = TrainSpec::new(SystemConfig::Ace, program, topo)
-///     .net_params(net)
-///     .run()
-///     .unwrap();
+/// let report = TrainSpec::new(SystemConfig::Ace, program, topo).run().unwrap();
 /// assert_eq!(report.workload(), "tiny-mlp");
 /// ```
 pub fn training_program(
@@ -319,32 +311,25 @@ pub fn training_program(
 /// assert!(report.total_cycles() > 0);
 /// ```
 ///
-/// Lowering examples, including a TOML workload and a network-parameter
-/// override, are on [`training_program`].
+/// Lowering examples, including a TOML workload, are on
+/// [`training_program`].
 #[derive(Debug)]
 pub struct TrainSpec<T: Tracer = NullTracer> {
     config: SystemConfig,
     program: Program,
     topology: TopologySpec,
-    npu: NpuParams,
-    net_params: NetworkParams,
-    options: ExecutorOptions,
     conditions: RunConditions,
     tracer: T,
 }
 
 impl TrainSpec {
-    /// A run of `program` on `topology` under `config`, with the paper's
-    /// NPU/network parameters, default options, a pristine fabric, and
-    /// no tracer.
+    /// A run of `program` on `topology` under `config`, on the paper's
+    /// NPU and network, with a pristine fabric and no tracer.
     pub fn new(config: SystemConfig, program: Program, topology: TopologySpec) -> TrainSpec {
         TrainSpec {
             config,
             program,
             topology,
-            npu: NpuParams::paper_default(),
-            net_params: NetworkParams::paper_default(),
-            options: ExecutorOptions::default(),
             conditions: RunConditions::default(),
             tracer: NullTracer,
         }
@@ -352,24 +337,6 @@ impl TrainSpec {
 }
 
 impl<T: Tracer> TrainSpec<T> {
-    /// Overrides the NPU compute parameters.
-    pub fn npu_params(mut self, npu: NpuParams) -> TrainSpec<T> {
-        self.npu = npu;
-        self
-    }
-
-    /// Overrides the network link parameters.
-    pub fn net_params(mut self, net: NetworkParams) -> TrainSpec<T> {
-        self.net_params = net;
-        self
-    }
-
-    /// Sets non-default [`ExecutorOptions`].
-    pub fn options(mut self, options: ExecutorOptions) -> TrainSpec<T> {
-        self.options = options;
-        self
-    }
-
     /// Sets the full run conditions at once.
     pub fn conditions(mut self, conditions: RunConditions) -> TrainSpec<T> {
         self.conditions = conditions;
@@ -388,9 +355,6 @@ impl<T: Tracer> TrainSpec<T> {
             config: self.config,
             program: self.program,
             topology: self.topology,
-            npu: self.npu,
-            net_params: self.net_params,
-            options: self.options,
             conditions: self.conditions,
             tracer,
         }
@@ -414,16 +378,15 @@ impl<T: Tracer> TrainSpec<T> {
             None
         } else {
             program.apply_stragglers(&self.conditions.straggler);
-            let plan = self.conditions.resolve(self.topology, &self.net_params)?;
+            let plan = self
+                .conditions
+                .resolve(self.topology, &NetworkParams::paper_default())?;
             (!plan.is_pristine()).then_some(plan)
         };
         Ok(TrainingSim::new(
             self.config,
             program,
             self.topology,
-            self.npu,
-            self.net_params,
-            self.options,
             fault,
             self.tracer,
         ))
@@ -557,41 +520,6 @@ mod tests {
             straggler: "lognormal:0.5".parse().unwrap(),
         };
         assert_eq!(d, e);
-    }
-
-    /// One ResNet-50 iteration on a 4-NPU torus under ACE.
-    fn resnet_spec() -> TrainSpec {
-        let program = training_program(SystemConfig::Ace, &Workload::resnet50(), 1, false);
-        TrainSpec::new(SystemConfig::Ace, program, topo("2x2"))
-    }
-
-    #[test]
-    fn defaults_are_paper_defaults() {
-        let default = resnet_spec().run().unwrap();
-        let explicit = resnet_spec()
-            .npu_params(NpuParams::paper_default())
-            .net_params(NetworkParams::paper_default())
-            .options(ExecutorOptions::default())
-            .conditions(RunConditions::default())
-            .run()
-            .unwrap();
-        assert_eq!(default.total_cycles(), explicit.total_cycles());
-        assert_eq!(default.network_bytes(), explicit.network_bytes());
-    }
-
-    #[test]
-    fn npu_and_net_params_are_no_longer_baked_in() {
-        let paper = resnet_spec().run().unwrap();
-        // A weaker NPU cannot compute faster.
-        let mut slow = NpuParams::paper_default();
-        slow.peak_tflops /= 4.0;
-        let slowed = resnet_spec().npu_params(slow).run().unwrap();
-        assert!(slowed.total_compute_us() >= paper.total_compute_us());
-        // Slower inter-package links stretch the network side.
-        let mut net = NetworkParams::paper_default();
-        net.inter.bandwidth_gbps /= 8.0;
-        let throttled = resnet_spec().net_params(net).run().unwrap();
-        assert!(throttled.total_time_us() >= paper.total_time_us());
     }
 
     #[test]

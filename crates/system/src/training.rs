@@ -50,8 +50,6 @@ pub struct TrainingSim<T: Tracer = NullTracer> {
     config: SystemConfig,
     program: Program,
     spec: TopologySpec,
-    npu: NpuParams,
-    net_params: NetworkParams,
     exec: CollectiveExecutor<Box<dyn CollectiveEngine>, T>,
 }
 
@@ -66,21 +64,19 @@ impl<T: Tracer> std::fmt::Debug for TrainingSim<T> {
 }
 
 impl<T: Tracer> TrainingSim<T> {
-    /// Assembles the simulator; [`TrainSpec::build`] validates the
-    /// program and resolves the run conditions into `fault` first.
+    /// Assembles the simulator on the paper's NPU and network;
+    /// [`TrainSpec::build`] validates the program and resolves the run
+    /// conditions into `fault` first.
     ///
     /// [`TrainSpec::build`]: crate::TrainSpec::build
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         config: SystemConfig,
         program: Program,
         spec: TopologySpec,
-        npu: NpuParams,
-        net_params: NetworkParams,
-        options: ExecutorOptions,
         fault: Option<FaultPlan>,
         tracer: T,
     ) -> TrainingSim<T> {
+        let net_params = NetworkParams::paper_default();
         let plan = ace_collectives::CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let weights = CollectiveExecutor::phase_weights(&plan, &net_params);
         // Without all-to-all every node runs the same schedule, so the
@@ -97,27 +93,29 @@ impl<T: Tracer> TrainingSim<T> {
         let mut exec = CollectiveExecutor::build(
             spec,
             net_params,
-            options,
+            ExecutorOptions::default(),
             fault.as_ref(),
             move || config.make_engine(&weights),
             tracer,
             ring_only,
         );
         if exec.tracer().enabled() {
-            // The first lane is `timeline` (a pipeline's stage 0 too);
-            // a pipeline's later stages are `stage{k}`.
-            exec.tracer_mut().meta_thread(timeline_track(0), "timeline");
-            for k in 1..program.timelines() {
-                exec.tracer_mut()
-                    .meta_thread(timeline_track(k), &format!("stage{k}"));
+            // One lane per timeline: `timeline` for a single NPU, and
+            // `stage{k}` for each stage of a pipeline.
+            let timelines = program.timelines();
+            for k in 0..timelines {
+                let name = if timelines == 1 {
+                    "timeline".to_string()
+                } else {
+                    format!("stage{k}")
+                };
+                exec.tracer_mut().meta_thread(timeline_track(k), &name);
             }
         }
         TrainingSim {
             config,
             program,
             spec,
-            npu,
-            net_params,
             exec,
         }
     }
@@ -157,6 +155,7 @@ impl<T: Tracer> TrainingSim<T> {
         let mut finish: Vec<SimTime> = vec![SimTime::ZERO; slots];
         let mut frontier: Vec<SimTime> = vec![SimTime::ZERO; timelines];
         let mut kernel_cycles: u64 = 0;
+        let npu = NpuParams::paper_default();
         let mut compute_series = TimeSeries::new(1000);
         // A program carve-out (the optimized DLRM loop permanently loans
         // 1 SM and 80 GB/s of HBM to the background embedding pipeline,
@@ -216,7 +215,7 @@ impl<T: Tracer> TrainingSim<T> {
                         frontier[k] = frontier[k].max(done);
                     }
                     if let TaskKind::Compute(kernel) = task.kind() {
-                        let cycles = self.npu.kernel_cycles(kernel, sms, mem_gbps);
+                        let cycles = npu.kernel_cycles(kernel, sms, mem_gbps);
                         if cycles > 0 {
                             let end = frontier[k] + cycles;
                             compute_series.add_interval(frontier[k], end, cycles as f64);
@@ -305,7 +304,7 @@ impl<T: Tracer> TrainingSim<T> {
             workload: self.program.name().to_string(),
             config: self.config.short_name().to_string(),
             nodes: self.spec.nodes(),
-            freq: self.net_params.freq,
+            freq: npu.freq,
             iterations: self.program.iterations(),
             total_cycles: total.cycles(),
             compute_cycles: compute,
@@ -381,11 +380,8 @@ mod tests {
         // Reconstruct the forward window from the same kernel model the
         // simulator uses: one iteration = exactly the forward kernel.
         let npu = NpuParams::paper_default();
-        let fwd_cycles = npu.kernel_cycles(
-            &KernelDesc::new("k.fwd", 1.0e9, 64.0e6),
-            config.compute_sms(),
-            config.compute_mem_gbps(),
-        );
+        let (sms, mem_gbps) = config.kernel_resources(None);
+        let fwd_cycles = npu.kernel_cycles(&KernelDesc::new("k.fwd", 1.0e9, 64.0e6), sms, mem_gbps);
         let bwd_cycles = report.total_cycles() - fwd_cycles;
         // Exact identity — no f64 round-trip, no clamping.
         assert_eq!(
@@ -472,7 +468,7 @@ mod tests {
             .build()
             .unwrap()
             .run_with_tracer();
-        for (k, lane) in ["timeline", "stage1"].into_iter().enumerate() {
+        for (k, lane) in ["stage0", "stage1"].into_iter().enumerate() {
             let track = timeline_track(k);
             assert!(
                 tr.threads().contains(&(track, lane.to_string())),

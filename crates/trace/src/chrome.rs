@@ -6,10 +6,14 @@
 //! format's microsecond field: the viewer's time axis reads in cycles
 //! (1 "µs" = 1 cycle), which keeps the export exact and lossless.
 
+use std::fmt::Write;
+
 use crate::{Payload, RecordingTracer};
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` with JSON string escapes: quote, backslash and
+/// every control character. Every JSON writer in the workspace (this
+/// exporter, sweep reports, the benchmark files) escapes through it.
+pub fn json_escape(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -17,11 +21,12 @@ fn escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 fn num(v: f64) -> String {
@@ -40,43 +45,41 @@ pub fn to_chrome_json(tracer: &RecordingTracer) -> String {
     let mut rows: Vec<String> =
         Vec::with_capacity(tracer.len() + tracer.processes().len() + tracer.threads().len());
     for (pid, name) in tracer.processes() {
-        rows.push(format!(
+        let mut row = format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            escape(name)
-        ));
+             \"args\":{{\"name\":\""
+        );
+        json_escape(&mut row, name);
+        row.push_str("\"}}");
+        rows.push(row);
     }
     for (track, name) in tracer.threads() {
-        rows.push(format!(
+        let mut row = format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            track.pid,
-            track.tid,
-            escape(name)
-        ));
+             \"args\":{{\"name\":\"",
+            track.pid, track.tid
+        );
+        json_escape(&mut row, name);
+        row.push_str("\"}}");
+        rows.push(row);
     }
     for e in tracer.events() {
-        let name = escape(tracer.name(e.name));
+        let mut row = String::from("{\"name\":\"");
+        json_escape(&mut row, tracer.name(e.name));
         let (pid, tid, ts) = (e.track.pid, e.track.tid, e.ts);
-        let head = format!("\"name\":\"{name}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts}");
-        rows.push(match e.payload {
-            Payload::Complete { dur } => {
-                format!("{{{head},\"ph\":\"X\",\"dur\":{dur}}}")
-            }
-            Payload::Begin { id } => {
-                format!("{{{head},\"ph\":\"b\",\"cat\":\"ace\",\"id\":{id}}}")
-            }
-            Payload::End { id } => {
-                format!("{{{head},\"ph\":\"e\",\"cat\":\"ace\",\"id\":{id}}}")
-            }
-            Payload::Instant => format!("{{{head},\"ph\":\"i\",\"s\":\"t\"}}"),
+        write!(row, "\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},")
+            .expect("writing to a String cannot fail");
+        match e.payload {
+            Payload::Complete { dur } => write!(row, "\"ph\":\"X\",\"dur\":{dur}}}"),
+            Payload::Begin { id } => write!(row, "\"ph\":\"b\",\"cat\":\"ace\",\"id\":{id}}}"),
+            Payload::End { id } => write!(row, "\"ph\":\"e\",\"cat\":\"ace\",\"id\":{id}}}"),
+            Payload::Instant => write!(row, "\"ph\":\"i\",\"s\":\"t\"}}"),
             Payload::Counter { value } => {
-                format!(
-                    "{{{head},\"ph\":\"C\",\"args\":{{\"value\":{}}}}}",
-                    num(value)
-                )
+                write!(row, "\"ph\":\"C\",\"args\":{{\"value\":{}}}}}", num(value))
             }
-        });
+        }
+        .expect("writing to a String cannot fail");
+        rows.push(row);
     }
     let mut out = String::from("{\"traceEvents\":[\n");
     for (i, row) in rows.iter().enumerate() {
@@ -201,6 +204,13 @@ mod tests {
         assert!(json.contains("\"dur\":10"));
         assert!(json.contains("process_name"));
         assert!(json.contains("ev \\\"quoted\\\""));
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_and_control_chars() {
+        let mut out = String::from("kept ");
+        json_escape(&mut out, "a\"b\\c\nd\te\rf\u{1}é");
+        assert_eq!(out, "kept a\\\"b\\\\c\\nd\\te\\rf\\u0001é");
     }
 
     #[test]

@@ -319,11 +319,6 @@ impl Program {
         self.carveout
     }
 
-    /// Sets the compute carve-out (see [`ComputeCarveout`]).
-    pub fn set_carveout(&mut self, carveout: Option<ComputeCarveout>) {
-        self.carveout = carveout;
-    }
-
     /// Number of scheduled tasks.
     pub fn len(&self) -> usize {
         self.schedule.len()

@@ -19,17 +19,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
+use ace_simcore::SplitMix64;
 use ace_toml::{Spelling, SpellingError};
-
-/// SplitMix64 step — same constants as the fault and serving layers'
-/// private copies.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A per-task compute-time multiplier distribution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -62,9 +53,10 @@ impl StragglerSpec {
                 // Two independent uniforms from a per-task stream, then
                 // Box–Muller. Offsetting by the task id (finalized by
                 // splitmix64) makes the draw schedule-order independent.
-                let mut state = seed ^ (task as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                let u1 = ((splitmix64(&mut state) >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
-                let u2 = (splitmix64(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                let mut rng =
+                    SplitMix64::new(seed ^ (task as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let u1 = ((rng.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
+                let u2 = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
                 let normal = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
                 (sigma * normal).exp()
             }

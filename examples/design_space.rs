@@ -21,7 +21,7 @@ fn main() {
     );
     for sram_mb in [1u64, 2, 4, 8] {
         let config = AceConfig::with_dse_point(sram_mb, 16);
-        let engine = EngineKind::AceDse {
+        let engine = EngineKind::Ace {
             dma_mem_gbps: 128.0,
             sram_mb,
             fsms: 16,

@@ -17,7 +17,7 @@
 //! Cases are generated by the same deterministic splitmix64 generator as
 //! `property_tests.rs` (the build environment has no proptest).
 
-use ace_platform::collectives::analytic::{estimate_on_spec, EndpointModel};
+use ace_platform::collectives::analytic::{estimate_on_spec, EndpointModel, RouteMemo};
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::net::{NetworkParams, TopologySpec};
 use ace_platform::sweep::scenario::EngineSpec;
@@ -71,12 +71,31 @@ fn random_engine(rng: &mut Rng) -> EngineKind {
             comm_mem_gbps: *rng.pick(&[64.0, 128.0, 450.0, 900.0]),
             comm_sms: *rng.pick(&[1, 2, 6, 80]),
         },
-        _ => EngineKind::AceDse {
+        _ => EngineKind::Ace {
             dma_mem_gbps: *rng.pick(&[64.0, 128.0, 450.0]),
             sram_mb: *rng.pick(&[1, 2, 4, 8]),
             fsms: *rng.pick(&[4, 8, 16]),
         },
     }
+}
+
+/// The α–β estimate of one collective on a pristine fabric, in cycles.
+fn pristine_estimate(
+    spec: TopologySpec,
+    engine: EngineKind,
+    op: CollectiveOp,
+    payload: u64,
+) -> f64 {
+    analytic_collective_run(
+        spec,
+        engine,
+        op,
+        payload,
+        &RunConditions::default(),
+        &RouteMemo::new(),
+    )
+    .expect("pristine estimate cannot fail")
+    .cycles
 }
 
 #[test]
@@ -100,7 +119,7 @@ fn analytic_tracks_exact_on_comm_bound_points() {
             .expect("pristine run cannot fail")
             .completion
             .cycles() as f64;
-        let analytic = analytic_collective_run(spec, engine, op, payload).cycles;
+        let analytic = pristine_estimate(spec, engine, op, payload);
         assert!(
             analytic <= exact * 2.0 && analytic >= exact * 0.5,
             "{spec} {engine:?} {op} {payload}B: analytic {analytic} vs exact {exact}"
@@ -116,8 +135,7 @@ fn analytic_is_monotone_in_payload() {
         let engine = random_engine(&mut rng);
         let mut last = -1.0;
         for shift in [16, 18, 20, 22, 24] {
-            let t = analytic_collective_run(spec, engine, CollectiveOp::AllReduce, 1u64 << shift)
-                .cycles;
+            let t = pristine_estimate(spec, engine, CollectiveOp::AllReduce, 1u64 << shift);
             assert!(
                 t > last,
                 "{spec} {engine:?}: time not monotone in payload (2^{shift}: {t} <= {last})"
@@ -181,7 +199,7 @@ fn communication_free_training_agrees_exactly() {
     // The analytic walk and the event-driven scheduler share the
     // roofline kernel model, so the totals must agree cycle-for-cycle.
     use ace_platform::compute::KernelDesc;
-    use ace_platform::system::{analytic_program_run, TrainSpec};
+    use ace_platform::system::{analytic_program_run_with_conditions, TrainSpec};
     use ace_platform::workloads::{Parallelism, Program, TaskPhase};
 
     let mut rng = Rng::new(0xab16);
@@ -202,7 +220,9 @@ fn communication_free_training_agrees_exactly() {
         let spec: TopologySpec = "2x1x1".parse().unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
             let exact = TrainSpec::new(config, p.clone(), spec).run().unwrap();
-            let est = analytic_program_run(config, &p, spec);
+            let est =
+                analytic_program_run_with_conditions(config, &p, spec, &RunConditions::default())
+                    .unwrap();
             assert_eq!(
                 est.total_cycles,
                 exact.total_cycles() as f64,

@@ -14,13 +14,12 @@
 //! * **Clear failure** — a disconnecting `FaultSpec` is an error from
 //!   every entry point, never a hang or a silently-pristine result.
 
+use ace_platform::collectives::analytic::RouteMemo;
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::sweep::report::to_csv;
 use ace_platform::sweep::{run_scenario, EngineFamily, RunnerOptions, Scenario};
-use ace_platform::system::{
-    analytic_collective_run_with_conditions, EngineKind, RunConditions, RunSpec,
-};
+use ace_platform::system::{analytic_collective_run, RunConditions, RunSpec, SystemConfig};
 
 fn faulted_scenario() -> Scenario {
     let mut sc = Scenario::collective("fault-determinism");
@@ -68,9 +67,7 @@ fn faulted_sweep_csv_is_byte_identical_across_threads() {
 
 #[test]
 fn degraded_fabrics_conserve_bytes_and_complete() {
-    let engine = EngineKind::Ace {
-        dma_mem_gbps: 128.0,
-    };
+    let engine = SystemConfig::Ace.engine();
     for topo in ["4x4", "4x2x2", "hier:4x4"] {
         let spec: TopologySpec = topo.parse().unwrap();
         for op in [CollectiveOp::AllReduce, CollectiveOp::AllToAll] {
@@ -102,9 +99,7 @@ fn degraded_fabrics_conserve_bytes_and_complete() {
 fn analytic_tracks_exact_under_degradation() {
     // The same wide-but-meaningful band the pristine property suite uses:
     // comm-bound payloads, estimate within [0.5x, 2x] of the executor.
-    let engine = EngineKind::Ace {
-        dma_mem_gbps: 128.0,
-    };
+    let engine = SystemConfig::Ace.engine();
     for topo in ["4x4", "hier:4x4"] {
         let spec: TopologySpec = topo.parse().unwrap();
         for faults in ["kill:1@seed:42", "degrade:50:1@seed:7"] {
@@ -120,12 +115,13 @@ fn analytic_tracks_exact_under_degradation() {
                     .unwrap()
                     .completion
                     .cycles() as f64;
-                let analytic = analytic_collective_run_with_conditions(
+                let analytic = analytic_collective_run(
                     spec,
                     engine,
                     CollectiveOp::AllReduce,
                     8 << 20,
                     &conditions,
+                    &RouteMemo::new(),
                 )
                 .unwrap()
                 .cycles;

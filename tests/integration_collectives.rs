@@ -29,13 +29,8 @@ fn two_node_torus_all_reduce_works() {
     let shape = TopologySpec::torus3(2, 1, 1).expect("valid shape");
     for kind in [
         EngineKind::Ideal,
-        EngineKind::Ace {
-            dma_mem_gbps: 128.0,
-        },
-        EngineKind::Baseline {
-            comm_mem_gbps: 450.0,
-            comm_sms: 6,
-        },
+        SystemConfig::Ace.engine(),
+        SystemConfig::BaselineCommOpt.engine(),
     ] {
         let r = run_collective(shape, kind, CollectiveOp::AllReduce, 1 << 20);
         assert!(r.completion.cycles() > 0, "{kind:?}");
@@ -72,17 +67,13 @@ fn all_to_all_scales_with_node_count() {
     // Direct all-to-all crosses more links and hops on larger tori.
     let small = run_collective(
         TopologySpec::torus3(4, 2, 2).expect("valid shape"),
-        EngineKind::Ace {
-            dma_mem_gbps: 128.0,
-        },
+        SystemConfig::Ace.engine(),
         CollectiveOp::AllToAll,
         4 << 20,
     );
     let large = run_collective(
         TopologySpec::torus3(4, 4, 4).expect("valid shape"),
-        EngineKind::Ace {
-            dma_mem_gbps: 128.0,
-        },
+        SystemConfig::Ace.engine(),
         CollectiveOp::AllToAll,
         4 << 20,
     );
@@ -96,6 +87,8 @@ fn achieved_bandwidth_is_within_physical_limits() {
         EngineKind::Ideal,
         EngineKind::Ace {
             dma_mem_gbps: 900.0,
+            sram_mb: 4,
+            fsms: 16,
         },
         EngineKind::Baseline {
             comm_mem_gbps: 900.0,

@@ -9,7 +9,7 @@ use std::collections::{HashSet, VecDeque};
 use ace_platform::collectives::{split_even, traffic, CollectiveOp, CollectivePlan, Granularity};
 use ace_platform::net::{NodeId, Port, Topology, TopologySpec, Torus};
 use ace_platform::simcore::{BandwidthServer, SimTime, SlotServer};
-use ace_platform::system::{CollectiveRunReport, EngineKind, RunSpec};
+use ace_platform::system::{CollectiveRunReport, EngineKind, RunSpec, SystemConfig};
 
 /// Pristine-fabric collective run; [`RunSpec::run`] cannot fail here.
 fn run_pristine(
@@ -298,18 +298,13 @@ fn collectives_complete_and_ideal_wins() {
         let ideal = run_pristine(shape, EngineKind::Ideal, CollectiveOp::AllReduce, payload);
         let ace = run_pristine(
             shape,
-            EngineKind::Ace {
-                dma_mem_gbps: 128.0,
-            },
+            SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             payload,
         );
         let base = run_pristine(
             shape,
-            EngineKind::Baseline {
-                comm_mem_gbps: 450.0,
-                comm_sms: 6,
-            },
+            SystemConfig::BaselineCommOpt.engine(),
             CollectiveOp::AllReduce,
             payload,
         );

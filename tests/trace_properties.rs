@@ -150,11 +150,7 @@ fn traced_collective_exports_valid_chrome_json() {
         let spec = *rng.pick(&small_specs());
         let (report, tracer) = RunSpec::new(
             spec,
-            ace_platform::system::EngineKind::AceDse {
-                dma_mem_gbps: 128.0,
-                sram_mb: 4,
-                fsms: 16,
-            },
+            ace_platform::system::SystemConfig::Ace.engine(),
             CollectiveOp::AllReduce,
             rng.range(128, 1025) * 1024,
         )
