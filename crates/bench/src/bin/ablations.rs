@@ -14,10 +14,9 @@
 
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::{CollectiveOp, CollectivePlan, Granularity};
-use ace_endpoint::{AceEndpoint, AceEndpointParams, CollectiveEngine};
 use ace_net::{NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
-use ace_system::{CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
+use ace_system::{CollectiveExecutor, ExecutorOptions, SchedulingPolicy, SystemConfig};
 use ace_trace::NullTracer;
 
 const PAYLOAD: u64 = 32 << 20;
@@ -26,11 +25,7 @@ fn ace_executor(shape: TopologySpec, options: ExecutorOptions) -> CollectiveExec
     let params = NetworkParams::paper_default();
     let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
     let weights = CollectiveExecutor::phase_weights(&plan, &params);
-    let make_engine = move || {
-        Box::new(AceEndpoint::new(AceEndpointParams::paper_default(
-            weights.clone(),
-        ))) as Box<dyn CollectiveEngine>
-    };
+    let make_engine = move || SystemConfig::Ace.make_engine(&weights);
     CollectiveExecutor::new(shape, params, options, None, make_engine, NullTracer)
 }
 

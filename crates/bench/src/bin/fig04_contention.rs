@@ -11,7 +11,7 @@
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::CollectiveOp;
 use ace_net::TopologySpec;
-use ace_system::{EngineKind, RunSpec};
+use ace_system::{EngineKind, RunSpec, SystemConfig};
 
 /// A contention scenario: what the concurrently running compute kernel
 /// leaves for the communication task.
@@ -25,12 +25,6 @@ fn main() {
     header("Fig. 4 analog: all-reduce slowdown under compute contention");
     println!("Platform: 8 NPUs on one package ring (V100+NVSwitch stand-in)");
 
-    // An unloaded communication kernel owns the node: all SMs, full HBM.
-    let unloaded = Scenario {
-        name: "unloaded",
-        comm_sms: 80,
-        comm_mem_gbps: 900.0,
-    };
     // GEMM-N consumes SMs in proportion to N (the paper's dimension-1000
     // GEMM needs 44.8 warps/SM, i.e. nearly every SM).
     // EmbLookup-N consumes memory bandwidth (batch 10000 uses 429 GB/s).
@@ -70,12 +64,11 @@ fn main() {
 
     for &mb in &sizes_mb {
         subheader(&format!("{mb} MB all-reduce"));
+        // An unloaded communication kernel owns the node, as NoOverlap's
+        // engine does: all SMs, full HBM.
         let base = RunSpec::new(
             shape,
-            EngineKind::Baseline {
-                comm_mem_gbps: unloaded.comm_mem_gbps,
-                comm_sms: unloaded.comm_sms,
-            },
+            SystemConfig::BaselineNoOverlap.engine(),
             CollectiveOp::AllReduce,
             mb << 20,
         )
@@ -83,7 +76,7 @@ fn main() {
         .expect("pristine run cannot fail");
         println!(
             "{:>28}: {:>9.2} ms  (slowdown 1.00x)",
-            unloaded.name,
+            "unloaded",
             base.completion.cycles() as f64 / 1.245e9 * 1e3
         );
         for s in &scenarios {

@@ -16,14 +16,34 @@
 use ace_bench::{emit_tsv, header, subheader};
 use ace_net::TopologySpec;
 use ace_sweep::{
-    run_scenario, BaselineSpec, EngineFamily, EngineSpec, RunResult, RunnerOptions, Scenario,
-    SweepOutcome,
+    run_scenario, BaselineSpec, EngineFamily, RunResult, RunnerOptions, Scenario, SweepOutcome,
 };
+use ace_system::{EngineKind, SystemConfig};
 
 const PAYLOAD: u64 = 64 << 20;
 const SWEEPS: [f64; 10] = [
     32.0, 64.0, 96.0, 128.0, 192.0, 256.0, 320.0, 450.0, 600.0, 900.0,
 ];
+
+/// The baseline's SMs: all of them, as NoOverlap's engine holds.
+fn all_sms() -> u32 {
+    match SystemConfig::BaselineNoOverlap.engine() {
+        EngineKind::Baseline { comm_sms, .. } => comm_sms,
+        _ => unreachable!("NoOverlap runs the baseline engine"),
+    }
+}
+
+/// Table VI's ACE design point behind a `dma_mem_gbps` share of HBM.
+fn ace(dma_mem_gbps: f64) -> EngineKind {
+    match SystemConfig::Ace.engine() {
+        EngineKind::Ace { sram_mb, fsms, .. } => EngineKind::Ace {
+            dma_mem_gbps,
+            sram_mb,
+            fsms,
+        },
+        _ => unreachable!("ACE runs the ACE engine"),
+    }
+}
 
 fn scenario() -> Scenario {
     let mut sc = Scenario::collective("fig05-membw");
@@ -38,13 +58,13 @@ fn scenario() -> Scenario {
     ];
     sc.payload_bytes = vec![PAYLOAD];
     sc.mem_gbps = SWEEPS.to_vec();
-    sc.comm_sms = vec![80];
-    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+    sc.comm_sms = vec![all_sms()];
+    sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
     sc
 }
 
 /// The grid row for `spec` on `shape`.
-fn find(out: &SweepOutcome, shape: TopologySpec, spec: EngineSpec) -> &RunResult {
+fn find(out: &SweepOutcome, shape: TopologySpec, spec: EngineKind) -> &RunResult {
     out.find_collective(shape, spec)
         .expect("point is in the grid")
 }
@@ -58,7 +78,7 @@ fn main() {
     for &shape in &sc.topologies {
         subheader(&format!("{} NPUs ({shape})", shape.nodes()));
 
-        let ideal = find(&out, shape, EngineSpec::Ideal);
+        let ideal = find(&out, shape, EngineKind::Ideal);
         println!(
             "ideal endpoint: {:.1} GB/s per NPU",
             ideal.metrics.gbps_per_npu
@@ -71,8 +91,15 @@ fn main() {
         let mut base_90 = None;
         let mut ace_90 = None;
         for &bw in &SWEEPS {
-            let base = find(&out, shape, EngineSpec::baseline(bw, 80));
-            let ace = find(&out, shape, EngineSpec::ace(bw));
+            let base = find(
+                &out,
+                shape,
+                EngineKind::Baseline {
+                    comm_mem_gbps: bw,
+                    comm_sms: all_sms(),
+                },
+            );
+            let ace = find(&out, shape, ace(bw));
             let bi = base.speedup_vs_baseline.expect("baseline named");
             let ai = ace.speedup_vs_baseline.expect("baseline named");
             if base_90.is_none() && bi >= 0.85 {
@@ -122,13 +149,13 @@ fn main() {
     }
 }
 
-/// Records the headline cell — ACE at 128 GB/s on the 16-NPU torus — and
+/// Records the headline cell — Table VI's ACE on the 16-NPU torus — and
 /// writes it as Chrome `trace_event` JSON.
 fn write_trace(path: &str) {
     let shape = TopologySpec::torus3(4, 2, 2).expect("valid shape");
     let (_, tracer) = ace_system::RunSpec::new(
         shape,
-        EngineSpec::ace(128.0).to_engine_kind(),
+        SystemConfig::Ace.engine(),
         ace_collectives::CollectiveOp::AllReduce,
         PAYLOAD,
     )

@@ -13,16 +13,27 @@
 use ace_bench::{emit_tsv, header, subheader};
 use ace_compute::SmDriveModel;
 use ace_net::TopologySpec;
-use ace_sweep::{
-    run_scenario, EngineFamily, EngineSpec, RunResult, RunnerOptions, Scenario, SweepOutcome,
-};
+use ace_sweep::{run_scenario, EngineFamily, RunResult, RunnerOptions, Scenario, SweepOutcome};
+use ace_system::{EngineKind, SystemConfig};
 
 const PAYLOAD: u64 = 64 << 20;
 // The paper's x-axis is the % of the 80-SM pool: 1..6, 10, 20, 80 %.
 const SM_PERCENTS: [u32; 9] = [1, 2, 3, 4, 5, 6, 10, 20, 80];
 
+/// The whole NPU, as NoOverlap's engine holds it: all of HBM's GB/s and
+/// every SM.
+fn whole_npu() -> (f64, u32) {
+    match SystemConfig::BaselineNoOverlap.engine() {
+        EngineKind::Baseline {
+            comm_mem_gbps,
+            comm_sms,
+        } => (comm_mem_gbps, comm_sms),
+        _ => unreachable!("NoOverlap runs the baseline engine"),
+    }
+}
+
 fn sms_for(pct: u32) -> u32 {
-    (80 * pct / 100).max(1)
+    (whole_npu().1 * pct / 100).max(1)
 }
 
 fn scenario() -> Scenario {
@@ -33,14 +44,21 @@ fn scenario() -> Scenario {
     ];
     sc.engines = vec![EngineFamily::Baseline];
     sc.payload_bytes = vec![PAYLOAD];
-    sc.mem_gbps = vec![900.0];
+    sc.mem_gbps = vec![whole_npu().0];
     sc.comm_sms = SM_PERCENTS.iter().map(|&p| sms_for(p)).collect();
     sc
 }
 
-fn find(out: &SweepOutcome, shape: TopologySpec, sms: u32) -> &RunResult {
-    out.find_collective(shape, EngineSpec::baseline(900.0, sms))
-        .expect("point is in the grid")
+fn find(out: &SweepOutcome, shape: TopologySpec, comm_sms: u32) -> &RunResult {
+    let comm_mem_gbps = whole_npu().0;
+    out.find_collective(
+        shape,
+        EngineKind::Baseline {
+            comm_mem_gbps,
+            comm_sms,
+        },
+    )
+    .expect("point is in the grid")
 }
 
 fn main() {

@@ -17,16 +17,16 @@
 use ace_bench::{emit_tsv, header};
 use ace_engine::{synthesis, AceConfig};
 use ace_net::TopologySpec;
-use ace_sweep::{
-    run_scenario, BaselineSpec, EngineFamily, EngineSpec, RunnerOptions, Scenario, SweepOutcome,
-};
+use ace_sweep::{run_scenario, BaselineSpec, EngineFamily, RunnerOptions, Scenario, SweepOutcome};
+use ace_system::{EngineKind, SystemConfig};
 
 const PAYLOAD: u64 = 64 << 20;
 const SRAMS: [u64; 4] = [1, 2, 4, 8];
 const FSMS: [usize; 4] = [4, 8, 16, 20];
 
 /// The Fig. 9a grid — the programmatic twin of
-/// `examples/scenarios/design_space.toml`.
+/// `examples/scenarios/design_space.toml`. `mem_gbps` keeps its default,
+/// ACE's DMA share, and the baseline is Table VI's ACE.
 fn scenario() -> Scenario {
     let mut sc = Scenario::collective("fig09a-design-space");
     sc.topologies = vec![
@@ -35,27 +35,17 @@ fn scenario() -> Scenario {
     ];
     sc.engines = vec![EngineFamily::Ace];
     sc.payload_bytes = vec![PAYLOAD];
-    sc.mem_gbps = vec![128.0];
     sc.sram_mb = SRAMS.to_vec();
     sc.fsms = FSMS.to_vec();
-    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ace {
-        dma_mem_gbps: 128.0,
-        sram_mb: 4,
-        fsms: 16,
-    }));
+    sc.baseline = Some(BaselineSpec::Engine(SystemConfig::Ace.engine()));
     sc
 }
 
-/// Geometric-mean speedup vs the chosen point across both tori — the
-/// figure's normalized-performance cell.
-fn geomean_perf(out: &SweepOutcome, sram_mb: u64, fsms: usize) -> f64 {
-    let spec = EngineSpec::Ace {
-        dma_mem_gbps: 128.0,
-        sram_mb,
-        fsms,
-    };
+/// Geometric-mean speedup of `engine` vs the chosen point across both
+/// tori — the figure's normalized-performance cell.
+fn geomean_perf(out: &SweepOutcome, engine: EngineKind) -> f64 {
     let speedups: Vec<f64> = out
-        .collective_results(spec)
+        .collective_results(engine)
         .map(|r| r.speedup_vs_baseline.expect("baseline named"))
         .collect();
     assert!(!speedups.is_empty(), "grid point missing");
@@ -67,7 +57,18 @@ fn main() {
 
     let out = run_scenario(&scenario(), RunnerOptions::default()).expect("valid scenario");
 
-    println!("performance normalized to 4 MB / 16 FSMs (higher is better); area in mm^2\n");
+    // Table VI's ACE is the chosen point.
+    let EngineKind::Ace {
+        dma_mem_gbps,
+        sram_mb: chosen_mb,
+        fsms: chosen_fsms,
+    } = SystemConfig::Ace.engine()
+    else {
+        unreachable!("ACE runs the ACE engine")
+    };
+    println!(
+        "performance normalized to {chosen_mb} MB / {chosen_fsms} FSMs (higher is better); area in mm^2\n"
+    );
     print!("{:>8}", "SRAM\\FSM");
     for &f in &FSMS {
         print!(" | {f:>14}");
@@ -76,7 +77,14 @@ fn main() {
     for &mb in &SRAMS {
         print!("{:>7}M", mb);
         for &f in &FSMS {
-            let perf = geomean_perf(&out, mb, f);
+            let perf = geomean_perf(
+                &out,
+                EngineKind::Ace {
+                    dma_mem_gbps,
+                    sram_mb: mb,
+                    fsms: f,
+                },
+            );
             let area = synthesis::total(&AceConfig::with_dse_point(mb, f)).area_mm2();
             print!(" | {perf:>6.3}x {area:>5.2}mm");
             emit_tsv(

@@ -163,16 +163,12 @@ fn trace_first_point(scenario: &Scenario) -> Result<String, String> {
             op,
             payload_bytes,
         } => {
-            let (_, tracer) = ace_system::RunSpec::new(
-                point.topology,
-                engine.to_engine_kind(),
-                *op,
-                *payload_bytes,
-            )
-            .conditions(point.conditions.clone())
-            .traced()
-            .run_traced()
-            .map_err(|e| e.to_string())?;
+            let (_, tracer) =
+                ace_system::RunSpec::new(point.topology, *engine, *op, *payload_bytes)
+                    .conditions(point.conditions.clone())
+                    .traced()
+                    .run_traced()
+                    .map_err(|e| e.to_string())?;
             tracer
         }
         PointKind::Training {

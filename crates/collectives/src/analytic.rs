@@ -252,46 +252,19 @@ fn class_index(class: LinkClass) -> usize {
 }
 
 /// Estimates the completion time of `plan` with per-node `payload_bytes`
-/// on the endpoint described by `endpoint`. The plan's topology is
-/// rebuilt from its [`TopologySpec`] to resolve per-dimension link
-/// parameters (switch uplink overrides included).
-pub fn estimate_collective(
-    plan: &CollectivePlan,
-    net: &NetworkParams,
-    payload_bytes: u64,
-    endpoint: &EndpointModel,
-) -> AnalyticEstimate {
-    estimate_collective_with_memo(plan, net, payload_bytes, endpoint, None, &RouteMemo::new())
-}
-
-/// [`estimate_collective`] on a degraded fabric: each ring/exchange
-/// phase's wire rate is derated by its dimension's resolved
-/// [`FaultPlan`] slowdown (worst surviving-link load over bandwidth —
-/// detour congestion included), and global all-to-all phases by the
-/// fabric-wide worst-link slowdown. This mirrors, in α–β form, what the
-/// exact executor experiences on the same plan, so `hybrid` sweeps stay
-/// honest under faults (the `validate` tier checks the bound).
-pub fn estimate_collective_degraded(
-    plan: &CollectivePlan,
-    net: &NetworkParams,
-    payload_bytes: u64,
-    endpoint: &EndpointModel,
-    faults: &FaultPlan,
-) -> AnalyticEstimate {
-    estimate_collective_with_memo(
-        plan,
-        net,
-        payload_bytes,
-        endpoint,
-        Some(faults),
-        &RouteMemo::new(),
-    )
-}
-
-/// [`estimate_collective`] (`faults` = `None`) or
-/// [`estimate_collective_degraded`], taking the plan's fabric from
-/// `memo`. The memo only saves work: the estimate is bit-identical to
-/// the one a fresh memo gives.
+/// on the endpoint described by `endpoint`, taking the plan's fabric (its
+/// topology, rebuilt from the [`TopologySpec`] to resolve per-dimension
+/// link parameters, switch uplink overrides included) from `memo`. The
+/// memo only saves work: the estimate is bit-identical to the one a
+/// fresh memo gives.
+///
+/// With `faults`, the fabric is degraded: each ring/exchange phase's wire
+/// rate is derated by its dimension's resolved [`FaultPlan`] slowdown
+/// (worst surviving-link load over bandwidth — detour congestion
+/// included), and global all-to-all phases by the fabric-wide worst-link
+/// slowdown. This mirrors, in α–β form, what the exact executor
+/// experiences on the same plan, so `hybrid` sweeps stay honest under
+/// faults (the `validate` tier checks the bound).
 pub fn estimate_collective_with_memo(
     plan: &CollectivePlan,
     net: &NetworkParams,
@@ -550,18 +523,6 @@ fn bytes_per_cycle(net: &NetworkParams, params: &LinkParams) -> f64 {
     net.freq.bytes_per_cycle(params.effective_gbps())
 }
 
-/// Convenience: plan + estimate in one call.
-pub fn estimate_on_spec(
-    op: crate::CollectiveOp,
-    spec: TopologySpec,
-    net: &NetworkParams,
-    payload_bytes: u64,
-    endpoint: &EndpointModel,
-) -> AnalyticEstimate {
-    let plan = CollectivePlan::for_spec(op, spec);
-    estimate_collective(&plan, net, payload_bytes, endpoint)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,14 +543,20 @@ mod tests {
         }
     }
 
+    /// An estimate on a fresh memo.
+    fn fresh(
+        plan: &CollectivePlan,
+        net: &NetworkParams,
+        payload: u64,
+        ep: &EndpointModel,
+        faults: Option<&FaultPlan>,
+    ) -> AnalyticEstimate {
+        estimate_collective_with_memo(plan, net, payload, ep, faults, &RouteMemo::new())
+    }
+
     fn estimate(spec: &str, payload: u64, ep: &EndpointModel) -> AnalyticEstimate {
-        estimate_on_spec(
-            CollectiveOp::AllReduce,
-            spec.parse::<TopologySpec>().unwrap(),
-            &net(),
-            payload,
-            ep,
-        )
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec.parse().unwrap());
+        fresh(&plan, &net(), payload, ep, None)
     }
 
     #[test]
@@ -617,11 +584,11 @@ mod tests {
         let ep = ace(4, 16);
         let spec: TopologySpec = "4x2x2".parse().unwrap();
         let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
-        let base = estimate_collective(&plan, &net(), 16 << 20, &ep);
+        let base = fresh(&plan, &net(), 16 << 20, &ep, None);
         let mut slow = net();
         slow.inter.latency_cycles *= 10;
         slow.intra.latency_cycles *= 10;
-        let slowed = estimate_collective(&plan, &slow, 16 << 20, &ep);
+        let slowed = fresh(&plan, &slow, 16 << 20, &ep, None);
         assert!(slowed.cycles > base.cycles);
     }
 
@@ -684,13 +651,8 @@ mod tests {
 
     #[test]
     fn all_to_all_accounts_forwarding() {
-        let e = estimate_on_spec(
-            CollectiveOp::AllToAll,
-            "4x4x4".parse::<TopologySpec>().unwrap(),
-            &net(),
-            16 << 20,
-            &EndpointModel::Ideal,
-        );
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllToAll, "4x4x4".parse().unwrap());
+        let e = fresh(&plan, &net(), 16 << 20, &EndpointModel::Ideal, None);
         // Multi-hop XYZ routes forward through intermediate nodes, so the
         // fabric carries more than the injected bytes.
         let injected = 63.0 / 64.0 * (16 << 20) as f64;
@@ -703,7 +665,7 @@ mod tests {
         let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let topo = spec.build();
         let ep = ace(4, 16);
-        let base = estimate_collective(&plan, &net(), 64 << 20, &ep);
+        let base = fresh(&plan, &net(), 64 << 20, &ep, None);
         for faults in ["kill:1@seed:3", "kill:2@seed:3", "degrade:50:link:0-1"] {
             let fp = FaultPlan::resolve(
                 topo.as_ref(),
@@ -712,7 +674,7 @@ mod tests {
                 &ace_net::ContentionSpec::None,
             )
             .unwrap();
-            let degraded = estimate_collective_degraded(&plan, &net(), 64 << 20, &ep, &fp);
+            let degraded = fresh(&plan, &net(), 64 << 20, &ep, Some(&fp));
             assert!(
                 degraded.cycles >= base.cycles,
                 "{faults}: degraded {} < pristine {}",
@@ -724,7 +686,7 @@ mod tests {
         }
         // A pristine fault plan reproduces the pristine estimate exactly.
         let fp = FaultPlan::pristine(topo.as_ref(), &net());
-        let same = estimate_collective_degraded(&plan, &net(), 64 << 20, &ep, &fp);
+        let same = fresh(&plan, &net(), 64 << 20, &ep, Some(&fp));
         assert_eq!(same.cycles, base.cycles);
     }
 
@@ -733,7 +695,7 @@ mod tests {
         let spec: TopologySpec = "4x4".parse().unwrap();
         let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let topo = spec.build();
-        let base = estimate_collective(&plan, &net(), 64 << 20, &EndpointModel::Ideal);
+        let base = fresh(&plan, &net(), 64 << 20, &EndpointModel::Ideal, None);
         let fp = FaultPlan::resolve(
             topo.as_ref(),
             &net(),
@@ -741,8 +703,7 @@ mod tests {
             &"uniform:20".parse().unwrap(),
         )
         .unwrap();
-        let slowed =
-            estimate_collective_degraded(&plan, &net(), 64 << 20, &EndpointModel::Ideal, &fp);
+        let slowed = fresh(&plan, &net(), 64 << 20, &EndpointModel::Ideal, Some(&fp));
         assert!(slowed.cycles > base.cycles);
     }
 
@@ -808,8 +769,8 @@ mod tests {
                         let case = format!("{spelling} {op} {payload} {ep:?}");
                         let memoized =
                             estimate_collective_with_memo(&plan, &net(), payload, ep, None, &memo);
-                        let fresh = estimate_collective(&plan, &net(), payload, ep);
-                        assert_eq!(bits(memoized), bits(fresh), "{case}");
+                        let unmemoized = fresh(&plan, &net(), payload, ep, None);
+                        assert_eq!(bits(memoized), bits(unmemoized), "{case}");
                         if let Some(fp) = &killed {
                             let memoized = estimate_collective_with_memo(
                                 &plan,
@@ -819,9 +780,8 @@ mod tests {
                                 Some(fp),
                                 &memo,
                             );
-                            let fresh =
-                                estimate_collective_degraded(&plan, &net(), payload, ep, fp);
-                            assert_eq!(bits(memoized), bits(fresh), "{case} kill:1@seed:42");
+                            let unmemoized = fresh(&plan, &net(), payload, ep, Some(fp));
+                            assert_eq!(bits(memoized), bits(unmemoized), "{case} kill:1@seed:42");
                         }
                     }
                 }

@@ -42,9 +42,6 @@ mod granularity;
 mod plan;
 pub mod traffic;
 
-pub use analytic::{
-    estimate_collective, estimate_collective_degraded, estimate_collective_with_memo,
-    estimate_on_spec, AnalyticEstimate, EndpointModel, RouteMemo,
-};
+pub use analytic::{estimate_collective_with_memo, AnalyticEstimate, EndpointModel, RouteMemo};
 pub use granularity::{split_even, Granularity};
 pub use plan::{CollectiveOp, CollectivePlan, PhaseKind, PhaseLink, PhaseSpec};

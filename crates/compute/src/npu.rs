@@ -55,13 +55,6 @@ impl NpuParams {
         let mem_cycles = kernel.mem_bytes() / self.freq.bytes_per_cycle(mem_gbps);
         (flop_cycles.max(mem_cycles).ceil() as u64).max(1)
     }
-
-    /// The roofline ridge point in flops/byte for a given compute-side
-    /// memory bandwidth: kernels below this intensity are memory-bound.
-    pub fn ridge_intensity(&self, sms_for_compute: u32, mem_gbps: f64) -> f64 {
-        let sm_frac = sms_for_compute as f64 / self.sms as f64;
-        (self.flops_per_cycle() * sm_frac) / self.freq.bytes_per_cycle(mem_gbps)
-    }
 }
 
 #[cfg(test)]
@@ -105,7 +98,9 @@ mod tests {
     #[test]
     fn ridge_point_separates_regimes() {
         let n = npu();
-        let ridge = n.ridge_intensity(80, 900.0);
+        // The roofline ridge point: kernels below this intensity are
+        // memory-bound.
+        let ridge = n.flops_per_cycle() / n.freq.bytes_per_cycle(900.0);
         // 96385 flops/cycle over ~723 bytes/cycle ≈ 133 flops/byte.
         assert!((ridge - 133.3).abs() < 1.0, "ridge {ridge}");
         let below = KernelDesc::new("mem", ridge * 0.5 * 1e6, 1e6);

@@ -34,11 +34,6 @@ impl AluModel {
         self.server.request(now, bytes)
     }
 
-    /// Total bytes reduced.
-    pub fn bytes_reduced(&self) -> u64 {
-        self.server.bytes_served()
-    }
-
     /// ALU busy fraction over `[0, horizon]`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         self.server.utilization(horizon)
@@ -60,7 +55,6 @@ mod tests {
         let mut alu = AluModel::new(&AceConfig::paper_default());
         let g = alu.reduce(SimTime::ZERO, 8 * 1024);
         assert_eq!(g.end.cycles(), 32); // 8192 / 256
-        assert_eq!(alu.bytes_reduced(), 8 * 1024);
     }
 
     #[test]

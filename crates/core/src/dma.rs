@@ -36,11 +36,6 @@ impl DmaEngine {
     pub fn next_free(&self, now: SimTime) -> SimTime {
         self.server.next_free(now)
     }
-
-    /// Total bytes streamed.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.server.bytes_served()
-    }
 }
 
 #[cfg(test)]
@@ -53,7 +48,6 @@ mod tests {
         let a = dma.transfer(SimTime::ZERO, 64 * 1024);
         let b = dma.transfer(SimTime::ZERO, 64 * 1024);
         assert!(b.start >= a.start && b.end > a.end);
-        assert_eq!(dma.bytes_transferred(), 128 * 1024);
     }
 
     #[test]

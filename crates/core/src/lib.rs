@@ -52,7 +52,7 @@ pub use dma::DmaEngine;
 pub use fsm::FsmPool;
 pub use sram::SramPartitioner;
 
-use ace_simcore::{Grant, SimTime, UtilizationTracker};
+use ace_simcore::{Grant, SimTime};
 
 /// The dynamic state of one endpoint's ACE: SRAM occupancy, FSM slots,
 /// ALU and SRAM-port bandwidth, and busy-interval tracking.
@@ -64,7 +64,11 @@ pub struct AceState {
     alu: AluModel,
     sram_port: ace_simcore::BandwidthServer,
     active_chunks: usize,
-    busy: UtilizationTracker,
+    /// Cycles of the closed busy intervals.
+    busy: u64,
+    /// End of the last closed busy interval; a later interval is counted
+    /// from no earlier than this.
+    busy_until: SimTime,
     busy_since: Option<SimTime>,
 }
 
@@ -84,7 +88,8 @@ impl AceState {
             alu,
             sram_port,
             active_chunks: 0,
-            busy: UtilizationTracker::new(),
+            busy: 0,
+            busy_until: SimTime::ZERO,
             busy_since: None,
         }
     }
@@ -129,7 +134,11 @@ impl AceState {
         self.active_chunks -= 1;
         if self.active_chunks == 0 {
             let since = self.busy_since.take().expect("busy interval open");
-            self.busy.record(since, now);
+            let since = since.max(self.busy_until);
+            if now > since {
+                self.busy += now - since;
+                self.busy_until = now;
+            }
         }
     }
 
@@ -168,7 +177,7 @@ impl AceState {
     /// [`utilization`](AceState::utilization) ratio.
     pub fn busy_cycles(&self, horizon: SimTime) -> u64 {
         // An open busy interval extends to the horizon.
-        let mut busy = self.busy.busy_cycles();
+        let mut busy = self.busy;
         if let Some(since) = self.busy_since {
             busy += horizon.saturating_since(since);
         }
@@ -224,6 +233,29 @@ mod tests {
         // Still active: busy from 10 to horizon 110 = 100 of 110.
         let u = s.utilization(SimTime::from_cycles(110));
         assert!((u - 100.0 / 110.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn busy_intervals_merge_overlap() {
+        // A busy interval opened before the last one closed counts only
+        // from that close.
+        let mut s = state();
+        s.try_admit(0, 1024, SimTime::ZERO);
+        s.release(0, 1024, SimTime::from_cycles(10));
+        s.try_admit(0, 1024, SimTime::from_cycles(5));
+        s.release(0, 1024, SimTime::from_cycles(15));
+        assert_eq!(s.busy_cycles(SimTime::from_cycles(30)), 15);
+        assert!((s.utilization(SimTime::from_cycles(30)) - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn busy_intervals_ignore_contained_intervals() {
+        let mut s = state();
+        s.try_admit(0, 1024, SimTime::ZERO);
+        s.release(0, 1024, SimTime::from_cycles(100));
+        s.try_admit(0, 1024, SimTime::from_cycles(10));
+        s.release(0, 1024, SimTime::from_cycles(20));
+        assert_eq!(s.busy_cycles(SimTime::from_cycles(100)), 100);
     }
 
     #[test]

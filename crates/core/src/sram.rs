@@ -63,11 +63,6 @@ impl SramPartitioner {
         self.used[phase]
     }
 
-    /// Free bytes in partition `phase`.
-    pub fn free_bytes(&self, phase: usize) -> u64 {
-        self.capacities[phase] - self.used[phase]
-    }
-
     /// Index of the terminal partition.
     pub fn terminal(&self) -> usize {
         self.capacities.len() - 1
@@ -109,11 +104,6 @@ impl SramPartitioner {
         );
         self.used[phase] -= charged;
     }
-
-    /// Total bytes in use across all partitions.
-    pub fn total_used(&self) -> u64 {
-        self.used.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -145,9 +135,9 @@ mod tests {
         let mut p = SramPartitioner::new(1000, &[1.0]);
         assert!(p.try_alloc(0, 300));
         assert_eq!(p.used(0), 300);
-        assert!(p.free_bytes(0) < p.capacity(0));
+        assert!(p.used(0) < p.capacity(0));
         p.free(0, 300);
-        assert_eq!(p.total_used(), 0);
+        assert_eq!(p.used(0), 0);
     }
 
     #[test]

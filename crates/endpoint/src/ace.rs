@@ -19,7 +19,7 @@ use crate::traits::CollectiveEngine;
 pub struct AceEndpointParams {
     /// The engine microarchitecture.
     pub config: AceConfig,
-    /// HBM bandwidth the DMA engines may consume, GB/s (Table VI: 128).
+    /// HBM bandwidth the DMA engines may consume, GB/s.
     pub dma_mem_gbps: f64,
     /// NPU-AFI bus parameters.
     pub bus: BusParams,
@@ -29,11 +29,12 @@ pub struct AceEndpointParams {
 }
 
 impl AceEndpointParams {
-    /// Table VI ACE endpoint for a plan with `phase_weights`.
-    pub fn paper_default(phase_weights: Vec<f64>) -> AceEndpointParams {
+    /// The paper's ACE endpoint behind a `dma_mem_gbps` share of HBM, for
+    /// a plan with `phase_weights`.
+    pub fn paper_default(dma_mem_gbps: f64, phase_weights: Vec<f64>) -> AceEndpointParams {
         AceEndpointParams {
             config: AceConfig::paper_default(),
-            dma_mem_gbps: 128.0,
+            dma_mem_gbps,
             bus: BusParams::paper_default(),
             phase_weights,
         }
@@ -190,9 +191,10 @@ mod tests {
     use super::*;
 
     fn endpoint() -> AceEndpoint {
-        AceEndpoint::new(AceEndpointParams::paper_default(vec![
-            0.75, 0.09375, 0.09375, 0.1875,
-        ]))
+        AceEndpoint::new(AceEndpointParams::paper_default(
+            128.0,
+            vec![0.75, 0.09375, 0.09375, 0.1875],
+        ))
     }
 
     #[test]
@@ -264,14 +266,8 @@ mod tests {
 
     #[test]
     fn inject_cost_scales_with_dma_partition() {
-        let mut wide = AceEndpoint::new(AceEndpointParams {
-            dma_mem_gbps: 450.0,
-            ..AceEndpointParams::paper_default(vec![1.0])
-        });
-        let mut narrow = AceEndpoint::new(AceEndpointParams {
-            dma_mem_gbps: 32.0,
-            ..AceEndpointParams::paper_default(vec![1.0])
-        });
+        let mut wide = AceEndpoint::new(AceEndpointParams::paper_default(450.0, vec![1.0]));
+        let mut narrow = AceEndpoint::new(AceEndpointParams::paper_default(32.0, vec![1.0]));
         let tw = wide.chunk_inject(SimTime::ZERO, 1 << 20);
         let tn = narrow.chunk_inject(SimTime::ZERO, 1 << 20);
         assert!(tn > tw);

@@ -96,11 +96,6 @@ impl EndpointMemory {
     pub fn comm_bytes(&self) -> u64 {
         self.comm_rd.bytes_served() + self.comm_wr.bytes_served()
     }
-
-    /// Comm read-channel busy fraction over `[0, horizon]`.
-    pub fn comm_utilization(&self, horizon: SimTime) -> f64 {
-        self.comm_rd.utilization(horizon)
-    }
 }
 
 #[cfg(test)]
@@ -141,13 +136,5 @@ mod tests {
         // Ratio of service times tracks the bandwidth ratio.
         let ratio = gn.service() as f64 / gw.service() as f64;
         assert!((ratio - 450.0 / 128.0).abs() < 0.05, "ratio {ratio}");
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut mem = EndpointMemory::new(MemoryParams::paper_default(128.0));
-        let g = mem.comm_read(SimTime::ZERO, 1 << 20);
-        let u = mem.comm_utilization(SimTime::from_cycles(g.end.cycles() * 4));
-        assert!(u > 0.2 && u < 0.3);
     }
 }

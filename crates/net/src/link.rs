@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ace_simcore::{BandwidthServer, Frequency, Grant, SimTime, UtilizationTracker};
+use ace_simcore::{BandwidthServer, Frequency, Grant, SimTime};
 
 /// The two physical link technologies in the platform (Table V).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,7 +98,6 @@ pub struct Link {
     class: LinkClass,
     params: LinkParams,
     server: BandwidthServer,
-    util: UtilizationTracker,
 }
 
 impl Link {
@@ -109,7 +108,6 @@ impl Link {
             class,
             params,
             server: BandwidthServer::new(bpc),
-            util: UtilizationTracker::new(),
         }
     }
 
@@ -127,9 +125,7 @@ impl Link {
     /// The returned grant covers wire occupancy; the message is available
     /// at the downstream node at `grant.end + latency`.
     pub fn transmit(&mut self, now: SimTime, bytes: u64) -> Grant {
-        let grant = self.server.request(now, bytes);
-        self.util.record(grant.start, grant.end);
-        grant
+        self.server.request(now, bytes)
     }
 
     /// Arrival time at the downstream node for a transmission grant.

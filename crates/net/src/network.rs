@@ -31,15 +31,6 @@ impl NetworkParams {
             util_bucket_cycles: 1000,
         }
     }
-
-    /// Per-NPU aggregate egress bandwidth in GB/s, summed over the
-    /// topology's live ports (Table V: 400 + 50 + 50 on the 3-dim torus).
-    pub fn per_npu_total_gbps(&self, topo: &dyn Topology) -> f64 {
-        (0..topo.ports_per_node())
-            .filter_map(|idx| topo.link_params_for(Port::from_index(idx), self))
-            .map(|p| p.bandwidth_gbps)
-            .sum()
-    }
 }
 
 /// The outcome of pushing a message across one hop.
@@ -343,7 +334,12 @@ mod tests {
     fn per_npu_bandwidth_matches_table_v() {
         let net = small_net();
         // 2 × 200 intra + 2 × 25 vertical + 2 × 25 horizontal = 500 GB/s.
-        assert!((net.params().per_npu_total_gbps(net.topology()) - 500.0).abs() < 1e-9);
+        let topo = net.topology();
+        let total: f64 = (0..topo.ports_per_node())
+            .filter_map(|idx| topo.link_params_for(Port::from_index(idx), net.params()))
+            .map(|p| p.bandwidth_gbps)
+            .sum();
+        assert!((total - 500.0).abs() < 1e-9);
     }
 
     #[test]

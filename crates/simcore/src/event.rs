@@ -149,11 +149,6 @@ impl<E: Copy> EventQueue<E> {
         self.events[hole] = event;
     }
 
-    /// Schedules `event` to fire `delay` cycles from the current time.
-    pub fn schedule_in(&mut self, delay: u64, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event, advancing the queue's clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_keyed().map(|(t, _, e)| (t, e))
@@ -260,15 +255,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_cycles(7));
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_cycles(10), "a");
-        q.pop();
-        q.schedule_in(5, "b");
-        assert_eq!(q.peek_time(), Some(SimTime::from_cycles(15)));
     }
 
     #[test]

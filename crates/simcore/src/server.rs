@@ -72,25 +72,6 @@ impl BandwidthServer {
         }
     }
 
-    /// The configured capacity in bytes per cycle.
-    pub fn capacity(&self) -> f64 {
-        self.bytes_per_cycle
-    }
-
-    /// Replaces the server capacity (used by design-space sweeps). Pending
-    /// history is kept.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_cycle` is not strictly positive and finite.
-    pub fn set_capacity(&mut self, bytes_per_cycle: f64) {
-        assert!(
-            bytes_per_cycle.is_finite() && bytes_per_cycle > 0.0,
-            "server capacity must be positive"
-        );
-        self.bytes_per_cycle = bytes_per_cycle;
-    }
-
     /// Requests service for `bytes` at time `now`, returning when the
     /// transfer starts and ends. Zero-byte requests complete immediately
     /// without occupying the server.
@@ -293,16 +274,6 @@ mod tests {
         assert_eq!(s.bytes_served(), 150);
         assert!((s.busy_cycles() - 15.0).abs() < 1e-9);
         assert!((s.utilization(SimTime::from_cycles(30)) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn set_capacity_changes_future_service() {
-        let mut s = BandwidthServer::new(10.0);
-        let slow = s.request(SimTime::ZERO, 100);
-        s.set_capacity(100.0);
-        let fast = s.request(slow.end, 100);
-        assert!(fast.service() < slow.service());
-        assert_eq!(s.capacity(), 100.0);
     }
 
     #[test]

@@ -162,58 +162,10 @@ pub struct BucketCursor {
     end: u64,
 }
 
-/// Tracks the busy fraction of a resource by accumulating disjoint busy
-/// intervals. Overlapping intervals are merged at insertion cost O(1) by
-/// clamping to the furthest end seen, so it is exact for the FIFO servers
-/// whose busy intervals never overlap.
-#[derive(Debug, Clone, Default)]
-pub struct UtilizationTracker {
-    busy: u64,
-    frontier: SimTime,
-    last_end: SimTime,
-}
-
-impl UtilizationTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a busy interval `[start, end)`. Portions overlapping earlier
-    /// intervals are not double-counted.
-    pub fn record(&mut self, start: SimTime, end: SimTime) {
-        let start = start.max(self.frontier);
-        if end > start {
-            self.busy += end - start;
-            self.frontier = end;
-        }
-        self.last_end = self.last_end.max(end);
-    }
-
-    /// Total busy cycles recorded.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy
-    }
-
-    /// End of the latest interval seen.
-    pub fn horizon(&self) -> SimTime {
-        self.last_end
-    }
-
-    /// Busy fraction over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.cycles() == 0 {
-            return 0.0;
-        }
-        (self.busy as f64 / horizon.cycles() as f64).min(1.0)
-    }
-}
-
 /// Measures achieved throughput: bytes moved over an observation window.
 #[derive(Debug, Clone, Default)]
 pub struct RateMeter {
     bytes: u64,
-    first: Option<SimTime>,
     last: SimTime,
 }
 
@@ -226,9 +178,6 @@ impl RateMeter {
     /// Records `bytes` completing at time `at`.
     pub fn record(&mut self, at: SimTime, bytes: u64) {
         self.bytes += bytes;
-        if self.first.is_none() {
-            self.first = Some(at);
-        }
         self.last = self.last.max(at);
     }
 
@@ -243,11 +192,6 @@ impl RateMeter {
             return 0.0;
         }
         self.bytes as f64 / self.last.cycles() as f64
-    }
-
-    /// End of the observation window.
-    pub fn window_end(&self) -> SimTime {
-        self.last
     }
 }
 
@@ -337,31 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracker_merges_overlap() {
-        let mut u = UtilizationTracker::new();
-        u.record(SimTime::from_cycles(0), SimTime::from_cycles(10));
-        u.record(SimTime::from_cycles(5), SimTime::from_cycles(15));
-        assert_eq!(u.busy_cycles(), 15);
-        assert!((u.utilization(SimTime::from_cycles(30)) - 0.5).abs() < 1e-9);
-        assert_eq!(u.horizon(), SimTime::from_cycles(15));
-    }
-
-    #[test]
-    fn utilization_tracker_ignores_contained_intervals() {
-        let mut u = UtilizationTracker::new();
-        u.record(SimTime::from_cycles(0), SimTime::from_cycles(100));
-        u.record(SimTime::from_cycles(10), SimTime::from_cycles(20));
-        assert_eq!(u.busy_cycles(), 100);
-    }
-
-    #[test]
     fn rate_meter_reports_throughput() {
         let mut m = RateMeter::new();
         m.record(SimTime::from_cycles(50), 100);
         m.record(SimTime::from_cycles(100), 100);
         assert_eq!(m.bytes(), 200);
         assert!((m.rate() - 2.0).abs() < 1e-9);
-        assert_eq!(m.window_end(), SimTime::from_cycles(100));
     }
 
     #[test]

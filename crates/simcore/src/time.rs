@@ -53,11 +53,6 @@ impl SimTime {
     pub fn to_seconds(self, freq: Frequency) -> f64 {
         self.0 as f64 / freq.hz()
     }
-
-    /// Converts this time to microseconds under clock `freq`.
-    pub fn to_micros(self, freq: Frequency) -> f64 {
-        self.to_seconds(freq) * 1e6
-    }
 }
 
 impl Add for SimTime {
@@ -125,11 +120,6 @@ impl Frequency {
         Frequency { hz: mhz * 1e6 }
     }
 
-    /// Creates a frequency from gigahertz.
-    pub fn from_ghz(ghz: f64) -> Self {
-        Self::from_mhz(ghz * 1e3)
-    }
-
     /// Returns the frequency in hertz.
     pub fn hz(self) -> f64 {
         self.hz
@@ -191,19 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn frequency_from_ghz_matches_mhz() {
-        assert_eq!(
-            Frequency::from_ghz(1.245).hz(),
-            Frequency::from_mhz(1245.0).hz()
-        );
-    }
-
-    #[test]
     fn seconds_conversion() {
         let f = Frequency::from_mhz(1000.0);
         let t = SimTime::from_cycles(1_000_000);
         assert!((t.to_seconds(f) - 1e-3).abs() < 1e-12);
-        assert!((t.to_micros(f) - 1000.0).abs() < 1e-9);
     }
 
     #[test]

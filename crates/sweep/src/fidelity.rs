@@ -23,9 +23,10 @@
 use std::fmt;
 use std::str::FromStr;
 
+use ace_system::EngineKind;
+
 use crate::grid::{PointKind, RunPoint};
 use crate::runner::Metrics;
-use crate::scenario::EngineSpec;
 
 /// Which simulation tier a sweep (or a cached row) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -149,11 +150,14 @@ fn selection_group(point: &RunPoint) -> (String, u8) {
 fn cost_axes(point: &RunPoint) -> Vec<f64> {
     match &point.kind {
         PointKind::Collective { engine, .. } => match *engine {
-            EngineSpec::Ideal => vec![0.0],
-            EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                vec![1.0, mem_gbps, f64::from(comm_sms)]
+            EngineKind::Ideal => vec![0.0],
+            EngineKind::Baseline {
+                comm_mem_gbps,
+                comm_sms,
+            } => {
+                vec![1.0, comm_mem_gbps, f64::from(comm_sms)]
             }
-            EngineSpec::Ace {
+            EngineKind::Ace {
                 dma_mem_gbps,
                 sram_mb,
                 fsms,
@@ -187,7 +191,7 @@ fn probe_points(dominator: &RunPoint, dominated: &RunPoint) -> Vec<RunPoint> {
         return Vec::new();
     };
     let mut probes = Vec::new();
-    let mut push = |engine: EngineSpec| {
+    let mut push = |engine: EngineKind| {
         probes.push(RunPoint {
             topology: dominator.topology,
             conditions: dominator.conditions.clone(),
@@ -200,56 +204,56 @@ fn probe_points(dominator: &RunPoint, dominated: &RunPoint) -> Vec<RunPoint> {
     };
     match (*ej, *ei) {
         (
-            EngineSpec::Baseline {
-                mem_gbps: mj,
+            EngineKind::Baseline {
+                comm_mem_gbps: mj,
                 comm_sms: sj,
             },
-            EngineSpec::Baseline {
-                mem_gbps: mi,
+            EngineKind::Baseline {
+                comm_mem_gbps: mi,
                 comm_sms: si,
             },
         ) => {
             if mj < mi {
-                push(EngineSpec::Baseline {
-                    mem_gbps: mj / 2.0,
+                push(EngineKind::Baseline {
+                    comm_mem_gbps: mj / 2.0,
                     comm_sms: sj,
                 });
             }
             if sj < si && sj > 1 {
-                push(EngineSpec::Baseline {
-                    mem_gbps: mj,
+                push(EngineKind::Baseline {
+                    comm_mem_gbps: mj,
                     comm_sms: (sj / 2).max(1),
                 });
             }
         }
         (
-            EngineSpec::Ace {
+            EngineKind::Ace {
                 dma_mem_gbps: mj,
                 sram_mb: rj,
                 fsms: fj,
             },
-            EngineSpec::Ace {
+            EngineKind::Ace {
                 dma_mem_gbps: mi,
                 sram_mb: ri,
                 fsms: fi,
             },
         ) => {
             if mj < mi {
-                push(EngineSpec::Ace {
+                push(EngineKind::Ace {
                     dma_mem_gbps: mj / 2.0,
                     sram_mb: rj,
                     fsms: fj,
                 });
             }
             if rj < ri && rj > 1 {
-                push(EngineSpec::Ace {
+                push(EngineKind::Ace {
                     dma_mem_gbps: mj,
                     sram_mb: (rj / 2).max(1),
                     fsms: fj,
                 });
             }
             if fj < fi && fj > 1 {
-                push(EngineSpec::Ace {
+                push(EngineKind::Ace {
                     dma_mem_gbps: mj,
                     sram_mb: rj,
                     fsms: (fj / 2).max(1),
@@ -439,7 +443,7 @@ mod tests {
             topology: TopologySpec::torus3(4, 2, 2).unwrap(),
             conditions: ace_system::RunConditions::default(),
             kind: PointKind::Collective {
-                engine: EngineSpec::Ace {
+                engine: EngineKind::Ace {
                     dma_mem_gbps: 128.0,
                     sram_mb: sram,
                     fsms,

@@ -7,7 +7,7 @@
 //! for reproducible reports and the runner's determinism guarantee.
 //!
 //! Engine families drop the knobs they do not consume when resolving to
-//! an [`EngineSpec`], so the raw cartesian product contains *duplicate*
+//! an [`EngineKind`], so the raw cartesian product contains *duplicate*
 //! points (e.g. `ideal` × a 10-value `mem_gbps` axis yields 10 identical
 //! points). Duplicates are preserved here — one row per grid cell — and
 //! collapsed by the runner's cache so each unique point simulates once.
@@ -15,10 +15,10 @@
 use ace_collectives::CollectiveOp;
 use ace_net::TopologySpec;
 use ace_serve::ServingSpec;
-use ace_system::{RunConditions, SystemConfig};
+use ace_system::{EngineKind, RunConditions, SystemConfig};
 use ace_workloads::StragglerSpec;
 
-use crate::scenario::{EngineFamily, EngineSpec, Scenario, SweepMode, WorkloadSel};
+use crate::scenario::{EngineFamily, Scenario, SweepMode, WorkloadSel};
 
 /// One cell of the expanded design-space grid. Not `Copy`: training
 /// points carry a [`WorkloadSel`], which may reference a custom
@@ -42,7 +42,7 @@ pub enum PointKind {
     /// A standalone collective.
     Collective {
         /// Resolved endpoint engine.
-        engine: EngineSpec,
+        engine: EngineKind,
         /// Operation issued.
         op: CollectiveOp,
         /// Per-node payload in bytes.
@@ -262,14 +262,14 @@ pub fn grid_len(scenario: &Scenario) -> usize {
 
 /// Resolves an engine family against the knob axes, dropping knobs the
 /// family does not consume.
-fn resolve(family: EngineFamily, mem: f64, sms: u32, sram: u64, fsms: usize) -> EngineSpec {
+fn resolve(family: EngineFamily, mem: f64, sms: u32, sram: u64, fsms: usize) -> EngineKind {
     match family {
-        EngineFamily::Ideal => EngineSpec::Ideal,
-        EngineFamily::Baseline => EngineSpec::Baseline {
-            mem_gbps: mem,
+        EngineFamily::Ideal => EngineKind::Ideal,
+        EngineFamily::Baseline => EngineKind::Baseline {
+            comm_mem_gbps: mem,
             comm_sms: sms,
         },
-        EngineFamily::Ace => EngineSpec::Ace {
+        EngineFamily::Ace => EngineKind::Ace {
             dma_mem_gbps: mem,
             sram_mb: sram,
             fsms,
@@ -314,7 +314,7 @@ mod tests {
         let fams: Vec<EngineFamily> = a[..9]
             .iter()
             .map(|p| match p.kind {
-                PointKind::Collective { engine, .. } => engine.family(),
+                PointKind::Collective { engine, .. } => EngineFamily::of(engine),
                 _ => unreachable!(),
             })
             .collect();

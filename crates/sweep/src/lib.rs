@@ -8,7 +8,10 @@
 //! * [`Scenario`] ([`scenario`]) — a declarative spec naming the axes,
 //!   deserializable from a small TOML subset ([`toml`]; the build
 //!   environment is std-only, so the parser is hand-rolled),
-//! * [`grid`] — deterministic cartesian expansion into [`RunPoint`]s,
+//! * [`grid`] — deterministic cartesian expansion into [`RunPoint`]s;
+//!   a collective point runs an [`ace_system::EngineKind`], and knobs a
+//!   scenario leaves unset take Table VI's values from
+//!   [`ace_system::SystemConfig::engine`],
 //! * [`runner`] — the [`SweepRunner`]: runs a grid on scoped worker
 //!   threads against a `(tier, point)` [`Cache`] and the serving
 //!   round-cost memo ([`ace_serve::RoundMemo`]) its cells share, and
@@ -70,6 +73,5 @@ pub use runner::{
     RunnerOptions, SweepOutcome, SweepRunner,
 };
 pub use scenario::{
-    BaselineSpec, CustomWorkload, EngineFamily, EngineSpec, Scenario, ScenarioError, SweepMode,
-    WorkloadSel,
+    BaselineSpec, CustomWorkload, EngineFamily, Scenario, ScenarioError, SweepMode, WorkloadSel,
 };

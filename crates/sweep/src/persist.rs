@@ -48,13 +48,13 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use ace_net::TopologySpec;
-use ace_system::{RunConditions, SystemConfig};
+use ace_system::{EngineKind, RunConditions, SystemConfig};
 
 use crate::fidelity::Tier;
 use crate::grid::{PointKind, RunPoint};
 use crate::report::Row;
 use crate::runner::{Cache, Metrics};
-use crate::scenario::{parse_op, EngineSpec, WorkloadSel};
+use crate::scenario::{parse_op, WorkloadSel};
 
 /// Magic + version header of the cache file format. The simulator
 /// version is part of the header: cached rows are only "exactly what a
@@ -405,17 +405,20 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
             row.text("collective");
             row.display(p.topology);
             match *engine {
-                EngineSpec::Ideal => {
+                EngineKind::Ideal => {
                     row.text("ideal");
                     row.empty(4);
                 }
-                EngineSpec::Baseline { mem_gbps, comm_sms } => {
+                EngineKind::Baseline {
+                    comm_mem_gbps,
+                    comm_sms,
+                } => {
                     row.text("baseline");
-                    row.display(mem_gbps);
+                    row.display(comm_mem_gbps);
                     row.display(comm_sms);
                     row.empty(2);
                 }
-                EngineSpec::Ace {
+                EngineKind::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
@@ -501,12 +504,12 @@ fn parse_row(line: &str) -> Result<(Tier, RunPoint, Metrics), String> {
     let kind = match cells[0] {
         "collective" => {
             let engine = match cells[2] {
-                "ideal" => EngineSpec::Ideal,
-                "baseline" => EngineSpec::Baseline {
-                    mem_gbps: parse_f64(cells[3], "mem_gbps")?,
+                "ideal" => EngineKind::Ideal,
+                "baseline" => EngineKind::Baseline {
+                    comm_mem_gbps: parse_f64(cells[3], "mem_gbps")?,
                     comm_sms: parse_int(cells[4], "comm_sms")? as u32,
                 },
-                "ace" => EngineSpec::Ace {
+                "ace" => EngineKind::Ace {
                     dma_mem_gbps: parse_f64(cells[3], "mem_gbps")?,
                     sram_mb: parse_int(cells[5], "sram_mb")?,
                     fsms: parse_int(cells[6], "fsms")? as usize,

@@ -7,11 +7,12 @@
 
 use std::fmt::{self, Write};
 
+use ace_system::EngineKind;
 use ace_trace::chrome::json_escape;
 
 use crate::grid::{PointKind, RunPoint};
 use crate::runner::{RunResult, SweepOutcome};
-use crate::scenario::EngineSpec;
+use crate::scenario::EngineFamily;
 
 /// The fixed CSV column set (a superset across the three sweep modes;
 /// inapplicable cells are empty).
@@ -223,17 +224,20 @@ fn write_row(row: &mut Row, r: &RunResult, attribution: bool) {
             op,
             payload_bytes,
         } => {
-            row.text(engine.family().name());
+            row.text(EngineFamily::of(*engine).name());
             row.display(op);
             row.display(payload_bytes);
             match *engine {
-                EngineSpec::Ideal => row.empty(4),
-                EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                    row.display(mem_gbps);
+                EngineKind::Ideal => row.empty(4),
+                EngineKind::Baseline {
+                    comm_mem_gbps,
+                    comm_sms,
+                } => {
+                    row.display(comm_mem_gbps);
                     row.display(comm_sms);
                     row.empty(2);
                 }
-                EngineSpec::Ace {
+                EngineKind::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
@@ -504,16 +508,19 @@ fn for_each_axis_value(point: &RunPoint, buf: &mut String, mut f: impl FnMut(&'s
             op,
             payload_bytes,
         } => {
-            emit("engine", &engine.family().name());
+            emit("engine", &EngineFamily::of(*engine).name());
             emit("op", op);
             emit("payload", &HumanBytes(*payload_bytes));
             match engine {
-                EngineSpec::Ideal => {}
-                EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                    emit("mem_gbps", mem_gbps);
+                EngineKind::Ideal => {}
+                EngineKind::Baseline {
+                    comm_mem_gbps,
+                    comm_sms,
+                } => {
+                    emit("mem_gbps", comm_mem_gbps);
                     emit("comm_sms", comm_sms);
                 }
-                EngineSpec::Ace {
+                EngineKind::Ace {
                     dma_mem_gbps,
                     sram_mb,
                     fsms,
@@ -627,7 +634,7 @@ mod tests {
         sc.payload_bytes = vec![128 * 1024];
         sc.mem_gbps = vec![128.0, 450.0];
         sc.comm_sms = vec![6];
-        sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+        sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
         run_scenario(
             &sc,
             RunnerOptions {

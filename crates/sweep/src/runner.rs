@@ -27,8 +27,8 @@ use ace_collectives::RouteMemo;
 use ace_net::{NetworkParams, TopologySpec};
 use ace_serve::RoundMemo;
 use ace_system::{
-    analytic_collective_run, analytic_program_run_with_memo, training_program, RunConditions,
-    RunSpec, TrainSpec,
+    analytic_collective_run, analytic_program_run_with_memo, training_program, EngineKind,
+    RunConditions, RunSpec, TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -140,10 +140,7 @@ pub struct SweepOutcome {
 
 impl SweepOutcome {
     /// All collective-mode rows running exactly `engine`, in grid order.
-    pub fn collective_results(
-        &self,
-        engine: crate::scenario::EngineSpec,
-    ) -> impl Iterator<Item = &RunResult> {
+    pub fn collective_results(&self, engine: EngineKind) -> impl Iterator<Item = &RunResult> {
         self.results.iter().filter(
             move |r| matches!(r.point.kind, PointKind::Collective { engine: e, .. } if e == engine),
         )
@@ -155,7 +152,7 @@ impl SweepOutcome {
     pub fn find_collective(
         &self,
         topology: ace_net::TopologySpec,
-        engine: crate::scenario::EngineSpec,
+        engine: EngineKind,
     ) -> Option<&RunResult> {
         self.collective_results(engine)
             .find(move |r| r.point.topology == topology)
@@ -364,7 +361,16 @@ impl SweepRunner {
             n => n,
         };
         let points = grid::expand(scenario);
-        let baseline = baseline_points(scenario);
+        // Each row's baseline point; neighbouring rows mostly share one.
+        let mut baseline: Vec<RunPoint> = Vec::new();
+        for b in points
+            .iter()
+            .filter_map(|p| baseline_point_for(scenario, p))
+        {
+            if baseline.last() != Some(&b) {
+                baseline.push(b);
+            }
+        }
         let wanted = || points.iter().chain(&baseline);
 
         let (tiers, work_e, work_a) = match scenario.fidelity {
@@ -539,16 +545,16 @@ impl SweepRunner {
             })
             .collect();
 
-        if scenario.baseline.is_some() {
-            for r in &mut results {
-                let bp = baseline_point_for(scenario, &r.point);
-                let base = self
-                    .cache
-                    .get_tier(r.fidelity, &bp)
-                    .expect("baseline point was executed in the row's tier");
-                if r.metrics.time_us > 0.0 {
-                    r.speedup_vs_baseline = Some(base.time_us / r.metrics.time_us);
-                }
+        for r in &mut results {
+            let Some(bp) = baseline_point_for(scenario, &r.point) else {
+                continue;
+            };
+            let base = self
+                .cache
+                .get_tier(r.fidelity, &bp)
+                .expect("baseline point was executed in the row's tier");
+            if r.metrics.time_us > 0.0 {
+                r.speedup_vs_baseline = Some(base.time_us / r.metrics.time_us);
             }
         }
         (results, cache_hits)
@@ -591,97 +597,21 @@ fn panic_text(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The baseline point a grid row is compared against: the row's
-/// coordinates with the engine/config swapped for the scenario baseline.
-fn baseline_point_for(scenario: &Scenario, point: &RunPoint) -> RunPoint {
-    match (scenario.baseline, &point.kind) {
+/// coordinates, conditions included, with the engine or config swapped
+/// for the scenario's baseline. `None` when the scenario names none.
+fn baseline_point_for(scenario: &Scenario, point: &RunPoint) -> Option<RunPoint> {
+    let baseline = scenario.baseline?;
+    let mut base = point.clone();
+    match (baseline, &mut base.kind) {
+        (BaselineSpec::Engine(e), PointKind::Collective { engine, .. }) => *engine = e,
         (
-            Some(BaselineSpec::Engine(spec)),
-            PointKind::Collective {
-                op, payload_bytes, ..
-            },
-        ) => RunPoint {
-            topology: point.topology,
-            conditions: point.conditions.clone(),
-            kind: PointKind::Collective {
-                engine: spec,
-                op: *op,
-                payload_bytes: *payload_bytes,
-            },
-        },
-        (
-            Some(BaselineSpec::Config(cfg)),
-            PointKind::Training {
-                workload,
-                iterations,
-                optimized_embedding,
-                ..
-            },
-        ) => RunPoint {
-            topology: point.topology,
-            conditions: point.conditions.clone(),
-            kind: PointKind::Training {
-                config: cfg,
-                workload: workload.clone(),
-                iterations: *iterations,
-                optimized_embedding: *optimized_embedding,
-            },
-        },
-        _ => point.clone(),
-    }
-}
-
-/// All baseline points a scenario needs (one per cross-product of the
-/// non-config axes); empty when no baseline is named.
-fn baseline_points(scenario: &Scenario) -> Vec<RunPoint> {
-    let Some(baseline) = scenario.baseline else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    // Speedups compare engines/configs under identical run conditions, so
-    // every conditions cell needs its own baseline point.
-    let conditions = grid::conditions_product(scenario);
-    match (baseline, scenario.mode) {
-        (BaselineSpec::Engine(spec), SweepMode::Collective) => {
-            for &topology in &scenario.topologies {
-                for &op in &scenario.ops {
-                    for &payload_bytes in &scenario.payload_bytes {
-                        for conditions in &conditions {
-                            out.push(RunPoint {
-                                topology,
-                                conditions: conditions.clone(),
-                                kind: PointKind::Collective {
-                                    engine: spec,
-                                    op,
-                                    payload_bytes,
-                                },
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        (BaselineSpec::Config(cfg), SweepMode::Training) => {
-            for &topology in &scenario.topologies {
-                for workload in &scenario.workloads {
-                    for conditions in &conditions {
-                        out.push(RunPoint {
-                            topology,
-                            conditions: conditions.clone(),
-                            kind: PointKind::Training {
-                                config: cfg,
-                                workload: workload.clone(),
-                                iterations: scenario.iterations,
-                                optimized_embedding: scenario.optimized_embedding,
-                            },
-                        });
-                    }
-                }
-            }
-        }
+            BaselineSpec::Config(c),
+            PointKind::Training { config, .. } | PointKind::Serving { config, .. },
+        ) => *config = c,
         // validate() rejects mismatched baseline kinds.
         _ => {}
     }
-    out
+    Some(base)
 }
 
 /// Convenience: run a scenario once with a fresh cache.
@@ -730,7 +660,7 @@ fn execute_exact(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
             op,
             payload_bytes,
         } => {
-            let r = RunSpec::new(point.topology, engine.to_engine_kind(), *op, *payload_bytes)
+            let r = RunSpec::new(point.topology, *engine, *op, *payload_bytes)
                 .conditions(point.conditions.clone())
                 .run()
                 .expect("expanded point conditions are resolvable");
@@ -866,7 +796,7 @@ fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo, routes: &RouteMemo) -
         } => {
             let r = analytic_collective_run(
                 point.topology,
-                engine.to_engine_kind(),
+                *engine,
                 *op,
                 *payload_bytes,
                 &point.conditions,
@@ -957,8 +887,9 @@ fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo, routes: &RouteMemo) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{BaselineSpec, EngineFamily, EngineSpec};
+    use crate::scenario::{BaselineSpec, EngineFamily};
     use ace_net::TopologySpec;
+    use ace_system::SystemConfig;
 
     /// A scenario small enough to simulate quickly in tests.
     fn tiny() -> Scenario {
@@ -1025,28 +956,46 @@ mod tests {
 
     #[test]
     fn baseline_speedups_are_attached() {
-        let mut sc = tiny();
-        sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
-        let out = run_scenario(
-            &sc,
-            RunnerOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for r in &out.results {
-            let s = r.speedup_vs_baseline.expect("speedup present");
-            assert!(s > 0.0);
-            if let PointKind::Collective {
-                engine: EngineSpec::Ideal,
-                ..
-            } = r.point.kind
-            {
-                assert!((s - 1.0).abs() < 1e-12, "ideal vs itself must be 1.0");
-            } else {
-                // The ideal endpoint is an upper bound (modulo pacing noise).
-                assert!(s <= 1.05, "baseline should not beat ideal: {s}");
+        let mut collective = tiny();
+        collective.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
+        // A serving row is compared with the baseline config's row at the
+        // same coordinates, not with itself.
+        let mut serving = small_serving(800.0, 1);
+        serving.configs = vec![SystemConfig::BaselineNoOverlap, SystemConfig::Ace];
+        serving.baseline = Some(BaselineSpec::Config(SystemConfig::BaselineNoOverlap));
+        for sc in [collective, serving] {
+            let out = run_scenario(&sc, serial()).unwrap();
+            for r in &out.results {
+                let s = r.speedup_vs_baseline.expect("speedup present");
+                assert!(s > 0.0);
+                match &r.point.kind {
+                    PointKind::Collective {
+                        engine: EngineKind::Ideal,
+                        ..
+                    } => assert!((s - 1.0).abs() < 1e-12, "ideal vs itself must be 1.0"),
+                    // The ideal endpoint is an upper bound (modulo pacing
+                    // noise).
+                    PointKind::Collective { .. } => {
+                        assert!(s <= 1.05, "baseline should not beat ideal: {s}")
+                    }
+                    PointKind::Serving { workload, spec, .. } => {
+                        let base = out
+                            .results
+                            .iter()
+                            .find(|b| {
+                                b.point.topology == r.point.topology
+                                    && b.point.kind
+                                        == PointKind::Serving {
+                                            config: SystemConfig::BaselineNoOverlap,
+                                            workload: workload.clone(),
+                                            spec: spec.clone(),
+                                        }
+                            })
+                            .expect("the baseline config is in the grid");
+                        assert_eq!(s, base.metrics.time_us / r.metrics.time_us);
+                    }
+                    PointKind::Training { .. } => unreachable!("no training scenario here"),
+                }
             }
         }
     }
@@ -1055,7 +1004,7 @@ mod tests {
     fn baseline_outside_grid_is_executed() {
         let mut sc = tiny();
         // Baseline engine not in the grid: ACE.
-        sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ace {
+        sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ace {
             dma_mem_gbps: 128.0,
             sram_mb: 4,
             fsms: 16,
@@ -1247,7 +1196,7 @@ mod tests {
             ];
             sc.payload_bytes = vec![payload];
             sc.contention = vec![contention.parse().unwrap()];
-            sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+            sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
             sc
         };
         let first = scenario("first", 1 << 20, "none");
@@ -1424,7 +1373,7 @@ mod tests {
         sc.mem_gbps = vec![128.0];
         sc.sram_mb = vec![1, 2, 4, 8];
         sc.fsms = vec![4, 16];
-        sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ace {
+        sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ace {
             dma_mem_gbps: 128.0,
             sram_mb: 4,
             fsms: 16,

@@ -48,7 +48,7 @@ impl fmt::Display for SweepMode {
 }
 
 /// The engine families a collective-mode scenario can sweep. Families are
-/// resolved against the knob axes into concrete [`EngineSpec`]s; knobs a
+/// resolved against the knob axes into concrete [`EngineKind`]s; knobs a
 /// family does not consume are dropped, so e.g. `ideal` collapses to a
 /// single point regardless of the `mem_gbps` axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,6 +68,25 @@ impl EngineFamily {
             EngineFamily::Ideal => "ideal",
             EngineFamily::Baseline => "baseline",
             EngineFamily::Ace => "ace",
+        }
+    }
+
+    /// The family `engine` belongs to.
+    pub(crate) fn of(engine: EngineKind) -> EngineFamily {
+        match engine {
+            EngineKind::Ideal => EngineFamily::Ideal,
+            EngineKind::Baseline { .. } => EngineFamily::Baseline,
+            EngineKind::Ace { .. } => EngineFamily::Ace,
+        }
+    }
+
+    /// The Table VI engine the family stands for where a scenario leaves
+    /// a knob unset: ideal's, CommOpt's baseline or ACE's.
+    fn paper_engine(self) -> EngineKind {
+        match self {
+            EngineFamily::Ideal => SystemConfig::Ideal.engine(),
+            EngineFamily::Baseline => SystemConfig::BaselineCommOpt.engine(),
+            EngineFamily::Ace => SystemConfig::Ace.engine(),
         }
     }
 }
@@ -98,153 +117,6 @@ impl std::str::FromStr for EngineFamily {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         ace_toml::Spelling::from_spelling(s)
-    }
-}
-
-/// A fully resolved endpoint engine: an [`EngineFamily`] with every knob
-/// it consumes pinned. Two points with equal specs simulate identically,
-/// which is what the runner's cache keys on.
-#[derive(Debug, Clone, Copy)]
-pub enum EngineSpec {
-    /// One-cycle ideal endpoint.
-    Ideal,
-    /// Baseline with a (memory GB/s, SM count) communication allocation.
-    Baseline {
-        /// HBM bandwidth available to communication, GB/s.
-        mem_gbps: f64,
-        /// SMs loaned to communication.
-        comm_sms: u32,
-    },
-    /// ACE at a design-space point.
-    Ace {
-        /// HBM bandwidth available to the DMA engines, GB/s.
-        dma_mem_gbps: f64,
-        /// Scratchpad SRAM in MB.
-        sram_mb: u64,
-        /// Programmable FSM count.
-        fsms: usize,
-    },
-}
-
-impl EngineSpec {
-    /// A baseline engine with a `(memory GB/s, SM count)` communication
-    /// allocation — the public spelling the figure binaries use instead
-    /// of struct-literal plumbing.
-    pub fn baseline(mem_gbps: f64, comm_sms: u32) -> EngineSpec {
-        EngineSpec::Baseline { mem_gbps, comm_sms }
-    }
-
-    /// ACE at the paper's chosen design point (4 MB SRAM, 16 FSMs) with
-    /// a custom DMA memory carve-out.
-    pub fn ace(dma_mem_gbps: f64) -> EngineSpec {
-        EngineSpec::Ace {
-            dma_mem_gbps,
-            sram_mb: 4,
-            fsms: 16,
-        }
-    }
-
-    /// The family this spec resolves.
-    pub fn family(&self) -> EngineFamily {
-        match self {
-            EngineSpec::Ideal => EngineFamily::Ideal,
-            EngineSpec::Baseline { .. } => EngineFamily::Baseline,
-            EngineSpec::Ace { .. } => EngineFamily::Ace,
-        }
-    }
-
-    /// Converts to the system harness's engine selector.
-    pub fn to_engine_kind(&self) -> EngineKind {
-        match *self {
-            EngineSpec::Ideal => EngineKind::Ideal,
-            EngineSpec::Baseline { mem_gbps, comm_sms } => EngineKind::Baseline {
-                comm_mem_gbps: mem_gbps,
-                comm_sms,
-            },
-            EngineSpec::Ace {
-                dma_mem_gbps,
-                sram_mb,
-                fsms,
-            } => EngineKind::Ace {
-                dma_mem_gbps,
-                sram_mb,
-                fsms,
-            },
-        }
-    }
-}
-
-impl PartialEq for EngineSpec {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (EngineSpec::Ideal, EngineSpec::Ideal) => true,
-            (
-                EngineSpec::Baseline {
-                    mem_gbps: a,
-                    comm_sms: b,
-                },
-                EngineSpec::Baseline {
-                    mem_gbps: c,
-                    comm_sms: d,
-                },
-            ) => a.to_bits() == c.to_bits() && b == d,
-            (
-                EngineSpec::Ace {
-                    dma_mem_gbps: a,
-                    sram_mb: b,
-                    fsms: c,
-                },
-                EngineSpec::Ace {
-                    dma_mem_gbps: d,
-                    sram_mb: e,
-                    fsms: f,
-                },
-            ) => a.to_bits() == d.to_bits() && b == e && c == f,
-            _ => false,
-        }
-    }
-}
-
-impl Eq for EngineSpec {}
-
-impl Hash for EngineSpec {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            EngineSpec::Ideal => 0u8.hash(state),
-            EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                1u8.hash(state);
-                mem_gbps.to_bits().hash(state);
-                comm_sms.hash(state);
-            }
-            EngineSpec::Ace {
-                dma_mem_gbps,
-                sram_mb,
-                fsms,
-            } => {
-                2u8.hash(state);
-                dma_mem_gbps.to_bits().hash(state);
-                sram_mb.hash(state);
-                fsms.hash(state);
-            }
-        }
-    }
-}
-
-impl fmt::Display for EngineSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineSpec::Ideal => f.write_str("ideal"),
-            EngineSpec::Baseline { mem_gbps, comm_sms } => {
-                write!(f, "baseline[mem={mem_gbps},sms={comm_sms}]")
-            }
-            EngineSpec::Ace {
-                dma_mem_gbps,
-                sram_mb,
-                fsms,
-            } => {
-                write!(f, "ace[dma={dma_mem_gbps},sram={sram_mb}MB,fsms={fsms}]")
-            }
-        }
     }
 }
 
@@ -481,7 +353,7 @@ impl fmt::Display for WorkloadSel {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineSpec {
     /// Collective mode: a resolved engine.
-    Engine(EngineSpec),
+    Engine(EngineKind),
     /// Training mode: one of the Table VI configurations.
     Config(SystemConfig),
 }
@@ -578,9 +450,21 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// An empty collective-mode scenario with paper-default knobs; callers
-    /// fill in the axes they sweep.
+    /// An empty collective-mode scenario with paper-default knobs (ACE's
+    /// DMA share, SRAM and FSMs and CommOpt's SMs, from
+    /// [`SystemConfig::engine`]); callers fill in the axes they sweep.
     pub fn collective(name: impl Into<String>) -> Scenario {
+        let EngineKind::Ace {
+            dma_mem_gbps,
+            sram_mb,
+            fsms,
+        } = EngineFamily::Ace.paper_engine()
+        else {
+            unreachable!("ACE runs the ACE engine")
+        };
+        let EngineKind::Baseline { comm_sms, .. } = EngineFamily::Baseline.paper_engine() else {
+            unreachable!("CommOpt runs the baseline engine")
+        };
         Scenario {
             name: name.into(),
             mode: SweepMode::Collective,
@@ -592,10 +476,10 @@ impl Scenario {
             ],
             ops: vec![CollectiveOp::AllReduce],
             payload_bytes: vec![64 << 20],
-            mem_gbps: vec![128.0],
-            comm_sms: vec![6],
-            sram_mb: vec![4],
-            fsms: vec![16],
+            mem_gbps: vec![dma_mem_gbps],
+            comm_sms: vec![comm_sms],
+            sram_mb: vec![sram_mb],
+            fsms: vec![fsms],
             configs: Vec::new(),
             workloads: Vec::new(),
             iterations: 2,
@@ -1219,19 +1103,27 @@ fn parse_baseline(
                         }),
                 }
             };
-            let spec = match family {
-                EngineFamily::Ideal => EngineSpec::Ideal,
-                EngineFamily::Baseline => EngineSpec::Baseline {
-                    mem_gbps: gbps("mem_gbps", 450.0)?,
-                    comm_sms: posint("comm_sms", 6)? as u32,
+            // An unset knob keeps the family's Table VI value.
+            let engine = match family.paper_engine() {
+                EngineKind::Ideal => EngineKind::Ideal,
+                EngineKind::Baseline {
+                    comm_mem_gbps,
+                    comm_sms,
+                } => EngineKind::Baseline {
+                    comm_mem_gbps: gbps("mem_gbps", comm_mem_gbps)?,
+                    comm_sms: posint("comm_sms", u64::from(comm_sms))? as u32,
                 },
-                EngineFamily::Ace => EngineSpec::Ace {
-                    dma_mem_gbps: gbps("mem_gbps", 128.0)?,
-                    sram_mb: posint("sram_mb", 4)?,
-                    fsms: posint("fsms", 16)? as usize,
+                EngineKind::Ace {
+                    dma_mem_gbps,
+                    sram_mb,
+                    fsms,
+                } => EngineKind::Ace {
+                    dma_mem_gbps: gbps("mem_gbps", dma_mem_gbps)?,
+                    sram_mb: posint("sram_mb", sram_mb)?,
+                    fsms: posint("fsms", fsms as u64)? as usize,
                 },
             };
-            Ok(BaselineSpec::Engine(spec))
+            Ok(BaselineSpec::Engine(engine))
         }
     }
 }
@@ -1264,7 +1156,7 @@ mod tests {
         assert_eq!(sc.engines.len(), 3);
         assert_eq!(sc.payload_bytes, vec![64 << 20]);
         assert_eq!(sc.mem_gbps, vec![32.0, 64.0, 128.0, 450.0]);
-        assert_eq!(sc.baseline, Some(BaselineSpec::Engine(EngineSpec::Ideal)));
+        assert_eq!(sc.baseline, Some(BaselineSpec::Engine(EngineKind::Ideal)));
     }
 
     #[test]
@@ -1496,25 +1388,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_spec_identity_ignores_nan_pitfalls() {
-        use std::collections::HashSet;
-        let mut set = HashSet::new();
-        set.insert(EngineSpec::Baseline {
-            mem_gbps: 450.0,
-            comm_sms: 6,
-        });
-        assert!(set.contains(&EngineSpec::Baseline {
-            mem_gbps: 450.0,
-            comm_sms: 6
-        }));
-        assert!(!set.contains(&EngineSpec::Baseline {
-            mem_gbps: 450.0,
-            comm_sms: 7
-        }));
-        assert!(!set.contains(&EngineSpec::Ideal));
-    }
-
-    #[test]
     fn serving_scenario_parses() {
         let sc = Scenario::from_toml_str(
             r#"
@@ -1635,28 +1508,6 @@ mod tests {
         let mut sc = Scenario::collective("bad");
         sc.faults = Vec::new();
         assert!(sc.validate().is_err());
-    }
-
-    #[test]
-    fn engine_spec_display() {
-        assert_eq!(EngineSpec::Ideal.to_string(), "ideal");
-        assert_eq!(
-            EngineSpec::Baseline {
-                mem_gbps: 450.0,
-                comm_sms: 6
-            }
-            .to_string(),
-            "baseline[mem=450,sms=6]"
-        );
-        assert_eq!(
-            EngineSpec::Ace {
-                dma_mem_gbps: 128.0,
-                sram_mb: 4,
-                fsms: 16
-            }
-            .to_string(),
-            "ace[dma=128,sram=4MB,fsms=16]"
-        );
     }
 
     #[test]

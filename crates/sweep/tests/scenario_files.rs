@@ -3,7 +3,8 @@
 
 use std::path::PathBuf;
 
-use ace_sweep::{grid_len, BaselineSpec, EngineSpec, Scenario, SweepMode};
+use ace_sweep::{grid_len, BaselineSpec, Scenario, SweepMode};
+use ace_system::EngineKind;
 
 fn load(name: &str) -> Scenario {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -25,7 +26,7 @@ fn design_space_scenario_matches_fig09a_grid() {
     assert_eq!(grid_len(&sc), 32);
     assert_eq!(
         sc.baseline,
-        Some(BaselineSpec::Engine(EngineSpec::Ace {
+        Some(BaselineSpec::Engine(EngineKind::Ace {
             dma_mem_gbps: 128.0,
             sram_mb: 4,
             fsms: 16
@@ -41,7 +42,7 @@ fn membw_scenario_matches_fig05_grid() {
     assert_eq!(sc.engines.len(), 3);
     // 2 topologies x 3 engines x 10 mem points.
     assert_eq!(grid_len(&sc), 60);
-    assert_eq!(sc.baseline, Some(BaselineSpec::Engine(EngineSpec::Ideal)));
+    assert_eq!(sc.baseline, Some(BaselineSpec::Engine(EngineKind::Ideal)));
     // The expansion dedupes to 2 x (1 ideal + 10 baseline + 10 ace).
     let points = ace_sweep::expand(&sc);
     let unique: std::collections::HashSet<_> = points.iter().collect();

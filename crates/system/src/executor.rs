@@ -1514,11 +1514,6 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         self.colls[coll.0].is_complete()
     }
 
-    /// Completion time, if completed.
-    pub fn completion_time(&self, coll: CollHandle) -> Option<SimTime> {
-        self.colls[coll.0].completed_at
-    }
-
     /// Processes events up to and including time `t`.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(next) = self.queue.peek_time() {
@@ -2063,7 +2058,7 @@ mod tests {
         let mut ex = executor(SystemConfig::Ace, shape442());
         let h = ex.issue(CollectiveOp::AllReduce, 0, SimTime::from_cycles(5));
         assert!(ex.is_complete(h));
-        assert_eq!(ex.completion_time(h), Some(SimTime::from_cycles(5)));
+        assert_eq!(ex.run_until_complete(h), SimTime::from_cycles(5));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn engines(weights: &[f64]) -> Vec<(&'static str, EngineFactory)> {
         Box::new(move || {
             Box::new(AceEndpoint::new(AceEndpointParams {
                 config: AceConfig::with_dse_point(1, 4),
-                ..AceEndpointParams::paper_default(w.clone())
+                ..AceEndpointParams::paper_default(128.0, w.clone())
             }))
         }),
     ));

@@ -392,21 +392,6 @@ impl Workload {
             .unwrap_or(0.0);
         layers + emb
     }
-
-    /// Total memory bytes of one iteration's compute kernels.
-    pub fn total_mem_bytes(&self) -> f64 {
-        let layers: f64 = self
-            .layers
-            .iter()
-            .map(|l| l.fwd().mem_bytes() + l.input_grad().mem_bytes() + l.weight_grad().mem_bytes())
-            .sum();
-        let emb = self
-            .embedding
-            .as_ref()
-            .map(|e| e.lookup.mem_bytes() + e.update.mem_bytes())
-            .unwrap_or(0.0);
-        layers + emb
-    }
 }
 
 impl fmt::Display for Workload {
@@ -453,7 +438,6 @@ mod tests {
     fn totals_are_positive() {
         for w in Workload::paper_suite(64) {
             assert!(w.total_flops() > 0.0, "{}", w.name());
-            assert!(w.total_mem_bytes() > 0.0);
             assert!(w.total_comm_bytes() > 0);
         }
     }

@@ -8,7 +8,7 @@
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::engine::{synthesis, AceConfig};
 use ace_platform::net::TopologySpec;
-use ace_platform::system::{EngineKind, RunSpec};
+use ace_platform::system::{EngineKind, RunSpec, SystemConfig};
 
 fn main() {
     let shape = TopologySpec::torus3(4, 2, 2).expect("a valid shape");
@@ -19,12 +19,19 @@ fn main() {
         "{:>6} | {:>12} | {:>10} | {:>10} | {:>10}",
         "SRAM", "64MB AR (us)", "area mm^2", "power W", "of NPU"
     );
+    // Table VI's ACE, with only the SRAM swept.
+    let EngineKind::Ace {
+        dma_mem_gbps, fsms, ..
+    } = SystemConfig::Ace.engine()
+    else {
+        unreachable!("ACE runs the ACE engine")
+    };
     for sram_mb in [1u64, 2, 4, 8] {
-        let config = AceConfig::with_dse_point(sram_mb, 16);
+        let config = AceConfig::with_dse_point(sram_mb, fsms);
         let engine = EngineKind::Ace {
-            dma_mem_gbps: 128.0,
+            dma_mem_gbps,
             sram_mb,
-            fsms: 16,
+            fsms,
         };
         let done = RunSpec::new(shape, engine, CollectiveOp::AllReduce, 64 << 20)
             .run()

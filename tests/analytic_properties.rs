@@ -17,10 +17,11 @@
 //! Cases are generated by the same deterministic splitmix64 generator as
 //! `property_tests.rs` (the build environment has no proptest).
 
-use ace_platform::collectives::analytic::{estimate_on_spec, EndpointModel, RouteMemo};
+use ace_platform::collectives::analytic::{
+    estimate_collective_with_memo, EndpointModel, RouteMemo,
+};
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::net::{NetworkParams, TopologySpec};
-use ace_platform::sweep::scenario::EngineSpec;
 use ace_platform::sweep::{execute_analytic, execute_tier, PointKind, RunPoint, Tier, WorkloadSel};
 use ace_platform::system::{
     analytic_collective_run, EngineKind, RunConditions, RunSpec, SystemConfig,
@@ -159,11 +160,13 @@ fn analytic_is_monotone_in_alpha() {
             net.intra.latency_cycles *= alpha_scale;
             net.inter.latency_cycles *= alpha_scale;
             let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
-            let est = ace_platform::collectives::analytic::estimate_collective(
+            let est = estimate_collective_with_memo(
                 &plan,
                 &net,
                 payload,
                 &EndpointModel::Ideal,
+                None,
+                &RouteMemo::new(),
             );
             assert!(
                 est.cycles > last,
@@ -181,12 +184,13 @@ fn zero_payload_is_exactly_degenerate() {
     // answer is "instant" — the analytic estimate is exactly zero cycles
     // and moves zero bytes.
     for spec in small_specs() {
-        let est = estimate_on_spec(
-            CollectiveOp::AllReduce,
-            spec,
+        let est = estimate_collective_with_memo(
+            &CollectivePlan::for_spec(CollectiveOp::AllReduce, spec),
             &NetworkParams::paper_default(),
             0,
             &EndpointModel::Ideal,
+            None,
+            &RouteMemo::new(),
         );
         assert_eq!(est.cycles, 0.0, "{spec}");
         assert_eq!(est.network_bytes_per_node, 0.0, "{spec}");
@@ -241,7 +245,7 @@ fn sweep_tiers_agree_with_their_backends() {
         topology: "2x2x1".parse().unwrap(),
         conditions: RunConditions::default(),
         kind: PointKind::Collective {
-            engine: EngineSpec::ace(128.0),
+            engine: SystemConfig::Ace.engine(),
             op: CollectiveOp::AllReduce,
             payload_bytes: 2 << 20,
         },

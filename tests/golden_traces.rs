@@ -28,9 +28,10 @@ use std::path::PathBuf;
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::sweep::{
-    report, run_scenario, BaselineSpec, EngineFamily, EngineSpec, Fidelity, RunnerOptions,
-    Scenario, SweepOutcome,
+    report, run_scenario, BaselineSpec, EngineFamily, Fidelity, RunnerOptions, Scenario,
+    SweepOutcome,
 };
+use ace_platform::system::EngineKind;
 
 /// Smoke payload: big enough to exercise chunking/pipelining, small
 /// enough for debug-mode test runs.
@@ -94,7 +95,7 @@ fn fig05_smoke() -> Scenario {
     sc.payload_bytes = vec![PAYLOAD];
     sc.mem_gbps = vec![64.0, 128.0, 450.0];
     sc.comm_sms = vec![80];
-    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+    sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
     sc
 }
 
@@ -106,7 +107,7 @@ fn fig06_smoke() -> Scenario {
     sc.payload_bytes = vec![PAYLOAD];
     sc.mem_gbps = vec![900.0];
     sc.comm_sms = vec![1, 2, 6];
-    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+    sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
     sc
 }
 
@@ -121,7 +122,7 @@ fn fig09a_smoke() -> Scenario {
     sc.comm_sms = vec![6];
     sc.sram_mb = vec![1, 4];
     sc.fsms = vec![4, 16];
-    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ace {
+    sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ace {
         dma_mem_gbps: 128.0,
         sram_mb: 4,
         fsms: 16,
@@ -222,7 +223,7 @@ fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
         "none".parse().expect("valid contention"),
         "uniform:8".parse().expect("valid contention"),
     ];
-    sc.baseline = Some(BaselineSpec::Engine(EngineSpec::Ideal));
+    sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ideal));
     sc
 }
 

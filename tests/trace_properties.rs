@@ -17,11 +17,10 @@
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::net::{NetworkParams, TopologySpec};
 use ace_platform::simcore::SimTime;
-use ace_platform::sweep::scenario::EngineSpec;
 use ace_platform::sweep::{execute_tier, PointKind, RunPoint, Tier};
 use ace_platform::system::{
-    training_program, CollectiveExecutor, ExecutorOptions, RunConditions, RunSpec, SystemConfig,
-    TrainSpec,
+    training_program, CollectiveExecutor, EngineKind, ExecutorOptions, RunConditions, RunSpec,
+    SystemConfig, TrainSpec,
 };
 use ace_platform::trace::chrome::{to_chrome_json, validate_chrome_trace};
 use ace_platform::trace::RecordingTracer;
@@ -113,9 +112,16 @@ fn attribution_conserves_across_random_points_and_tiers() {
     let mut points: Vec<RunPoint> = Vec::new();
     for _ in 0..8 {
         let engine = match rng.range(0, 3) {
-            0 => EngineSpec::Ideal,
-            1 => EngineSpec::baseline(*rng.pick(&[128.0, 450.0]), 6),
-            _ => EngineSpec::ace(*rng.pick(&[64.0, 128.0])),
+            0 => EngineKind::Ideal,
+            1 => EngineKind::Baseline {
+                comm_mem_gbps: *rng.pick(&[128.0, 450.0]),
+                comm_sms: 6,
+            },
+            _ => EngineKind::Ace {
+                dma_mem_gbps: *rng.pick(&[64.0, 128.0]),
+                sram_mb: 4,
+                fsms: 16,
+            },
         };
         points.push(RunPoint {
             topology: *rng.pick(&small_specs()),
