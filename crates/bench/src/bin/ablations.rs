@@ -14,7 +14,7 @@
 
 use ace_bench::{emit_tsv, header, subheader};
 use ace_collectives::{CollectiveOp, CollectivePlan, Granularity};
-use ace_net::{NetworkParams, TopologySpec};
+use ace_net::TopologySpec;
 use ace_simcore::SimTime;
 use ace_system::{CollectiveExecutor, ExecutorOptions, SchedulingPolicy, SystemConfig};
 use ace_trace::NullTracer;
@@ -22,11 +22,10 @@ use ace_trace::NullTracer;
 const PAYLOAD: u64 = 32 << 20;
 
 fn ace_executor(shape: TopologySpec, options: ExecutorOptions) -> CollectiveExecutor {
-    let params = NetworkParams::paper_default();
     let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
-    let weights = CollectiveExecutor::phase_weights(&plan, &params);
-    let make_engine = move || SystemConfig::Ace.make_engine(&weights);
-    CollectiveExecutor::new(shape, params, options, None, make_engine, NullTracer)
+    let weights = CollectiveExecutor::phase_weights(&plan);
+    let engine = SystemConfig::Ace.engine();
+    CollectiveExecutor::new(shape, options, None, engine, &weights, NullTracer)
 }
 
 fn run_single(shape: TopologySpec, options: ExecutorOptions) -> u64 {

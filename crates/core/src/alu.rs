@@ -33,11 +33,6 @@ impl AluModel {
     pub fn reduce(&mut self, now: SimTime, bytes: u64) -> Grant {
         self.server.request(now, bytes)
     }
-
-    /// ALU busy fraction over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        self.server.utilization(horizon)
-    }
 }
 
 #[cfg(test)]

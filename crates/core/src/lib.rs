@@ -172,9 +172,7 @@ impl AceState {
 
     /// Exact engine-busy cycles over `[0, horizon]` ("ACE is considered
     /// utilized when it has assigned at least one chunk for processing").
-    /// This is the integer ground truth behind Fig. 9b; reports must
-    /// consume it directly rather than reconstructing cycles from the
-    /// [`utilization`](AceState::utilization) ratio.
+    /// This is the integer ground truth behind Fig. 9b's utilization.
     pub fn busy_cycles(&self, horizon: SimTime) -> u64 {
         // An open busy interval extends to the horizon.
         let mut busy = self.busy;
@@ -182,17 +180,6 @@ impl AceState {
             busy += horizon.saturating_since(since);
         }
         busy
-    }
-
-    /// Engine-busy fraction over `[0, horizon]` — Fig. 9b's utilization
-    /// metric, derived from the exact [`busy_cycles`](AceState::busy_cycles)
-    /// counter.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.cycles() == 0 {
-            0.0
-        } else {
-            (self.busy_cycles(horizon) as f64 / horizon.cycles() as f64).min(1.0)
-        }
     }
 }
 
@@ -211,7 +198,7 @@ mod tests {
         assert_eq!(s.active_chunks(), 1);
         s.release(0, 64 * 1024, SimTime::from_cycles(100));
         assert_eq!(s.active_chunks(), 0);
-        assert!((s.utilization(SimTime::from_cycles(200)) - 0.5).abs() < 1e-9);
+        assert_eq!(s.busy_cycles(SimTime::from_cycles(200)), 100);
     }
 
     #[test]
@@ -230,9 +217,8 @@ mod tests {
     fn utilization_covers_open_interval() {
         let mut s = state();
         s.try_admit(0, 1024, SimTime::from_cycles(10));
-        // Still active: busy from 10 to horizon 110 = 100 of 110.
-        let u = s.utilization(SimTime::from_cycles(110));
-        assert!((u - 100.0 / 110.0).abs() < 1e-9);
+        // Still active: busy from 10 to the horizon at 110.
+        assert_eq!(s.busy_cycles(SimTime::from_cycles(110)), 100);
     }
 
     #[test]
@@ -245,7 +231,6 @@ mod tests {
         s.try_admit(0, 1024, SimTime::from_cycles(5));
         s.release(0, 1024, SimTime::from_cycles(15));
         assert_eq!(s.busy_cycles(SimTime::from_cycles(30)), 15);
-        assert!((s.utilization(SimTime::from_cycles(30)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

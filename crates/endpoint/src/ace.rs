@@ -169,10 +169,6 @@ impl CollectiveEngine for AceEndpoint {
         self.ace.release(phase, bytes, now);
     }
 
-    fn utilization(&self, horizon: SimTime) -> Option<f64> {
-        Some(self.ace.utilization(horizon))
-    }
-
     fn busy_cycles(&self, horizon: SimTime) -> Option<u64> {
         Some(self.ace.busy_cycles(horizon))
     }
@@ -233,9 +229,9 @@ mod tests {
     #[test]
     fn utilization_is_reported() {
         let mut ep = endpoint();
-        assert_eq!(ep.utilization(SimTime::from_cycles(100)), Some(0.0));
+        assert_eq!(ep.busy_cycles(SimTime::from_cycles(100)), Some(0));
         ep.try_admit(0, 1024, SimTime::ZERO);
-        assert!(ep.utilization(SimTime::from_cycles(100)).unwrap() > 0.99);
+        assert_eq!(ep.busy_cycles(SimTime::from_cycles(100)), Some(100));
     }
 
     #[test]

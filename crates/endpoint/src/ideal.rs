@@ -82,6 +82,6 @@ mod tests {
             assert!(e.try_admit(0, u64::MAX / 2, SimTime::ZERO));
         }
         assert_eq!(e.mem_traffic_bytes(), 0);
-        assert_eq!(e.utilization(SimTime::from_cycles(10)), None);
+        assert_eq!(e.busy_cycles(SimTime::from_cycles(10)), None);
     }
 }

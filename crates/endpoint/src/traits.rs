@@ -48,16 +48,9 @@ pub trait CollectiveEngine {
     /// Releases a previously admitted chunk from phase `phase`.
     fn release(&mut self, phase: usize, bytes: u64, now: SimTime);
 
-    /// Engine-busy fraction over `[0, horizon]`, if the engine tracks it
-    /// (ACE does, for Fig. 9b).
-    fn utilization(&self, _horizon: SimTime) -> Option<f64> {
-        None
-    }
-
     /// Exact engine-busy cycles over `[0, horizon]`, if the engine tracks
-    /// them. This is the integer counter utilization ratios derive from;
-    /// reports that need cycle figures must use it directly instead of
-    /// multiplying `utilization` back up (a lossy f64 round-trip).
+    /// them (ACE does, for Fig. 9b). Reports derive their utilization
+    /// ratios from this integer counter.
     fn busy_cycles(&self, _horizon: SimTime) -> Option<u64> {
         None
     }
@@ -73,63 +66,5 @@ pub trait CollectiveEngine {
     /// charges their communication share to `other`.
     fn pipe_busy(&self) -> PipeBusy {
         PipeBusy::default()
-    }
-}
-
-/// Forwarding impl so a boxed engine is itself an engine: generic
-/// simulators can run either monomorphized over a concrete engine type
-/// (devirtualized hot path) or over `Box<dyn CollectiveEngine>` when the
-/// engine is chosen at runtime.
-impl CollectiveEngine for Box<dyn CollectiveEngine> {
-    fn chunk_inject(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        (**self).chunk_inject(now, bytes)
-    }
-
-    fn fetch_and_send(&mut self, now: SimTime, bytes: u64, phase: usize) -> SimTime {
-        (**self).fetch_and_send(now, bytes, phase)
-    }
-
-    fn reduce_and_send(&mut self, now: SimTime, bytes: u64, phase: usize) -> SimTime {
-        (**self).reduce_and_send(now, bytes, phase)
-    }
-
-    fn reduce_and_store(&mut self, now: SimTime, bytes: u64, phase: usize) -> SimTime {
-        (**self).reduce_and_store(now, bytes, phase)
-    }
-
-    fn receive(&mut self, now: SimTime, bytes: u64, phase: usize) -> SimTime {
-        (**self).receive(now, bytes, phase)
-    }
-
-    fn store_and_forward(&mut self, now: SimTime, bytes: u64, phase: usize) -> SimTime {
-        (**self).store_and_forward(now, bytes, phase)
-    }
-
-    fn chunk_complete(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        (**self).chunk_complete(now, bytes)
-    }
-
-    fn try_admit(&mut self, phase: usize, bytes: u64, now: SimTime) -> bool {
-        (**self).try_admit(phase, bytes, now)
-    }
-
-    fn release(&mut self, phase: usize, bytes: u64, now: SimTime) {
-        (**self).release(phase, bytes, now)
-    }
-
-    fn utilization(&self, horizon: SimTime) -> Option<f64> {
-        (**self).utilization(horizon)
-    }
-
-    fn busy_cycles(&self, horizon: SimTime) -> Option<u64> {
-        (**self).busy_cycles(horizon)
-    }
-
-    fn mem_traffic_bytes(&self) -> u64 {
-        (**self).mem_traffic_bytes()
-    }
-
-    fn pipe_busy(&self) -> PipeBusy {
-        (**self).pipe_busy()
     }
 }

@@ -76,11 +76,6 @@ impl AfiBus {
     pub fn bytes_carried(&self) -> u64 {
         self.server.bytes_served()
     }
-
-    /// Bus busy fraction over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        self.server.utilization(horizon)
-    }
 }
 
 #[cfg(test)]

@@ -113,14 +113,6 @@ impl BandwidthServer {
     pub fn busy_cycles(&self) -> f64 {
         self.busy_cycles
     }
-
-    /// Fraction of the interval `[0, horizon]` this server spent busy.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.cycles() == 0 {
-            return 0.0;
-        }
-        (self.busy_cycles / horizon.cycles() as f64).min(1.0)
-    }
 }
 
 /// A FIFO resource with `k` identical slots, each serving one request at a
@@ -208,14 +200,6 @@ impl SlotServer {
     pub fn busy_cycles(&self) -> u64 {
         self.busy_cycles
     }
-
-    /// Average per-slot utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.cycles() == 0 {
-            return 0.0;
-        }
-        (self.busy_cycles as f64 / (horizon.cycles() as f64 * self.slots.len() as f64)).min(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +257,6 @@ mod tests {
         s.request(SimTime::ZERO, 50);
         assert_eq!(s.bytes_served(), 150);
         assert!((s.busy_cycles() - 15.0).abs() < 1e-9);
-        assert!((s.utilization(SimTime::from_cycles(30)) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -306,7 +289,8 @@ mod tests {
     fn slot_server_utilization() {
         let mut s = SlotServer::new(2);
         s.request(SimTime::ZERO, 10);
-        assert!((s.utilization(SimTime::from_cycles(10)) - 0.5).abs() < 1e-9);
+        s.request(SimTime::ZERO, 4);
+        assert_eq!(s.busy_cycles(), 14);
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! so the same scenario always yields the same point list — the anchor
 //! for reproducible reports and the runner's determinism guarantee.
 //!
-//! Engine families drop the knobs they do not consume when resolving to
-//! an [`EngineKind`], so the raw cartesian product contains *duplicate*
-//! points (e.g. `ideal` × a 10-value `mem_gbps` axis yields 10 identical
-//! points). Duplicates are preserved here — one row per grid cell — and
-//! collapsed by the runner's cache so each unique point simulates once.
+//! An unset (empty) knob axis counts as one value: each engine family
+//! fills it with its own Table VI value. Engine families drop the knobs
+//! they do not consume when resolving to an [`EngineKind`], so the raw
+//! cartesian product contains *duplicate* points (e.g. `ideal` × a
+//! 10-value `mem_gbps` axis yields 10 identical points). Duplicates are
+//! preserved here — one row per grid cell — and collapsed by the
+//! runner's cache so each unique point simulates once.
 
 use ace_collectives::CollectiveOp;
 use ace_net::TopologySpec;
@@ -18,7 +20,7 @@ use ace_serve::ServingSpec;
 use ace_system::{EngineKind, RunConditions, SystemConfig};
 use ace_workloads::StragglerSpec;
 
-use crate::scenario::{EngineFamily, Scenario, SweepMode, WorkloadSel};
+use crate::scenario::{Scenario, SweepMode, WorkloadSel};
 
 /// One cell of the expanded design-space grid. Not `Copy`: training
 /// points carry a [`WorkloadSel`], which may reference a custom
@@ -118,29 +120,21 @@ pub fn expand(scenario: &Scenario) -> Vec<RunPoint> {
     let mut points = Vec::with_capacity(grid_len(scenario));
     match scenario.mode {
         SweepMode::Collective => {
+            let engines = engine_axes(scenario);
             for &topology in &scenario.topologies {
                 for &op in &scenario.ops {
                     for &payload_bytes in &scenario.payload_bytes {
-                        for &family in &scenario.engines {
-                            for &mem in &scenario.mem_gbps {
-                                for &sms in &scenario.comm_sms {
-                                    for &sram in &scenario.sram_mb {
-                                        for &fsms in &scenario.fsms {
-                                            let engine = resolve(family, mem, sms, sram, fsms);
-                                            for conditions in &conditions {
-                                                points.push(RunPoint {
-                                                    topology,
-                                                    conditions: conditions.clone(),
-                                                    kind: PointKind::Collective {
-                                                        engine,
-                                                        op,
-                                                        payload_bytes,
-                                                    },
-                                                });
-                                            }
-                                        }
-                                    }
-                                }
+                        for &engine in &engines {
+                            for conditions in &conditions {
+                                points.push(RunPoint {
+                                    topology,
+                                    conditions: conditions.clone(),
+                                    kind: PointKind::Collective {
+                                        engine,
+                                        op,
+                                        payload_bytes,
+                                    },
+                                });
                             }
                         }
                     }
@@ -236,10 +230,10 @@ pub fn grid_len(scenario: &Scenario) -> usize {
                 * scenario.ops.len()
                 * scenario.payload_bytes.len()
                 * scenario.engines.len()
-                * scenario.mem_gbps.len()
-                * scenario.comm_sms.len()
-                * scenario.sram_mb.len()
-                * scenario.fsms.len()
+                * scenario.mem_gbps.len().max(1)
+                * scenario.comm_sms.len().max(1)
+                * scenario.sram_mb.len().max(1)
+                * scenario.fsms.len().max(1)
                 * conditions
         }
         SweepMode::Training => {
@@ -260,26 +254,35 @@ pub fn grid_len(scenario: &Scenario) -> usize {
     }
 }
 
-/// Resolves an engine family against the knob axes, dropping knobs the
-/// family does not consume.
-fn resolve(family: EngineFamily, mem: f64, sms: u32, sram: u64, fsms: usize) -> EngineKind {
-    match family {
-        EngineFamily::Ideal => EngineKind::Ideal,
-        EngineFamily::Baseline => EngineKind::Baseline {
-            comm_mem_gbps: mem,
-            comm_sms: sms,
-        },
-        EngineFamily::Ace => EngineKind::Ace {
-            dma_mem_gbps: mem,
-            sram_mb: sram,
-            fsms,
-        },
+/// The engine × knob product (engine → mem → SMs → SRAM → FSMs), one
+/// resolved engine per cell. It sits inside the topology, op and payload
+/// axes, so it is resolved once for all of them.
+fn engine_axes(scenario: &Scenario) -> Vec<EngineKind> {
+    let mut engines = Vec::new();
+    for &family in &scenario.engines {
+        for mem in knob(&scenario.mem_gbps) {
+            for sms in knob(&scenario.comm_sms) {
+                for sram in knob(&scenario.sram_mb) {
+                    for fsms in knob(&scenario.fsms) {
+                        engines.push(family.resolve(mem, sms, sram, fsms));
+                    }
+                }
+            }
+        }
     }
+    engines
+}
+
+/// A knob axis's values, or one unset value when the axis is empty.
+fn knob<T: Copy>(axis: &[T]) -> impl Iterator<Item = Option<T>> + '_ {
+    let unset = axis.is_empty().then_some(None);
+    axis.iter().copied().map(Some).chain(unset)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::EngineFamily;
 
     fn fig05_like() -> Scenario {
         let mut sc = Scenario::collective("fig05");

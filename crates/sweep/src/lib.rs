@@ -10,8 +10,8 @@
 //!   environment is std-only, so the parser is hand-rolled),
 //! * [`grid`] — deterministic cartesian expansion into [`RunPoint`]s;
 //!   a collective point runs an [`ace_system::EngineKind`], and knobs a
-//!   scenario leaves unset take Table VI's values from
-//!   [`ace_system::SystemConfig::engine`],
+//!   scenario leaves unset take each engine family's own Table VI
+//!   values from [`ace_system::SystemConfig::engine`],
 //! * [`runner`] — the [`SweepRunner`]: runs a grid on scoped worker
 //!   threads against a `(tier, point)` [`Cache`] and the serving
 //!   round-cost memo ([`ace_serve::RoundMemo`]) its cells share, and

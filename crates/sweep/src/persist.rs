@@ -791,10 +791,10 @@ mod tests {
         let torus_point = out.results[0].point.clone();
         let mut cross = torus_point.clone();
         cross.topology = "switch:16".parse().unwrap();
-        assert_ne!(reloaded.get(&torus_point), None);
+        assert_ne!(reloaded.get_tier(Tier::Exact, &torus_point), None);
         assert_ne!(
-            reloaded.get(&torus_point),
-            reloaded.get(&cross),
+            reloaded.get_tier(Tier::Exact, &torus_point),
+            reloaded.get_tier(Tier::Exact, &cross),
             "switch and torus rows must not alias"
         );
         // And a warm rerun of the full grid simulates nothing.

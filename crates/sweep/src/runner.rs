@@ -199,11 +199,6 @@ impl Cache {
             .copied()
     }
 
-    /// Cached **exact** metrics for `point` (the historical accessor).
-    pub fn get(&self, point: &RunPoint) -> Option<Metrics> {
-        self.get_tier(Tier::Exact, point)
-    }
-
     /// Whether `point` is cached in `tier`.
     pub fn contains_tier(&self, tier: Tier, point: &RunPoint) -> bool {
         self.map
@@ -212,22 +207,12 @@ impl Cache {
             .contains_key(&(tier, point.clone()))
     }
 
-    /// Whether `point` is cached in the exact tier.
-    pub fn contains(&self, point: &RunPoint) -> bool {
-        self.contains_tier(Tier::Exact, point)
-    }
-
     /// Stores metrics for `point` in `tier`.
     pub fn insert_tier(&self, tier: Tier, point: RunPoint, metrics: Metrics) {
         self.map
             .lock()
             .expect("cache lock")
             .insert((tier, point), metrics);
-    }
-
-    /// Stores **exact** metrics for `point`.
-    pub fn insert(&self, point: RunPoint, metrics: Metrics) {
-        self.insert_tier(Tier::Exact, point, metrics);
     }
 
     /// Number of cached points (all tiers).

@@ -50,7 +50,8 @@ impl fmt::Display for SweepMode {
 /// The engine families a collective-mode scenario can sweep. Families are
 /// resolved against the knob axes into concrete [`EngineKind`]s; knobs a
 /// family does not consume are dropped, so e.g. `ideal` collapses to a
-/// single point regardless of the `mem_gbps` axis.
+/// single point regardless of the `mem_gbps` axis, and knobs left unset
+/// take the family's Table VI value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineFamily {
     /// One-cycle ideal endpoint — ignores every knob.
@@ -87,6 +88,38 @@ impl EngineFamily {
             EngineFamily::Ideal => SystemConfig::Ideal.engine(),
             EngineFamily::Baseline => SystemConfig::BaselineCommOpt.engine(),
             EngineFamily::Ace => SystemConfig::Ace.engine(),
+        }
+    }
+
+    /// The family's engine at the given knobs: knobs the family does not
+    /// consume are dropped, and an unset knob keeps the family's Table VI
+    /// value ([`paper_engine`](EngineFamily::paper_engine)). Both the grid
+    /// axes and a `[baseline]` table resolve through this.
+    pub(crate) fn resolve(
+        self,
+        mem_gbps: Option<f64>,
+        comm_sms: Option<u32>,
+        sram_mb: Option<u64>,
+        fsms: Option<usize>,
+    ) -> EngineKind {
+        match self.paper_engine() {
+            EngineKind::Ideal => EngineKind::Ideal,
+            EngineKind::Baseline {
+                comm_mem_gbps: paper_gbps,
+                comm_sms: paper_sms,
+            } => EngineKind::Baseline {
+                comm_mem_gbps: mem_gbps.unwrap_or(paper_gbps),
+                comm_sms: comm_sms.unwrap_or(paper_sms),
+            },
+            EngineKind::Ace {
+                dma_mem_gbps: paper_gbps,
+                sram_mb: paper_sram,
+                fsms: paper_fsms,
+            } => EngineKind::Ace {
+                dma_mem_gbps: mem_gbps.unwrap_or(paper_gbps),
+                sram_mb: sram_mb.unwrap_or(paper_sram),
+                fsms: fsms.unwrap_or(paper_fsms),
+            },
         }
     }
 }
@@ -378,7 +411,8 @@ pub struct Scenario {
     /// Collective mode: per-node payload sizes in bytes.
     pub payload_bytes: Vec<u64>,
     /// Knob axis: HBM GB/s for communication (baseline) or the DMA
-    /// carve-out (ACE).
+    /// carve-out (ACE). Each knob axis left empty is unset: every family
+    /// takes its own Table VI value for it.
     pub mem_gbps: Vec<f64>,
     /// Knob axis: SMs loaned to communication (baseline only).
     pub comm_sms: Vec<u32>,
@@ -450,21 +484,10 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// An empty collective-mode scenario with paper-default knobs (ACE's
-    /// DMA share, SRAM and FSMs and CommOpt's SMs, from
-    /// [`SystemConfig::engine`]); callers fill in the axes they sweep.
+    /// An empty collective-mode scenario with every knob axis unset, so
+    /// each engine family runs its Table VI engine (CommOpt's for the
+    /// baseline); callers fill in the axes they sweep.
     pub fn collective(name: impl Into<String>) -> Scenario {
-        let EngineKind::Ace {
-            dma_mem_gbps,
-            sram_mb,
-            fsms,
-        } = EngineFamily::Ace.paper_engine()
-        else {
-            unreachable!("ACE runs the ACE engine")
-        };
-        let EngineKind::Baseline { comm_sms, .. } = EngineFamily::Baseline.paper_engine() else {
-            unreachable!("CommOpt runs the baseline engine")
-        };
         Scenario {
             name: name.into(),
             mode: SweepMode::Collective,
@@ -476,10 +499,10 @@ impl Scenario {
             ],
             ops: vec![CollectiveOp::AllReduce],
             payload_bytes: vec![64 << 20],
-            mem_gbps: vec![dma_mem_gbps],
-            comm_sms: vec![comm_sms],
-            sram_mb: vec![sram_mb],
-            fsms: vec![fsms],
+            mem_gbps: Vec::new(),
+            comm_sms: Vec::new(),
+            sram_mb: Vec::new(),
+            fsms: Vec::new(),
             configs: Vec::new(),
             workloads: Vec::new(),
             iterations: 2,
@@ -512,10 +535,6 @@ impl Scenario {
             engines: Vec::new(),
             ops: Vec::new(),
             payload_bytes: Vec::new(),
-            mem_gbps: Vec::new(),
-            comm_sms: Vec::new(),
-            sram_mb: Vec::new(),
-            fsms: Vec::new(),
             configs: SystemConfig::ALL.to_vec(),
             workloads: vec![WorkloadSel::builtin(BuiltinWorkload::Resnet50)],
             ..Scenario::collective(name)
@@ -531,10 +550,6 @@ impl Scenario {
             engines: Vec::new(),
             ops: Vec::new(),
             payload_bytes: Vec::new(),
-            mem_gbps: Vec::new(),
-            comm_sms: Vec::new(),
-            sram_mb: Vec::new(),
-            fsms: Vec::new(),
             configs: vec![SystemConfig::Ace],
             workloads: vec![WorkloadSel::builtin(BuiltinWorkload::TransformerLm)],
             arrival_rates: vec![500.0],
@@ -864,10 +879,6 @@ impl Scenario {
                     ("engines", self.engines.is_empty()),
                     ("ops", self.ops.is_empty()),
                     ("payloads", self.payload_bytes.is_empty()),
-                    ("mem_gbps", self.mem_gbps.is_empty()),
-                    ("comm_sms", self.comm_sms.is_empty()),
-                    ("sram_mb", self.sram_mb.is_empty()),
-                    ("fsms", self.fsms.is_empty()),
                 ] {
                     if empty {
                         return Err(format!("collective mode requires a nonempty '{axis}' axis"));
@@ -1080,50 +1091,37 @@ fn parse_baseline(
                 })?
                 .parse()
                 .map_err(invalid)?;
-            let gbps = |key: &str, default: f64| -> Result<f64, ScenarioError> {
-                match table.get(key) {
-                    None => Ok(default),
-                    Some(v) => v
-                        .as_f64()
-                        .filter(|g| g.is_finite() && *g > 0.0)
-                        .ok_or_else(|| {
-                            invalid(format!("[baseline] {key} must be a positive number"))
-                        }),
-                }
+            let gbps = |key: &str| -> Result<Option<f64>, ScenarioError> {
+                table
+                    .get(key)
+                    .map(|v| {
+                        v.as_f64()
+                            .filter(|g| g.is_finite() && *g > 0.0)
+                            .ok_or_else(|| {
+                                invalid(format!("[baseline] {key} must be a positive number"))
+                            })
+                    })
+                    .transpose()
             };
-            let posint = |key: &str, default: u64| -> Result<u64, ScenarioError> {
-                match table.get(key) {
-                    None => Ok(default),
-                    Some(v) => v
-                        .as_i64()
-                        .filter(|&i| i >= 1)
-                        .map(|i| i as u64)
-                        .ok_or_else(|| {
-                            invalid(format!("[baseline] {key} must be a positive integer"))
-                        }),
-                }
+            let posint = |key: &str| -> Result<Option<u64>, ScenarioError> {
+                table
+                    .get(key)
+                    .map(|v| {
+                        v.as_i64()
+                            .filter(|&i| i >= 1)
+                            .map(|i| i as u64)
+                            .ok_or_else(|| {
+                                invalid(format!("[baseline] {key} must be a positive integer"))
+                            })
+                    })
+                    .transpose()
             };
-            // An unset knob keeps the family's Table VI value.
-            let engine = match family.paper_engine() {
-                EngineKind::Ideal => EngineKind::Ideal,
-                EngineKind::Baseline {
-                    comm_mem_gbps,
-                    comm_sms,
-                } => EngineKind::Baseline {
-                    comm_mem_gbps: gbps("mem_gbps", comm_mem_gbps)?,
-                    comm_sms: posint("comm_sms", u64::from(comm_sms))? as u32,
-                },
-                EngineKind::Ace {
-                    dma_mem_gbps,
-                    sram_mb,
-                    fsms,
-                } => EngineKind::Ace {
-                    dma_mem_gbps: gbps("mem_gbps", dma_mem_gbps)?,
-                    sram_mb: posint("sram_mb", sram_mb)?,
-                    fsms: posint("fsms", fsms as u64)? as usize,
-                },
-            };
-            Ok(BaselineSpec::Engine(engine))
+            Ok(BaselineSpec::Engine(family.resolve(
+                gbps("mem_gbps")?,
+                posint("comm_sms")?.map(|n| n as u32),
+                posint("sram_mb")?,
+                posint("fsms")?.map(|n| n as usize),
+            )))
         }
     }
 }
@@ -1193,12 +1191,30 @@ mod tests {
 
     #[test]
     fn defaults_fill_unswept_axes() {
+        // Each engine family fills an unset knob with its own Table VI
+        // value: CommOpt's for the baseline, ACE's for ACE.
+        let engines = |sc: &Scenario| -> Vec<String> {
+            crate::expand(sc)
+                .iter()
+                .map(|p| match p.kind {
+                    crate::PointKind::Collective { engine, .. } => engine.to_string(),
+                    _ => unreachable!("a collective grid"),
+                })
+                .collect()
+        };
         let sc = Scenario::from_toml_str("topologies = [\"4x2x2\"]\n").unwrap();
         assert_eq!(sc.mode, SweepMode::Collective);
-        assert_eq!(sc.sram_mb, vec![4]);
-        assert_eq!(sc.fsms, vec![16]);
+        assert_eq!(engines(&sc)[2], "ace[dma=128,sram=4MB,fsms=16]");
         assert_eq!(sc.iterations, 2);
         assert!(sc.baseline.is_none());
+        let sc = Scenario::from_toml_str(
+            "topologies = [\"2x1x1\"]\nengines = [\"baseline\", \"ace\"]\n",
+        )
+        .unwrap();
+        assert_eq!(
+            engines(&sc),
+            ["baseline[mem=450,sms=6]", "ace[dma=128,sram=4MB,fsms=16]"]
+        );
     }
 
     #[test]

@@ -1,20 +1,18 @@
-//! Standalone single-collective harness — the machinery behind Fig. 5
-//! (network utilization vs. communication memory bandwidth) and Fig. 6
-//! (network utilization vs. SMs for communication).
+//! The endpoint engine a collective runs on, and what a standalone
+//! collective reports: [`EngineKind`] names a Table VI configuration's
+//! engine or any other point of the Fig. 5 / 6 / 9a design space and
+//! builds its per-node endpoint, and [`CollectiveRunReport`] is the
+//! result [`RunSpec`](crate::RunSpec) returns.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_endpoint::{
     AceEndpoint, AceEndpointParams, BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint,
 };
 use ace_engine::AceConfig;
-use ace_net::{FaultPlan, NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
-use ace_trace::{Attribution, PipeWeights, Tracer};
-
-use crate::executor::{CollectiveExecutor, ExecutorOptions};
+use ace_trace::Attribution;
 
 /// Which endpoint engine to run: a Table VI configuration's
 /// ([`SystemConfig::engine`](crate::SystemConfig::engine)) or any other
@@ -51,6 +49,33 @@ impl EngineKind {
     /// on a sweep point's engine; the next benchmark change removes it.
     pub fn to_engine_kind(&self) -> EngineKind {
         *self
+    }
+
+    /// Builds one node's endpoint for this engine: the only place an
+    /// `EngineKind` becomes a simulated engine. `phase_weights` sizes
+    /// ACE's SRAM partitions, one weight per phase of the plan the
+    /// endpoint serves (see
+    /// [`CollectiveExecutor::phase_weights`](crate::CollectiveExecutor::phase_weights));
+    /// the baseline and ideal endpoints ignore it.
+    pub fn endpoint(self, phase_weights: &[f64]) -> Box<dyn CollectiveEngine> {
+        match self {
+            EngineKind::Baseline {
+                comm_mem_gbps,
+                comm_sms,
+            } => Box::new(BaselineEngine::new(BaselineParams::custom(
+                comm_mem_gbps,
+                comm_sms,
+            ))),
+            EngineKind::Ace {
+                dma_mem_gbps,
+                sram_mb,
+                fsms,
+            } => Box::new(AceEndpoint::new(AceEndpointParams {
+                config: AceConfig::with_dse_point(sram_mb, fsms),
+                ..AceEndpointParams::paper_default(dma_mem_gbps, phase_weights.to_vec())
+            })),
+            EngineKind::Ideal => Box::new(IdealEndpoint::new()),
+        }
     }
 }
 
@@ -152,134 +177,11 @@ pub struct CollectiveRunReport {
     pub attribution: Attribution,
 }
 
-/// Engine dispatch behind [`RunSpec`], which resolves its conditions into
-/// the optional [`FaultPlan`] before calling here. Each engine kind
-/// dispatches to a monomorphized executor run, so the per-event engine
-/// charges inline instead of going through a vtable — these runs
-/// dominate design-space sweep wall time. Also returns the number of
-/// nodes the executor simulated.
-///
-/// [`RunSpec`]: crate::RunSpec
-pub(crate) fn run_with_conditions<T: Tracer>(
-    spec: TopologySpec,
-    engine: EngineKind,
-    op: CollectiveOp,
-    payload_bytes: u64,
-    options: ExecutorOptions,
-    faults: Option<&FaultPlan>,
-    tracer: T,
-) -> (CollectiveRunReport, T, usize) {
-    let net_params = NetworkParams::paper_default();
-    // ACE's SRAM partition weights must follow the plan of the op actually
-    // being run — a single-phase all-to-all partitioned by the 4-phase
-    // all-reduce heuristic would strand most of the SRAM.
-    let plan = CollectivePlan::for_spec(op, spec);
-    let weights = CollectiveExecutor::phase_weights(&plan, &net_params);
-    match engine {
-        EngineKind::Baseline {
-            comm_mem_gbps,
-            comm_sms,
-        } => run_typed(
-            spec,
-            net_params,
-            op,
-            payload_bytes,
-            options,
-            faults,
-            move || BaselineEngine::new(BaselineParams::custom(comm_mem_gbps, comm_sms)),
-            tracer,
-        ),
-        EngineKind::Ace {
-            dma_mem_gbps,
-            sram_mb,
-            fsms,
-        } => run_typed(
-            spec,
-            net_params,
-            op,
-            payload_bytes,
-            options,
-            faults,
-            move || ace_endpoint(dma_mem_gbps, sram_mb, fsms, weights.clone()),
-            tracer,
-        ),
-        EngineKind::Ideal => run_typed(
-            spec,
-            net_params,
-            op,
-            payload_bytes,
-            options,
-            faults,
-            IdealEndpoint::new,
-            tracer,
-        ),
-    }
-}
-
-/// The ACE endpoint at one design point, its SRAM partitioned by
-/// `phase_weights`.
-pub(crate) fn ace_endpoint(
-    dma_mem_gbps: f64,
-    sram_mb: u64,
-    fsms: usize,
-    phase_weights: Vec<f64>,
-) -> AceEndpoint {
-    AceEndpoint::new(AceEndpointParams {
-        config: AceConfig::with_dse_point(sram_mb, fsms),
-        ..AceEndpointParams::paper_default(dma_mem_gbps, phase_weights)
-    })
-}
-
-/// Monomorphized single-collective run over a concrete engine type.
-#[allow(clippy::too_many_arguments)]
-fn run_typed<E: CollectiveEngine, T: Tracer>(
-    spec: TopologySpec,
-    net_params: NetworkParams,
-    op: CollectiveOp,
-    payload_bytes: u64,
-    options: ExecutorOptions,
-    faults: Option<&FaultPlan>,
-    make_engine: impl Fn() -> E,
-    tracer: T,
-) -> (CollectiveRunReport, T, usize) {
-    let ring_only = op != CollectiveOp::AllToAll;
-    let mut ex = CollectiveExecutor::build(
-        spec,
-        net_params,
-        options,
-        faults,
-        make_engine,
-        tracer,
-        ring_only,
-    );
-    let h = ex.issue(op, payload_bytes, SimTime::ZERO);
-    let completion = ex.run_until_complete(h);
-    let cycles = completion.cycles().max(1);
-    let per_node_bytes = ex.network().total_bytes() as f64 / spec.nodes() as f64;
-    let achieved = net_params.freq.gbps(per_node_bytes / cycles as f64);
-    // A standalone collective is all communication: the whole wall time is
-    // apportioned across the endpoint pipes and the fabric.
-    let attribution = Attribution::attribute(
-        completion.cycles(),
-        0,
-        &PipeWeights::from_pipes(ex.pipe_busy_totals(), ex.network().util_busy_total_cycles()),
-    );
-    let report = CollectiveRunReport {
-        completion,
-        achieved_gbps_per_npu: achieved,
-        mem_traffic_bytes: ex.comm_mem_traffic_bytes(),
-        network_bytes: ex.network().total_bytes(),
-        past_schedules: ex.past_schedules(),
-        attribution,
-    };
-    let simulated = ex.simulated_nodes();
-    (report, ex.into_tracer(), simulated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{RunSpec, SystemConfig};
+    use ace_collectives::CollectiveOp;
     use ace_net::TopologySpec;
 
     fn shape16() -> TopologySpec {

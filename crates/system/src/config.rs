@@ -3,10 +3,9 @@
 use std::fmt;
 
 use ace_compute::NpuParams;
-use ace_endpoint::{BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint};
 use ace_workloads::ComputeCarveout;
 
-use crate::collective_run::{ace_endpoint, EngineKind};
+use crate::collective_run::EngineKind;
 
 /// Table V's NPU-MEM bandwidth, GB/s.
 const HBM_GBPS: f64 = 900.0;
@@ -46,9 +45,9 @@ impl SystemConfig {
 
     /// The collective engine this configuration runs: the one place
     /// Table VI's communication allocation is written. The exact tier's
-    /// endpoint ([`make_engine`](SystemConfig::make_engine)), the α–β
-    /// tier's [`endpoint_model`](crate::endpoint_model) and the kernel
-    /// budget all derive from it.
+    /// endpoint ([`EngineKind::endpoint`]), the α–β tier's
+    /// [`endpoint_model`](crate::endpoint_model) and the kernel budget
+    /// all derive from it.
     pub fn engine(self) -> EngineKind {
         match self {
             SystemConfig::BaselineNoOverlap => EngineKind::Baseline {
@@ -102,32 +101,6 @@ impl SystemConfig {
     /// BaselineNoOverlap).
     pub fn overlaps(self) -> bool {
         !matches!(self, SystemConfig::BaselineNoOverlap)
-    }
-
-    /// Builds one node's collective engine. `phase_weights` carries the
-    /// ACE SRAM-partition heuristic weights for the workload's all-reduce
-    /// plan.
-    pub fn make_engine(self, phase_weights: &[f64]) -> Box<dyn CollectiveEngine> {
-        match self.engine() {
-            EngineKind::Baseline {
-                comm_mem_gbps,
-                comm_sms,
-            } => Box::new(BaselineEngine::new(BaselineParams::custom(
-                comm_mem_gbps,
-                comm_sms,
-            ))),
-            EngineKind::Ace {
-                dma_mem_gbps,
-                sram_mb,
-                fsms,
-            } => Box::new(ace_endpoint(
-                dma_mem_gbps,
-                sram_mb,
-                fsms,
-                phase_weights.to_vec(),
-            )),
-            EngineKind::Ideal => Box::new(IdealEndpoint::new()),
-        }
     }
 
     /// Short name used in experiment tables.
@@ -230,7 +203,7 @@ mod tests {
     #[test]
     fn engines_construct_for_all_configs() {
         for c in SystemConfig::ALL {
-            let mut e = c.make_engine(&[1.0, 0.5, 0.5, 1.0]);
+            let mut e = c.engine().endpoint(&[1.0, 0.5, 0.5, 1.0]);
             assert!(e.try_admit(0, 1024, ace_simcore::SimTime::ZERO));
         }
     }

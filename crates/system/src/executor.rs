@@ -66,6 +66,8 @@ use ace_net::{
 use ace_simcore::{EventQueue, Grant, SimTime};
 use ace_trace::{NullTracer, PipeBusy, Tracer, Track};
 
+use crate::collective_run::EngineKind;
+
 /// Identifies an issued collective within its executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CollHandle(pub(crate) usize);
@@ -475,7 +477,7 @@ struct Waiter {
 /// separate borrows lets a handler consult `colls` while it charges an
 /// engine or schedules an event. The one effect that reaches beyond
 /// them — chunk completion — leaves through `notices`.
-struct ExecCtx<'a, E, T> {
+struct ExecCtx<'a, T> {
     nodes: usize,
     /// Simulated nodes: `nodes`, or 1 in the one-node form. Strides the
     /// neighbor table.
@@ -488,7 +490,7 @@ struct ExecCtx<'a, E, T> {
     /// direct link is killed consult its detour routes. `None` on
     /// pristine fabrics.
     fault: Option<&'a FaultPlan>,
-    engines: &'a mut [E],
+    engines: &'a mut [Box<dyn CollectiveEngine>],
     admit_wait: &'a mut [Vec<VecDeque<(u64, Waiter)>>],
     arena: &'a mut [ChunkState],
     scratch: &'a mut Vec<(u16, u16, SimTime)>,
@@ -526,7 +528,7 @@ fn a2a_flow_bytes_of(coll: &Coll, nodes: usize, chunk: usize, flow: usize) -> u6
     coll.chunk_sizes[chunk] + u64::from(last && off < coll.a2a_extra)
 }
 
-impl<E: CollectiveEngine, T: Tracer> ExecCtx<'_, E, T> {
+impl<T: Tracer> ExecCtx<'_, T> {
     /// Schedules `ev` at `at` under its content key.
     fn emit(&mut self, at: SimTime, ev: Ev) {
         self.queue.schedule_keyed(at, content_key(&ev), ev);
@@ -1141,22 +1143,16 @@ impl<E: CollectiveEngine, T: Tracer> ExecCtx<'_, E, T> {
 
 /// The executor: fabric + per-node engines + the event loop.
 ///
-/// Generic over the engine type: monomorphizing over a concrete engine
-/// (e.g. `AceEndpoint`) devirtualizes and inlines the per-event resource
-/// charges, which matters at tens of millions of events per run. The
-/// default `Box<dyn CollectiveEngine>` keeps runtime engine selection
-/// (training loops mixing configurations) working unchanged.
+/// Each node's engine is the boxed endpoint its run's [`EngineKind`]
+/// builds ([`EngineKind::endpoint`]).
 ///
-/// Also generic over the [`Tracer`]: the default [`NullTracer`]
+/// Generic over the [`Tracer`]: the default [`NullTracer`]
 /// monomorphizes every trace hook to nothing (the perf gate verifies the
 /// default build stays on the seed's hot path), while
 /// [`ace_trace::RecordingTracer`] — attached via
 /// [`new`](CollectiveExecutor::new) — captures link busy
 /// spans, chunk/phase lifetimes and queue/pipe occupancy samples.
-pub struct CollectiveExecutor<
-    E: CollectiveEngine = Box<dyn CollectiveEngine>,
-    T: Tracer = NullTracer,
-> {
+pub struct CollectiveExecutor<T: Tracer = NullTracer> {
     spec: TopologySpec,
     nodes: usize,
     /// Nodes with simulated state: `nodes`, or 1 when node 0 stands for
@@ -1164,7 +1160,7 @@ pub struct CollectiveExecutor<
     /// arena columns exist for these nodes only.
     sim_nodes: usize,
     net: Network,
-    engines: Vec<E>,
+    engines: Vec<Box<dyn CollectiveEngine>>,
     options: ExecutorOptions,
     queue: EventQueue<Ev>,
     colls: Vec<Coll>,
@@ -1208,7 +1204,7 @@ pub struct CollectiveExecutor<
     tracer: T,
 }
 
-impl<E: CollectiveEngine, T: Tracer> std::fmt::Debug for CollectiveExecutor<E, T> {
+impl<T: Tracer> std::fmt::Debug for CollectiveExecutor<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CollectiveExecutor")
             .field("topology", &self.spec)
@@ -1220,12 +1216,11 @@ impl<E: CollectiveEngine, T: Tracer> std::fmt::Debug for CollectiveExecutor<E, T
 }
 
 impl CollectiveExecutor {
-    /// Per-phase SRAM-partition weights for a plan (Section IV-I:
-    /// bandwidth × chunk size). Used to size ACE endpoints.
-    ///
-    /// Engine-independent; lives in the default (boxed-engine) impl so
-    /// callers can keep writing `CollectiveExecutor::phase_weights(..)`.
-    pub fn phase_weights(plan: &CollectivePlan, net: &NetworkParams) -> Vec<f64> {
+    /// Per-phase SRAM-partition weights for a plan on the paper's links
+    /// (Section IV-I: bandwidth × chunk size). Used to size ACE
+    /// endpoints.
+    pub fn phase_weights(plan: &CollectivePlan) -> Vec<f64> {
+        let net = NetworkParams::paper_default();
         let raw: Vec<f64> = plan
             .phases()
             .iter()
@@ -1259,9 +1254,11 @@ impl CollectiveExecutor {
     }
 }
 
-impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
-    /// Builds an executor over `topology` with one engine per node
-    /// produced by `make_engine`, tuned by `options` (ablation knobs).
+impl<T: Tracer> CollectiveExecutor<T> {
+    /// Builds an executor over the paper's network on `topology`, with
+    /// one `engine` endpoint per node whose ACE SRAM is partitioned by
+    /// `phase_weights` ([`phase_weights`](CollectiveExecutor::phase_weights)),
+    /// tuned by `options` (ablation knobs).
     ///
     /// `faults` degrades the fabric: killed links are removed from the
     /// network (ring sends take the plan's detour routes, all-to-all
@@ -1278,18 +1275,18 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// collective a ring collective, which reports the same results.
     pub fn new(
         topology: TopologySpec,
-        net_params: NetworkParams,
         options: ExecutorOptions,
         faults: Option<&FaultPlan>,
-        make_engine: impl Fn() -> E,
+        engine: EngineKind,
+        phase_weights: &[f64],
         tracer: T,
-    ) -> CollectiveExecutor<E, T> {
+    ) -> CollectiveExecutor<T> {
         Self::build(
             topology,
-            net_params,
             options,
             faults,
-            make_engine,
+            engine,
+            phase_weights,
             tracer,
             false,
         )
@@ -1300,15 +1297,16 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
     /// all-to-all), a pristine fault plan and a disabled tracer.
     pub(crate) fn build(
         topology: TopologySpec,
-        net_params: NetworkParams,
         options: ExecutorOptions,
         faults: Option<&FaultPlan>,
-        make_engine: impl Fn() -> E,
+        engine: EngineKind,
+        phase_weights: &[f64],
         tracer: T,
         ring_only: bool,
-    ) -> CollectiveExecutor<E, T> {
+    ) -> CollectiveExecutor<T> {
         let fault = faults.filter(|fp| !fp.is_pristine()).cloned();
         let one_node = ring_only && fault.is_none() && !tracer.enabled();
+        let net_params = NetworkParams::paper_default();
         let mut net = if one_node {
             Network::representative(topology, net_params)
         } else {
@@ -1320,7 +1318,9 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         let topo = net.topology();
         let nodes = topo.nodes();
         let sim_nodes = if one_node { 1 } else { nodes };
-        let engines = (0..sim_nodes).map(|_| make_engine()).collect();
+        let engines = (0..sim_nodes)
+            .map(|_| engine.endpoint(phase_weights))
+            .collect();
         let max_inflight = options.max_inflight_chunks.max(1);
         // Flatten the topology's neighbor function into the table the
         // ring hot path indexes: `(dim * 2 + dir) * sim_nodes + node`.
@@ -1580,15 +1580,8 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
         }
     }
 
-    /// ACE utilization (node 0) over `[0, horizon]`, when the engine
-    /// tracks it.
-    pub fn ace_utilization(&self, horizon: SimTime) -> Option<f64> {
-        self.engines[0].utilization(horizon)
-    }
-
     /// Exact ACE busy cycles (node 0) over `[0, horizon]`, when the
-    /// engine tracks them — the integer counter behind
-    /// [`ace_utilization`](CollectiveExecutor::ace_utilization).
+    /// engine tracks them.
     pub fn ace_busy_cycles(&self, horizon: SimTime) -> Option<u64> {
         self.engines[0].busy_cycles(horizon)
     }
@@ -1612,7 +1605,7 @@ impl<E: CollectiveEngine, T: Tracer> CollectiveExecutor<E, T> {
 
     /// The handler context: the executor's state split into the borrows
     /// the event handlers need.
-    fn ctx(&mut self) -> ExecCtx<'_, E, T> {
+    fn ctx(&mut self) -> ExecCtx<'_, T> {
         ExecCtx {
             nodes: self.nodes,
             sim_nodes: self.sim_nodes,
@@ -1937,17 +1930,9 @@ mod tests {
         spec: TopologySpec,
         options: ExecutorOptions,
     ) -> CollectiveExecutor {
-        let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan, &params);
-        CollectiveExecutor::new(
-            spec,
-            params,
-            options,
-            None,
-            move || config.make_engine(&weights),
-            NullTracer,
-        )
+        let weights = CollectiveExecutor::phase_weights(&plan);
+        CollectiveExecutor::new(spec, options, None, config.engine(), &weights, NullTracer)
     }
 
     fn shape442() -> TopologySpec {
@@ -2169,39 +2154,26 @@ mod tests {
     }
 
     #[test]
-    fn ace_utilization_reported_only_for_ace() {
-        let mut ace = executor(SystemConfig::Ace, shape442());
-        let h = ace.issue(CollectiveOp::AllReduce, 4 << 20, SimTime::ZERO);
-        let t = ace.run_until_complete(h);
-        assert!(ace.ace_utilization(t).unwrap() > 0.0);
-        let base = executor(SystemConfig::BaselineCommOpt, shape442());
-        assert!(base.ace_utilization(SimTime::from_cycles(1)).is_none());
-    }
-
-    #[test]
     fn ace_busy_cycles_back_the_utilization_ratio() {
         let mut ace = executor(SystemConfig::Ace, shape442());
         let h = ace.issue(CollectiveOp::AllReduce, 4 << 20, SimTime::ZERO);
         let t = ace.run_until_complete(h);
         let busy = ace.ace_busy_cycles(t).expect("ACE tracks busy cycles");
         assert!(busy > 0 && busy <= t.cycles());
-        let util = ace.ace_utilization(t).unwrap();
-        assert_eq!(util, busy as f64 / t.cycles() as f64);
         let base = executor(SystemConfig::BaselineCommOpt, shape442());
         assert!(base.ace_busy_cycles(SimTime::from_cycles(1)).is_none());
     }
 
     #[test]
     fn recorded_link_spans_reconcile_with_the_network_meter() {
-        let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape442());
-        let weights = CollectiveExecutor::phase_weights(&plan, &params);
+        let weights = CollectiveExecutor::phase_weights(&plan);
         let mut ex = CollectiveExecutor::new(
             shape442(),
-            params,
             ExecutorOptions::default(),
             None,
-            move || SystemConfig::Ace.make_engine(&weights),
+            SystemConfig::Ace.engine(),
+            &weights,
             ace_trace::RecordingTracer::new(),
         );
         let h = ex.issue(CollectiveOp::AllReduce, 4 << 20, SimTime::ZERO);

@@ -4,9 +4,7 @@
 
 use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_compute::KernelDesc;
-use ace_endpoint::{AceEndpoint, AceEndpointParams, CollectiveEngine};
-use ace_engine::AceConfig;
-use ace_net::{NetworkParams, NodeId, Port, TopologySpec};
+use ace_net::{NodeId, Port, TopologySpec};
 use ace_simcore::SimTime;
 use ace_trace::{NullTracer, PipeBusy, RecordingTracer, Tracer};
 use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
@@ -14,9 +12,6 @@ use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 use crate::executor::{CollHandle, CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
 use crate::report::IterationReport;
 use crate::{training_program, EngineKind, RunSpec, SystemConfig, TrainSpec};
-
-/// Builds one node's engine.
-type EngineFactory = Box<dyn Fn() -> Box<dyn CollectiveEngine>>;
 
 /// `(node, port, (bytes carried, busy-cycle bits))` of one egress port.
 type LinkReading = (usize, usize, Option<(u64, u64)>);
@@ -37,7 +32,7 @@ struct Meters {
     links: Vec<LinkReading>,
 }
 
-fn meters<E: CollectiveEngine>(ex: &CollectiveExecutor<E>, horizon: SimTime) -> Meters {
+fn meters(ex: &CollectiveExecutor, horizon: SimTime) -> Meters {
     let net = ex.network();
     let n = ex.nodes();
     let mut links = Vec::new();
@@ -70,24 +65,18 @@ fn meters<E: CollectiveEngine>(ex: &CollectiveExecutor<E>, horizon: SimTime) -> 
 
 /// The engines under test: the five configurations, plus ACE with 1 MB
 /// of SRAM and 4 FSMs, small enough that admission waiters fire.
-fn engines(weights: &[f64]) -> Vec<(&'static str, EngineFactory)> {
-    let mut out: Vec<(&'static str, EngineFactory)> = Vec::new();
-    for config in SystemConfig::ALL {
-        let w = weights.to_vec();
-        out.push((
-            config.short_name(),
-            Box::new(move || config.make_engine(&w)),
-        ));
-    }
-    let w = weights.to_vec();
+fn engines() -> Vec<(&'static str, EngineKind)> {
+    let mut out: Vec<(&'static str, EngineKind)> = SystemConfig::ALL
+        .into_iter()
+        .map(|config| (config.short_name(), config.engine()))
+        .collect();
     out.push((
         "ace-1mb-4fsm",
-        Box::new(move || {
-            Box::new(AceEndpoint::new(AceEndpointParams {
-                config: AceConfig::with_dse_point(1, 4),
-                ..AceEndpointParams::paper_default(128.0, w.clone())
-            }))
-        }),
+        EngineKind::Ace {
+            dma_mem_gbps: 128.0,
+            sram_mb: 1,
+            fsms: 4,
+        },
     ));
     out
 }
@@ -122,10 +111,7 @@ const BIG: u64 = (3 << 20) + 12_345;
 /// the previous wave's smallest nonzero collective completes, then
 /// drains them in reverse issue order. Returns every completion time and
 /// the final event time.
-fn drive<E: CollectiveEngine>(
-    ex: &mut CollectiveExecutor<E>,
-    waves: &[Vec<(CollectiveOp, u64)>],
-) -> Vec<SimTime> {
+fn drive(ex: &mut CollectiveExecutor, waves: &[Vec<(CollectiveOp, u64)>]) -> Vec<SimTime> {
     let mut handles: Vec<CollHandle> = Vec::new();
     let mut times = Vec::new();
     for wave in waves {
@@ -158,20 +144,14 @@ fn assert_forms_agree(
     case: &str,
     spec: TopologySpec,
     options: ExecutorOptions,
-    make_engine: &dyn Fn() -> Box<dyn CollectiveEngine>,
+    engine: EngineKind,
     waves: &[Vec<(CollectiveOp, u64)>],
 ) {
-    let params = NetworkParams::paper_default();
+    let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
+    let weights = CollectiveExecutor::phase_weights(&plan);
     let run = |ring_only: bool| {
-        let mut ex = CollectiveExecutor::build(
-            spec,
-            params,
-            options,
-            None,
-            make_engine,
-            NullTracer,
-            ring_only,
-        );
+        let mut ex =
+            CollectiveExecutor::build(spec, options, None, engine, &weights, NullTracer, ring_only);
         let expected = if ring_only { 1 } else { spec.nodes() };
         assert_eq!(ex.simulated_nodes(), expected, "{case}");
         let times = drive(&mut ex, waves);
@@ -201,16 +181,13 @@ fn one_node_collectives_equal_the_full_fabric_bit_for_bit() {
             (ReduceScatter, 5),
         ],
     ];
-    let params = NetworkParams::paper_default();
     let mut cases = 0;
     for topology in ["8", "4x2x2", "2x2x2x2", "4x8", "switch:8@100", "hier:4x4"] {
         let spec: TopologySpec = topology.parse().unwrap();
-        let plan = CollectivePlan::for_spec(AllReduce, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan, &params);
-        for (engine, make_engine) in engines(&weights) {
+        for (name, engine) in engines() {
             for (opts_name, options) in option_sets() {
-                let case = format!("{topology} {engine} {opts_name}");
-                assert_forms_agree(&case, spec, options, make_engine.as_ref(), &waves);
+                let case = format!("{topology} {name} {opts_name}");
+                assert_forms_agree(&case, spec, options, engine, &waves);
                 cases += 1;
             }
         }
@@ -218,18 +195,10 @@ fn one_node_collectives_equal_the_full_fabric_bit_for_bit() {
     // The 625-node torus, with a small payload: the only full-fabric run
     // of that size left in the test suite.
     let spec: TopologySpec = "5x5x25".parse().unwrap();
-    let plan = CollectivePlan::for_spec(AllReduce, spec);
-    let weights = CollectiveExecutor::phase_weights(&plan, &params);
     let small = [vec![(AllReduce, (64 << 10) + 7), (AllGather, 5)]];
-    for (engine, make_engine) in engines(&weights) {
-        let case = format!("5x5x25 {engine}");
-        assert_forms_agree(
-            &case,
-            spec,
-            ExecutorOptions::default(),
-            make_engine.as_ref(),
-            &small,
-        );
+    for (name, engine) in engines() {
+        let case = format!("5x5x25 {name}");
+        assert_forms_agree(&case, spec, ExecutorOptions::default(), engine, &small);
         cases += 1;
     }
     assert_eq!(cases, 6 * 6 * 3 + 6);

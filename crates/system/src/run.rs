@@ -27,14 +27,15 @@
 
 use std::fmt;
 
-use ace_collectives::CollectiveOp;
+use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_net::{ContentionSpec, FaultError, FaultPlan, FaultSpec, NetworkParams, TopologySpec};
-use ace_trace::{NullTracer, RecordingTracer, Tracer};
+use ace_simcore::SimTime;
+use ace_trace::{Attribution, NullTracer, PipeWeights, RecordingTracer, Tracer};
 use ace_workloads::{LoweringOptions, Program, StragglerSpec, Workload};
 
-use crate::collective_run::{run_with_conditions, CollectiveRunReport, EngineKind};
+use crate::collective_run::{CollectiveRunReport, EngineKind};
 use crate::config::SystemConfig;
-use crate::executor::ExecutorOptions;
+use crate::executor::{CollectiveExecutor, ExecutorOptions};
 use crate::report::IterationReport;
 use crate::training::TrainingSim;
 
@@ -222,18 +223,45 @@ impl<T: Tracer> RunSpec<T> {
     /// the executor simulated.
     pub(crate) fn run_counted(self) -> Result<(CollectiveRunReport, T, usize), RunError> {
         let net_params = NetworkParams::paper_default();
-        let plan = (!self.conditions.is_pristine())
+        let fault = (!self.conditions.is_pristine())
             .then(|| self.conditions.resolve(self.topology, &net_params))
             .transpose()?;
-        Ok(run_with_conditions(
+        // ACE's SRAM partition weights must follow the plan of the op actually
+        // being run — a single-phase all-to-all partitioned by the 4-phase
+        // all-reduce heuristic would strand most of the SRAM.
+        let weights =
+            CollectiveExecutor::phase_weights(&CollectivePlan::for_spec(self.op, self.topology));
+        let mut ex = CollectiveExecutor::build(
             self.topology,
-            self.engine,
-            self.op,
-            self.payload_bytes,
             self.options,
-            plan.as_ref(),
+            fault.as_ref(),
+            self.engine,
+            &weights,
             self.tracer,
-        ))
+            self.op != CollectiveOp::AllToAll,
+        );
+        let h = ex.issue(self.op, self.payload_bytes, SimTime::ZERO);
+        let completion = ex.run_until_complete(h);
+        let cycles = completion.cycles().max(1);
+        let per_node_bytes = ex.network().total_bytes() as f64 / self.topology.nodes() as f64;
+        let achieved = net_params.freq.gbps(per_node_bytes / cycles as f64);
+        // A standalone collective is all communication: the whole wall time is
+        // apportioned across the endpoint pipes and the fabric.
+        let attribution = Attribution::attribute(
+            completion.cycles(),
+            0,
+            &PipeWeights::from_pipes(ex.pipe_busy_totals(), ex.network().util_busy_total_cycles()),
+        );
+        let report = CollectiveRunReport {
+            completion,
+            achieved_gbps_per_npu: achieved,
+            mem_traffic_bytes: ex.comm_mem_traffic_bytes(),
+            network_bytes: ex.network().total_bytes(),
+            past_schedules: ex.past_schedules(),
+            attribution,
+        };
+        let simulated = ex.simulated_nodes();
+        Ok((report, ex.into_tracer(), simulated))
     }
 }
 

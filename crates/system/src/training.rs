@@ -21,8 +21,7 @@
 
 use ace_collectives::CollectiveOp;
 use ace_compute::NpuParams;
-use ace_endpoint::CollectiveEngine;
-use ace_net::{FaultPlan, NetworkParams, TopologySpec};
+use ace_net::{FaultPlan, TopologySpec};
 use ace_simcore::{SimTime, TimeSeries};
 use ace_trace::{Attribution, NullTracer, PipeWeights, Tracer, Track};
 use ace_workloads::{Program, TaskKind, TaskPhase};
@@ -50,7 +49,7 @@ pub struct TrainingSim<T: Tracer = NullTracer> {
     config: SystemConfig,
     program: Program,
     spec: TopologySpec,
-    exec: CollectiveExecutor<Box<dyn CollectiveEngine>, T>,
+    exec: CollectiveExecutor<T>,
 }
 
 impl<T: Tracer> std::fmt::Debug for TrainingSim<T> {
@@ -76,9 +75,8 @@ impl<T: Tracer> TrainingSim<T> {
         fault: Option<FaultPlan>,
         tracer: T,
     ) -> TrainingSim<T> {
-        let net_params = NetworkParams::paper_default();
         let plan = ace_collectives::CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan, &net_params);
+        let weights = CollectiveExecutor::phase_weights(&plan);
         // Without all-to-all every node runs the same schedule, so the
         // executor may simulate one representative node.
         let ring_only = program.iter_scheduled().all(|(_, task)| {
@@ -92,10 +90,10 @@ impl<T: Tracer> TrainingSim<T> {
         });
         let mut exec = CollectiveExecutor::build(
             spec,
-            net_params,
             ExecutorOptions::default(),
             fault.as_ref(),
-            move || config.make_engine(&weights),
+            config.engine(),
+            &weights,
             tracer,
             ring_only,
         );

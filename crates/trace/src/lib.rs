@@ -95,7 +95,7 @@ pub trait Tracer {
 }
 
 /// The default tracer: records nothing, costs nothing. Every hook is the
-/// trait's no-op default, so a `CollectiveExecutor<_, NullTracer>` build
+/// trait's no-op default, so a `CollectiveExecutor<NullTracer>` build
 /// compiles to exactly the un-instrumented code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullTracer;

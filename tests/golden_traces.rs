@@ -201,6 +201,7 @@ fn serving_smoke() -> Scenario {
 /// aligned and a prime payload, pristine and contended, with one killed
 /// cable where the fabric has point-to-point cables (a crossbar has
 /// none to kill). Speedups against the ideal engine fill the summary.
+/// Both engine families run at 128 GB/s of memory bandwidth.
 fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
     let mut sc = Scenario::collective(name);
     sc.fidelity = Fidelity::Analytic;
@@ -213,6 +214,7 @@ fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
         EngineFamily::Baseline,
         EngineFamily::Ace,
     ];
+    sc.mem_gbps = vec![128.0];
     sc.ops = vec![CollectiveOp::AllReduce, CollectiveOp::AllToAll];
     sc.payload_bytes = vec![16 << 20, 1_000_003];
     sc.faults = faults

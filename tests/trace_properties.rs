@@ -15,7 +15,7 @@
 //!   standalone collectives and full training runs.
 
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
-use ace_platform::net::{NetworkParams, TopologySpec};
+use ace_platform::net::TopologySpec;
 use ace_platform::simcore::SimTime;
 use ace_platform::sweep::{execute_tier, PointKind, RunPoint, Tier};
 use ace_platform::system::{
@@ -84,15 +84,14 @@ fn link_spans_reconcile_with_the_fabric_meter() {
         let config = *rng.pick(&configs);
         let op = *rng.pick(&ops);
         let payload = rng.range(64, 2049) * 1024; // 64 KB – 2 MB
-        let params = NetworkParams::paper_default();
         let plan = CollectivePlan::for_spec(op, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan, &params);
+        let weights = CollectiveExecutor::phase_weights(&plan);
         let mut ex = CollectiveExecutor::new(
             spec,
-            params,
             ExecutorOptions::default(),
             None,
-            move || config.make_engine(&weights),
+            config.engine(),
+            &weights,
             RecordingTracer::new(),
         );
         let h = ex.issue(op, payload, SimTime::ZERO);
