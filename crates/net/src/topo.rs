@@ -519,6 +519,15 @@ pub trait Topology: Send + Sync + fmt::Debug {
     /// A route from `src` to `dst` (empty when equal).
     fn route(&self, src: NodeId, dst: NodeId) -> Route;
 
+    /// `node` moved by the fabric's translation that takes node 0 to `by`:
+    /// coordinate-wise addition modulo each dimension's length.
+    ///
+    /// Every family's [`route`](Topology::route) depends only on the
+    /// coordinate differences of its ends, so the route from
+    /// `translate(s, d)` to `translate(t, d)` is the route from `s` to
+    /// `t` with every hop's nodes translated and every port unchanged.
+    fn translate(&self, node: NodeId, by: NodeId) -> NodeId;
+
     /// Total number of unidirectional links in the fabric.
     fn total_links(&self) -> usize {
         let mut total = 0;
@@ -680,6 +689,13 @@ impl Topology for Torus {
         hops
     }
 
+    fn translate(&self, node: NodeId, by: NodeId) -> NodeId {
+        let id = (0..self.lens.len())
+            .map(|d| (self.coord(node, d) + self.coord(by, d)) % self.lens[d] * self.strides[d])
+            .sum();
+        NodeId(id)
+    }
+
     fn global_port_profile(&self) -> (u8, u8) {
         (2, 2 * (self.lens.len() as u8 - 1))
     }
@@ -820,6 +836,10 @@ impl Topology for Switch {
             port: Port::from_index(0),
             to: dst,
         }]
+    }
+
+    fn translate(&self, node: NodeId, by: NodeId) -> NodeId {
+        NodeId((node.0 + by.0) % self.n)
     }
 
     fn global_port_profile(&self) -> (u8, u8) {
@@ -1012,6 +1032,12 @@ impl Topology for Hierarchical {
             cur = next;
         }
         hops
+    }
+
+    fn translate(&self, node: NodeId, by: NodeId) -> NodeId {
+        let (u, o) = self.domain_local(node);
+        let (du, do_) = self.domain_local(by);
+        NodeId((u + du) % self.su + self.su * ((o + do_) % self.so))
     }
 
     fn global_port_profile(&self) -> (u8, u8) {
@@ -1289,6 +1315,42 @@ mod tests {
         assert_eq!(only_out.dims().len(), 1);
         assert_eq!(only_out.sandwich_dims(), 0);
         assert_eq!(only_out.port_class(Port::from_index(0)), None);
+    }
+
+    #[test]
+    fn routes_are_translation_invariant() {
+        for s in [
+            "4x2x2", "4x1x2", "5x3x2", "switch:8", "switch:6", "hier:4x4", "hier:3x4",
+        ] {
+            let topo = s.parse::<TopologySpec>().unwrap().build();
+            let n = topo.nodes();
+            for by in (0..n).map(NodeId) {
+                assert_eq!(topo.translate(NodeId(0), by), by, "{s}: 0 moves to {by}");
+                let mut image: Vec<usize> = (0..n)
+                    .map(|v| topo.translate(NodeId(v), by).index())
+                    .collect();
+                image.sort_unstable();
+                assert!(
+                    image.iter().copied().eq(0..n),
+                    "{s}: moving by {by} permutes"
+                );
+            }
+            for src in (0..n).map(NodeId) {
+                for off in (0..n).map(NodeId) {
+                    let moved: Route = topo
+                        .route(NodeId(0), off)
+                        .into_iter()
+                        .map(|h| Hop {
+                            from: topo.translate(h.from, src),
+                            port: h.port,
+                            to: topo.translate(h.to, src),
+                        })
+                        .collect();
+                    let dst = topo.translate(off, src);
+                    assert_eq!(topo.route(src, dst), moved, "{s}: {src} -> {dst}");
+                }
+            }
+        }
     }
 
     #[test]

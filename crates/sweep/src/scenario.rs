@@ -711,7 +711,7 @@ impl Scenario {
             })?;
         }
         if let Some(v) = doc.get("comm_sms") {
-            sc.comm_sms = parse_list(v, "comm_sms", |s, _| parse_uint(s).map(|u| u as u32))?;
+            sc.comm_sms = parse_list(v, "comm_sms", |s, _| parse_u32(s))?;
         }
         if let Some(v) = doc.get("sram_mb") {
             sc.sram_mb = parse_list(v, "sram_mb", |s, _| parse_uint(s))?;
@@ -766,8 +766,7 @@ impl Scenario {
             })?;
         }
         if let Some(v) = doc.get("microbatches") {
-            sc.microbatches =
-                parse_list(v, "microbatches", |s, _| parse_uint(s).map(|u| u as u32))?;
+            sc.microbatches = parse_list(v, "microbatches", |s, _| parse_u32(s))?;
         }
         let serving_u32 = |key: &str, min: i64| -> Result<Option<u32>, ScenarioError> {
             match doc.get(key) {
@@ -1054,6 +1053,12 @@ fn parse_uint(v: &Value) -> Result<u64, String> {
         .ok_or_else(|| "expected a positive integer".to_string())
 }
 
+/// [`parse_uint`], refusing values above `u32::MAX` instead of wrapping.
+fn parse_u32(v: &Value) -> Result<u32, String> {
+    let u = parse_uint(v)?;
+    u32::try_from(u).map_err(|_| format!("{u} is above the largest allowed value {}", u32::MAX))
+}
+
 fn parse_baseline(
     table: &BTreeMap<String, Value>,
     mode: SweepMode,
@@ -1116,9 +1121,16 @@ fn parse_baseline(
                     })
                     .transpose()
             };
+            let comm_sms = posint("comm_sms")?
+                .map(|n| {
+                    u32::try_from(n).map_err(|_| {
+                        invalid(format!("[baseline] comm_sms must be at most {}", u32::MAX))
+                    })
+                })
+                .transpose()?;
             Ok(BaselineSpec::Engine(family.resolve(
                 gbps("mem_gbps")?,
-                posint("comm_sms")?.map(|n| n as u32),
+                comm_sms,
                 posint("sram_mb")?,
                 posint("fsms")?.map(|n| n as usize),
             )))
@@ -1385,6 +1397,18 @@ mod tests {
         );
         assert!(Scenario::from_toml_str("[baseline]\nengine = \"ace\"\nmem_gbps = -1").is_err());
         assert!(Scenario::from_toml_str("[baseline]\nengine = \"ace\"\nsram_mb = -4").is_err());
+        // 2^32 + 6 must be refused, not narrowed to 6.
+        for (toml, key) in [
+            ("comm_sms = [4294967302]", "comm_sms[0]"),
+            ("microbatches = [4294967302]", "microbatches[0]"),
+            (
+                "[baseline]\nengine = \"baseline\"\ncomm_sms = 4294967302",
+                "[baseline] comm_sms",
+            ),
+        ] {
+            let e = Scenario::from_toml_str(toml).unwrap_err();
+            assert!(e.to_string().contains(key), "{toml}: {e}");
+        }
         // Programmatic construction is validated by the runner too.
         let mut sc = Scenario::collective("bad");
         sc.mem_gbps = vec![0.0];

@@ -7,8 +7,10 @@
 //! start, and each arrival triggers the next step's send after the
 //! endpoint engine charges its resource costs. Direct all-to-all sends one
 //! flow per (source, destination) pair over XYZ routes with per-hop
-//! endpoint forwarding. Bidirectional rings are used by alternating chunk
-//! parity between the + and − ring directions.
+//! endpoint forwarding; a source's flows are enumerated by destination
+//! offset in the fabric's translation group (see
+//! [`Topology::translate`]). Bidirectional rings are used by alternating
+//! chunk parity between the + and − ring directions.
 //!
 //! Chunk admission into ACE's SRAM partitions applies backpressure;
 //! baseline and ideal endpoints admit unconditionally. A global in-flight
@@ -26,24 +28,31 @@
 //!
 //! When every node runs the same schedule, the executor simulates node 0
 //! alone: one engine, one admission queue, one arena column per chunk,
-//! and a neighbor table that sends every ring hop back to node 0. A run
-//! qualifies when its fault plan is pristine, its tracer is disabled and
-//! it issues only ring collectives (all-reduce, reduce-scatter,
-//! all-gather, send-recv). `RunSpec` and `TrainSpec` make that choice;
+//! a neighbor table that sends every ring hop back to node 0, and node
+//! 0's all-to-all flows, whose every hop uses node 0's engine and links.
+//! A run qualifies when its fault plan is pristine and its tracer is
+//! disabled. `RunSpec` and `TrainSpec` make that choice;
 //! [`CollectiveExecutor::new`] always simulates the full fabric. The
 //! outputs are unchanged, bit for bit. Link parameters depend only on the
 //! port, every node gets the same engine, and a ring send uses only the
 //! sender's own egress link and lands at a neighbor that behaves
-//! identically. Same-time events pop by kind, collective and chunk
-//! before node, so node 0 performs the same operations in the same order
-//! either way; a chunk completes after node 0's drain, which the full run
-//! follows at that instant only with the other nodes' drains of the same
-//! chunk. The network and the executor report node 0's integer totals
-//! times the node count, before any division. All-to-all breaks the
-//! symmetry: flows from different sources share a link in source-index
-//! order, which wraps differently at each node. Faults, contention and
-//! per-node trace spans need per-node state too, so those runs simulate
-//! every node.
+//! identically. An all-to-all flow from `src` at offset `off` goes to
+//! `translate(src, 1 + off)`, and every fabric's routes depend only on
+//! coordinate differences, so the translation taking node 0 to a node
+//! maps node 0's flows onto that node's, hop for hop and port for port:
+//! the hops that touch any one node are, one for one, the hops of node
+//! 0's `n − 1` flows. Same-time events pop by kind, collective and chunk
+//! before node, and all-to-all hops by offset and hop before source, so
+//! node 0 performs the same operations in the same order either way. A
+//! ring chunk completes after node 0's drain, which the full run follows
+//! at that instant only with the other nodes' drains of the same chunk;
+//! an all-to-all chunk completes on the candidate of its last flow, the
+//! same offset in both forms. The network and the executor report node
+//! 0's integer totals times the node count, before any division. Faults,
+//! contention and per-node trace spans need per-node state, so those
+//! runs simulate every node. Above 4096 nodes the all-to-all key masks
+//! its offsets (see `content_key`), and the two forms may order tied
+//! hops differently.
 //!
 //! # Hot-path layout
 //!
@@ -167,18 +176,22 @@ enum Ev {
     },
     /// Terminal RX-DMA drain finished at `node`.
     DrainDone { coll: u32, chunk: u32, node: u32 },
-    /// An all-to-all message is ready to transmit hop `hop`.
+    /// An all-to-all message is ready to transmit hop `hop`. A flow is
+    /// named by its source and its destination offset `off`: it goes to
+    /// `translate(src, 1 + off)`.
     A2aSend {
         coll: u32,
         chunk: u32,
-        flow: u32,
+        src: u32,
+        off: u32,
         hop: u16,
     },
     /// All-to-all flow arrived at hop `hop` of its route.
     A2aHop {
         coll: u32,
         chunk: u32,
-        flow: u32,
+        src: u32,
+        off: u32,
         hop: u16,
     },
     /// A detoured ring message is ready to transmit hop `hop` of its
@@ -217,10 +230,15 @@ enum Ev {
 ///
 /// Ring events pack `kind(4) | coll(12) | chunk(18) | node(13) | phase(4)
 /// | step(13)`; all-to-all events pack `kind(4) | coll(12) | chunk(18) |
-/// flow(24) | hop(6)`. A field wider than its slot is masked to it, as on
-/// plans deeper than 16 phases or fabrics above 8192 nodes. Masking can
-/// only give two distinct events the same key, merging their tie-break;
-/// the key stays a pure function of the event, so runs stay deterministic.
+/// off(12) | hop(6) | src(12)`. An all-to-all flow is ranked by its
+/// destination offset and hop before its source: at any one node, each
+/// `(off, hop)` is the hop of exactly one source's flow, so every node
+/// pops its same-time events in the same order, and node 0 pops them in
+/// the order the one-node form does. A field wider than its slot is
+/// masked to it, as on plans deeper than 16 phases, all-to-alls above
+/// 4096 nodes or ring collectives above 8192. Masking can only give two
+/// distinct events the same key, merging their tie-break; the key stays
+/// a pure function of the event, so runs stay deterministic.
 fn content_key(ev: &Ev) -> u64 {
     #[inline]
     fn ring(kind: u64, coll: u32, chunk: u32, node: u32, phase: u16, step: u16) -> u64 {
@@ -232,12 +250,13 @@ fn content_key(ev: &Ev) -> u64 {
             | (step as u64 & 0x1fff)
     }
     #[inline]
-    fn a2a(kind: u64, coll: u32, chunk: u32, flow: u32, hop: u16) -> u64 {
+    fn a2a(kind: u64, coll: u32, chunk: u32, src: u32, off: u32, hop: u16) -> u64 {
         kind << 60
             | (coll as u64 & 0xfff) << 48
             | (chunk as u64 & 0x3ffff) << 30
-            | (flow as u64 & 0xff_ffff) << 6
-            | (hop as u64 & 0x3f)
+            | (off as u64 & 0xfff) << 18
+            | (hop as u64 & 0x3f) << 12
+            | (src as u64 & 0xfff)
     }
     match *ev {
         Ev::TryInject => unreachable!("TryInject keeps plain sequence keys"),
@@ -271,15 +290,17 @@ fn content_key(ev: &Ev) -> u64 {
         Ev::A2aSend {
             coll,
             chunk,
-            flow,
+            src,
+            off,
             hop,
-        } => a2a(6, coll, chunk, flow, hop),
+        } => a2a(6, coll, chunk, src, off, hop),
         Ev::A2aHop {
             coll,
             chunk,
-            flow,
+            src,
+            off,
             hop,
-        } => a2a(7, coll, chunk, flow, hop),
+        } => a2a(7, coll, chunk, src, off, hop),
         // Detour events fold the hop into the step bits (step in the low
         // 9, hop in the next 4), masking both like any other field.
         Ev::DetourSend {
@@ -517,18 +538,17 @@ fn shard_bytes_of(coll: &Coll, chunk: usize, phase: u16) -> u64 {
     coll.shard_cache[phase as usize * 2 + coll.short_idx(chunk)]
 }
 
-/// Bytes flow `flow` carries for `chunk`: the chunk's share of the
-/// per-destination slice, plus one remainder byte on the last chunk of
-/// the first `payload % nodes` destination offsets. Summed over a
+/// Bytes a flow of destination offset `off` carries for `chunk`: the
+/// chunk's share of the per-destination slice, plus one remainder byte on
+/// the last chunk of the first `payload % nodes` offsets. Summed over a
 /// source's flows and its local slice this reproduces the original
 /// payload exactly (byte conservation).
-fn a2a_flow_bytes_of(coll: &Coll, nodes: usize, chunk: usize, flow: usize) -> u64 {
-    let off = (flow % (nodes - 1)) as u64;
+fn a2a_flow_bytes_of(coll: &Coll, chunk: usize, off: usize) -> u64 {
     let last = chunk + 1 == coll.chunk_sizes.len();
-    coll.chunk_sizes[chunk] + u64::from(last && off < coll.a2a_extra)
+    coll.chunk_sizes[chunk] + u64::from(last && (off as u64) < coll.a2a_extra)
 }
 
-impl<T: Tracer> ExecCtx<'_, T> {
+impl<'a, T: Tracer> ExecCtx<'a, T> {
     /// Schedules `ev` at `at` under its content key.
     fn emit(&mut self, at: SimTime, ev: Ev) {
         self.queue.schedule_keyed(at, content_key(&ev), ev);
@@ -591,28 +611,32 @@ impl<T: Tracer> ExecCtx<'_, T> {
             Ev::A2aSend {
                 coll,
                 chunk,
-                flow,
+                src,
+                off,
                 hop,
             } => {
                 self.a2a_send(
                     now,
                     coll as usize,
                     chunk as usize,
-                    flow as usize,
+                    src as usize,
+                    off as usize,
                     hop as usize,
                 );
             }
             Ev::A2aHop {
                 coll,
                 chunk,
-                flow,
+                src,
+                off,
                 hop,
             } => {
                 self.a2a_hop(
                     now,
                     coll as usize,
                     chunk as usize,
-                    flow as usize,
+                    src as usize,
+                    off as usize,
                     hop as usize,
                 );
             }
@@ -1087,11 +1111,34 @@ impl<T: Tracer> ExecCtx<'_, T> {
         });
     }
 
-    /// Transmits hop `hop` of an all-to-all flow at event time.
-    fn a2a_send(&mut self, now: SimTime, cid: usize, chunk: usize, flow: usize, hop: usize) {
-        let bytes = a2a_flow_bytes_of(&self.colls[cid], self.nodes, chunk, flow);
+    /// The simulated node standing for fabric node `node`: `node` itself,
+    /// or node 0 in the one-node form.
+    fn sim_node(&self, node: NodeId) -> usize {
+        if self.sim_nodes == 1 {
+            0
+        } else {
+            node.index()
+        }
+    }
+
+    /// The route of the flow from `src` at destination offset `off`.
+    fn a2a_route(&self, src: usize, off: usize) -> &'a Route {
         let routes = self.a2a_routes;
-        let h = routes[flow][hop];
+        &routes[src * (self.nodes - 1) + off]
+    }
+
+    /// Transmits hop `hop` of an all-to-all flow at event time.
+    fn a2a_send(
+        &mut self,
+        now: SimTime,
+        cid: usize,
+        chunk: usize,
+        src: usize,
+        off: usize,
+        hop: usize,
+    ) {
+        let bytes = a2a_flow_bytes_of(&self.colls[cid], chunk, off);
+        let h = self.a2a_route(src, off)[hop];
         let out = self.net.transmit(now, h.from, h.port, bytes);
         self.trace_link(h.from.index(), h.port.index(), out.grant);
         // The next event runs where the message lands: `h.to` starts the
@@ -1101,32 +1148,41 @@ impl<T: Tracer> ExecCtx<'_, T> {
             Ev::A2aHop {
                 coll: cid as u32,
                 chunk: chunk as u32,
-                flow: flow as u32,
+                src: src as u32,
+                off: off as u32,
                 hop: hop as u16 + 1,
             },
         );
     }
 
-    fn a2a_hop(&mut self, now: SimTime, cid: usize, chunk: usize, flow: usize, hop: usize) {
-        let bytes = a2a_flow_bytes_of(&self.colls[cid], self.nodes, chunk, flow);
-        let routes = self.a2a_routes;
-        let route = &routes[flow];
+    fn a2a_hop(
+        &mut self,
+        now: SimTime,
+        cid: usize,
+        chunk: usize,
+        src: usize,
+        off: usize,
+        hop: usize,
+    ) {
+        let bytes = a2a_flow_bytes_of(&self.colls[cid], chunk, off);
+        let route = self.a2a_route(src, off);
         if hop < route.len() {
             // Intermediate endpoint: store-and-forward, then next hop.
-            let at = route[hop].from.index();
+            let at = self.sim_node(route[hop].from);
             let ready = self.engines[at].store_and_forward(now, bytes, 0);
             self.emit(
                 ready.max(now),
                 Ev::A2aSend {
                     coll: cid as u32,
                     chunk: chunk as u32,
-                    flow: flow as u32,
+                    src: src as u32,
+                    off: off as u32,
                     hop: hop as u16,
                 },
             );
         } else {
             // Final arrival at the destination.
-            let dst = route.last().expect("route nonempty").to.index();
+            let dst = self.sim_node(route.last().expect("route nonempty").to);
             let landed = self.engines[dst].receive(now, bytes, 0);
             let done = self.engines[dst].chunk_complete(landed, bytes);
             self.notices.push(Notice {
@@ -1271,8 +1327,8 @@ impl<T: Tracer> CollectiveExecutor<T> {
     /// through [`tracer`](CollectiveExecutor::tracer) after the run.
     ///
     /// Every node is simulated. `RunSpec` and `TrainSpec` simulate node 0
-    /// alone when the fabric is pristine, the tracer disabled and every
-    /// collective a ring collective, which reports the same results.
+    /// alone when the fabric is pristine and the tracer disabled, which
+    /// reports the same results.
     pub fn new(
         topology: TopologySpec,
         options: ExecutorOptions,
@@ -1281,7 +1337,7 @@ impl<T: Tracer> CollectiveExecutor<T> {
         phase_weights: &[f64],
         tracer: T,
     ) -> CollectiveExecutor<T> {
-        Self::build(
+        Self::assemble(
             topology,
             options,
             faults,
@@ -1293,8 +1349,7 @@ impl<T: Tracer> CollectiveExecutor<T> {
     }
 
     /// [`new`](CollectiveExecutor::new), simulating node 0 alone when
-    /// the run is symmetric: `ring_only` (the caller issues no
-    /// all-to-all), a pristine fault plan and a disabled tracer.
+    /// the run is symmetric: a pristine fault plan and a disabled tracer.
     pub(crate) fn build(
         topology: TopologySpec,
         options: ExecutorOptions,
@@ -1302,10 +1357,30 @@ impl<T: Tracer> CollectiveExecutor<T> {
         engine: EngineKind,
         phase_weights: &[f64],
         tracer: T,
-        ring_only: bool,
+    ) -> CollectiveExecutor<T> {
+        let one_node = faults.is_none_or(FaultPlan::is_pristine) && !tracer.enabled();
+        Self::assemble(
+            topology,
+            options,
+            faults,
+            engine,
+            phase_weights,
+            tracer,
+            one_node,
+        )
+    }
+
+    /// Builds the executor in the one-node form or over every node.
+    fn assemble(
+        topology: TopologySpec,
+        options: ExecutorOptions,
+        faults: Option<&FaultPlan>,
+        engine: EngineKind,
+        phase_weights: &[f64],
+        tracer: T,
+        one_node: bool,
     ) -> CollectiveExecutor<T> {
         let fault = faults.filter(|fp| !fp.is_pristine()).cloned();
-        let one_node = ring_only && fault.is_none() && !tracer.enabled();
         let net_params = NetworkParams::paper_default();
         let mut net = if one_node {
             Network::representative(topology, net_params)
@@ -1440,17 +1515,13 @@ impl<T: Tracer> CollectiveExecutor<T> {
             CollectiveOp::AllToAll => CollKind::AllToAll,
             _ => CollKind::Ring,
         };
-        assert!(
-            kind == CollKind::Ring || self.sim_nodes == self.nodes,
-            "all-to-all needs every node simulated"
-        );
         let mut a2a_extra = 0;
         let chunk_sizes = match kind {
             CollKind::Ring => self.options.granularity.chunks(payload_bytes),
             CollKind::AllToAll => {
                 // Chunk the per-destination slice; flows are (dst, chunk).
                 // The division remainder is distributed one byte per
-                // destination offset (see `a2a_flow_bytes`) so total
+                // destination offset (see `a2a_flow_bytes_of`) so total
                 // traffic is conserved instead of shrinking with the node
                 // count.
                 let n = self.nodes as u64;
@@ -1764,70 +1835,63 @@ impl<T: Tracer> CollectiveExecutor<T> {
     // Direct all-to-all
     // ------------------------------------------------------------------
 
-    /// Flow index encoding: `flow = src * (nodes - 1) + dst_offset` where
-    /// the destination is `(src + 1 + dst_offset) % nodes`.
-    fn a2a_flow_endpoints(&self, flow: usize) -> (usize, usize) {
-        let n = self.nodes;
-        let src = flow / (n - 1);
-        let off = flow % (n - 1);
-        let dst = (src + 1 + off) % n;
-        (src, dst)
-    }
-
-    /// Bytes flow `flow` carries for `chunk` — see [`a2a_flow_bytes_of`].
-    fn a2a_flow_bytes(&self, cid: usize, chunk: usize, flow: usize) -> u64 {
-        a2a_flow_bytes_of(&self.colls[cid], self.nodes, chunk, flow)
-    }
-
-    /// Builds the per-flow XYZ route table on first use.
+    /// Builds the route table on first use: the flows of every simulated
+    /// source, `src * (nodes - 1) + off` for the flow from `src` to
+    /// `translate(src, 1 + off)`. The one-node form holds node 0's
+    /// `nodes - 1` routes.
     fn ensure_a2a_routes(&mut self) {
         if !self.a2a_routes.is_empty() {
             return;
         }
+        let topo = self.net.topology();
         let n = self.nodes;
-        let routes: Vec<Route> = (0..n * (n - 1))
-            .map(|flow| {
-                let (src, dst) = self.a2a_flow_endpoints(flow);
-                match &self.fault {
+        let mut routes = Vec::with_capacity(self.sim_nodes * (n - 1));
+        for src in (0..self.sim_nodes).map(NodeId) {
+            for off in 0..n - 1 {
+                let dst = topo.translate(src, NodeId(1 + off));
+                routes.push(match &self.fault {
                     // Killed links force the flow onto a BFS route around
                     // them; resolve() proved the fabric stays connected,
                     // so the detour always exists.
                     Some(fp) if fp.has_kills() => fp
-                        .route_around(self.net.topology(), NodeId(src), NodeId(dst))
+                        .route_around(topo, src, dst)
                         .expect("fault plan resolved on a connected fabric"),
-                    _ => self.net.topology().route(NodeId(src), NodeId(dst)),
-                }
-            })
-            .collect();
+                    _ => topo.route(src, dst),
+                });
+            }
+        }
         self.a2a_routes = routes;
     }
 
+    /// Injects the chunk's flows from every simulated source: node 0's
+    /// `nodes - 1` flows alone in the one-node form (see the module docs).
     fn inject_a2a_chunk(&mut self, now: SimTime, cid: usize, chunk: usize) {
         self.acquire_chunk_slot(cid, chunk);
         self.ensure_a2a_routes();
         let n = self.nodes;
-        let flows = n * (n - 1);
-        self.chunk_state_mut(cid, chunk).flows_total = flows;
-        for flow in 0..flows {
-            let src = flow / (n - 1);
-            let bytes = self.a2a_flow_bytes(cid, chunk, flow);
-            // Stage the source's slice buffer once per chunk. All-to-all
-            // is single-phase: it shares phase 0's partition and FSMs
-            // (Section V).
-            let staged = if flow % (n - 1) == 0 {
-                self.engines[src].chunk_inject(now, bytes)
-            } else {
-                now
-            };
-            let ready = self.engines[src].fetch_and_send(now, bytes, 0).max(staged);
-            let ev = Ev::A2aSend {
-                coll: cid as u32,
-                chunk: chunk as u32,
-                flow: flow as u32,
-                hop: 0,
-            };
-            self.queue
-                .schedule_keyed(ready.max(now), content_key(&ev), ev);
+        self.chunk_state_mut(cid, chunk).flows_total = self.sim_nodes * (n - 1);
+        for src in 0..self.sim_nodes {
+            for off in 0..n - 1 {
+                let bytes = a2a_flow_bytes_of(&self.colls[cid], chunk, off);
+                // Stage the source's slice buffer once per chunk.
+                // All-to-all is single-phase: it shares phase 0's
+                // partition and FSMs (Section V).
+                let staged = if off == 0 {
+                    self.engines[src].chunk_inject(now, bytes)
+                } else {
+                    now
+                };
+                let ready = self.engines[src].fetch_and_send(now, bytes, 0).max(staged);
+                let ev = Ev::A2aSend {
+                    coll: cid as u32,
+                    chunk: chunk as u32,
+                    src: src as u32,
+                    off: off as u32,
+                    hop: 0,
+                };
+                self.queue
+                    .schedule_keyed(ready.max(now), content_key(&ev), ev);
+            }
         }
     }
 }
@@ -2229,9 +2293,9 @@ mod tests {
         let n = ex.nodes;
         let n_chunks = ex.colls[cid].chunk_sizes.len();
         let mut sent = 0;
-        for flow in 0..(n - 1) {
+        for off in 0..(n - 1) {
             for chunk in 0..n_chunks {
-                sent += ex.a2a_flow_bytes(cid, chunk, flow);
+                sent += a2a_flow_bytes_of(&ex.colls[cid], chunk, off);
             }
         }
         sent + payload / n as u64

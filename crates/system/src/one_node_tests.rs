@@ -6,7 +6,7 @@ use ace_collectives::{CollectiveOp, CollectivePlan};
 use ace_compute::KernelDesc;
 use ace_net::{NodeId, Port, TopologySpec};
 use ace_simcore::SimTime;
-use ace_trace::{NullTracer, PipeBusy, RecordingTracer, Tracer};
+use ace_trace::{NullTracer, Payload, PipeBusy, RecordingTracer, Tracer};
 use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 
 use crate::executor::{CollHandle, CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
@@ -107,7 +107,7 @@ fn option_sets() -> [(&'static str, ExecutorOptions); 3] {
 /// 3 MiB plus a remainder: 48 full chunks and a short trailing one.
 const BIG: u64 = (3 << 20) + 12_345;
 
-/// Issues staggered ring collectives in waves, each wave at the instant
+/// Issues staggered collectives in waves, each wave at the instant
 /// the previous wave's smallest nonzero collective completes, then
 /// drains them in reverse issue order. Returns every completion time and
 /// the final event time.
@@ -149,24 +149,27 @@ fn assert_forms_agree(
 ) {
     let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
     let weights = CollectiveExecutor::phase_weights(&plan);
-    let run = |ring_only: bool| {
-        let mut ex =
-            CollectiveExecutor::build(spec, options, None, engine, &weights, NullTracer, ring_only);
-        let expected = if ring_only { 1 } else { spec.nodes() };
+    let run = |mut ex: CollectiveExecutor, expected: usize| {
         assert_eq!(ex.simulated_nodes(), expected, "{case}");
         let times = drive(&mut ex, waves);
         let horizon = *times.last().expect("drive reports the idle time");
         (times, meters(&ex, horizon))
     };
-    let (full_times, full) = run(false);
-    let (one_times, one) = run(true);
+    let (full_times, full) = run(
+        CollectiveExecutor::new(spec, options, None, engine, &weights, NullTracer),
+        spec.nodes(),
+    );
+    let (one_times, one) = run(
+        CollectiveExecutor::build(spec, options, None, engine, &weights, NullTracer),
+        1,
+    );
     assert_eq!(one_times, full_times, "{case}: completion times");
     assert_eq!(one, full, "{case}: meters");
 }
 
 #[test]
 fn one_node_collectives_equal_the_full_fabric_bit_for_bit() {
-    use CollectiveOp::{AllGather, AllReduce, ReduceScatter, SendRecv};
+    use CollectiveOp::{AllGather, AllReduce, AllToAll, ReduceScatter, SendRecv};
     let waves = [
         vec![
             (AllReduce, BIG),
@@ -179,6 +182,14 @@ fn one_node_collectives_equal_the_full_fabric_bit_for_bit() {
             (AllGather, BIG),
             (AllReduce, 0),
             (ReduceScatter, 5),
+        ],
+        // A prime payload leaves a remainder byte on some offsets, and 5
+        // bytes is fewer than every fabric's node count.
+        vec![
+            (AllToAll, BIG),
+            (AllToAll, 1_000_003),
+            (AllToAll, 5),
+            (AllToAll, 0),
         ],
     ];
     let mut cases = 0;
@@ -202,6 +213,65 @@ fn one_node_collectives_equal_the_full_fabric_bit_for_bit() {
         cases += 1;
     }
     assert_eq!(cases, 6 * 6 * 3 + 6);
+}
+
+/// Per egress port of every node, from the recorded `link:` spans:
+/// `(busy cycles, span count, last span end)`.
+fn link_spans_per_node(ex: &CollectiveExecutor<RecordingTracer>) -> Vec<Vec<(u64, u64, u64)>> {
+    let tr = ex.tracer();
+    assert_eq!(tr.dropped(), 0, "trace overflowed its arena");
+    let ports = ex.network().topology().ports_per_node();
+    let mut per_node = vec![vec![(0, 0, 0); ports]; ex.nodes()];
+    for e in tr.events() {
+        if let Payload::Complete { dur } = e.payload {
+            if tr.name(e.name).starts_with("link:") {
+                let port = &mut per_node[e.track.pid as usize - 1][e.track.tid as usize];
+                port.0 += dur;
+                port.1 += 1;
+                port.2 = port.2.max(e.ts + dur);
+            }
+        }
+    }
+    per_node
+}
+
+#[test]
+fn a_full_fabric_all_to_all_loads_every_node_alike() {
+    for topology in [
+        "4x2x2", "2x2x2x2", "4x4", "8x2", "3x3", "5x3x2", "hier:4x4", "hier:3x4", "switch:8",
+        "switch:6",
+    ] {
+        let spec: TopologySpec = topology.parse().unwrap();
+        let plan = CollectivePlan::for_spec(CollectiveOp::AllToAll, spec);
+        let weights = CollectiveExecutor::phase_weights(&plan);
+        for config in [
+            SystemConfig::Ace,
+            SystemConfig::BaselineCommOpt,
+            SystemConfig::Ideal,
+        ] {
+            for payload in [1_000_003, BIG] {
+                let mut ex = CollectiveExecutor::new(
+                    spec,
+                    ExecutorOptions::default(),
+                    None,
+                    config.engine(),
+                    &weights,
+                    RecordingTracer::new(),
+                );
+                let h = ex.issue(CollectiveOp::AllToAll, payload, SimTime::ZERO);
+                ex.run_until_complete(h);
+                let case = format!("{topology} {config} {payload} B");
+                let per_node = link_spans_per_node(&ex);
+                assert!(per_node[0].iter().any(|&(busy, _, _)| busy > 0), "{case}");
+                for (node, ports) in per_node.iter().enumerate() {
+                    assert_eq!(
+                        ports, &per_node[0],
+                        "{case}: node {node}'s (busy, spans, last end) per port"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// An enabled tracer that records nothing. Tracing never changes a
@@ -273,35 +343,61 @@ fn one_node_training_runs_equal_the_full_fabric_bit_for_bit() {
             schedule: PipeSchedule::OneFOneB,
         })
         .unwrap();
+    let dlrm = Workload::dlrm(topo.nodes());
     let runs = [
-        ("resnet50", SystemConfig::Ace, Workload::resnet50(), "det"),
+        (
+            "resnet50",
+            SystemConfig::Ace,
+            &Workload::resnet50(),
+            false,
+            "det",
+        ),
         (
             "gnmt",
             SystemConfig::BaselineCommOpt,
-            Workload::gnmt(),
+            &Workload::gnmt(),
+            false,
             "det",
         ),
         (
             "transformer@pipeline@1f1b",
             SystemConfig::Ace,
-            pipeline,
+            &pipeline,
+            false,
             "det",
         ),
         (
             "resnet50 lognormal:0.3",
             SystemConfig::BaselineCompOpt,
-            Workload::resnet50(),
+            &Workload::resnet50(),
+            false,
             "lognormal:0.3",
         ),
+        (
+            "dlrm CompOpt",
+            SystemConfig::BaselineCompOpt,
+            &dlrm,
+            false,
+            "det",
+        ),
+        (
+            "dlrm CompOpt optimized",
+            SystemConfig::BaselineCompOpt,
+            &dlrm,
+            true,
+            "det",
+        ),
+        ("dlrm ACE", SystemConfig::Ace, &dlrm, false, "det"),
+        ("dlrm ACE optimized", SystemConfig::Ace, &dlrm, true, "det"),
     ];
-    for (case, config, workload, straggler) in runs {
+    for (case, config, workload, optimized, straggler) in runs {
         let spec = || {
             let conditions = crate::RunConditions {
                 straggler: straggler.parse().unwrap(),
                 ..Default::default()
             };
-            TrainSpec::new(config, training_program(config, &workload, 2, false), topo)
-                .conditions(conditions)
+            let program = training_program(config, workload, 2, optimized);
+            TrainSpec::new(config, program, topo).conditions(conditions)
         };
         let one = spec().build().unwrap();
         assert_eq!(one.simulated_nodes(), 1, "{case}");
@@ -362,14 +458,19 @@ fn one_node_form_is_chosen_exactly_when_the_run_is_symmetric() {
         TrainSpec::new(config, training_program(config, workload, 1, false), torus)
     };
 
-    // Symmetric: ring collectives on a pristine fabric, untraced.
+    // Symmetric: any collective on a pristine fabric, untraced.
     assert_eq!(simulated(collective(CollectiveOp::AllReduce)), 1);
     assert_eq!(simulated(collective(CollectiveOp::SendRecv)), 1);
+    assert_eq!(simulated(collective(CollectiveOp::AllToAll)), 1);
     assert_eq!(
         train(&Workload::resnet50())
             .build()
             .unwrap()
             .simulated_nodes(),
+        1
+    );
+    assert_eq!(
+        train(&Workload::dlrm(n)).build().unwrap().simulated_nodes(),
         1
     );
     let round = TrainSpec::new(SystemConfig::Ace, serving_round(), torus);
@@ -381,23 +482,17 @@ fn one_node_form_is_chosen_exactly_when_the_run_is_symmetric() {
     });
     assert_eq!(stretched.build().unwrap().simulated_nodes(), 1);
 
-    // Every node simulated: all-to-all, faults, contention, tracing.
-    assert_eq!(simulated(collective(CollectiveOp::AllToAll)), n);
-    assert_eq!(
-        train(&Workload::dlrm(n)).build().unwrap().simulated_nodes(),
-        n
-    );
-    let killed = collective(CollectiveOp::AllReduce).faults("kill:1@seed:42".parse().unwrap());
-    assert_eq!(simulated(killed), n);
-    let contended = collective(CollectiveOp::AllReduce).contention("uniform:8".parse().unwrap());
-    assert_eq!(simulated(contended), n);
+    // Every node simulated: faults, contention, tracing.
+    for op in [CollectiveOp::AllReduce, CollectiveOp::AllToAll] {
+        let killed = collective(op).faults("kill:1@seed:42".parse().unwrap());
+        assert_eq!(simulated(killed), n, "{op:?}");
+        let contended = collective(op).contention("uniform:8".parse().unwrap());
+        assert_eq!(simulated(contended), n, "{op:?}");
+        let traced = collective(op).traced().run_counted().unwrap();
+        assert_eq!(traced.2, n, "{op:?}");
+    }
     let killed_training = train(&Workload::resnet50()).faults("kill:1@seed:42".parse().unwrap());
     assert_eq!(killed_training.build().unwrap().simulated_nodes(), n);
-    let traced = collective(CollectiveOp::AllReduce)
-        .traced()
-        .run_counted()
-        .unwrap();
-    assert_eq!(traced.2, n);
     let traced_training = train(&Workload::resnet50()).tracer(RecordingTracer::new());
     assert_eq!(traced_training.build().unwrap().simulated_nodes(), n);
 }

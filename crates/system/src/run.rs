@@ -238,7 +238,6 @@ impl<T: Tracer> RunSpec<T> {
             self.engine,
             &weights,
             self.tracer,
-            self.op != CollectiveOp::AllToAll,
         );
         let h = ex.issue(self.op, self.payload_bytes, SimTime::ZERO);
         let completion = ex.run_until_complete(h);

@@ -77,17 +77,6 @@ impl<T: Tracer> TrainingSim<T> {
     ) -> TrainingSim<T> {
         let plan = ace_collectives::CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
         let weights = CollectiveExecutor::phase_weights(&plan);
-        // Without all-to-all every node runs the same schedule, so the
-        // executor may simulate one representative node.
-        let ring_only = program.iter_scheduled().all(|(_, task)| {
-            !matches!(
-                task.kind(),
-                TaskKind::Collective {
-                    op: CollectiveOp::AllToAll,
-                    ..
-                }
-            )
-        });
         let mut exec = CollectiveExecutor::build(
             spec,
             ExecutorOptions::default(),
@@ -95,7 +84,6 @@ impl<T: Tracer> TrainingSim<T> {
             config.engine(),
             &weights,
             tracer,
-            ring_only,
         );
         if exec.tracer().enabled() {
             // One lane per timeline: `timeline` for a single NPU, and
