@@ -2,16 +2,18 @@
 //!
 //! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps, plus a
 //! training grid (exact and analytic tiers), a pipeline-parallel training
-//! grid, a serving grid and an analytic-tier collective grid over every
-//! fabric family, are run end-to-end and their CSV/JSON reports diffed
+//! grid, a serving grid, an analytic-tier collective grid over every
+//! fabric family and an exact-tier collective grid with killed and
+//! degraded cables, are run end-to-end and their CSV/JSON reports diffed
 //! **byte-for-byte** against checked-in files under `tests/golden/`. The
 //! collective files were captured from the simulator before the topology
 //! abstraction landed, the training/serving files before the run entry
 //! points were consolidated, the analytic-grid, JSON, attribution and
 //! escaping files before the α–β route footprint was memoized and the
-//! report writers were rewritten, and the pipeline files before the
+//! report writers were rewritten, the pipeline files before the
 //! training simulator's one-timeline and pipeline schedule walkers were
-//! merged, so these tests prove that refactors of the
+//! merged, and the exact-cabled files before the executor's ring-detour
+//! and all-to-all route walks were merged, so these tests prove that refactors of the
 //! network/collective/system/report layers do not move the paper's
 //! numbers.
 //!
@@ -196,15 +198,20 @@ fn serving_smoke() -> Scenario {
     .expect("valid scenario")
 }
 
-/// Analytic tier (smoke): all three engines and both α–β paths (ring
-/// phases and route-enumerated all-to-all) on 16-node fabrics, at an
-/// aligned and a prime payload, pristine and contended, with one killed
-/// cable where the fabric has point-to-point cables (a crossbar has
-/// none to kill). Speedups against the ideal engine fill the summary.
-/// Both engine families run at 128 GB/s of memory bandwidth.
-fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
+/// A collective grid in one tier (smoke): all three engines, all-reduce
+/// and all-to-all (ring phases and route-enumerated flows) on 16-node
+/// fabrics, at an aligned and a prime payload, pristine and contended,
+/// under each of `faults`. Speedups against the ideal engine fill the
+/// summary. Both engine families run at 128 GB/s of memory bandwidth.
+fn collective_grid(
+    name: &str,
+    fidelity: Fidelity,
+    payloads: [u64; 2],
+    topologies: &[&str],
+    faults: &[&str],
+) -> Scenario {
     let mut sc = Scenario::collective(name);
-    sc.fidelity = Fidelity::Analytic;
+    sc.fidelity = fidelity;
     sc.topologies = topologies
         .iter()
         .map(|t| t.parse().expect("valid topology"))
@@ -216,7 +223,7 @@ fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
     ];
     sc.mem_gbps = vec![128.0];
     sc.ops = vec![CollectiveOp::AllReduce, CollectiveOp::AllToAll];
-    sc.payload_bytes = vec![16 << 20, 1_000_003];
+    sc.payload_bytes = payloads.to_vec();
     sc.faults = faults
         .iter()
         .map(|f| f.parse().expect("valid fault"))
@@ -229,23 +236,43 @@ fn analytic_grid(name: &str, topologies: &[&str], faults: &[&str]) -> Scenario {
     sc
 }
 
-/// The cabled fabrics of the analytic grid: two tori and a hierarchical
-/// fabric, each also with one cable killed.
+/// The cabled fabrics: two tori and a hierarchical fabric.
+const CABLED: [&str; 3] = ["4x2x2", "2x2x2x2", "hier:4x4"];
+
+/// The cabled fabrics in the analytic tier, each also with one cable
+/// killed.
 fn analytic_cabled() -> Scenario {
-    analytic_grid(
+    collective_grid(
         "analytic-cabled",
-        &["4x2x2", "2x2x2x2", "hier:4x4"],
+        Fidelity::Analytic,
+        [16 << 20, 1_000_003],
+        &CABLED,
         &["none", "kill:1@seed:42"],
     )
 }
 
-/// The crossbar fabrics of the analytic grid, with and without the
-/// uplink-bandwidth override.
+/// The crossbar fabrics in the analytic tier, with and without the
+/// uplink-bandwidth override (a crossbar has no cable to kill).
 fn analytic_switch() -> Scenario {
-    analytic_grid(
+    collective_grid(
         "analytic-switch",
+        Fidelity::Analytic,
+        [16 << 20, 1_000_003],
         &["switch:16", "switch:16@100"],
         &["none"],
+    )
+}
+
+/// The cabled fabrics in the exact tier, pristine, with one cable killed
+/// (ring sends detour around it, all-to-all flows are re-routed) and
+/// with one cable at half bandwidth.
+fn exact_cabled() -> Scenario {
+    collective_grid(
+        "exact-cabled",
+        Fidelity::Exact,
+        [1 << 20, 1_000_003],
+        &CABLED,
+        &["none", "kill:1@seed:42", "degrade:50:1@seed:7"],
     )
 }
 
@@ -265,6 +292,22 @@ fn analytic_cabled_grid_matches_golden() {
     let out = serial(&analytic_cabled());
     check_golden("analytic_cabled.csv", &report::to_csv(&out));
     check_golden("analytic_cabled.json", &report::to_json(&out));
+}
+
+#[test]
+fn exact_cabled_grid_matches_golden() {
+    let out = serial(&exact_cabled());
+    assert_eq!(out.results.len(), 216);
+    check_golden("exact_cabled.csv", &report::to_csv(&out));
+    check_golden("exact_cabled.json", &report::to_json(&out));
+    check_golden(
+        "exact_cabled_attribution.csv",
+        &report::to_csv_with_attribution(&out),
+    );
+    check_golden(
+        "exact_cabled_attribution.json",
+        &report::to_json_with_attribution(&out),
+    );
 }
 
 #[test]
