@@ -13,7 +13,7 @@
 //!    product).
 
 use ace_bench::{emit_tsv, header, subheader};
-use ace_collectives::{CollectiveOp, CollectivePlan, Granularity};
+use ace_collectives::{CollectiveOp, Granularity};
 use ace_net::TopologySpec;
 use ace_simcore::SimTime;
 use ace_system::{CollectiveExecutor, ExecutorOptions, SchedulingPolicy, SystemConfig};
@@ -22,10 +22,9 @@ use ace_trace::NullTracer;
 const PAYLOAD: u64 = 32 << 20;
 
 fn ace_executor(shape: TopologySpec, options: ExecutorOptions) -> CollectiveExecutor {
-    let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, shape);
-    let weights = CollectiveExecutor::phase_weights(&plan);
     let engine = SystemConfig::Ace.engine();
-    CollectiveExecutor::new(shape, options, None, engine, &weights, NullTracer)
+    let op = CollectiveOp::AllReduce;
+    CollectiveExecutor::new(shape, op, options, None, engine, NullTracer)
 }
 
 fn run_single(shape: TopologySpec, options: ExecutorOptions) -> u64 {

@@ -28,8 +28,12 @@
 //! let mut net = Network::new(spec, NetworkParams::paper_default());
 //! let route = net.topology().route(0.into(), 5.into());
 //! assert!(!route.is_empty());
-//! let arrival = net.send_route(SimTime::ZERO, 0.into(), &route, 8 * 1024);
-//! assert!(arrival.cycles() > 0);
+//! // Store-and-forward: each hop leaves when the previous one lands.
+//! let mut t = SimTime::ZERO;
+//! for hop in &route {
+//!     t = net.transmit(t, hop.from, hop.port, 8 * 1024).arrival;
+//! }
+//! assert!(t.cycles() > 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,7 +46,7 @@ mod topo;
 
 pub use fault::{ContentionSpec, FaultClause, FaultError, FaultPlan, FaultSpec, FaultTarget};
 pub use link::{Link, LinkClass, LinkParams, Port};
-pub use network::{HopOutcome, Network, NetworkParams};
+pub use network::{HopOutcome, Network, NetworkParams, UTIL_BUCKET_CYCLES};
 pub use topo::{
     did_you_mean, unknown_spelling, DimInfo, Hierarchical, Hop, NodeId, Route, ShapeError,
     Spelling, SpellingError, Switch, Topology, TopologySpec, Torus, MAX_TORUS_DIMS,

@@ -1,11 +1,16 @@
 //! The assembled fabric: one [`Link`] per live node egress port, with
 //! message-granularity transport and utilization accounting.
 
-use ace_simcore::{BucketCursor, Frequency, Grant, RateMeter, SimTime, TimeSeries};
+use ace_simcore::{BucketCursor, Frequency, Grant, SimTime, TimeSeries};
 
 use crate::fault::FaultPlan;
 use crate::link::{Link, LinkClass, LinkParams, Port};
-use crate::topo::{NodeId, Route, Topology, TopologySpec};
+use crate::topo::{NodeId, Topology, TopologySpec};
+
+/// Bucket width in cycles of the fabric's utilization series, and of the
+/// training compute series that Fig. 10 plots beside it bucket for bucket
+/// (the paper averages over 1 K-cycle windows).
+pub const UTIL_BUCKET_CYCLES: u64 = 1000;
 
 /// Fabric-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -16,9 +21,6 @@ pub struct NetworkParams {
     pub inter: LinkParams,
     /// NPU clock used for GB/s → bytes/cycle conversion.
     pub freq: Frequency,
-    /// Bucket width (cycles) for the utilization time series (Fig. 10 uses
-    /// 1 K-cycle windows).
-    pub util_bucket_cycles: u64,
 }
 
 impl NetworkParams {
@@ -28,7 +30,6 @@ impl NetworkParams {
             intra: LinkParams::paper_default(LinkClass::IntraPackage),
             inter: LinkParams::paper_default(LinkClass::InterPackage),
             freq: ace_simcore::npu_frequency(),
-            util_bucket_cycles: 1000,
         }
     }
 }
@@ -43,7 +44,7 @@ pub struct HopOutcome {
 }
 
 /// The accelerator-fabric network: every node's egress links plus
-/// fabric-wide throughput/utilization meters. The link layout comes from
+/// fabric-wide byte and utilization meters. The link layout comes from
 /// the [`Topology`]: `links[node * ports_per_node + port.index()]`, with
 /// `None` for ports the topology leaves dead (e.g. size-1 torus
 /// dimensions).
@@ -69,7 +70,8 @@ pub struct Network {
     /// monotone in time, so the series write is division-free in the
     /// common same-bucket case.
     util_cursors: Vec<BucketCursor>,
-    meter: RateMeter,
+    /// Bytes injected, over every node's links.
+    bytes: u64,
     util_series: TimeSeries,
     active_links: usize,
 }
@@ -129,8 +131,8 @@ impl Network {
             replicas: replicas as u64,
             util_cursors: vec![BucketCursor::default(); links.len()],
             links,
-            meter: RateMeter::new(),
-            util_series: TimeSeries::new(params.util_bucket_cycles),
+            bytes: 0,
+            util_series: TimeSeries::new(UTIL_BUCKET_CYCLES),
             active_links,
         }
     }
@@ -198,45 +200,15 @@ impl Network {
             .expect("the slot holds a live link");
         let grant = link.transmit(now, bytes);
         let arrival = link.arrival(grant);
-        self.meter.record(grant.end, bytes * self.replicas);
+        self.bytes += bytes * self.replicas;
         self.util_series
             .add_busy_at(&mut self.util_cursors[idx], grant.start, grant.end);
         HopOutcome { grant, arrival }
     }
 
-    /// Sends a message along a multi-hop route with store-and-forward at
-    /// each hop, returning the final arrival time. Single-hop routes (ring
-    /// collectives) degenerate to one [`transmit`](Network::transmit).
-    ///
-    /// This helper does not model intermediate-endpoint memory bounce; the
-    /// baseline engine layers that on top by walking the route itself.
-    pub fn send_route(&mut self, now: SimTime, src: NodeId, route: &Route, bytes: u64) -> SimTime {
-        let mut t = now;
-        let mut cur = src;
-        for hop in route {
-            debug_assert_eq!(hop.from, cur);
-            let out = self.transmit(t, hop.from, hop.port, bytes);
-            t = out.arrival;
-            cur = hop.to;
-        }
-        t
-    }
-
     /// Total bytes injected into the fabric.
     pub fn total_bytes(&self) -> u64 {
-        self.meter.bytes()
-    }
-
-    /// Achieved fabric throughput in GB/s over the observation window,
-    /// summed across all links.
-    pub fn achieved_gbps(&self) -> f64 {
-        self.params.freq.gbps(self.meter.rate())
-    }
-
-    /// Achieved *per-NPU* network bandwidth in GB/s — the metric on the
-    /// y-axis of Fig. 5 and Fig. 6.
-    pub fn achieved_gbps_per_npu(&self) -> f64 {
-        self.achieved_gbps() / self.nodes as f64
+        self.bytes
     }
 
     /// Total busy cycles credited to the per-link [`BucketCursor`]
@@ -252,7 +224,7 @@ impl Network {
     /// Per-bucket fraction of links busy (Fig. 10's network-utilization
     /// metric: the share of links scheduling a flit in a cycle).
     pub fn utilization_series(&self) -> Vec<f64> {
-        let denom = self.active_links as f64 * self.params.util_bucket_cycles as f64;
+        let denom = self.active_links as f64 * UTIL_BUCKET_CYCLES as f64;
         self.busy_buckets()
             .iter()
             .map(|busy| (busy / denom).min(1.0))
@@ -355,7 +327,6 @@ mod tests {
         let out = net.transmit(SimTime::ZERO, NodeId(0), Port::from_index(0), 4096);
         assert!(out.arrival > out.grant.end);
         assert_eq!(net.total_bytes(), 4096);
-        assert!(net.achieved_gbps() > 0.0);
     }
 
     #[test]
@@ -365,8 +336,14 @@ mod tests {
         let one_hop = a.topology().route(NodeId(0), NodeId(1));
         let long = a.topology().route(NodeId(0), NodeId(15));
         assert!(long.len() > one_hop.len());
-        let t1 = a.send_route(SimTime::ZERO, NodeId(0), &one_hop, 8192);
-        let t2 = b.send_route(SimTime::ZERO, NodeId(0), &long, 8192);
+        // Store-and-forward: each hop leaves when the previous one lands.
+        let walk = |net: &mut Network, route: &[crate::Hop]| {
+            route.iter().fold(SimTime::ZERO, |t, h| {
+                net.transmit(t, h.from, h.port, 8192).arrival
+            })
+        };
+        let t1 = walk(&mut a, &one_hop);
+        let t2 = walk(&mut b, &long);
         assert!(t2 > t1);
     }
 
@@ -413,14 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_route_arrives_instantly() {
-        let mut net = small_net();
-        let t = net.send_route(SimTime::from_cycles(7), NodeId(3), &Vec::new(), 4096);
-        assert_eq!(t, SimTime::from_cycles(7));
-        assert_eq!(net.total_bytes(), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "no p2 link at npu0")]
     fn missing_dimension_link_panics() {
         let mut net = Network::new(
@@ -463,7 +432,9 @@ mod tests {
         assert_eq!(link.params().bandwidth_gbps, 100.0);
         // Any pair is one crossbar hop apart.
         let route = net.topology().route(NodeId(2), NodeId(7));
-        let t = net.send_route(SimTime::ZERO, NodeId(2), &route, 4096);
+        assert_eq!(route.len(), 1);
+        let h = route[0];
+        let t = net.transmit(SimTime::ZERO, h.from, h.port, 4096).arrival;
         assert!(t.cycles() > 0);
         assert_eq!(net.total_bytes(), 4096);
     }

@@ -38,7 +38,7 @@ mod time;
 pub use event::EventQueue;
 pub use rng::SplitMix64;
 pub use server::{BandwidthServer, Grant, SlotServer};
-pub use stats::{BucketCursor, RateMeter, TimeSeries};
+pub use stats::{BucketCursor, TimeSeries};
 pub use time::{Frequency, SimTime};
 
 /// The paper's NPU clock frequency: 1245 MHz (Section V).

@@ -1,5 +1,4 @@
-//! Statistics recorders: bucketed time series, busy-time trackers and
-//! rate meters.
+//! Statistics recorders: bucketed time series and busy-time trackers.
 
 use crate::SimTime;
 
@@ -162,39 +161,6 @@ pub struct BucketCursor {
     end: u64,
 }
 
-/// Measures achieved throughput: bytes moved over an observation window.
-#[derive(Debug, Clone, Default)]
-pub struct RateMeter {
-    bytes: u64,
-    last: SimTime,
-}
-
-impl RateMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bytes` completing at time `at`.
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
-        self.bytes += bytes;
-        self.last = self.last.max(at);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Achieved bytes/cycle over `[0, end-of-window]`.
-    pub fn rate(&self) -> f64 {
-        if self.last.cycles() == 0 {
-            return 0.0;
-        }
-        self.bytes as f64 / self.last.cycles() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,21 +244,5 @@ mod tests {
         let mut ts = TimeSeries::new(4);
         ts.add(SimTime::from_cycles(0), 2.0);
         assert_eq!(ts.bucket_means(), vec![0.5]);
-    }
-
-    #[test]
-    fn rate_meter_reports_throughput() {
-        let mut m = RateMeter::new();
-        m.record(SimTime::from_cycles(50), 100);
-        m.record(SimTime::from_cycles(100), 100);
-        assert_eq!(m.bytes(), 200);
-        assert!((m.rate() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_rate_meter_is_zero() {
-        let m = RateMeter::new();
-        assert_eq!(m.rate(), 0.0);
-        assert_eq!(m.bytes(), 0);
     }
 }

@@ -54,8 +54,7 @@ impl EngineKind {
     /// Builds one node's endpoint for this engine: the only place an
     /// `EngineKind` becomes a simulated engine. `phase_weights` sizes
     /// ACE's SRAM partitions, one weight per phase of the plan the
-    /// endpoint serves (see
-    /// [`CollectiveExecutor::phase_weights`](crate::CollectiveExecutor::phase_weights));
+    /// endpoint serves (see [`CollectiveExecutor::new`](crate::CollectiveExecutor::new));
     /// the baseline and ideal endpoints ignore it.
     pub fn endpoint(self, phase_weights: &[f64]) -> Box<dyn CollectiveEngine> {
         match self {

@@ -2,7 +2,7 @@
 //! reported figure must agree bit for bit, and the form must be chosen
 //! exactly when the run is symmetric.
 
-use ace_collectives::{CollectiveOp, CollectivePlan};
+use ace_collectives::{CollectiveOp, Granularity};
 use ace_compute::KernelDesc;
 use ace_net::{NodeId, Port, TopologySpec};
 use ace_simcore::SimTime;
@@ -21,7 +21,6 @@ type LinkReading = (usize, usize, Option<(u64, u64)>);
 #[derive(Debug, PartialEq)]
 struct Meters {
     total_bytes: u64,
-    gbps_per_npu: u64,
     util_busy_total: u64,
     utilization_series: Vec<u64>,
     pipes: PipeBusy,
@@ -32,7 +31,7 @@ struct Meters {
     links: Vec<LinkReading>,
 }
 
-fn meters(ex: &CollectiveExecutor, horizon: SimTime) -> Meters {
+fn meters<T: Tracer>(ex: &CollectiveExecutor<T>, horizon: SimTime) -> Meters {
     let net = ex.network();
     let n = ex.nodes();
     let mut links = Vec::new();
@@ -48,7 +47,6 @@ fn meters(ex: &CollectiveExecutor, horizon: SimTime) -> Meters {
     }
     Meters {
         total_bytes: net.total_bytes(),
-        gbps_per_npu: net.achieved_gbps_per_npu().to_bits(),
         util_busy_total: net.util_busy_total_cycles().to_bits(),
         utilization_series: net
             .utilization_series()
@@ -81,7 +79,16 @@ fn engines() -> Vec<(&'static str, EngineKind)> {
     out
 }
 
-fn option_sets() -> [(&'static str, ExecutorOptions); 3] {
+/// The default options, FIFO draining, unidirectional rings, small
+/// in-flight caps, and `ablations`' smallest and largest chunk sizes.
+fn option_sets() -> [(&'static str, ExecutorOptions); 5] {
+    let chunk = |kib: u64| ExecutorOptions {
+        granularity: Granularity {
+            chunk_bytes: kib << 10,
+            ..Granularity::paper_default()
+        },
+        ..Default::default()
+    };
     [
         ("default", ExecutorOptions::default()),
         (
@@ -101,6 +108,8 @@ fn option_sets() -> [(&'static str, ExecutorOptions); 3] {
                 ..Default::default()
             },
         ),
+        ("chunk-16k", chunk(16)),
+        ("chunk-512k", chunk(512)),
     ]
 }
 
@@ -111,7 +120,10 @@ const BIG: u64 = (3 << 20) + 12_345;
 /// the previous wave's smallest nonzero collective completes, then
 /// drains them in reverse issue order. Returns every completion time and
 /// the final event time.
-fn drive(ex: &mut CollectiveExecutor, waves: &[Vec<(CollectiveOp, u64)>]) -> Vec<SimTime> {
+fn drive<T: Tracer>(
+    ex: &mut CollectiveExecutor<T>,
+    waves: &[Vec<(CollectiveOp, u64)>],
+) -> Vec<SimTime> {
     let mut handles: Vec<CollHandle> = Vec::new();
     let mut times = Vec::new();
     for wave in waves {
@@ -147,24 +159,20 @@ fn assert_forms_agree(
     engine: EngineKind,
     waves: &[Vec<(CollectiveOp, u64)>],
 ) {
-    let plan = CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
-    let weights = CollectiveExecutor::phase_weights(&plan);
-    let run = |mut ex: CollectiveExecutor, expected: usize| {
-        assert_eq!(ex.simulated_nodes(), expected, "{case}");
-        let times = drive(&mut ex, waves);
-        let horizon = *times.last().expect("drive reports the idle time");
-        (times, meters(&ex, horizon))
-    };
-    let (full_times, full) = run(
-        CollectiveExecutor::new(spec, options, None, engine, &weights, NullTracer),
-        spec.nodes(),
-    );
-    let (one_times, one) = run(
-        CollectiveExecutor::build(spec, options, None, engine, &weights, NullTracer),
-        1,
-    );
+    let op = CollectiveOp::AllReduce;
+    let mut full = CollectiveExecutor::new(spec, op, options, None, engine, Listening);
+    let mut one = CollectiveExecutor::new(spec, op, options, None, engine, NullTracer);
+    assert_eq!(full.simulated_nodes(), spec.nodes(), "{case}");
+    assert_eq!(one.simulated_nodes(), 1, "{case}");
+    let full_times = drive(&mut full, waves);
+    let one_times = drive(&mut one, waves);
     assert_eq!(one_times, full_times, "{case}: completion times");
-    assert_eq!(one, full, "{case}: meters");
+    let horizon = *one_times.last().expect("drive reports the idle time");
+    assert_eq!(
+        meters(&one, horizon),
+        meters(&full, horizon),
+        "{case}: meters"
+    );
 }
 
 #[test]
@@ -212,7 +220,7 @@ fn one_node_collectives_equal_the_full_fabric_bit_for_bit() {
         assert_forms_agree(&case, spec, ExecutorOptions::default(), engine, &small);
         cases += 1;
     }
-    assert_eq!(cases, 6 * 6 * 3 + 6);
+    assert_eq!(cases, 6 * 6 * 5 + 6);
 }
 
 /// Per egress port of every node, from the recorded `link:` spans:
@@ -242,8 +250,6 @@ fn a_full_fabric_all_to_all_loads_every_node_alike() {
         "switch:6",
     ] {
         let spec: TopologySpec = topology.parse().unwrap();
-        let plan = CollectivePlan::for_spec(CollectiveOp::AllToAll, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan);
         for config in [
             SystemConfig::Ace,
             SystemConfig::BaselineCommOpt,
@@ -252,10 +258,10 @@ fn a_full_fabric_all_to_all_loads_every_node_alike() {
             for payload in [1_000_003, BIG] {
                 let mut ex = CollectiveExecutor::new(
                     spec,
+                    CollectiveOp::AllToAll,
                     ExecutorOptions::default(),
                     None,
                     config.engine(),
-                    &weights,
                     RecordingTracer::new(),
                 );
                 let h = ex.issue(CollectiveOp::AllToAll, payload, SimTime::ZERO);
@@ -276,7 +282,7 @@ fn a_full_fabric_all_to_all_loads_every_node_alike() {
 
 /// An enabled tracer that records nothing. Tracing never changes a
 /// result, and an enabled tracer keeps every node simulated, so attaching
-/// it builds the full form of a training run.
+/// it builds the full form of an executor or a training run.
 struct Listening;
 
 impl Tracer for Listening {

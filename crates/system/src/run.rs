@@ -27,7 +27,7 @@
 
 use std::fmt;
 
-use ace_collectives::{CollectiveOp, CollectivePlan};
+use ace_collectives::CollectiveOp;
 use ace_net::{ContentionSpec, FaultError, FaultPlan, FaultSpec, NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
 use ace_trace::{Attribution, NullTracer, PipeWeights, RecordingTracer, Tracer};
@@ -229,14 +229,12 @@ impl<T: Tracer> RunSpec<T> {
         // ACE's SRAM partition weights must follow the plan of the op actually
         // being run — a single-phase all-to-all partitioned by the 4-phase
         // all-reduce heuristic would strand most of the SRAM.
-        let weights =
-            CollectiveExecutor::phase_weights(&CollectivePlan::for_spec(self.op, self.topology));
-        let mut ex = CollectiveExecutor::build(
+        let mut ex = CollectiveExecutor::new(
             self.topology,
+            self.op,
             self.options,
             fault.as_ref(),
             self.engine,
-            &weights,
             self.tracer,
         );
         let h = ex.issue(self.op, self.payload_bytes, SimTime::ZERO);

@@ -21,7 +21,7 @@
 
 use ace_collectives::CollectiveOp;
 use ace_compute::NpuParams;
-use ace_net::{FaultPlan, TopologySpec};
+use ace_net::{FaultPlan, TopologySpec, UTIL_BUCKET_CYCLES};
 use ace_simcore::{SimTime, TimeSeries};
 use ace_trace::{Attribution, NullTracer, PipeWeights, Tracer, Track};
 use ace_workloads::{Program, TaskKind, TaskPhase};
@@ -75,14 +75,12 @@ impl<T: Tracer> TrainingSim<T> {
         fault: Option<FaultPlan>,
         tracer: T,
     ) -> TrainingSim<T> {
-        let plan = ace_collectives::CollectivePlan::for_spec(CollectiveOp::AllReduce, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan);
-        let mut exec = CollectiveExecutor::build(
+        let mut exec = CollectiveExecutor::new(
             spec,
+            CollectiveOp::AllReduce,
             ExecutorOptions::default(),
             fault.as_ref(),
             config.engine(),
-            &weights,
             tracer,
         );
         if exec.tracer().enabled() {
@@ -142,7 +140,7 @@ impl<T: Tracer> TrainingSim<T> {
         let mut frontier: Vec<SimTime> = vec![SimTime::ZERO; timelines];
         let mut kernel_cycles: u64 = 0;
         let npu = NpuParams::paper_default();
-        let mut compute_series = TimeSeries::new(1000);
+        let mut compute_series = TimeSeries::new(UTIL_BUCKET_CYCLES);
         // A program carve-out (the optimized DLRM loop permanently loans
         // 1 SM and 80 GB/s of HBM to the background embedding pipeline,
         // Section VI-D) reduces the resources every training kernel sees.

@@ -14,7 +14,7 @@
 //!   `trace_event` JSON that passes the structural validator, for both
 //!   standalone collectives and full training runs.
 
-use ace_platform::collectives::{CollectiveOp, CollectivePlan};
+use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::simcore::SimTime;
 use ace_platform::sweep::{execute_tier, PointKind, RunPoint, Tier};
@@ -84,14 +84,12 @@ fn link_spans_reconcile_with_the_fabric_meter() {
         let config = *rng.pick(&configs);
         let op = *rng.pick(&ops);
         let payload = rng.range(64, 2049) * 1024; // 64 KB – 2 MB
-        let plan = CollectivePlan::for_spec(op, spec);
-        let weights = CollectiveExecutor::phase_weights(&plan);
         let mut ex = CollectiveExecutor::new(
             spec,
+            op,
             ExecutorOptions::default(),
             None,
             config.engine(),
-            &weights,
             RecordingTracer::new(),
         );
         let h = ex.issue(op, payload, SimTime::ZERO);
