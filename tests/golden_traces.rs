@@ -3,8 +3,9 @@
 //! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps, plus a
 //! training grid (exact and analytic tiers), a pipeline-parallel training
 //! grid, a serving grid, an analytic-tier collective grid over every
-//! fabric family and an exact-tier collective grid with killed and
-//! degraded cables, are run end-to-end and their CSV/JSON reports diffed
+//! fabric family, an exact-tier collective grid with killed and degraded
+//! cables and two exact ACE rows whose detours queue on a small FSM pool,
+//! are run end-to-end and their CSV/JSON reports diffed
 //! **byte-for-byte** against checked-in files under `tests/golden/`. The
 //! collective files were captured from the simulator before the topology
 //! abstraction landed, the training/serving files before the run entry
@@ -12,8 +13,9 @@
 //! escaping files before the α–β route footprint was memoized and the
 //! report writers were rewritten, the pipeline files before the
 //! training simulator's one-timeline and pipeline schedule walkers were
-//! merged, and the exact-cabled files before the executor's ring-detour
-//! and all-to-all route walks were merged, so these tests prove that refactors of the
+//! merged, and the exact-cabled and detour-FSM files hold the bytes the
+//! simulator wrote before the executor's ring-detour and all-to-all route
+//! walks were merged, so these tests prove that refactors of the
 //! network/collective/system/report layers do not move the paper's
 //! numbers.
 //!
@@ -308,6 +310,24 @@ fn exact_cabled_grid_matches_golden() {
         "exact_cabled_attribution.json",
         &report::to_json_with_attribution(&out),
     );
+}
+
+/// ACE with 4 and 16 FSMs on a torus with two killed cables. With 4
+/// FSMs each phase owns one, so a detoured ring message's
+/// store-and-forward queues behind its own phase's steps: these rows
+/// move if a detour charges another phase's FSMs, which the 1 MiB
+/// `exact_cabled` rows do not show.
+#[test]
+fn exact_detour_fsm_rows_match_golden() {
+    let mut sc = Scenario::collective("exact-detour-fsms");
+    sc.topologies = vec![torus(4, 2, 2)];
+    sc.engines = vec![EngineFamily::Ace];
+    sc.payload_bytes = vec![PAYLOAD];
+    sc.mem_gbps = vec![128.0];
+    sc.sram_mb = vec![4];
+    sc.fsms = vec![4, 16];
+    sc.faults = vec!["kill:2@seed:7".parse().expect("valid fault")];
+    check_golden("exact_detour_fsms.csv", &report::to_csv(&serial(&sc)));
 }
 
 #[test]
