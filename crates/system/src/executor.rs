@@ -625,9 +625,9 @@ fn a2a_flow_bytes_of(coll: &Coll, chunk: usize, off: usize) -> u64 {
     coll.chunk_sizes[chunk] + u64::from(last && (off as u64) < coll.a2a_extra)
 }
 
-/// The event handlers. `handle` runs one per popped event; a handler
-/// schedules the events it causes, and the last drain or flow of a chunk
-/// completes the chunk in the same dispatch.
+// The event handlers. `handle` runs one per popped event; a handler
+// schedules the events it causes, and the last drain or flow of a chunk
+// completes the chunk in the same dispatch.
 impl<T: Tracer> CollectiveExecutor<T> {
     /// Schedules `ev` at `at` under its content key.
     fn emit(&mut self, at: SimTime, ev: Ev) {
