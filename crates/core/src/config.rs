@@ -72,23 +72,6 @@ impl AceConfig {
     pub fn sram_port_bytes_per_cycle(&self) -> f64 {
         (self.banks() * self.bus_width_bytes * 4) as f64
     }
-
-    /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.sram_bytes == 0 {
-            return Err("SRAM must be nonzero".into());
-        }
-        if self.num_fsms == 0 {
-            return Err("need at least one FSM".into());
-        }
-        if self.alu_units == 0 || self.alu_fp16_lanes == 0 {
-            return Err("need at least one ALU lane".into());
-        }
-        if self.message_bytes == 0 || self.bus_width_bytes == 0 {
-            return Err("message and bus width must be nonzero".into());
-        }
-        Ok(())
-    }
 }
 
 impl Default for AceConfig {
@@ -109,7 +92,6 @@ mod tests {
         assert_eq!(c.banks(), 4);
         assert_eq!(c.alu_bytes_per_cycle(), 256.0);
         assert_eq!(c.sram_port_bytes_per_cycle(), 1024.0);
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -120,16 +102,6 @@ mod tests {
         assert_eq!(c.banks(), 8);
         // More banks => more aggregate port bandwidth.
         assert_eq!(c.sram_port_bytes_per_cycle(), 2048.0);
-    }
-
-    #[test]
-    fn validation_catches_zeroes() {
-        let mut c = AceConfig::paper_default();
-        c.num_fsms = 0;
-        assert!(c.validate().is_err());
-        let mut c = AceConfig::paper_default();
-        c.sram_bytes = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]

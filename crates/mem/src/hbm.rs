@@ -2,6 +2,10 @@
 
 use ace_simcore::{BandwidthServer, Frequency, Grant, SimTime};
 
+/// Table V's NPU-MEM bandwidth, GB/s: the budget each endpoint
+/// configuration splits between training compute and communication.
+pub const HBM_TOTAL_GBPS: f64 = 900.0;
+
 /// Configuration of the endpoint's main-memory bandwidth split.
 #[derive(Debug, Clone, Copy)]
 pub struct MemoryParams {
@@ -21,7 +25,7 @@ impl MemoryParams {
     /// Panics if `comm_gbps` is not within `(0, 900]`.
     pub fn paper_default(comm_gbps: f64) -> MemoryParams {
         let p = MemoryParams {
-            total_gbps: 900.0,
+            total_gbps: HBM_TOTAL_GBPS,
             comm_gbps,
             freq: ace_simcore::npu_frequency(),
         };

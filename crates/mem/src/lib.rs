@@ -29,4 +29,4 @@ mod bus;
 mod hbm;
 
 pub use bus::{AfiBus, BusParams};
-pub use hbm::{EndpointMemory, MemoryParams};
+pub use hbm::{EndpointMemory, MemoryParams, HBM_TOTAL_GBPS};

@@ -191,7 +191,12 @@ fn probe_points(dominator: &RunPoint, dominated: &RunPoint) -> Vec<RunPoint> {
         return Vec::new();
     };
     let mut probes = Vec::new();
+    // A halved knob that leaves the endpoint's range (1 SM, 1 MB or one
+    // FSM halved to 0) has nothing to probe.
     let mut push = |engine: EngineKind| {
+        if engine.validate().is_err() {
+            return;
+        }
         probes.push(RunPoint {
             topology: dominator.topology,
             conditions: dominator.conditions.clone(),
@@ -219,10 +224,10 @@ fn probe_points(dominator: &RunPoint, dominated: &RunPoint) -> Vec<RunPoint> {
                     comm_sms: sj,
                 });
             }
-            if sj < si && sj > 1 {
+            if sj < si {
                 push(EngineKind::Baseline {
                     comm_mem_gbps: mj,
-                    comm_sms: (sj / 2).max(1),
+                    comm_sms: sj / 2,
                 });
             }
         }
@@ -245,18 +250,18 @@ fn probe_points(dominator: &RunPoint, dominated: &RunPoint) -> Vec<RunPoint> {
                     fsms: fj,
                 });
             }
-            if rj < ri && rj > 1 {
+            if rj < ri {
                 push(EngineKind::Ace {
                     dma_mem_gbps: mj,
-                    sram_mb: (rj / 2).max(1),
+                    sram_mb: rj / 2,
                     fsms: fj,
                 });
             }
-            if fj < fi && fj > 1 {
+            if fj < fi {
                 push(EngineKind::Ace {
                     dma_mem_gbps: mj,
                     sram_mb: rj,
-                    fsms: (fj / 2).max(1),
+                    fsms: fj / 2,
                 });
             }
         }

@@ -256,8 +256,9 @@ pub fn grid_len(scenario: &Scenario) -> usize {
 
 /// The engine × knob product (engine → mem → SMs → SRAM → FSMs), one
 /// resolved engine per cell. It sits inside the topology, op and payload
-/// axes, so it is resolved once for all of them.
-fn engine_axes(scenario: &Scenario) -> Vec<EngineKind> {
+/// axes, so it is resolved once for all of them, and
+/// [`Scenario::validate`] judges each engine in it.
+pub(crate) fn engine_axes(scenario: &Scenario) -> Vec<EngineKind> {
     let mut engines = Vec::new();
     for &family in &scenario.engines {
         for mem in knob(&scenario.mem_gbps) {

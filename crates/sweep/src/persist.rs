@@ -507,7 +507,7 @@ fn parse_row(line: &str) -> Result<(Tier, RunPoint, Metrics), String> {
                 "ideal" => EngineKind::Ideal,
                 "baseline" => EngineKind::Baseline {
                     comm_mem_gbps: parse_f64(cells[3], "mem_gbps")?,
-                    comm_sms: parse_int(cells[4], "comm_sms")? as u32,
+                    comm_sms: parse_u32(cells[4], "comm_sms")?,
                 },
                 "ace" => EngineKind::Ace {
                     dma_mem_gbps: parse_f64(cells[3], "mem_gbps")?,
@@ -525,7 +525,7 @@ fn parse_row(line: &str) -> Result<(Tier, RunPoint, Metrics), String> {
         "training" => PointKind::Training {
             config: cells[9].parse::<SystemConfig>()?,
             workload: WorkloadSel::from_cache_key(cells[10])?,
-            iterations: parse_int(cells[11], "iterations")? as u32,
+            iterations: parse_u32(cells[11], "iterations")?,
             optimized_embedding: match cells[12] {
                 "1" => true,
                 "0" => false,
@@ -603,6 +603,12 @@ fn parse_f64(s: &str, what: &str) -> Result<f64, String> {
 
 fn parse_int(s: &str, what: &str) -> Result<u64, String> {
     s.parse::<u64>().map_err(|_| format!("bad {what} '{s}'"))
+}
+
+/// [`parse_int`], refusing values above `u32::MAX` instead of narrowing
+/// them onto another cell's key.
+fn parse_u32(s: &str, what: &str) -> Result<u32, String> {
+    u32::try_from(parse_int(s, what)?).map_err(|_| format!("{what} '{s}' is above {}", u32::MAX))
 }
 
 #[cfg(test)]
@@ -844,6 +850,17 @@ mod tests {
         assert!(cache_from_str(&bad_row).is_err());
         let short_row = format!("{CACHE_HEADER}\nexact,collective,2x1x1,ideal\n");
         assert!(cache_from_str(&short_row).is_err());
+        // 2^32 + 6 SMs must be refused, not narrowed onto the 6-SM cell's
+        // key and served as its result.
+        let wide_sms = format!(
+            "{CACHE_HEADER}\nexact,collective,2x2,baseline,450,4294967302,,,all-reduce,1048576,\
+             ,,,,,none,none,det,15.325301204819278,11111,102.63184905660377,4980736,6291456,\
+             0,0,0,0,0,0,0,0,0,0,0,10510,4199,0,2704,1667,0\n"
+        );
+        let e = cache_from_str(&wide_sms).unwrap_err();
+        assert!(e.contains("comm_sms '4294967302'"), "{e}");
+        let e = cache_from_str(&wide_sms.replace(",450,4294967302,", ",450,6,")).map(|c| c.len());
+        assert_eq!(e, Ok(1), "the same row with 6 SMs loads");
         // Valid header + comments + blank lines parse as empty.
         let empty = format!("{CACHE_HEADER}\n# comment\n\n");
         assert_eq!(cache_from_str(&empty).unwrap().len(), 0);

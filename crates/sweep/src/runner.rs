@@ -1205,13 +1205,20 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_fails_the_run_and_stops_further_claims() {
-        // validate() checks the first microbatch count only, so a zero
-        // later on the axis reaches a cell, whose executor panics.
+        // validate() refuses a zero microbatch count, so the middle cell
+        // of a valid grid is broken by hand; its executor panics.
         let mut sc = small_serving(800.0, 1);
         sc.schedules = vec![ace_workloads::PipeSchedule::GPipe];
-        sc.microbatches = vec![1, 0, 2];
+        sc.microbatches = vec![1, 3, 2];
+        let mut points = grid::expand(&sc);
+        let PointKind::Serving { spec, .. } = &mut points[1].kind else {
+            unreachable!("a serving grid");
+        };
+        spec.microbatches = 0;
         let runner = SweepRunner::new();
-        let err = runner.run(&sc, serial()).unwrap_err();
+        let err = runner
+            .run_batch(Tier::Exact, points.iter(), 1, &|_| {})
+            .unwrap_err();
         assert!(
             err.starts_with("cell 2x1x1 ") && err.contains("mb0 failed: "),
             "{err}"

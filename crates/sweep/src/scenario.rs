@@ -703,21 +703,19 @@ impl Scenario {
         if let Some(v) = doc.get("payloads") {
             sc.payload_bytes = parse_list(v, "payloads", |s, _| parse_bytes(s))?;
         }
+        // Engine knobs are only converted here; `validate` judges their
+        // ranges through `EngineKind::validate`.
         if let Some(v) = doc.get("mem_gbps") {
-            sc.mem_gbps = parse_list(v, "mem_gbps", |s, _| {
-                s.as_f64()
-                    .filter(|g| g.is_finite() && *g > 0.0)
-                    .ok_or_else(|| "expected a positive number of GB/s".to_string())
-            })?;
+            sc.mem_gbps = parse_list(v, "mem_gbps", |s, _| parse_gbps(s))?;
         }
         if let Some(v) = doc.get("comm_sms") {
             sc.comm_sms = parse_list(v, "comm_sms", |s, _| parse_u32(s))?;
         }
         if let Some(v) = doc.get("sram_mb") {
-            sc.sram_mb = parse_list(v, "sram_mb", |s, _| parse_uint(s))?;
+            sc.sram_mb = parse_list(v, "sram_mb", |s, _| parse_u64(s))?;
         }
         if let Some(v) = doc.get("fsms") {
-            sc.fsms = parse_list(v, "fsms", |s, _| parse_uint(s).map(|u| u as usize))?;
+            sc.fsms = parse_list(v, "fsms", |s, _| parse_u64(s).map(|u| u as usize))?;
         }
         if let Some(v) = doc.get("configs") {
             sc.configs = parse_list(v, "configs", |s, _| {
@@ -754,8 +752,7 @@ impl Scenario {
         if let Some(v) = doc.get("arrival_rates") {
             sc.arrival_rates = parse_list(v, "arrival_rates", |s, _| {
                 s.as_f64()
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .ok_or_else(|| "expected a positive arrival rate in requests/s".to_string())
+                    .ok_or_else(|| "expected an arrival rate in requests/s".to_string())
             })?;
         }
         if let Some(v) = doc.get("schedules") {
@@ -768,32 +765,18 @@ impl Scenario {
         if let Some(v) = doc.get("microbatches") {
             sc.microbatches = parse_list(v, "microbatches", |s, _| parse_u32(s))?;
         }
-        let serving_u32 = |key: &str, min: i64| -> Result<Option<u32>, ScenarioError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => v
-                    .as_i64()
-                    .filter(|&i| i >= min && i <= i64::from(u32::MAX))
-                    .map(|i| Some(i as u32))
-                    .ok_or_else(|| {
-                        invalid(format!("'{key}' must be an integer of at least {min}"))
-                    }),
+        // Serving values are only converted here; `validate` judges them
+        // through `ServingSpec::validate`.
+        for (key, field) in [
+            ("stages", &mut sc.stages),
+            ("requests", &mut sc.requests),
+            ("prompt_tokens", &mut sc.prompt_tokens),
+            ("decode_tokens", &mut sc.decode_tokens),
+            ("token_budget", &mut sc.token_budget),
+        ] {
+            if let Some(v) = doc.get(key) {
+                *field = parse_u32(v).map_err(|e| invalid(format!("'{key}': {e}")))?;
             }
-        };
-        if let Some(v) = serving_u32("stages", 1)? {
-            sc.stages = v;
-        }
-        if let Some(v) = serving_u32("requests", 1)? {
-            sc.requests = v;
-        }
-        if let Some(v) = serving_u32("prompt_tokens", 1)? {
-            sc.prompt_tokens = v;
-        }
-        if let Some(v) = serving_u32("decode_tokens", 0)? {
-            sc.decode_tokens = v;
-        }
-        if let Some(v) = serving_u32("token_budget", 1)? {
-            sc.token_budget = v;
         }
         if let Some(v) = doc.get("faults") {
             sc.faults = parse_list(v, "faults", |s, _| {
@@ -833,8 +816,7 @@ impl Scenario {
         if let Some(v) = doc.get("hybrid_top_pct") {
             sc.hybrid_top_pct = v
                 .as_f64()
-                .filter(|p| p.is_finite() && *p > 0.0 && *p <= 100.0)
-                .ok_or_else(|| invalid("'hybrid_top_pct' must be in (0, 100]".into()))?;
+                .ok_or_else(|| invalid("'hybrid_top_pct' must be a number".into()))?;
         }
         if let Some(v) = doc.get("baseline") {
             let table = v
@@ -847,7 +829,10 @@ impl Scenario {
         Ok(sc)
     }
 
-    /// Checks axis consistency for the scenario's mode.
+    /// Checks axis consistency for the scenario's mode. Value ranges are
+    /// the model's to judge: each resolved engine goes through
+    /// [`EngineKind::validate`] and each serving rate and microbatch
+    /// count through [`ServingSpec::validate`].
     pub fn validate(&self) -> Result<(), String> {
         if self.topologies.is_empty() {
             return Err("at least one topology is required".into());
@@ -883,21 +868,14 @@ impl Scenario {
                         return Err(format!("collective mode requires a nonempty '{axis}' axis"));
                     }
                 }
-                // Out-of-range knobs panic deep in the simulator's
-                // asserting constructors; reject them here instead.
-                if let Some(g) = self.mem_gbps.iter().find(|g| !g.is_finite() || **g <= 0.0) {
-                    return Err(format!(
-                        "mem_gbps values must be positive and finite, got {g}"
-                    ));
+                // The model's own check judges each engine the knob axes
+                // resolve (once for every topology, op and payload), so no
+                // cell reaches an asserting constructor.
+                for engine in crate::grid::engine_axes(self) {
+                    engine.validate()?;
                 }
-                if self.comm_sms.contains(&0) {
-                    return Err("comm_sms values must be at least 1".into());
-                }
-                if self.sram_mb.contains(&0) {
-                    return Err("sram_mb values must be at least 1".into());
-                }
-                if self.fsms.contains(&0) {
-                    return Err("fsms values must be at least 1".into());
+                if let Some(BaselineSpec::Engine(engine)) = self.baseline {
+                    engine.validate().map_err(|e| format!("[baseline] {e}"))?;
                 }
                 if let Some(BaselineSpec::Config(_)) = self.baseline {
                     return Err("collective mode baseline must name an engine, not a config".into());
@@ -927,33 +905,30 @@ impl Scenario {
                 for (i, w) in self.workloads.iter().enumerate() {
                     w.check().map_err(|e| format!("workloads[{i}]: {e}"))?;
                 }
-                if self.arrival_rates.is_empty() {
-                    return Err("serving mode requires a nonempty 'arrival_rates' axis".into());
+                for (axis, empty) in [
+                    ("arrival_rates", self.arrival_rates.is_empty()),
+                    ("schedules", self.schedules.is_empty()),
+                    ("microbatches", self.microbatches.is_empty()),
+                ] {
+                    if empty {
+                        return Err(format!("serving mode requires a nonempty '{axis}' axis"));
+                    }
                 }
-                if let Some(r) = self
-                    .arrival_rates
-                    .iter()
-                    .find(|r| !r.is_finite() || **r <= 0.0)
-                {
-                    return Err(format!(
-                        "arrival_rates values must be positive and finite, got {r}"
-                    ));
-                }
-                if self.schedules.is_empty() {
-                    return Err("serving mode requires a nonempty 'schedules' axis".into());
-                }
-                if self.microbatches.is_empty() {
-                    return Err("serving mode requires a nonempty 'microbatches' axis".into());
-                }
-                // One representative spec exercises the scalar-field checks
-                // (budget >= prompt, positive stages, ...); the axis values
-                // only vary fields validate() accepts for any positive value.
-                self.serving_spec(
+                // The serving model's own check judges every rate and
+                // microbatch count with the fixed fields; the schedule
+                // takes no part in it.
+                let mut spec = self.serving_spec(
                     self.arrival_rates[0],
                     self.schedules[0],
                     self.microbatches[0],
-                )
-                .validate()?;
+                );
+                for &rate_rps in &self.arrival_rates {
+                    for &microbatches in &self.microbatches {
+                        spec.rate_rps = rate_rps;
+                        spec.microbatches = microbatches;
+                        spec.validate()?;
+                    }
+                }
                 if let Some(BaselineSpec::Engine(_)) = self.baseline {
                     return Err("serving mode baseline must name a config, not an engine".into());
                 }
@@ -1046,16 +1021,22 @@ pub fn parse_op(s: &str) -> Result<CollectiveOp, String> {
 /// workload-spec parser shares it; re-exported for compatibility.
 pub use ace_toml::parse_bytes;
 
-fn parse_uint(v: &Value) -> Result<u64, String> {
-    v.as_i64()
-        .filter(|&i| i >= 1)
-        .map(|i| i as u64)
-        .ok_or_else(|| "expected a positive integer".to_string())
+/// A number of GB/s. Its range is the engine's to judge.
+fn parse_gbps(v: &Value) -> Result<f64, String> {
+    v.as_f64()
+        .ok_or_else(|| "expected a number of GB/s".to_string())
 }
 
-/// [`parse_uint`], refusing values above `u32::MAX` instead of wrapping.
+/// A non-negative integer. Its range is the model's to judge.
+fn parse_u64(v: &Value) -> Result<u64, String> {
+    v.as_i64()
+        .and_then(|i| u64::try_from(i).ok())
+        .ok_or_else(|| "expected a non-negative integer".to_string())
+}
+
+/// [`parse_u64`], refusing values above `u32::MAX` instead of wrapping.
 fn parse_u32(v: &Value) -> Result<u32, String> {
-    let u = parse_uint(v)?;
+    let u = parse_u64(v)?;
     u32::try_from(u).map_err(|_| format!("{u} is above the largest allowed value {}", u32::MAX))
 }
 
@@ -1096,46 +1077,28 @@ fn parse_baseline(
                 })?
                 .parse()
                 .map_err(invalid)?;
-            let gbps = |key: &str| -> Result<Option<f64>, ScenarioError> {
-                table
-                    .get(key)
-                    .map(|v| {
-                        v.as_f64()
-                            .filter(|g| g.is_finite() && *g > 0.0)
-                            .ok_or_else(|| {
-                                invalid(format!("[baseline] {key} must be a positive number"))
-                            })
-                    })
-                    .transpose()
-            };
-            let posint = |key: &str| -> Result<Option<u64>, ScenarioError> {
-                table
-                    .get(key)
-                    .map(|v| {
-                        v.as_i64()
-                            .filter(|&i| i >= 1)
-                            .map(|i| i as u64)
-                            .ok_or_else(|| {
-                                invalid(format!("[baseline] {key} must be a positive integer"))
-                            })
-                    })
-                    .transpose()
-            };
-            let comm_sms = posint("comm_sms")?
-                .map(|n| {
-                    u32::try_from(n).map_err(|_| {
-                        invalid(format!("[baseline] comm_sms must be at most {}", u32::MAX))
-                    })
-                })
-                .transpose()?;
+            // `validate` judges the resolved engine.
             Ok(BaselineSpec::Engine(family.resolve(
-                gbps("mem_gbps")?,
-                comm_sms,
-                posint("sram_mb")?,
-                posint("fsms")?.map(|n| n as usize),
+                baseline_knob(table, "mem_gbps", parse_gbps)?,
+                baseline_knob(table, "comm_sms", parse_u32)?,
+                baseline_knob(table, "sram_mb", parse_u64)?,
+                baseline_knob(table, "fsms", |v| parse_u64(v).map(|u| u as usize))?,
             )))
         }
     }
+}
+
+/// The `[baseline]` table's `key`, if present, converted by the same
+/// `parse` as its scenario axis.
+fn baseline_knob<T>(
+    table: &BTreeMap<String, Value>,
+    key: &str,
+    parse: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Option<T>, ScenarioError> {
+    table
+        .get(key)
+        .map(|v| parse(v).map_err(|e| ScenarioError::Invalid(format!("[baseline] {key}: {e}"))))
+        .transpose()
 }
 
 #[cfg(test)]
@@ -1386,7 +1349,7 @@ mod tests {
     #[test]
     fn out_of_range_knobs_are_rejected() {
         // These values would otherwise panic inside the simulator's
-        // asserting constructors.
+        // asserting constructors, or run outside Table V's endpoint.
         assert!(Scenario::from_toml_str("mem_gbps = [0]").is_err());
         assert!(Scenario::from_toml_str("mem_gbps = [-128]").is_err());
         assert!(Scenario::from_toml_str("comm_sms = [0]").is_err());
@@ -1397,6 +1360,24 @@ mod tests {
         );
         assert!(Scenario::from_toml_str("[baseline]\nengine = \"ace\"\nmem_gbps = -1").is_err());
         assert!(Scenario::from_toml_str("[baseline]\nengine = \"ace\"\nsram_mb = -4").is_err());
+        // The engine's own check judges both families against the 900 GB/s
+        // of HBM and the 80 SMs, and names the offending value.
+        for (toml, value) in [
+            ("engines = [\"baseline\"]\nmem_gbps = [1000]", "1000 GB/s"),
+            ("engines = [\"ace\"]\nmem_gbps = [1000]", "1000 GB/s"),
+            ("comm_sms = [81]", "comm_sms 81"),
+            ("sram_mb = [17592186044416]", "sram_mb 17592186044416"),
+            (
+                "engines = [\"ideal\"]\n[baseline]\nengine = \"baseline\"\nmem_gbps = 1000",
+                "[baseline] engine baseline[mem=1000,sms=6]",
+            ),
+        ] {
+            let e = Scenario::from_toml_str(toml).unwrap_err();
+            assert!(e.to_string().contains(value), "{toml}: {e}");
+        }
+        // The largest values that fit stay valid.
+        Scenario::from_toml_str("mem_gbps = [900]\ncomm_sms = [80]\nsram_mb = [17592186044415]")
+            .unwrap();
         // 2^32 + 6 must be refused, not narrowed to 6.
         for (toml, key) in [
             ("comm_sms = [4294967302]", "comm_sms[0]"),
@@ -1413,6 +1394,13 @@ mod tests {
         let mut sc = Scenario::collective("bad");
         sc.mem_gbps = vec![0.0];
         assert!(sc.validate().is_err());
+        sc.mem_gbps = vec![1000.0];
+        let e = sc.validate().unwrap_err();
+        assert!(e.contains("1000 GB/s"), "{e}");
+        let e = crate::runner::SweepRunner::new()
+            .run(&sc, Default::default())
+            .unwrap_err();
+        assert!(e.contains("1000 GB/s"), "{e}");
     }
 
     #[test]
@@ -1509,6 +1497,16 @@ mod tests {
         assert!(Scenario::from_toml_str("mode = \"serving\"\nstages = 0").is_err());
         assert!(Scenario::from_toml_str("mode = \"serving\"\nrequests = 0").is_err());
         assert!(Scenario::from_toml_str("mode = \"serving\"\ntoken_budget = 0").is_err());
+        // Every rate and microbatch count is judged, not only the first.
+        for (toml, value) in [
+            ("arrival_rates = [250.0, 0.0]", "got 0"),
+            ("microbatches = [4, 0]", "microbatches"),
+        ] {
+            let e = Scenario::from_toml_str(&format!("mode = \"serving\"\n{toml}")).unwrap_err();
+            assert!(e.to_string().contains(value), "{toml}: {e}");
+        }
+        let e = Scenario::from_toml_str("hybrid_top_pct = 0").unwrap_err();
+        assert!(e.to_string().contains("hybrid_top_pct"), "{e}");
         // Serving baselines compare configs, not collective engines.
         let e = Scenario::from_toml_str("mode = \"serving\"\n[baseline]\nengine = \"ideal\"")
             .unwrap_err();

@@ -28,7 +28,8 @@ use crate::collective_run::EngineKind;
 use crate::config::SystemConfig;
 use crate::run::{RunConditions, RunError};
 
-/// Derives the α–β endpoint constants for a collective-mode engine.
+/// Derives the α–β endpoint constants for a collective-mode engine,
+/// which must pass [`EngineKind::validate`].
 ///
 /// This is where the simulator's engine overhead constants surface for
 /// the analytic tier: HBM channel widths, SM drive bandwidth, the
@@ -93,7 +94,9 @@ pub struct AnalyticCollectiveReport {
 ///
 /// # Errors
 ///
-/// [`RunError::Fault`] when the conditions cannot run on `spec`.
+/// [`RunError::InvalidEngine`] when the engine fails
+/// [`EngineKind::validate`], and [`RunError::Fault`] when the conditions
+/// cannot run on `spec`.
 pub fn analytic_collective_run(
     spec: TopologySpec,
     engine: EngineKind,
@@ -102,6 +105,7 @@ pub fn analytic_collective_run(
     conditions: &RunConditions,
     routes: &RouteMemo,
 ) -> Result<AnalyticCollectiveReport, RunError> {
+    engine.validate().map_err(RunError::InvalidEngine)?;
     let net = NetworkParams::paper_default();
     let fault = resolve_degradation(spec, &net, conditions)?;
     let plan = CollectivePlan::for_spec(op, spec);

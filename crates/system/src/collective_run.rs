@@ -7,12 +7,17 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
+use ace_compute::NpuParams;
 use ace_endpoint::{
     AceEndpoint, AceEndpointParams, BaselineEngine, BaselineParams, CollectiveEngine, IdealEndpoint,
 };
 use ace_engine::AceConfig;
+use ace_mem::HBM_TOTAL_GBPS;
 use ace_simcore::SimTime;
 use ace_trace::Attribution;
+
+/// The largest ACE SRAM, in MB, whose byte count fits `u64`.
+const MAX_SRAM_MB: u64 = u64::MAX >> 20;
 
 /// Which endpoint engine to run: a Table VI configuration's
 /// ([`SystemConfig::engine`](crate::SystemConfig::engine)) or any other
@@ -51,11 +56,57 @@ impl EngineKind {
         *self
     }
 
+    /// Checks the engine's knobs against the endpoint they are carved
+    /// from (Table V): an HBM share within (0, [`HBM_TOTAL_GBPS`]] for
+    /// either family, 1 to all of the NPU's SMs, at least 1 MB of SRAM
+    /// whose byte count fits `u64`, and at least one FSM. This is the only
+    /// judge of engine knobs: [`RunSpec`](crate::RunSpec),
+    /// [`analytic_collective_run`](crate::analytic_collective_run) and the
+    /// sweep's scenario validation all call it, so
+    /// [`endpoint`](EngineKind::endpoint) and
+    /// [`endpoint_model`](crate::endpoint_model) only see engines that
+    /// pass.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the engine, the first knob out of range, its
+    /// value and the range.
+    pub fn validate(self) -> Result<(), String> {
+        // A knob the family lacks takes a value every check accepts.
+        let (gbps, comm_sms, sram_mb, fsms) = match self {
+            EngineKind::Ideal => return Ok(()),
+            EngineKind::Baseline {
+                comm_mem_gbps,
+                comm_sms,
+            } => (comm_mem_gbps, comm_sms, 1, 1),
+            EngineKind::Ace {
+                dma_mem_gbps,
+                sram_mb,
+                fsms,
+            } => (dma_mem_gbps, 1, sram_mb, fsms),
+        };
+        let npu_sms = NpuParams::paper_default().sms;
+        let fault = if !(gbps > 0.0 && gbps <= HBM_TOTAL_GBPS) {
+            format!("HBM share {gbps} GB/s is outside (0, {HBM_TOTAL_GBPS}] GB/s")
+        } else if !(1..=npu_sms).contains(&comm_sms) {
+            format!("comm_sms {comm_sms} is outside 1..={npu_sms}, the NPU's SMs")
+        } else if !(1..=MAX_SRAM_MB).contains(&sram_mb) {
+            format!("sram_mb {sram_mb} is outside 1..={MAX_SRAM_MB}, the sizes whose bytes fit u64")
+        } else if fsms == 0 {
+            "fsms 0 is below 1".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(format!("engine {self}: {fault}"))
+    }
+
     /// Builds one node's endpoint for this engine: the only place an
     /// `EngineKind` becomes a simulated engine. `phase_weights` sizes
     /// ACE's SRAM partitions, one weight per phase of the plan the
     /// endpoint serves (see [`CollectiveExecutor::new`](crate::CollectiveExecutor::new));
-    /// the baseline and ideal endpoints ignore it.
+    /// the baseline and ideal endpoints ignore it. The engine must pass
+    /// [`validate`](EngineKind::validate); the model constructors assert
+    /// what it checks.
     pub fn endpoint(self, phase_weights: &[f64]) -> Box<dyn CollectiveEngine> {
         match self {
             EngineKind::Baseline {

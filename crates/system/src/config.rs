@@ -3,12 +3,10 @@
 use std::fmt;
 
 use ace_compute::NpuParams;
+use ace_mem::HBM_TOTAL_GBPS;
 use ace_workloads::ComputeCarveout;
 
 use crate::collective_run::EngineKind;
-
-/// Table V's NPU-MEM bandwidth, GB/s.
-const HBM_GBPS: f64 = 900.0;
 
 /// The endpoint configurations compared throughout Section VI. Each
 /// one's split of the NPU between training compute and communication is
@@ -87,7 +85,7 @@ impl SystemConfig {
             _ => (0, 0.0),
         };
         let sms = NpuParams::paper_default().sms - comm_sms;
-        let mem_gbps = HBM_GBPS - comm_gbps;
+        let mem_gbps = HBM_TOTAL_GBPS - comm_gbps;
         match carveout {
             Some(c) => (
                 sms.saturating_sub(c.sms).max(1),

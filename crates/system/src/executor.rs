@@ -101,7 +101,8 @@ pub struct ExecutorOptions {
     /// Whether ring chunks alternate between the two ring directions
     /// (bidirectional rings); `false` sends everything the + way.
     pub bidirectional_rings: bool,
-    /// Global cap on in-flight ring chunks.
+    /// Global cap on in-flight chunks, counted over every collective the
+    /// executor drains: ring and all-to-all chunks alike.
     pub max_inflight_chunks: usize,
     /// Ignored: no code reads it. It stays only because the benchmark
     /// harness sets it, and the next benchmark change removes it.
@@ -120,7 +121,7 @@ impl Default for ExecutorOptions {
     }
 }
 
-/// Default cap on globally in-flight ring chunks.
+/// Default cap on globally in-flight chunks, ring and all-to-all alike.
 const MAX_INFLIGHT_CHUNKS: usize = 128;
 /// Scheduler-lane track for trace events not tied to a node (chunk and
 /// phase spans, queue-depth and pipe counters).

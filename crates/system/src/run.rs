@@ -102,6 +102,8 @@ pub enum RunError {
     Fault(FaultError),
     /// The training program failed [`Program::validate`].
     InvalidProgram(String),
+    /// The collective engine failed [`EngineKind::validate`].
+    InvalidEngine(String),
 }
 
 impl fmt::Display for RunError {
@@ -109,6 +111,7 @@ impl fmt::Display for RunError {
         match self {
             RunError::Fault(e) => write!(f, "{e}"),
             RunError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
+            RunError::InvalidEngine(e) => write!(f, "invalid {e}"),
         }
     }
 }
@@ -203,8 +206,10 @@ impl<T: Tracer> RunSpec<T> {
     ///
     /// # Errors
     ///
-    /// [`RunError::Fault`] when the conditions cannot run on this
-    /// topology (disconnection, saturation, unknown link/node).
+    /// [`RunError::InvalidEngine`] when the engine fails
+    /// [`EngineKind::validate`], and [`RunError::Fault`] when the
+    /// conditions cannot run on this topology (disconnection,
+    /// saturation, unknown link/node).
     pub fn run(self) -> Result<CollectiveRunReport, RunError> {
         self.run_traced().map(|(report, _)| report)
     }
@@ -222,6 +227,7 @@ impl<T: Tracer> RunSpec<T> {
     /// [`run_traced`](RunSpec::run_traced), also returning how many nodes
     /// the executor simulated.
     pub(crate) fn run_counted(self) -> Result<(CollectiveRunReport, T, usize), RunError> {
+        self.engine.validate().map_err(RunError::InvalidEngine)?;
         let net_params = NetworkParams::paper_default();
         let fault = (!self.conditions.is_pristine())
             .then(|| self.conditions.resolve(self.topology, &net_params))
@@ -457,6 +463,62 @@ mod tests {
         // byte (detours add traffic, so the degraded fabric carries at
         // least as much).
         assert!(degraded.network_bytes >= base.network_bytes);
+    }
+
+    #[test]
+    fn engines_outside_the_endpoint_are_run_errors() {
+        // Both tiers refuse an engine that fails `EngineKind::validate`
+        // before building an endpoint, whose constructors would panic or
+        // run on SMs the NPU does not have; the error names the value.
+        let baseline = |comm_mem_gbps, comm_sms| EngineKind::Baseline {
+            comm_mem_gbps,
+            comm_sms,
+        };
+        let ace = |dma_mem_gbps, sram_mb, fsms| EngineKind::Ace {
+            dma_mem_gbps,
+            sram_mb,
+            fsms,
+        };
+        let max_sram_mb = u64::MAX >> 20;
+        for engine in [
+            baseline(900.0, 80),
+            baseline(1e-3, 1),
+            ace(900.0, max_sram_mb, 1),
+        ] {
+            engine.validate().unwrap();
+        }
+        for config in SystemConfig::ALL {
+            config.engine().validate().unwrap();
+        }
+        for (engine, value) in [
+            (baseline(1000.0, 6), "HBM share 1000 GB/s"),
+            (baseline(450.0, 81), "comm_sms 81"),
+            (baseline(0.0, 6), "HBM share 0 GB/s"),
+            (baseline(f64::NAN, 6), "HBM share NaN GB/s"),
+            (baseline(450.0, 0), "comm_sms 0"),
+            (ace(1000.0, 4, 16), "HBM share 1000 GB/s"),
+            (ace(128.0, 0, 16), "sram_mb 0"),
+            (ace(128.0, max_sram_mb + 1, 16), "sram_mb 17592186044416"),
+            (ace(128.0, 4, 0), "fsms 0"),
+        ] {
+            let exact = RunSpec::new(topo("2x2"), engine, CollectiveOp::AllReduce, MB8)
+                .run()
+                .unwrap_err();
+            let analytic = crate::analytic_collective_run(
+                topo("2x2"),
+                engine,
+                CollectiveOp::AllReduce,
+                MB8,
+                &RunConditions::default(),
+                &ace_collectives::analytic::RouteMemo::new(),
+            )
+            .unwrap_err();
+            assert!(matches!(exact, RunError::InvalidEngine(_)), "{exact}");
+            assert_eq!(analytic, exact);
+            let e = exact.to_string();
+            assert!(e.starts_with(&format!("invalid engine {engine}: ")), "{e}");
+            assert!(e.contains(value), "{e}");
+        }
     }
 
     #[test]
