@@ -2,7 +2,7 @@
 //!
 //! Smoke-sized versions of the Fig. 5 / Fig. 6 / Fig. 9a sweeps, plus a
 //! training grid (exact and analytic tiers), a pipeline-parallel training
-//! grid, a serving grid, an analytic-tier collective grid over every
+//! grid, a serving grid (exact and analytic tiers), an analytic-tier collective grid over every
 //! fabric family, an exact-tier collective grid with killed and degraded
 //! cables and two exact ACE rows whose detours queue on a small FSM pool,
 //! are run end-to-end and their CSV/JSON reports diffed
@@ -177,11 +177,12 @@ fn pipeline_smoke() -> Scenario {
 
 /// Serving (smoke): continuous batching of a data- and a tensor-parallel
 /// transformer under both schedules, pristine and contended.
-fn serving_smoke() -> Scenario {
-    Scenario::from_toml_str(
+fn serving_smoke(fidelity: &str) -> Scenario {
+    Scenario::from_toml_str(&format!(
         r#"
         name = "serving-smoke"
         mode = "serving"
+        fidelity = "{fidelity}"
         topologies = ["2x2"]
         configs = ["ace"]
         workloads = ["transformer", "transformer@model"]
@@ -195,8 +196,8 @@ fn serving_smoke() -> Scenario {
         decode_tokens = 2
         token_budget = 64
         contention = ["none", "uniform:20"]
-        "#,
-    )
+        "#
+    ))
     .expect("valid scenario")
 }
 
@@ -366,8 +367,15 @@ fn pipeline_smoke_matches_golden() {
 
 #[test]
 fn serving_smoke_json_matches_golden() {
-    let out = serial(&serving_smoke());
+    let out = serial(&serving_smoke("exact"));
     check_golden("serving_smoke.json", &report::to_json(&out));
+}
+
+#[test]
+fn serving_analytic_smoke_matches_golden() {
+    let out = serial(&serving_smoke("analytic"));
+    check_golden("serving_analytic_smoke.csv", &report::to_csv(&out));
+    check_golden("serving_analytic_smoke.json", &report::to_json(&out));
 }
 
 #[test]
@@ -410,7 +418,7 @@ fn training_analytic_smoke_csv_matches_golden() {
 #[test]
 fn serving_smoke_csv_matches_golden() {
     let out = run_scenario(
-        &serving_smoke(),
+        &serving_smoke("exact"),
         RunnerOptions {
             threads: 1,
             ..Default::default()
