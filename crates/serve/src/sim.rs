@@ -5,53 +5,37 @@
 //! prompts as the token budget admits into a single forward-only pipeline
 //! pass over the model. Each round is lowered to a multi-timeline
 //! [`Program`] — per-microbatch stage kernels chained by stage-boundary
-//! send-recv activation transfers — and executed by the event-driven
-//! executor (exact tier) or the α–β critical-path walker (analytic tier).
-//! A round's cost depends only on its program and the system it runs on,
-//! never on when it runs, so costs live in a [`RoundMemo`] that any
-//! number of simulations may share: a serving simulation with thousands
-//! of decode rounds pays for only a handful of distinct simulations, and
-//! the cells of a sweep that differ only in load, seed or schedule pay
-//! for them once between them.
+//! send-recv activation transfers — and run by [`TrainSpec::run_in`] in
+//! the simulation's [`Tier`]: the event-driven executor or the α–β
+//! critical-path walk. A round's cost depends only on its program and
+//! the system it runs on, never on when it runs, so costs live in a
+//! [`RoundMemo`] that any number of simulations may share: a serving
+//! simulation with thousands of decode rounds pays for only a handful of
+//! distinct simulations, and the cells of a sweep that differ only in
+//! load, seed or schedule pay for them once between them.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 
+use ace_collectives::analytic::RouteMemo;
 use ace_collectives::CollectiveOp;
 use ace_compute::KernelDesc;
 use ace_net::TopologySpec;
-use ace_system::{analytic_program_run_with_conditions, RunConditions, SystemConfig, TrainSpec};
+use ace_system::{RunConditions, RunError, SystemConfig, Tier, TrainSpec};
 use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 
 use crate::spec::ServingSpec;
 
-/// Which simulator executes each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ServingTier {
-    /// The event-driven collective executor (cycle-exact).
-    Exact,
-    /// The closed-form α–β critical-path walk.
-    Analytic,
-}
-
-/// Knobs of one [`simulate`] call that are not part of the point's
-/// identity: the tier is keyed separately by the sweep cache.
+/// The tier argument of [`simulate_with_conditions`], as the benchmark
+/// harness (`perfbench/`) builds it. Kept only for that harness: the
+/// serving run, [`simulate_with_memo`], takes the [`Tier`] itself.
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
     /// Simulation tier.
-    pub tier: ServingTier,
+    pub tier: Tier,
     /// Ignored: no code reads it. It stays only because the benchmark
     /// harness sets it, and the next benchmark change removes it.
     pub sim_threads: usize,
-}
-
-impl Default for ServingOptions {
-    fn default() -> ServingOptions {
-        ServingOptions {
-            tier: ServingTier::Exact,
-            sim_threads: 1,
-        }
-    }
 }
 
 /// Per-request latency record, cycle-exact.
@@ -320,7 +304,7 @@ struct RoundCost {
 /// them share costs.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct RoundModel {
-    tier: ServingTier,
+    tier: Tier,
     config: SystemConfig,
     topology: TopologySpec,
     conditions: RunConditions,
@@ -399,35 +383,12 @@ impl RoundMemo {
     }
 }
 
-/// Runs one serving simulation: `spec.requests` requests generated by
-/// `spec.arrival` at `spec.rate_rps`, continuously batched onto
-/// `workload` partitioned into `spec.stages` pipeline stages on
-/// `topology` under `config`.
-pub fn simulate(
-    config: SystemConfig,
-    workload: &Workload,
-    topology: TopologySpec,
-    spec: &ServingSpec,
-    opts: &ServingOptions,
-) -> Result<ServingOutcome, String> {
-    simulate_with_conditions(
-        config,
-        workload,
-        topology,
-        spec,
-        opts,
-        &RunConditions::default(),
-    )
-}
-
-/// [`simulate`] under explicit [`RunConditions`]: every round program
-/// runs on the degraded fabric (faults resolved once, stragglers applied
-/// per round program), so the outcome's TTFT/e2e percentiles answer
-/// "does this topology hold its latency target with k failed links".
-/// Conditions are part of a run's identity — they are a separate
-/// parameter, not a [`ServingOptions`] knob, because options must never
-/// change results. Round costs come from a fresh [`RoundMemo`]; see
-/// [`simulate_with_memo`] to share one.
+/// [`simulate_with_memo`] in `opts.tier` with fresh memos. Kept only
+/// because the benchmark harness (`perfbench/`) calls it.
+///
+/// # Errors
+///
+/// As [`simulate_with_memo`].
 pub fn simulate_with_conditions(
     config: SystemConfig,
     workload: &Workload,
@@ -435,39 +396,57 @@ pub fn simulate_with_conditions(
     spec: &ServingSpec,
     opts: &ServingOptions,
     conditions: &RunConditions,
-) -> Result<ServingOutcome, String> {
+) -> Result<ServingOutcome, RunError> {
     simulate_with_memo(
         config,
         workload,
         topology,
         spec,
-        opts,
         conditions,
+        opts.tier,
         &RoundMemo::new(),
+        &RouteMemo::new(),
     )
 }
 
-/// [`simulate_with_conditions`] drawing round costs from `memo` and
-/// recording there the rounds it simulates. The outcome is the same as
-/// with a fresh memo; only [`ServingOutcome::simulated_rounds`] drops by
-/// the rounds earlier simulations already recorded.
+/// Runs one serving simulation in `tier`: `spec.requests` requests
+/// generated by `spec.arrival` at `spec.rate_rps`, continuously batched
+/// onto `workload` partitioned into `spec.stages` pipeline stages on
+/// `topology` under `config` and `conditions`. Every round program runs
+/// on the degraded fabric (faults resolved per round program, stragglers
+/// applied to it), so the TTFT/e2e percentiles answer "does this topology
+/// hold its latency target with k failed links".
+///
+/// Round costs come from `rounds` and rounds it lacks are recorded there;
+/// α–β rounds take their fabrics from `routes`. The outcome is the same
+/// as with fresh memos; only [`ServingOutcome::simulated_rounds`] drops
+/// by the rounds earlier simulations already recorded.
+///
+/// # Errors
+///
+/// [`RunError::InvalidSpec`] when the spec fails
+/// [`ServingSpec::validate`], the workload cannot be split into stages or
+/// the arrivals cannot be generated, and any error of the round runs.
+#[allow(clippy::too_many_arguments)]
 pub fn simulate_with_memo(
     config: SystemConfig,
     workload: &Workload,
     topology: TopologySpec,
     spec: &ServingSpec,
-    opts: &ServingOptions,
     conditions: &RunConditions,
-    memo: &RoundMemo,
-) -> Result<ServingOutcome, String> {
-    spec.validate()?;
+    tier: Tier,
+    rounds: &RoundMemo,
+    routes: &RouteMemo,
+) -> Result<ServingOutcome, RunError> {
+    spec.validate().map_err(RunError::InvalidSpec)?;
     let freq = ace_simcore::npu_frequency();
     let hz = freq.hz();
     let stages = (spec.stages as usize).min(workload.layers().len()).max(1);
-    let model = StageModel::new(workload, stages)?;
+    let model = StageModel::new(workload, stages).map_err(RunError::InvalidSpec)?;
     let arrivals = spec
         .arrival
-        .generate(spec.rate_rps, spec.seed, spec.requests as usize, hz)?;
+        .generate(spec.rate_rps, spec.seed, spec.requests as usize, hz)
+        .map_err(RunError::InvalidSpec)?;
 
     let mut outcome = ServingOutcome {
         requests: Vec::with_capacity(arrivals.len()),
@@ -484,7 +463,7 @@ pub fn simulate_with_memo(
     };
 
     let round_model = RoundModel {
-        tier: opts.tier,
+        tier,
         config,
         topology,
         conditions: conditions.clone(),
@@ -499,43 +478,23 @@ pub fn simulate_with_memo(
         prompt_tokens: spec.prompt_tokens,
     };
     let mut simulated = 0u32;
-    let mut run_round = |tokens: u64| -> Result<RoundCost, String> {
-        if let Some(cached) = memo.get(&round_model, tokens) {
+    let mut run_round = |tokens: u64| -> Result<RoundCost, RunError> {
+        if let Some(cached) = rounds.get(&round_model, tokens) {
             return Ok(cached);
         }
         simulated += 1;
-        let program = model.round_program(spec, tokens);
-        debug_assert!(program.validate().is_ok());
-        let cost = match opts.tier {
-            ServingTier::Exact => {
-                let report = TrainSpec::new(config, program, topology)
-                    .conditions(conditions.clone())
-                    .run()
-                    .map_err(|e| e.to_string())?;
-                RoundCost {
-                    cycles: report.total_cycles().max(1),
-                    compute: report.compute_cycles(),
-                    exposed: report.exposed_comm_cycles(),
-                    mem_traffic: report.comm_mem_traffic_bytes(),
-                    network: report.network_bytes(),
-                    past: report.past_schedules(),
-                }
-            }
-            ServingTier::Analytic => {
-                let est =
-                    analytic_program_run_with_conditions(config, &program, topology, conditions)
-                        .map_err(|e| e.to_string())?;
-                RoundCost {
-                    cycles: (est.total_cycles.round() as u64).max(1),
-                    compute: est.compute_cycles.round() as u64,
-                    exposed: est.exposed_cycles.round() as u64,
-                    mem_traffic: est.mem_traffic_bytes,
-                    network: est.network_bytes,
-                    past: 0,
-                }
-            }
+        let report = TrainSpec::new(config, model.round_program(spec, tokens), topology)
+            .conditions(conditions.clone())
+            .run_in(tier, routes)?;
+        let cost = RoundCost {
+            cycles: report.total_cycles().max(1),
+            compute: report.compute_cycles(),
+            exposed: report.exposed_comm_cycles(),
+            mem_traffic: report.comm_mem_traffic_bytes(),
+            network: report.network_bytes(),
+            past: report.past_schedules(),
         };
-        memo.record(&round_model, tokens, cost);
+        rounds.record(&round_model, tokens, cost);
         Ok(cost)
     };
 
@@ -665,6 +624,27 @@ mod tests {
         "4x4".parse().unwrap()
     }
 
+    /// One ACE serving simulation of `w` on `topology` in `tier`, on a
+    /// pristine fabric with fresh memos.
+    fn serve(
+        w: &Workload,
+        topology: TopologySpec,
+        spec: &ServingSpec,
+        tier: Tier,
+    ) -> ServingOutcome {
+        simulate_with_memo(
+            SystemConfig::Ace,
+            w,
+            topology,
+            spec,
+            &RunConditions::default(),
+            tier,
+            &RoundMemo::new(),
+            &RouteMemo::new(),
+        )
+        .unwrap()
+    }
+
     fn quick_spec() -> ServingSpec {
         ServingSpec {
             arrival: ArrivalKind::Poisson,
@@ -697,50 +677,22 @@ mod tests {
     fn serving_is_deterministic_for_a_seed() {
         let spec = quick_spec();
         let w = Workload::transformer_lm();
-        let a = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
-        let b = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
+        let a = serve(&w, topo(), &spec, Tier::Exact);
+        let b = serve(&w, topo(), &spec, Tier::Exact);
         assert_eq!(a.requests, b.requests);
         assert_eq!(a.makespan_cycles, b.makespan_cycles);
-        let c = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &ServingSpec {
-                seed: 8,
-                ..quick_spec()
-            },
-            &ServingOptions::default(),
-        )
-        .unwrap();
+        let reseeded = ServingSpec {
+            seed: 8,
+            ..quick_spec()
+        };
+        let c = serve(&w, topo(), &reseeded, Tier::Exact);
         assert_ne!(a.requests, c.requests, "a different seed moves arrivals");
     }
 
     #[test]
     fn every_request_is_served_and_latencies_are_ordered() {
         let spec = quick_spec();
-        let w = Workload::transformer_lm();
-        let out = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
+        let out = serve(&Workload::transformer_lm(), topo(), &spec, Tier::Exact);
         assert_eq!(out.requests.len(), spec.requests as usize);
         for r in &out.requests {
             assert!(r.ttft_cycles > 0);
@@ -761,15 +713,7 @@ mod tests {
             decode_tokens: 0,
             ..quick_spec()
         };
-        let w = Workload::transformer_lm();
-        let out = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
+        let out = serve(&Workload::transformer_lm(), topo(), &spec, Tier::Exact);
         assert!(out.rounds >= spec.requests);
         assert_eq!(out.requests.len(), spec.requests as usize);
     }
@@ -785,25 +729,12 @@ mod tests {
             ..quick_spec()
         };
         let w = Workload::transformer_lm();
-        let gpipe = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &burst_spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
-        let inject = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &ServingSpec {
-                schedule: PipeSchedule::OneFOneB,
-                ..burst_spec
-            },
-            &ServingOptions::default(),
-        )
-        .unwrap();
+        let gpipe = serve(&w, topo(), &burst_spec, Tier::Exact);
+        let one_f = ServingSpec {
+            schedule: PipeSchedule::OneFOneB,
+            ..burst_spec
+        };
+        let inject = serve(&w, topo(), &one_f, Tier::Exact);
         assert!(
             inject.makespan_cycles <= gpipe.makespan_cycles,
             "1f1b {} > gpipe {}",
@@ -816,25 +747,8 @@ mod tests {
     fn analytic_tier_agrees_on_shape() {
         let spec = quick_spec();
         let w = Workload::transformer_lm();
-        let exact = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions::default(),
-        )
-        .unwrap();
-        let analytic = simulate(
-            SystemConfig::Ace,
-            &w,
-            topo(),
-            &spec,
-            &ServingOptions {
-                tier: ServingTier::Analytic,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let exact = serve(&w, topo(), &spec, Tier::Exact);
+        let analytic = serve(&w, topo(), &spec, Tier::Analytic);
         assert_eq!(analytic.requests.len(), exact.requests.len());
         assert!(analytic.makespan_cycles > 0);
         // The α–β estimate tracks the exact makespan within 2x.
@@ -849,7 +763,6 @@ mod tests {
         // round of one 64-token prompt.
         let w = Workload::transformer_lm();
         let topology: TopologySpec = "2x2".parse().unwrap();
-        let opts = ServingOptions::default();
         let memo = RoundMemo::new();
         let prompts_of = |prompt_tokens| ServingSpec {
             prompt_tokens,
@@ -859,16 +772,16 @@ mod tests {
         };
         let mut simulated = Vec::new();
         for spec in [prompts_of(64), prompts_of(32), prompts_of(64)] {
-            let fresh = simulate(SystemConfig::Ace, &w, topology, &spec, &opts).unwrap();
-            let conditions = RunConditions::default();
+            let fresh = serve(&w, topology, &spec, Tier::Exact);
             let shared = simulate_with_memo(
                 SystemConfig::Ace,
                 &w,
                 topology,
                 &spec,
-                &opts,
-                &conditions,
+                &RunConditions::default(),
+                Tier::Exact,
                 &memo,
+                &RouteMemo::new(),
             )
             .unwrap();
             let expected = ServingOutcome {
@@ -917,25 +830,15 @@ mod tests {
         }
         let [gpipe, one_f] = [PipeSchedule::GPipe, PipeSchedule::OneFOneB]
             .map(|schedule| model.round_program(&spec(schedule), 64));
-        let exact = |p: Program| {
-            TrainSpec::new(SystemConfig::Ace, p, topology)
-                .run()
-                .unwrap()
-                .total_cycles()
+        let run = |p: &Program, tier| {
+            let report = TrainSpec::new(SystemConfig::Ace, p.clone(), topology)
+                .run_in(tier, &RouteMemo::new())
+                .unwrap();
+            format!("{report:?}")
         };
-        let analytic = |p: &Program| {
-            analytic_program_run_with_conditions(
-                SystemConfig::Ace,
-                p,
-                topology,
-                &RunConditions::default(),
-            )
-            .unwrap()
-            .total_cycles
-            .to_bits()
-        };
-        assert_eq!(analytic(&gpipe), analytic(&one_f));
-        assert_eq!(exact(gpipe), exact(one_f));
+        for tier in [Tier::Exact, Tier::Analytic] {
+            assert_eq!(run(&gpipe, tier), run(&one_f, tier), "{tier}");
+        }
     }
 
     #[test]

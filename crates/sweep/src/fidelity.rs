@@ -28,6 +28,12 @@ use ace_system::EngineKind;
 use crate::grid::{PointKind, RunPoint};
 use crate::runner::Metrics;
 
+/// The tier a concrete result belongs to, re-exported from ace-system,
+/// whose runs take it as an argument. [`Fidelity::Hybrid`] is a *sweep*
+/// strategy, not a result kind: every row it produces is either exact or
+/// analytic.
+pub use ace_system::Tier;
+
 /// Which simulation tier a sweep (or a cached row) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
@@ -77,46 +83,6 @@ impl FromStr for Fidelity {
                     names.join(", ")
                 )
             })
-    }
-}
-
-/// The tier a concrete result belongs to. [`Fidelity::Hybrid`] is a
-/// *sweep* strategy, not a result kind: every row it produces is either
-/// exact or analytic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub enum Tier {
-    /// Produced by the event-driven executor.
-    #[default]
-    Exact,
-    /// Produced by the α–β estimator.
-    Analytic,
-}
-
-impl Tier {
-    /// The cache-file / report-column spelling.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Exact => "exact",
-            Tier::Analytic => "analytic",
-        }
-    }
-}
-
-impl fmt::Display for Tier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for Tier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "exact" => Ok(Tier::Exact),
-            "analytic" => Ok(Tier::Analytic),
-            other => Err(format!("unknown result tier '{other}'")),
-        }
     }
 }
 

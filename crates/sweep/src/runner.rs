@@ -1,5 +1,5 @@
-//! Sweep execution: the metric/result/outcome types, the per-point
-//! executors, and [`SweepRunner`], which runs a scenario's grid.
+//! Sweep execution: the metric/result/outcome types, the one cell
+//! function, and [`SweepRunner`], which runs a scenario's grid.
 //!
 //! A runner owns a `(tier, point)` [`Cache`], the serving [`RoundMemo`]
 //! and the α–β [`RouteMemo`], all kept across its runs. The route memo
@@ -16,6 +16,13 @@
 //! event-driven executor, `analytic` the closed-form α–β estimator, and
 //! `hybrid` triages the whole grid analytically before re-simulating only
 //! the Pareto frontier + top-K % cells exactly (see [`crate::fidelity`]).
+//! The tier is an argument of each cell's run, not a fork in the runner:
+//! one function runs a cell of any kind in either tier through its run
+//! spec ([`RunSpec`], [`TrainSpec`] or the serving run
+//! [`ace_serve::simulate_with_memo`]), whose one report type per kind
+//! becomes [`Metrics`] in one place. A cell that cannot run is an error
+//! that fails the sweep with `cell <label> failed: <cause>`, as does a
+//! cell that panics.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -25,10 +32,10 @@ use std::sync::{Mutex, OnceLock};
 
 use ace_collectives::RouteMemo;
 use ace_net::{NetworkParams, TopologySpec};
-use ace_serve::RoundMemo;
+use ace_serve::{RoundMemo, ServingOutcome};
 use ace_system::{
-    analytic_collective_run, analytic_program_run_with_memo, training_program, EngineKind,
-    RunConditions, RunSpec, TrainSpec,
+    training_program, CollectiveRunReport, EngineKind, IterationReport, RunConditions, RunError,
+    RunSpec, TrainSpec,
 };
 use ace_trace::Attribution;
 
@@ -378,7 +385,12 @@ impl SweepRunner {
                         (p.clone(), m.expect("triage covered the grid"))
                     })
                     .collect();
-                let probe = |p: &RunPoint| estimate_analytic(p, &self.rounds, &self.routes).time_us;
+                // A probe that cannot run vouches for no tie, so its pair
+                // is re-simulated.
+                let probe = |p: &RunPoint| {
+                    run_cell(p, Tier::Analytic, &self.rounds, &self.routes)
+                        .map_or(f64::INFINITY, |m| m.time_us)
+                };
                 let keep = select_exact_cells(&triage, scenario.hybrid_top_pct, &probe);
                 let selected = points
                     .iter()
@@ -415,8 +427,8 @@ impl SweepRunner {
     /// Executes every unique point of `wanted` not yet cached in `tier`
     /// on `min(threads, cells)` scoped workers that pull cell indices from
     /// one counter, and returns those points in first-seen order. After a
-    /// cell panics no further cells are claimed, and the panic text comes
-    /// back as the error.
+    /// cell fails, by an error or a panic, no further cells are claimed,
+    /// and `cell <label> failed: <cause>` comes back as the error.
     fn run_batch<'p>(
         &self,
         tier: Tier,
@@ -456,8 +468,11 @@ impl SweepRunner {
                         let Some(&point) = work.get(next.fetch_add(1, Ordering::Relaxed)) else {
                             break;
                         };
-                        let run = || execute_tier_with(point, tier, &self.rounds, &self.routes);
-                        match catch_unwind(AssertUnwindSafe(run)) {
+                        let run = || run_cell(point, tier, &self.rounds, &self.routes);
+                        let result = catch_unwind(AssertUnwindSafe(run))
+                            .map_err(|panic| panic_text(panic.as_ref()))
+                            .and_then(|run| run.map_err(|e| e.to_string()));
+                        match result {
                             Ok(metrics) => {
                                 self.cache.insert_tier(tier, point.clone(), metrics);
                                 let mut done = done.lock().expect("progress callback panicked");
@@ -469,10 +484,9 @@ impl SweepRunner {
                                     cell: Some((tier, point, &metrics)),
                                 });
                             }
-                            Err(panic) => {
-                                let text = panic_text(panic.as_ref());
+                            Err(cause) => {
                                 let label = point.label();
-                                let _ = failure.set(format!("cell {label} failed: {text}"));
+                                let _ = failure.set(format!("cell {label} failed: {cause}"));
                             }
                         }
                     }
@@ -604,269 +618,163 @@ pub fn run_scenario(scenario: &Scenario, opts: RunnerOptions) -> Result<SweepOut
     SweepRunner::new().run(scenario, opts)
 }
 
-/// Executes one point in the given tier. Pure and deterministic within a
-/// tier: the same `(tier, point)` always produces the same metrics.
-pub fn execute_tier(point: &RunPoint, tier: Tier) -> Metrics {
-    execute_tier_with(point, tier, &RoundMemo::new(), &RouteMemo::new())
-}
-
-/// [`execute_tier`] with the [`RoundMemo`] serving points draw round
-/// costs from and the [`RouteMemo`] α–β estimates draw fabric routes
-/// from. A memoized round costs what a fresh simulation does, and a
-/// memoized route footprint is the one a fresh walk gives, so the
-/// metrics do not depend on either memo.
-fn execute_tier_with(
+/// Runs one cell in `tier`: the one path from a grid point to its
+/// [`Metrics`], for every point kind. Serving cells draw round costs from
+/// `rounds`, and α–β runs draw fabrics from `routes`; neither memo changes
+/// a result, so the same `(tier, point)` always gives the same metrics.
+///
+/// # Errors
+///
+/// The [`RunError`] of a cell that cannot run: an engine outside the
+/// endpoint, conditions its fabric cannot run, or an invalid serving spec.
+fn run_cell(
     point: &RunPoint,
     tier: Tier,
     rounds: &RoundMemo,
     routes: &RouteMemo,
-) -> Metrics {
-    match tier {
-        Tier::Exact => execute_exact(point, rounds),
-        Tier::Analytic => estimate_analytic(point, rounds, routes),
+) -> Result<Metrics, RunError> {
+    let topology = point.topology;
+    let conditions = point.conditions.clone();
+    Ok(match &point.kind {
+        PointKind::Collective {
+            engine,
+            op,
+            payload_bytes,
+        } => Metrics::from_collective(
+            &RunSpec::new(topology, *engine, *op, *payload_bytes)
+                .conditions(conditions)
+                .run_in(tier, routes)?,
+        ),
+        PointKind::Training {
+            config,
+            workload,
+            iterations,
+            optimized_embedding,
+        } => {
+            let workload = workload.instantiate(topology.nodes());
+            let program = training_program(*config, &workload, *iterations, *optimized_embedding);
+            Metrics::from_training(
+                &TrainSpec::new(*config, program, topology)
+                    .conditions(conditions)
+                    .run_in(tier, routes)?,
+            )
+        }
+        PointKind::Serving {
+            config,
+            workload,
+            spec,
+        } => Metrics::from_serving(
+            &ace_serve::simulate_with_memo(
+                *config,
+                &workload.instantiate(topology.nodes()),
+                topology,
+                spec,
+                &conditions,
+                tier,
+                rounds,
+                routes,
+            )?,
+            topology.nodes(),
+        ),
+    })
+}
+
+impl Metrics {
+    /// A standalone collective's metrics, from either tier's report. The
+    /// time comes from the unrounded cycles.
+    fn from_collective(r: &CollectiveRunReport) -> Metrics {
+        Metrics {
+            time_us: r.cycles / ace_simcore::npu_frequency().hz() * 1e6,
+            completion_cycles: r.completion.cycles(),
+            gbps_per_npu: r.achieved_gbps_per_npu,
+            mem_traffic_bytes: r.mem_traffic_bytes,
+            network_bytes: r.network_bytes,
+            compute_us: 0.0,
+            exposed_comm_us: 0.0,
+            past_schedules: r.past_schedules,
+            attribution: r.attribution,
+            serving: ServingMetrics::default(),
+        }
+    }
+
+    /// A training run's metrics, from either tier's report.
+    fn from_training(r: &IterationReport) -> Metrics {
+        Metrics {
+            time_us: r.total_time_us(),
+            completion_cycles: r.total_cycles(),
+            gbps_per_npu: r.effective_network_gbps_per_npu(),
+            mem_traffic_bytes: r.comm_mem_traffic_bytes(),
+            network_bytes: r.network_bytes(),
+            compute_us: r.total_compute_us(),
+            exposed_comm_us: r.exposed_comm_us(),
+            past_schedules: r.past_schedules(),
+            attribution: r.attribution(),
+            serving: ServingMetrics::default(),
+        }
+    }
+
+    /// A serving run's metrics on a fabric of `nodes` NPUs, from either
+    /// tier's outcome.
+    fn from_serving(outcome: &ServingOutcome, nodes: usize) -> Metrics {
+        let freq = ace_simcore::npu_frequency();
+        let to_us = |cycles: u64| cycles as f64 / freq.hz() * 1e6;
+        let gbps = if outcome.makespan_cycles > 0 {
+            freq.gbps(outcome.network_bytes as f64 / nodes as f64 / outcome.makespan_cycles as f64)
+        } else {
+            0.0
+        };
+        // Aggregate compute over overlapped rounds can exceed the wall-clock
+        // makespan under 1f1b injection; the attribution buckets clamp so the
+        // decomposition still sums exactly to the total.
+        let total = outcome.makespan_cycles;
+        let compute = outcome.compute_cycles.min(total);
+        Metrics {
+            time_us: outcome.makespan_us(),
+            completion_cycles: total,
+            gbps_per_npu: gbps,
+            mem_traffic_bytes: outcome.mem_traffic_bytes,
+            network_bytes: outcome.network_bytes,
+            compute_us: to_us(outcome.compute_cycles),
+            exposed_comm_us: to_us(outcome.exposed_cycles),
+            past_schedules: outcome.past_schedules,
+            attribution: Attribution {
+                total_cycles: total,
+                compute_cycles: compute,
+                network_cycles: total - compute,
+                ..Attribution::default()
+            },
+            serving: ServingMetrics {
+                ttft_p50_us: outcome.ttft_percentile_us(50.0),
+                ttft_p95_us: outcome.ttft_percentile_us(95.0),
+                ttft_p99_us: outcome.ttft_percentile_us(99.0),
+                e2e_p50_us: outcome.e2e_percentile_us(50.0),
+                e2e_p95_us: outcome.e2e_percentile_us(95.0),
+                e2e_p99_us: outcome.e2e_percentile_us(99.0),
+                goodput_rps: outcome.goodput_rps(),
+            },
+        }
     }
 }
 
-/// Simulates one point with the event-driven executor.
+/// Runs one point in `tier` with fresh memos, panicking with the cell's
+/// label and cause when it cannot run. Kept only because the benchmark
+/// harness (`perfbench/`) calls it; a [`SweepRunner`] runs cells with its
+/// shared memos and reports failures as errors.
+pub fn execute_tier(point: &RunPoint, tier: Tier) -> Metrics {
+    run_cell(point, tier, &RoundMemo::new(), &RouteMemo::new())
+        .unwrap_or_else(|e| panic!("cell {} failed: {e}", point.label()))
+}
+
+/// [`execute_tier`] in the exact tier. Kept only because the benchmark
+/// harness (`perfbench/`) calls it.
 pub fn execute(point: &RunPoint) -> Metrics {
     execute_tier(point, Tier::Exact)
 }
 
-/// Estimates one point with the closed-form α–β model.
+/// [`execute_tier`] in the α–β tier. Kept only because the benchmark
+/// harness (`perfbench/`) calls it.
 pub fn execute_analytic(point: &RunPoint) -> Metrics {
     execute_tier(point, Tier::Analytic)
-}
-
-/// Simulates one point with the event-driven executor.
-fn execute_exact(point: &RunPoint, rounds: &RoundMemo) -> Metrics {
-    match &point.kind {
-        PointKind::Collective {
-            engine,
-            op,
-            payload_bytes,
-        } => {
-            let r = RunSpec::new(point.topology, *engine, *op, *payload_bytes)
-                .conditions(point.conditions.clone())
-                .run()
-                .expect("expanded point conditions are resolvable");
-            let freq = ace_simcore::npu_frequency();
-            Metrics {
-                time_us: r.completion.cycles() as f64 / freq.hz() * 1e6,
-                completion_cycles: r.completion.cycles(),
-                gbps_per_npu: r.achieved_gbps_per_npu,
-                mem_traffic_bytes: r.mem_traffic_bytes,
-                network_bytes: r.network_bytes,
-                compute_us: 0.0,
-                exposed_comm_us: 0.0,
-                past_schedules: r.past_schedules,
-                attribution: r.attribution,
-                serving: ServingMetrics::default(),
-            }
-        }
-        PointKind::Training {
-            config,
-            workload,
-            iterations,
-            optimized_embedding,
-        } => {
-            let spec = point.topology;
-            let workload = workload.instantiate(spec.nodes());
-            let program = training_program(*config, &workload, *iterations, *optimized_embedding);
-            let report = TrainSpec::new(*config, program, spec)
-                .conditions(point.conditions.clone())
-                .run()
-                .expect("expanded point is buildable");
-            Metrics {
-                time_us: report.total_time_us(),
-                completion_cycles: report.total_cycles(),
-                gbps_per_npu: report.effective_network_gbps_per_npu(),
-                mem_traffic_bytes: report.comm_mem_traffic_bytes(),
-                network_bytes: report.network_bytes(),
-                compute_us: report.total_compute_us(),
-                exposed_comm_us: report.exposed_comm_us(),
-                past_schedules: report.past_schedules(),
-                attribution: report.attribution(),
-                serving: ServingMetrics::default(),
-            }
-        }
-        PointKind::Serving {
-            config,
-            workload,
-            spec,
-        } => execute_serving(
-            point,
-            *config,
-            workload,
-            spec,
-            ace_serve::ServingTier::Exact,
-            rounds,
-        ),
-    }
-}
-
-/// Runs one serving point through [`ace_serve::simulate_with_memo`],
-/// drawing round costs from `rounds`, and folds its outcome into sweep
-/// [`Metrics`].
-fn execute_serving(
-    point: &RunPoint,
-    config: ace_system::SystemConfig,
-    workload: &crate::scenario::WorkloadSel,
-    spec: &ace_serve::ServingSpec,
-    tier: ace_serve::ServingTier,
-    rounds: &RoundMemo,
-) -> Metrics {
-    let topo = point.topology;
-    let outcome = ace_serve::simulate_with_memo(
-        config,
-        &workload.instantiate(topo.nodes()),
-        topo,
-        spec,
-        &ace_serve::ServingOptions {
-            tier,
-            ..Default::default()
-        },
-        &point.conditions,
-        rounds,
-    )
-    .expect("expanded serving point is simulable");
-    let freq = ace_simcore::npu_frequency();
-    let to_us = |cycles: u64| cycles as f64 / freq.hz() * 1e6;
-    let gbps = if outcome.makespan_cycles > 0 {
-        freq.gbps(
-            outcome.network_bytes as f64 / topo.nodes() as f64 / outcome.makespan_cycles as f64,
-        )
-    } else {
-        0.0
-    };
-    // Aggregate compute over overlapped rounds can exceed the wall-clock
-    // makespan under 1f1b injection; the attribution buckets clamp so the
-    // decomposition still sums exactly to the total.
-    let total = outcome.makespan_cycles;
-    let compute = outcome.compute_cycles.min(total);
-    Metrics {
-        time_us: outcome.makespan_us(),
-        completion_cycles: total,
-        gbps_per_npu: gbps,
-        mem_traffic_bytes: outcome.mem_traffic_bytes,
-        network_bytes: outcome.network_bytes,
-        compute_us: to_us(outcome.compute_cycles),
-        exposed_comm_us: to_us(outcome.exposed_cycles),
-        past_schedules: outcome.past_schedules,
-        attribution: Attribution {
-            total_cycles: total,
-            compute_cycles: compute,
-            network_cycles: total - compute,
-            ..Attribution::default()
-        },
-        serving: ServingMetrics {
-            ttft_p50_us: outcome.ttft_percentile_us(50.0),
-            ttft_p95_us: outcome.ttft_percentile_us(95.0),
-            ttft_p99_us: outcome.ttft_percentile_us(99.0),
-            e2e_p50_us: outcome.e2e_percentile_us(50.0),
-            e2e_p95_us: outcome.e2e_percentile_us(95.0),
-            e2e_p99_us: outcome.e2e_percentile_us(99.0),
-            goodput_rps: outcome.goodput_rps(),
-        },
-    }
-}
-
-/// Estimates one point with the closed-form α–β model.
-fn estimate_analytic(point: &RunPoint, rounds: &RoundMemo, routes: &RouteMemo) -> Metrics {
-    let freq = ace_simcore::npu_frequency();
-    match &point.kind {
-        PointKind::Collective {
-            engine,
-            op,
-            payload_bytes,
-        } => {
-            let r = analytic_collective_run(
-                point.topology,
-                *engine,
-                *op,
-                *payload_bytes,
-                &point.conditions,
-                routes,
-            )
-            .expect("expanded point conditions are resolvable");
-            let total_u = r.cycles.round() as u64;
-            Metrics {
-                time_us: r.cycles / freq.hz() * 1e6,
-                completion_cycles: total_u,
-                gbps_per_npu: r.achieved_gbps_per_npu,
-                mem_traffic_bytes: r.mem_traffic_bytes,
-                network_bytes: r.network_bytes,
-                compute_us: 0.0,
-                exposed_comm_us: 0.0,
-                past_schedules: 0,
-                attribution: Attribution {
-                    total_cycles: total_u,
-                    network_cycles: total_u,
-                    ..Attribution::default()
-                },
-                serving: ServingMetrics::default(),
-            }
-        }
-        PointKind::Training {
-            config,
-            workload,
-            iterations,
-            optimized_embedding,
-        } => {
-            let spec = point.topology;
-            let workload = workload.instantiate(spec.nodes());
-            let program = training_program(*config, &workload, *iterations, *optimized_embedding);
-            let r =
-                analytic_program_run_with_memo(*config, &program, spec, &point.conditions, routes)
-                    .expect("expanded point conditions are resolvable");
-            let to_us = |cycles: f64| cycles / freq.hz() * 1e6;
-            let gbps = if r.total_cycles > 0.0 {
-                freq.gbps(r.network_bytes as f64 / spec.nodes() as f64 / r.total_cycles)
-            } else {
-                0.0
-            };
-            let total_u = r.total_cycles.round() as u64;
-            let compute_u = r.compute_cycles.round() as u64;
-            // An iteration is at least as long as its compute: the
-            // analytic model adds exposed communication on top of the
-            // compute span, never the other way around. A violation here
-            // is a modeling bug, not something to clamp away silently —
-            // the old `.min(total_u)` masked it and let reports claim a
-            // 100 %-compute iteration that still had network time.
-            debug_assert!(
-                compute_u <= total_u,
-                "analytic invariant violated: compute {compute_u} cycles > total {total_u} cycles"
-            );
-            Metrics {
-                time_us: to_us(r.total_cycles),
-                completion_cycles: total_u,
-                gbps_per_npu: gbps,
-                mem_traffic_bytes: r.mem_traffic_bytes,
-                network_bytes: r.network_bytes,
-                compute_us: to_us(r.compute_cycles),
-                exposed_comm_us: to_us(r.exposed_cycles),
-                past_schedules: 0,
-                attribution: Attribution {
-                    total_cycles: total_u,
-                    compute_cycles: compute_u,
-                    network_cycles: total_u.saturating_sub(compute_u),
-                    ..Attribution::default()
-                },
-                serving: ServingMetrics::default(),
-            }
-        }
-        PointKind::Serving {
-            config,
-            workload,
-            spec,
-        } => execute_serving(
-            point,
-            *config,
-            workload,
-            spec,
-            ace_serve::ServingTier::Analytic,
-            rounds,
-        ),
-    }
 }
 
 #[cfg(test)]
@@ -1204,9 +1112,9 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_cell_fails_the_run_and_stops_further_claims() {
+    fn a_failing_cell_fails_the_run_and_stops_further_claims() {
         // validate() refuses a zero microbatch count, so the middle cell
-        // of a valid grid is broken by hand; its executor panics.
+        // of a valid grid is broken by hand; its run returns an error.
         let mut sc = small_serving(800.0, 1);
         sc.schedules = vec![ace_workloads::PipeSchedule::GPipe];
         sc.microbatches = vec![1, 3, 2];
@@ -1224,8 +1132,69 @@ mod tests {
             "{err}"
         );
         assert!(err.contains("microbatches must be at least 1"), "{err}");
-        // The cell before the panic ran; the one after was never claimed.
+        // The cell before the failure ran; the one after was never claimed.
         assert_eq!(runner.cache().len(), 1);
+    }
+
+    #[test]
+    fn broken_cells_of_every_kind_are_errors_in_both_tiers() {
+        // One cell per kind, each broken by hand past validate(): an ACE
+        // engine without FSMs, training on a fabric a killed node
+        // disconnects, and serving with no microbatches. The cell function
+        // returns the cause, and a batch fails with the cell's label.
+        let topology: TopologySpec = "4x4".parse().unwrap();
+        let collective = RunPoint {
+            topology,
+            conditions: RunConditions::default(),
+            kind: PointKind::Collective {
+                engine: EngineKind::Ace {
+                    dma_mem_gbps: 128.0,
+                    sram_mb: 4,
+                    fsms: 0,
+                },
+                op: ace_collectives::CollectiveOp::AllReduce,
+                payload_bytes: 1 << 20,
+            },
+        };
+        let training = RunPoint {
+            topology,
+            conditions: RunConditions {
+                faults: "kill:node:3".parse().unwrap(),
+                ..RunConditions::default()
+            },
+            kind: PointKind::Training {
+                config: SystemConfig::Ace,
+                workload: crate::scenario::WorkloadSel::parse("resnet50", None).unwrap(),
+                iterations: 1,
+                optimized_embedding: false,
+            },
+        };
+        let mut serving = grid::expand(&small_serving(800.0, 1)).remove(0);
+        let PointKind::Serving { spec, .. } = &mut serving.kind else {
+            unreachable!("a serving grid");
+        };
+        spec.microbatches = 0;
+        for (point, cause) in [
+            (
+                collective,
+                "invalid engine ace[dma=128,sram=4MB,fsms=0]: fsms 0 is below 1",
+            ),
+            (training, "disconnect"),
+            (serving, "invalid spec: microbatches must be at least 1"),
+        ] {
+            for tier in [Tier::Exact, Tier::Analytic] {
+                let err = run_cell(&point, tier, &RoundMemo::new(), &RouteMemo::new())
+                    .unwrap_err()
+                    .to_string();
+                assert!(err.contains(cause), "{tier} {}: {err}", point.label());
+                let runner = SweepRunner::new();
+                let failure = runner
+                    .run_batch(tier, std::iter::once(&point), 1, &|_| {})
+                    .unwrap_err();
+                assert_eq!(failure, format!("cell {} failed: {err}", point.label()));
+                assert!(runner.cache().is_empty(), "a failed cell was cached");
+            }
+        }
     }
 
     #[test]

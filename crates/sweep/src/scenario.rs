@@ -32,7 +32,7 @@ pub enum SweepMode {
     /// the Fig. 11 / Fig. 12 harness.
     Training,
     /// A continuous-batching inference serving run per point
-    /// ([`ace_serve::simulate`]): open-loop arrivals, pipeline rounds,
+    /// ([`ace_serve::simulate_with_memo`]): open-loop arrivals, pipeline rounds,
     /// TTFT/E2E latency percentiles.
     Serving,
 }

@@ -6,13 +6,18 @@
 //! the event-driven endpoints consume** (Table VI's split through
 //! [`SystemConfig::engine`], and `MemoryParams`, `BusParams`,
 //! `SmDriveModel`, `AceConfig`), so a change to the simulated hardware
-//! automatically moves the analytic tier too, and offers drop-in analytic
-//! counterparts of [`RunSpec`](crate::RunSpec) and
-//! [`TrainSpec`](crate::TrainSpec).
+//! automatically moves the analytic tier too. It is not an entry point of
+//! its own: [`RunSpec::run_in`](crate::RunSpec::run_in) and
+//! [`TrainSpec::run_in`](crate::TrainSpec::run_in) with
+//! [`Tier::Analytic`] run here, and fill the exact tier's
+//! [`CollectiveRunReport`] and [`IterationReport`] with the estimate's
+//! unrounded cycles next to the rounded ones.
 //!
 //! Accuracy is tracked by the `validate` binary, which runs both tiers
-//! over the Fig. 9a grid and the training suite and checks the error
-//! table into `BENCH_analytic.json`.
+//! over the Fig. 9a grid, the training suite and
+//! `fault_validation.toml` (24 faulted and contended rows, 9.75 % mean
+//! and 29.15 % max error) and checks the error table into
+//! `BENCH_analytic.json`.
 
 use ace_collectives::analytic::{
     estimate_collective_with_memo, AnalyticEstimate, EndpointModel, RouteMemo,
@@ -22,11 +27,14 @@ use ace_compute::{NpuParams, SmDriveModel};
 use ace_engine::AceConfig;
 use ace_mem::{BusParams, MemoryParams};
 use ace_net::{FaultPlan, NetworkParams, TopologySpec};
+use ace_simcore::SimTime;
+use ace_trace::Attribution;
 use ace_workloads::{AnalyticWalk, Program};
 
-use crate::collective_run::EngineKind;
+use crate::collective_run::{CollectiveRunReport, EngineKind};
 use crate::config::SystemConfig;
-use crate::run::{RunConditions, RunError};
+use crate::report::IterationReport;
+use crate::run::{RunConditions, RunError, Tier, TrainSpec};
 
 /// Derives the α–β endpoint constants for a collective-mode engine,
 /// which must pass [`EngineKind::validate`].
@@ -68,84 +76,45 @@ pub fn endpoint_model(engine: EngineKind) -> EndpointModel {
     }
 }
 
-/// The analytic counterpart of a [`CollectiveRunReport`]
-/// (fractional-cycle precision; the sweep layer rounds).
-///
-/// [`CollectiveRunReport`]: crate::CollectiveRunReport
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyticCollectiveReport {
-    /// Predicted completion time in cycles.
-    pub cycles: f64,
-    /// Predicted achieved per-NPU network bandwidth, GB/s.
-    pub achieved_gbps_per_npu: f64,
-    /// Predicted per-node HBM communication traffic, bytes.
-    pub mem_traffic_bytes: u64,
-    /// Predicted total fabric bytes.
-    pub network_bytes: u64,
-}
-
-/// Analytic estimate of one standalone collective — the α–β counterpart
-/// of [`RunSpec`](crate::RunSpec). Each phase's wire rate is derated by
-/// the [`FaultPlan`] `conditions` resolve to (worst surviving-link load,
-/// detour congestion included); stragglers do not apply, since a
-/// standalone collective has no compute tasks. The fabric's routes come
-/// from `routes`, so a sweep walks each fabric's all-to-all routes once;
-/// the report does not depend on the memo.
-///
-/// # Errors
-///
-/// [`RunError::InvalidEngine`] when the engine fails
-/// [`EngineKind::validate`], and [`RunError::Fault`] when the conditions
-/// cannot run on `spec`.
-pub fn analytic_collective_run(
+/// The α–β estimate of one standalone collective, behind
+/// [`RunSpec::run_in`](crate::RunSpec::run_in). Each phase's wire rate is
+/// derated by the [`FaultPlan`] `conditions` resolve to (worst
+/// surviving-link load, detour congestion included); stragglers do not
+/// apply, since a standalone collective has no compute tasks. The whole
+/// estimate is communication, so attribution charges it to the network.
+pub(crate) fn collective_run(
     spec: TopologySpec,
     engine: EngineKind,
     op: CollectiveOp,
     payload_bytes: u64,
     conditions: &RunConditions,
     routes: &RouteMemo,
-) -> Result<AnalyticCollectiveReport, RunError> {
+) -> Result<CollectiveRunReport, RunError> {
     engine.validate().map_err(RunError::InvalidEngine)?;
     let net = NetworkParams::paper_default();
-    let fault = resolve_degradation(spec, &net, conditions)?;
+    let fault = conditions.fault_plan(spec)?;
     let plan = CollectivePlan::for_spec(op, spec);
     let model = endpoint_model(engine);
     let est =
         estimate_collective_with_memo(&plan, &net, payload_bytes, &model, fault.as_ref(), routes);
-    Ok(report_from_estimate(&est, spec, &net))
-}
-
-/// The fault plan `conditions` resolve to on `spec`, or `None` when they
-/// leave the fabric pristine.
-fn resolve_degradation(
-    spec: TopologySpec,
-    net: &NetworkParams,
-    conditions: &RunConditions,
-) -> Result<Option<FaultPlan>, RunError> {
-    if conditions.is_pristine() {
-        return Ok(None);
-    }
-    let fault = conditions.resolve(spec, net)?;
-    Ok((!fault.is_pristine()).then_some(fault))
-}
-
-fn report_from_estimate(
-    est: &AnalyticEstimate,
-    spec: TopologySpec,
-    net: &NetworkParams,
-) -> AnalyticCollectiveReport {
-    AnalyticCollectiveReport {
+    let completion = SimTime::from_cycles(est.cycles.round() as u64);
+    Ok(CollectiveRunReport {
+        completion,
         cycles: est.cycles,
-        achieved_gbps_per_npu: est.gbps_per_npu(net),
+        achieved_gbps_per_npu: est.gbps_per_npu(&net),
         mem_traffic_bytes: est.mem_traffic_bytes_per_node.round() as u64,
         network_bytes: (est.network_bytes_per_node * spec.nodes() as f64).round() as u64,
-    }
+        past_schedules: 0,
+        attribution: Attribution {
+            total_cycles: completion.cycles(),
+            network_cycles: completion.cycles(),
+            ..Attribution::default()
+        },
+    })
 }
 
-/// The analytic counterpart of an [`IterationReport`]
-/// (critical-path walk over the lowered [`Program`]).
-///
-/// [`IterationReport`]: crate::IterationReport
+/// What [`analytic_program_run_with_conditions`] returns: an α–β
+/// [`IterationReport`]'s unrounded cycles and traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyticTrainingReport {
     /// Predicted end-to-end time in cycles.
@@ -160,60 +129,44 @@ pub struct AnalyticTrainingReport {
     pub network_bytes: u64,
 }
 
-/// Analytic estimate of a training [`Program`] — the α–β counterpart of
-/// [`TrainSpec`](crate::TrainSpec): the same program (lower workloads
-/// with [`training_program`](crate::training_program)), carve-out and
-/// roofline kernel model, with the critical path walked using α–β
-/// collective durations instead of event-driven execution. Collective
-/// durations are derated by the [`FaultPlan`] `conditions` resolve to,
-/// and the straggler distribution stretches the program's compute
-/// kernels exactly as the exact tier does, so `validate` can compare the
-/// tiers point-for-point on degraded fabrics.
+/// [`TrainSpec::run_in`] in the α–β tier with a fresh [`RouteMemo`],
+/// reduced to an [`AnalyticTrainingReport`]. Kept only because the
+/// benchmark harness (`perfbench/`) calls it.
 ///
 /// # Errors
 ///
-/// [`RunError::Fault`] when the conditions cannot run on `spec`.
+/// As [`TrainSpec::run_in`].
 pub fn analytic_program_run_with_conditions(
     config: SystemConfig,
     program: &Program,
     spec: TopologySpec,
     conditions: &RunConditions,
 ) -> Result<AnalyticTrainingReport, RunError> {
-    analytic_program_run_with_memo(config, program, spec, conditions, &RouteMemo::new())
+    let r = TrainSpec::new(config, program.clone(), spec)
+        .conditions(conditions.clone())
+        .run_in(Tier::Analytic, &RouteMemo::new())?;
+    Ok(AnalyticTrainingReport {
+        total_cycles: r.total_cycles,
+        compute_cycles: r.compute_cycles,
+        exposed_cycles: r.exposed_comm_cycles,
+        mem_traffic_bytes: r.comm_mem_traffic_bytes,
+        network_bytes: r.network_bytes,
+    })
 }
 
-/// [`analytic_program_run_with_conditions`] taking the fabric's routes
-/// from `routes`. The report does not depend on the memo.
-pub fn analytic_program_run_with_memo(
-    config: SystemConfig,
-    program: &Program,
-    spec: TopologySpec,
-    conditions: &RunConditions,
-    routes: &RouteMemo,
-) -> Result<AnalyticTrainingReport, RunError> {
-    if conditions.is_pristine() {
-        return Ok(analytic_program_walk(config, program, spec, None, routes));
-    }
-    let net = NetworkParams::paper_default();
-    let fault = resolve_degradation(spec, &net, conditions)?;
-    let mut program = program.clone();
-    program.apply_stragglers(&conditions.straggler);
-    Ok(analytic_program_walk(
-        config,
-        &program,
-        spec,
-        fault.as_ref(),
-        routes,
-    ))
-}
-
-fn analytic_program_walk(
+/// The α–β estimate of a prepared training [`Program`], behind
+/// [`TrainSpec::run_in`]: the same program, carve-out and roofline kernel
+/// model as the exact tier, with the critical path walked using α–β
+/// collective durations derated by `fault`. The report has no
+/// utilization series or ACE-busy figures, and attribution splits the
+/// total into compute and network.
+pub(crate) fn training_run(
     config: SystemConfig,
     program: &Program,
     spec: TopologySpec,
     fault: Option<&FaultPlan>,
     routes: &RouteMemo,
-) -> AnalyticTrainingReport {
+) -> IterationReport {
     let net = NetworkParams::paper_default();
     let npu = NpuParams::paper_default();
     let model = endpoint_model(config.engine());
@@ -239,12 +192,39 @@ fn analytic_program_walk(
             est.cycles
         },
     );
-    AnalyticTrainingReport {
+    let total = walk.total_cycles.round() as u64;
+    let compute = walk.compute_cycles.round() as u64;
+    // An iteration is at least as long as its compute: the model adds
+    // exposed communication on top of the compute span, never the other
+    // way around, so a violation is a modeling bug, not something to
+    // clamp away.
+    debug_assert!(
+        compute <= total,
+        "analytic invariant violated: compute {compute} cycles > total {total} cycles"
+    );
+    IterationReport {
+        workload: program.name().to_string(),
+        config: config.short_name().to_string(),
+        nodes: spec.nodes(),
+        freq: npu.freq,
+        iterations: program.iterations(),
         total_cycles: walk.total_cycles,
         compute_cycles: walk.compute_cycles,
-        exposed_cycles: walk.exposed_cycles,
-        mem_traffic_bytes: mem_traffic.round() as u64,
+        exposed_comm_cycles: walk.exposed_cycles,
+        compute_series: Vec::new(),
+        network_series: Vec::new(),
+        ace_util_fwd: None,
+        ace_util_bwd: None,
+        ace_busy_cycles: None,
+        comm_mem_traffic_bytes: mem_traffic.round() as u64,
         network_bytes: network.round() as u64,
+        past_schedules: 0,
+        attribution: Attribution {
+            total_cycles: total,
+            compute_cycles: compute,
+            network_cycles: total.saturating_sub(compute),
+            ..Attribution::default()
+        },
     }
 }
 
@@ -260,8 +240,9 @@ mod tests {
         config: SystemConfig,
         program: &Program,
         spec: TopologySpec,
-    ) -> AnalyticTrainingReport {
-        analytic_program_run_with_conditions(config, program, spec, &RunConditions::default())
+    ) -> IterationReport {
+        TrainSpec::new(config, program.clone(), spec)
+            .run_in(Tier::Analytic, &RouteMemo::new())
             .expect("pristine estimate cannot fail")
     }
 
@@ -324,16 +305,10 @@ mod tests {
                 .run()
                 .expect("pristine run cannot fail")
                 .completion;
-            let analytic = analytic_collective_run(
-                shape,
-                engine,
-                CollectiveOp::AllReduce,
-                MB64,
-                &RunConditions::default(),
-                &RouteMemo::new(),
-            )
-            .expect("pristine estimate cannot fail")
-            .cycles;
+            let analytic = RunSpec::new(shape, engine, CollectiveOp::AllReduce, MB64)
+                .run_in(Tier::Analytic, &RouteMemo::new())
+                .expect("pristine estimate cannot fail")
+                .cycles;
             let err = (analytic - exact.cycles() as f64).abs() / exact.cycles() as f64;
             assert!(
                 err < 0.25,
@@ -346,7 +321,7 @@ mod tests {
 
     #[test]
     fn training_estimate_tracks_the_simulator() {
-        use crate::{training_program, TrainSpec};
+        use crate::training_program;
         use ace_workloads::Workload;
         let shape = TopologySpec::torus3(4, 2, 2).unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
@@ -375,7 +350,6 @@ mod tests {
     fn no_communication_matches_exactly() {
         // Degenerate case: a program without collectives is pure
         // roofline compute, identical in both tiers.
-        use crate::TrainSpec;
         use ace_compute::KernelDesc;
         use ace_workloads::{Parallelism, TaskPhase};
         let mut p = Program::new("compute-only", Parallelism::Data, 1);
@@ -393,6 +367,6 @@ mod tests {
             .unwrap();
         let est = pristine_program_run(SystemConfig::Ace, &p, shape);
         assert_eq!(est.total_cycles, exact.total_cycles() as f64);
-        assert_eq!(est.exposed_cycles, 0.0);
+        assert_eq!(est.exposed_comm_cycles, 0.0);
     }
 }

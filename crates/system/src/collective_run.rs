@@ -2,7 +2,7 @@
 //! collective reports: [`EngineKind`] names a Table VI configuration's
 //! engine or any other point of the Fig. 5 / 6 / 9a design space and
 //! builds its per-node endpoint, and [`CollectiveRunReport`] is the
-//! result [`RunSpec`](crate::RunSpec) returns.
+//! result [`RunSpec`](crate::RunSpec) returns in either tier.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -60,9 +60,8 @@ impl EngineKind {
     /// from (Table V): an HBM share within (0, [`HBM_TOTAL_GBPS`]] for
     /// either family, 1 to all of the NPU's SMs, at least 1 MB of SRAM
     /// whose byte count fits `u64`, and at least one FSM. This is the only
-    /// judge of engine knobs: [`RunSpec`](crate::RunSpec),
-    /// [`analytic_collective_run`](crate::analytic_collective_run) and the
-    /// sweep's scenario validation all call it, so
+    /// judge of engine knobs: [`RunSpec`](crate::RunSpec) in both tiers and
+    /// the sweep's scenario validation call it, so
     /// [`endpoint`](EngineKind::endpoint) and
     /// [`endpoint_model`](crate::endpoint_model) only see engines that
     /// pass.
@@ -207,11 +206,15 @@ impl fmt::Display for EngineKind {
     }
 }
 
-/// Result of one single-collective run.
+/// Result of one single-collective run, in either tier.
 #[derive(Debug, Clone, Copy)]
 pub struct CollectiveRunReport {
     /// Completion time of the collective.
     pub completion: SimTime,
+    /// Completion time in cycles before rounding: the α–β tier's estimate
+    /// is fractional and `completion` is it rounded to the nearest cycle;
+    /// in the exact tier the two are equal.
+    pub cycles: f64,
     /// Achieved per-NPU network bandwidth in GB/s (Fig. 5/6 y-axis).
     pub achieved_gbps_per_npu: f64,
     /// Per-node HBM traffic generated by the communication path, bytes.
@@ -219,11 +222,11 @@ pub struct CollectiveRunReport {
     /// Total bytes the fabric carried.
     pub network_bytes: u64,
     /// Events scheduled in the past and clamped by the event queue —
-    /// always zero in a correct simulation.
+    /// always zero in a correct simulation, and in the α–β tier.
     pub past_schedules: u64,
     /// Bottleneck attribution: completion cycles decomposed into per-pipe
     /// buckets that sum exactly to `completion` (compute is zero for a
-    /// standalone collective).
+    /// standalone collective). The α–β tier charges it all to the network.
     pub attribution: Attribution,
 }
 

@@ -92,7 +92,7 @@ pub enum SchedulingPolicy {
 
 /// Tunable executor knobs for ablation studies. The defaults reproduce
 /// the paper's configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorOptions {
     /// Payload → chunk → message decomposition (Table III).
     pub granularity: Granularity,

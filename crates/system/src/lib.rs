@@ -20,7 +20,9 @@
 //! * [`RunSpec`] / [`TrainSpec`] — the one entry point per run kind:
 //!   standalone collectives (the harness behind Fig. 5 and Fig. 6) and
 //!   training runs ([`training_program`] lowers a workload), with
-//!   optional fault/contention/straggler [`RunConditions`].
+//!   optional fault/contention/straggler [`RunConditions`]. Each runs in
+//!   either [`Tier`] — the executor or the α–β estimate of
+//!   [`analytic`] — and returns one report type for both.
 //!
 //! # Example
 //!
@@ -51,13 +53,10 @@ mod report;
 mod run;
 mod training;
 
-pub use analytic::{
-    analytic_collective_run, analytic_program_run_with_conditions, analytic_program_run_with_memo,
-    endpoint_model, AnalyticCollectiveReport, AnalyticTrainingReport,
-};
+pub use analytic::{analytic_program_run_with_conditions, endpoint_model, AnalyticTrainingReport};
 pub use collective_run::{CollectiveRunReport, EngineKind};
 pub use config::SystemConfig;
 pub use executor::{CollHandle, CollectiveExecutor, ExecutorOptions, SchedulingPolicy};
 pub use report::IterationReport;
-pub use run::{training_program, RunConditions, RunError, RunSpec, TrainSpec};
+pub use run::{training_program, RunConditions, RunError, RunSpec, Tier, TrainSpec};
 pub use training::TrainingSim;

@@ -5,7 +5,13 @@
 use ace_simcore::Frequency;
 use ace_trace::Attribution;
 
-/// The result of simulating two training iterations.
+/// The result of a training run, in either tier.
+///
+/// Cycle counts are held as `f64`: the exact tier's are whole numbers,
+/// the α–β tier's are its unrounded estimate. The integer accessors round
+/// to the nearest cycle, and the microsecond and bandwidth figures use
+/// the unrounded counts, so both tiers share one formula for each. An
+/// α–β report has no utilization series and no ACE-busy figures.
 #[derive(Debug, Clone)]
 pub struct IterationReport {
     pub(crate) workload: String,
@@ -13,9 +19,9 @@ pub struct IterationReport {
     pub(crate) nodes: usize,
     pub(crate) freq: Frequency,
     pub(crate) iterations: u32,
-    pub(crate) total_cycles: u64,
-    pub(crate) compute_cycles: u64,
-    pub(crate) exposed_comm_cycles: u64,
+    pub(crate) total_cycles: f64,
+    pub(crate) compute_cycles: f64,
+    pub(crate) exposed_comm_cycles: f64,
     pub(crate) compute_series: Vec<f64>,
     pub(crate) network_series: Vec<f64>,
     pub(crate) ace_util_fwd: Option<f64>,
@@ -50,33 +56,33 @@ impl IterationReport {
 
     /// End-to-end simulated time in cycles (all iterations).
     pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
+        self.total_cycles.round() as u64
     }
 
     /// Total compute busy time in cycles.
     pub fn compute_cycles(&self) -> u64 {
-        self.compute_cycles
+        self.compute_cycles.round() as u64
     }
 
     /// Exposed (non-overlapped) communication in cycles.
     pub fn exposed_comm_cycles(&self) -> u64 {
-        self.exposed_comm_cycles
+        self.exposed_comm_cycles.round() as u64
     }
 
     /// End-to-end time in microseconds (all iterations) — the Fig. 11a
     /// y-axis is this quantity (total compute + total exposed comm).
     pub fn total_time_us(&self) -> f64 {
-        self.total_cycles as f64 / self.freq.hz() * 1e6
+        self.total_cycles / self.freq.hz() * 1e6
     }
 
     /// Total compute in microseconds.
     pub fn total_compute_us(&self) -> f64 {
-        self.compute_cycles as f64 / self.freq.hz() * 1e6
+        self.compute_cycles / self.freq.hz() * 1e6
     }
 
     /// Exposed communication in microseconds.
     pub fn exposed_comm_us(&self) -> f64 {
-        self.exposed_comm_cycles as f64 / self.freq.hz() * 1e6
+        self.exposed_comm_cycles / self.freq.hz() * 1e6
     }
 
     /// Per-iteration time in microseconds.
@@ -86,10 +92,10 @@ impl IterationReport {
 
     /// Fraction of the iteration that is exposed communication.
     pub fn exposed_fraction(&self) -> f64 {
-        if self.total_cycles == 0 {
-            0.0
+        if self.total_cycles > 0.0 {
+            self.exposed_comm_cycles / self.total_cycles
         } else {
-            self.exposed_comm_cycles as f64 / self.total_cycles as f64
+            0.0
         }
     }
 
@@ -147,11 +153,12 @@ impl IterationReport {
     /// Effective network bandwidth in GB/s per NPU over the whole run
     /// (the Fig. 11b "effective network BW utilization" proxy).
     pub fn effective_network_gbps_per_npu(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
+        if self.total_cycles > 0.0 {
+            let per_node = self.network_bytes as f64 / self.nodes as f64;
+            self.freq.gbps(per_node / self.total_cycles)
+        } else {
+            0.0
         }
-        let per_node = self.network_bytes as f64 / self.nodes as f64;
-        per_node / self.total_cycles as f64 * self.freq.hz() / 1e9
     }
 }
 
@@ -182,9 +189,9 @@ mod tests {
             nodes: 16,
             freq: ace_simcore::npu_frequency(),
             iterations: 2,
-            total_cycles: 1_245_000,
-            compute_cycles: 1_000_000,
-            exposed_comm_cycles: 245_000,
+            total_cycles: 1_245_000.0,
+            compute_cycles: 1_000_000.0,
+            exposed_comm_cycles: 245_000.0,
             compute_series: vec![1.0, 0.5],
             network_series: vec![0.2, 0.8],
             ace_util_fwd: Some(0.1),

@@ -1,9 +1,16 @@
 //! The run entry points: one builder per run kind, with
-//! fault/contention/straggler conditions as first-class inputs.
+//! fault/contention/straggler conditions as first-class inputs and the
+//! fidelity [`Tier`] as an argument of the run.
 //!
 //! [`RunSpec`] runs a standalone collective; [`TrainSpec`] builds and
 //! runs a training [`Program`] (lower a workload with
-//! [`training_program`]). Every knob is a builder method:
+//! [`training_program`]). Each has one run that takes the tier,
+//! `run_in(tier, routes)`, and returns the same report type in both
+//! tiers: the event-driven executor's, or the α–β estimate's (see
+//! [`analytic`](crate::analytic)), whose fabrics come from the
+//! [`RouteMemo`] a sweep shares across its cells. `run` is the exact tier
+//! on its own, and `run_traced` and `build` hand back the executor's
+//! tracer and simulator. Every knob is a builder method:
 //!
 //! ```
 //! use ace_system::{EngineKind, RunSpec};
@@ -26,13 +33,16 @@
 //! a [`RunError`] instead of a hang or a silently wrong result.
 
 use std::fmt;
+use std::str::FromStr;
 
+use ace_collectives::analytic::RouteMemo;
 use ace_collectives::CollectiveOp;
 use ace_net::{ContentionSpec, FaultError, FaultPlan, FaultSpec, NetworkParams, TopologySpec};
 use ace_simcore::SimTime;
 use ace_trace::{Attribution, NullTracer, PipeWeights, RecordingTracer, Tracer};
 use ace_workloads::{LoweringOptions, Program, StragglerSpec, Workload};
 
+use crate::analytic;
 use crate::collective_run::{CollectiveRunReport, EngineKind};
 use crate::config::SystemConfig;
 use crate::executor::{CollectiveExecutor, ExecutorOptions};
@@ -83,6 +93,16 @@ impl RunConditions {
         let topo = spec.build();
         FaultPlan::resolve(topo.as_ref(), net, &self.faults, &self.contention)
     }
+
+    /// The fault plan every run on `topology` builds from: the resolved
+    /// plan, or `None` when the conditions leave the fabric pristine.
+    pub(crate) fn fault_plan(&self, topology: TopologySpec) -> Result<Option<FaultPlan>, RunError> {
+        if self.is_pristine() {
+            return Ok(None);
+        }
+        let plan = self.resolve(topology, &NetworkParams::paper_default())?;
+        Ok((!plan.is_pristine()).then_some(plan))
+    }
 }
 
 impl fmt::Display for RunConditions {
@@ -95,6 +115,47 @@ impl fmt::Display for RunConditions {
     }
 }
 
+/// Which model runs a spec: the event-driven executor or the α–β
+/// estimate. Both are deterministic, and a result belongs to the tier
+/// that produced it (a sweep keys its cache by tier). A sweep's hybrid
+/// fidelity is a strategy over the two, not a tier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
+pub enum Tier {
+    /// The event-driven executor.
+    #[default]
+    Exact,
+    /// The closed-form α–β estimate.
+    Analytic,
+}
+
+impl Tier {
+    /// The cache-file / report-column spelling.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Exact => "exact",
+            Tier::Analytic => "analytic",
+        }
+    }
+}
+
+impl fmt::Display for Tier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl FromStr for Tier {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "exact" => Ok(Tier::Exact),
+            "analytic" => Ok(Tier::Analytic),
+            other => Err(format!("unknown result tier '{other}'")),
+        }
+    }
+}
+
 /// Why a run could not start.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
@@ -104,6 +165,12 @@ pub enum RunError {
     InvalidProgram(String),
     /// The collective engine failed [`EngineKind::validate`].
     InvalidEngine(String),
+    /// The spec of a run built on these (a serving spec, say) failed its
+    /// own validation.
+    InvalidSpec(String),
+    /// An α–β run was handed an input only the executor reads: executor
+    /// options other than the defaults, or an enabled tracer.
+    ExactOnly(&'static str),
 }
 
 impl fmt::Display for RunError {
@@ -112,6 +179,11 @@ impl fmt::Display for RunError {
             RunError::Fault(e) => write!(f, "{e}"),
             RunError::InvalidProgram(e) => write!(f, "invalid program: {e}"),
             RunError::InvalidEngine(e) => write!(f, "invalid {e}"),
+            RunError::InvalidSpec(e) => write!(f, "invalid spec: {e}"),
+            RunError::ExactOnly(input) => write!(
+                f,
+                "the α–β tier cannot honour {input}: only the executor reads it"
+            ),
         }
     }
 }
@@ -202,14 +274,42 @@ impl<T: Tracer> RunSpec<T> {
         }
     }
 
-    /// Runs the collective and returns the report.
+    /// Runs the collective in `tier` and returns the report: the
+    /// executor's, or the α–β estimate's with its fabric taken from
+    /// `routes` (the report does not depend on the memo).
     ///
     /// # Errors
     ///
     /// [`RunError::InvalidEngine`] when the engine fails
     /// [`EngineKind::validate`], and [`RunError::Fault`] when the
     /// conditions cannot run on this topology (disconnection,
-    /// saturation, unknown link/node).
+    /// saturation, unknown link/node). In the α–β tier,
+    /// [`RunError::ExactOnly`] for non-default [`ExecutorOptions`] or an
+    /// enabled tracer, which that tier would otherwise ignore.
+    pub fn run_in(self, tier: Tier, routes: &RouteMemo) -> Result<CollectiveRunReport, RunError> {
+        match tier {
+            Tier::Exact => self.run(),
+            Tier::Analytic if self.options != ExecutorOptions::default() => {
+                Err(RunError::ExactOnly("executor options"))
+            }
+            Tier::Analytic if self.tracer.enabled() => Err(RunError::ExactOnly("a tracer")),
+            Tier::Analytic => analytic::collective_run(
+                self.topology,
+                self.engine,
+                self.op,
+                self.payload_bytes,
+                &self.conditions,
+                routes,
+            ),
+        }
+    }
+
+    /// Runs the collective in the exact tier and returns the report.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::InvalidEngine`] or [`RunError::Fault`], as for
+    /// [`run_in`](RunSpec::run_in).
     pub fn run(self) -> Result<CollectiveRunReport, RunError> {
         self.run_traced().map(|(report, _)| report)
     }
@@ -229,9 +329,7 @@ impl<T: Tracer> RunSpec<T> {
     pub(crate) fn run_counted(self) -> Result<(CollectiveRunReport, T, usize), RunError> {
         self.engine.validate().map_err(RunError::InvalidEngine)?;
         let net_params = NetworkParams::paper_default();
-        let fault = (!self.conditions.is_pristine())
-            .then(|| self.conditions.resolve(self.topology, &net_params))
-            .transpose()?;
+        let fault = self.conditions.fault_plan(self.topology)?;
         // ACE's SRAM partition weights must follow the plan of the op actually
         // being run — a single-phase all-to-all partitioned by the 4-phase
         // all-reduce heuristic would strand most of the SRAM.
@@ -257,6 +355,7 @@ impl<T: Tracer> RunSpec<T> {
         );
         let report = CollectiveRunReport {
             completion,
+            cycles: completion.cycles() as f64,
             achieved_gbps_per_npu: achieved,
             mem_traffic_bytes: ex.comm_mem_traffic_bytes(),
             network_bytes: ex.network().total_bytes(),
@@ -327,8 +426,8 @@ pub fn training_program(
     program
 }
 
-/// Builder for a training run: the one way to construct a
-/// [`TrainingSim`].
+/// Builder for a training run, in either tier: the one way to construct
+/// a [`TrainingSim`].
 ///
 /// ```
 /// use ace_system::{training_program, SystemConfig, TrainSpec};
@@ -391,11 +490,10 @@ impl<T: Tracer> TrainSpec<T> {
         }
     }
 
-    /// Builds the simulator: the program is validated, the
+    /// Builds the exact tier's simulator: the program is validated, the
     /// fault/contention conditions are resolved against the topology up
     /// front (so a disconnected fabric is an error, never a hang), and
     /// the straggler distribution stretches the program's compute tasks.
-    /// A faulted fabric runs on the serial event loop.
     ///
     /// # Errors
     ///
@@ -403,17 +501,7 @@ impl<T: Tracer> TrainSpec<T> {
     /// [`Program::validate`], and [`RunError::Fault`] when the
     /// conditions cannot run on this topology.
     pub fn build(self) -> Result<TrainingSim<T>, RunError> {
-        let mut program = self.program;
-        program.validate().map_err(RunError::InvalidProgram)?;
-        let fault = if self.conditions.is_pristine() {
-            None
-        } else {
-            program.apply_stragglers(&self.conditions.straggler);
-            let plan = self
-                .conditions
-                .resolve(self.topology, &NetworkParams::paper_default())?;
-            (!plan.is_pristine()).then_some(plan)
-        };
+        let (program, fault) = prepare(self.program, &self.conditions, self.topology)?;
         Ok(TrainingSim::new(
             self.config,
             program,
@@ -423,7 +511,35 @@ impl<T: Tracer> TrainSpec<T> {
         ))
     }
 
-    /// Builds and runs, returning the report.
+    /// Runs the program in `tier` and returns the report. Both tiers
+    /// prepare the program as [`build`](TrainSpec::build) does; the α–β
+    /// tier then walks its critical path with α–β collective durations,
+    /// taking fabrics from `routes` (the report does not depend on the
+    /// memo).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`build`](TrainSpec::build), and in the α–β
+    /// tier [`RunError::ExactOnly`] for an enabled tracer, which that
+    /// tier would otherwise ignore.
+    pub fn run_in(self, tier: Tier, routes: &RouteMemo) -> Result<IterationReport, RunError> {
+        match tier {
+            Tier::Exact => self.run(),
+            Tier::Analytic if self.tracer.enabled() => Err(RunError::ExactOnly("a tracer")),
+            Tier::Analytic => {
+                let (program, fault) = prepare(self.program, &self.conditions, self.topology)?;
+                Ok(analytic::training_run(
+                    self.config,
+                    &program,
+                    self.topology,
+                    fault.as_ref(),
+                    routes,
+                ))
+            }
+        }
+    }
+
+    /// Builds and runs in the exact tier, returning the report.
     ///
     /// # Errors
     ///
@@ -431,6 +547,19 @@ impl<T: Tracer> TrainSpec<T> {
     pub fn run(self) -> Result<IterationReport, RunError> {
         Ok(self.build()?.run())
     }
+}
+
+/// What both tiers run a training program from: the program, validated
+/// and stretched by the straggler distribution, and the conditions' fault
+/// plan on `topology`.
+fn prepare(
+    mut program: Program,
+    conditions: &RunConditions,
+    topology: TopologySpec,
+) -> Result<(Program, Option<FaultPlan>), RunError> {
+    program.validate().map_err(RunError::InvalidProgram)?;
+    program.apply_stragglers(&conditions.straggler);
+    Ok((program, conditions.fault_plan(topology)?))
 }
 
 #[cfg(test)]
@@ -504,21 +633,70 @@ mod tests {
             let exact = RunSpec::new(topo("2x2"), engine, CollectiveOp::AllReduce, MB8)
                 .run()
                 .unwrap_err();
-            let analytic = crate::analytic_collective_run(
-                topo("2x2"),
-                engine,
-                CollectiveOp::AllReduce,
-                MB8,
-                &RunConditions::default(),
-                &ace_collectives::analytic::RouteMemo::new(),
-            )
-            .unwrap_err();
+            let analytic = RunSpec::new(topo("2x2"), engine, CollectiveOp::AllReduce, MB8)
+                .run_in(Tier::Analytic, &RouteMemo::new())
+                .unwrap_err();
             assert!(matches!(exact, RunError::InvalidEngine(_)), "{exact}");
             assert_eq!(analytic, exact);
             let e = exact.to_string();
             assert!(e.starts_with(&format!("invalid engine {engine}: ")), "{e}");
             assert!(e.contains(value), "{e}");
         }
+    }
+
+    #[test]
+    fn analytic_runs_refuse_what_only_the_executor_reads() {
+        let collective =
+            || RunSpec::new(topo("2x2"), EngineKind::Ideal, CollectiveOp::AllReduce, MB8);
+        let fifo = ExecutorOptions {
+            scheduling: crate::SchedulingPolicy::Fifo,
+            ..ExecutorOptions::default()
+        };
+        let routes = RouteMemo::new();
+        let program = training_program(SystemConfig::Ace, &Workload::resnet50(), 1, false);
+        let training = || TrainSpec::new(SystemConfig::Ace, program.clone(), topo("2x2"));
+        let refused = [
+            (
+                collective()
+                    .options(fifo)
+                    .run_in(Tier::Analytic, &routes)
+                    .err(),
+                "executor options",
+            ),
+            (
+                collective().traced().run_in(Tier::Analytic, &routes).err(),
+                "a tracer",
+            ),
+            (
+                training()
+                    .tracer(RecordingTracer::new())
+                    .run_in(Tier::Analytic, &routes)
+                    .err(),
+                "a tracer",
+            ),
+        ];
+        for (err, input) in refused {
+            assert_eq!(err, Some(RunError::ExactOnly(input)));
+            let e = err.unwrap().to_string();
+            assert!(
+                e.starts_with(&format!("the α–β tier cannot honour {input}")),
+                "{e}"
+            );
+        }
+        // The executor reads them, and the defaults are no reason to refuse.
+        collective()
+            .options(fifo)
+            .run_in(Tier::Exact, &routes)
+            .unwrap();
+        collective().traced().run_in(Tier::Exact, &routes).unwrap();
+        collective()
+            .options(ExecutorOptions::default())
+            .run_in(Tier::Analytic, &routes)
+            .unwrap();
+        training()
+            .tracer(NullTracer)
+            .run_in(Tier::Analytic, &routes)
+            .unwrap();
     }
 
     #[test]

@@ -290,9 +290,9 @@ impl<T: Tracer> TrainingSim<T> {
             nodes: self.spec.nodes(),
             freq: npu.freq,
             iterations: self.program.iterations(),
-            total_cycles: total.cycles(),
-            compute_cycles: compute,
-            exposed_comm_cycles: exposed,
+            total_cycles: total.cycles() as f64,
+            compute_cycles: compute as f64,
+            exposed_comm_cycles: exposed as f64,
             compute_series: compute_series.bucket_means(),
             network_series: self.exec.network().utilization_series(),
             ace_util_fwd,

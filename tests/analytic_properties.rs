@@ -22,10 +22,8 @@ use ace_platform::collectives::analytic::{
 };
 use ace_platform::collectives::{CollectiveOp, CollectivePlan};
 use ace_platform::net::{NetworkParams, TopologySpec};
-use ace_platform::sweep::{execute_analytic, execute_tier, PointKind, RunPoint, Tier, WorkloadSel};
-use ace_platform::system::{
-    analytic_collective_run, EngineKind, RunConditions, RunSpec, SystemConfig,
-};
+use ace_platform::sweep::{execute_analytic, execute_tier, PointKind, RunPoint, WorkloadSel};
+use ace_platform::system::{EngineKind, RunConditions, RunSpec, SystemConfig, Tier};
 
 /// Deterministic splitmix64 PRNG (see `property_tests.rs`).
 struct Rng(u64);
@@ -87,16 +85,10 @@ fn pristine_estimate(
     op: CollectiveOp,
     payload: u64,
 ) -> f64 {
-    analytic_collective_run(
-        spec,
-        engine,
-        op,
-        payload,
-        &RunConditions::default(),
-        &RouteMemo::new(),
-    )
-    .expect("pristine estimate cannot fail")
-    .cycles
+    RunSpec::new(spec, engine, op, payload)
+        .run_in(Tier::Analytic, &RouteMemo::new())
+        .expect("pristine estimate cannot fail")
+        .cycles
 }
 
 #[test]
@@ -203,7 +195,7 @@ fn communication_free_training_agrees_exactly() {
     // The analytic walk and the event-driven scheduler share the
     // roofline kernel model, so the totals must agree cycle-for-cycle.
     use ace_platform::compute::KernelDesc;
-    use ace_platform::system::{analytic_program_run_with_conditions, TrainSpec};
+    use ace_platform::system::TrainSpec;
     use ace_platform::workloads::{Parallelism, Program, TaskPhase};
 
     let mut rng = Rng::new(0xab16);
@@ -223,24 +215,27 @@ fn communication_free_training_agrees_exactly() {
         }
         let spec: TopologySpec = "2x1x1".parse().unwrap();
         for config in [SystemConfig::Ace, SystemConfig::BaselineNoOverlap] {
-            let exact = TrainSpec::new(config, p.clone(), spec).run().unwrap();
-            let est =
-                analytic_program_run_with_conditions(config, &p, spec, &RunConditions::default())
-                    .unwrap();
+            let run = |tier| {
+                TrainSpec::new(config, p.clone(), spec)
+                    .run_in(tier, &RouteMemo::new())
+                    .unwrap()
+            };
+            let (exact, est) = (run(Tier::Exact), run(Tier::Analytic));
             assert_eq!(
-                est.total_cycles,
-                exact.total_cycles() as f64,
+                est.total_time_us(),
+                exact.total_time_us(),
                 "case {case} {config}: degenerate program must agree exactly"
             );
-            assert_eq!(est.exposed_cycles, 0.0);
+            assert_eq!(est.exposed_comm_us(), 0.0);
         }
     }
 }
 
 #[test]
 fn sweep_tiers_agree_with_their_backends() {
-    // `execute_tier` is the sweep runner's dispatch: the analytic tier
-    // must be the α–β estimate, not a disguised simulation.
+    // `execute_tier` runs one cell through the sweep runner's cell
+    // function: the analytic tier must be the α–β estimate, not a
+    // disguised simulation.
     let point = RunPoint {
         topology: "2x2x1".parse().unwrap(),
         conditions: RunConditions::default(),

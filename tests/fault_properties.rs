@@ -19,7 +19,7 @@ use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::sweep::report::to_csv;
 use ace_platform::sweep::{run_scenario, EngineFamily, RunnerOptions, Scenario};
-use ace_platform::system::{analytic_collective_run, RunConditions, RunSpec, SystemConfig};
+use ace_platform::system::{RunConditions, RunSpec, SystemConfig, Tier};
 
 fn faulted_scenario() -> Scenario {
     let mut sc = Scenario::collective("fault-determinism");
@@ -115,16 +115,11 @@ fn analytic_tracks_exact_under_degradation() {
                     .unwrap()
                     .completion
                     .cycles() as f64;
-                let analytic = analytic_collective_run(
-                    spec,
-                    engine,
-                    CollectiveOp::AllReduce,
-                    8 << 20,
-                    &conditions,
-                    &RouteMemo::new(),
-                )
-                .unwrap()
-                .cycles;
+                let analytic = RunSpec::new(spec, engine, CollectiveOp::AllReduce, 8 << 20)
+                    .conditions(conditions)
+                    .run_in(Tier::Analytic, &RouteMemo::new())
+                    .unwrap()
+                    .cycles;
                 assert!(
                     analytic <= exact * 2.0 && analytic >= exact * 0.5,
                     "{topo} {faults} {contention}: analytic {analytic} vs exact {exact}"
