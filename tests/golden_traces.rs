@@ -4,8 +4,9 @@
 //! training grid (exact and analytic tiers), a pipeline-parallel training
 //! grid, a serving grid (exact and analytic tiers), an analytic-tier collective grid over every
 //! fabric family, an exact-tier collective grid with killed and degraded
-//! cables and two exact ACE rows whose detours queue on a small FSM pool,
-//! are run end-to-end and their CSV/JSON reports diffed
+//! cables, two exact ACE rows whose detours queue on a small FSM pool,
+//! and a hybrid grid over every engine knob (whose cache file is pinned
+//! too) are run end-to-end and their CSV/JSON reports diffed
 //! **byte-for-byte** against checked-in files under `tests/golden/`. The
 //! collective files were captured from the simulator before the topology
 //! abstraction landed, the training/serving files before the run entry
@@ -13,9 +14,11 @@
 //! escaping files before the α–β route footprint was memoized and the
 //! report writers were rewritten, the pipeline files before the
 //! training simulator's one-timeline and pipeline schedule walkers were
-//! merged, and the exact-cabled and detour-FSM files hold the bytes the
+//! merged, the exact-cabled and detour-FSM files hold the bytes the
 //! simulator wrote before the executor's ring-detour and all-to-all route
-//! walks were merged, so these tests prove that refactors of the
+//! walks were merged, and the hybrid-knob files before report and
+//! cache-file rows stopped formatting integers and fixed-point numbers
+//! through `core::fmt`, so these tests prove that refactors of the
 //! network/collective/system/report layers do not move the paper's
 //! numbers.
 //!
@@ -32,8 +35,8 @@ use std::path::PathBuf;
 use ace_platform::collectives::CollectiveOp;
 use ace_platform::net::TopologySpec;
 use ace_platform::sweep::{
-    report, run_scenario, BaselineSpec, EngineFamily, Fidelity, RunnerOptions, Scenario,
-    SweepOutcome,
+    persist, report, run_scenario, BaselineSpec, EngineFamily, Fidelity, RunnerOptions, Scenario,
+    SweepOutcome, SweepRunner,
 };
 use ace_platform::system::EngineKind;
 
@@ -329,6 +332,69 @@ fn exact_detour_fsm_rows_match_golden() {
     sc.fsms = vec![4, 16];
     sc.faults = vec!["kill:2@seed:7".parse().expect("valid fault")];
     check_golden("exact_detour_fsms.csv", &report::to_csv(&serial(&sc)));
+}
+
+/// A hybrid collective grid over every engine knob: all three engines,
+/// one 1 MB all-reduce on `2x2` and `switch:4`, pristine and under
+/// `uniform:8` contention, with a non-integral memory share (12.5 GB/s)
+/// and two values on each of the `mem_gbps`, `comm_sms`, `sram_mb` and
+/// `fsms` axes. ACE at Table VI's 128 GB/s, 4 MB and 16 FSMs is the
+/// baseline, so every knob axis shows in the summary.
+fn hybrid_knobs() -> Scenario {
+    let mut sc = Scenario::collective("hybrid-knobs");
+    sc.fidelity = Fidelity::Hybrid;
+    sc.topologies = vec![
+        "2x2".parse().expect("valid topology"),
+        "switch:4".parse().expect("valid topology"),
+    ];
+    sc.engines = vec![
+        EngineFamily::Ideal,
+        EngineFamily::Baseline,
+        EngineFamily::Ace,
+    ];
+    sc.ops = vec![CollectiveOp::AllReduce];
+    sc.payload_bytes = vec![1 << 20];
+    sc.mem_gbps = vec![12.5, 128.0];
+    sc.comm_sms = vec![2, 6];
+    sc.sram_mb = vec![1, 4];
+    sc.fsms = vec![4, 16];
+    sc.contention = vec![
+        "none".parse().expect("valid contention"),
+        "uniform:8".parse().expect("valid contention"),
+    ];
+    sc.baseline = Some(BaselineSpec::Engine(EngineKind::Ace {
+        dma_mem_gbps: 128.0,
+        sram_mb: 4,
+        fsms: 16,
+    }));
+    sc
+}
+
+/// The hybrid knob grid's reports and the cache file its runner saves.
+/// The cache file pins the bytes `--cache-file` writes for both tiers:
+/// a file written by one build must load and re-save identically.
+#[test]
+fn hybrid_knob_grid_and_its_cache_file_match_golden() {
+    let runner = SweepRunner::new();
+    let out = runner
+        .run(
+            &hybrid_knobs(),
+            RunnerOptions {
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .expect("valid scenario");
+    assert_eq!(out.results.len(), 192);
+    assert_eq!(runner.cache().len(), 74);
+    assert!(out.results.iter().any(|r| r.cache_hit));
+    assert!(out.results.iter().any(|r| r.degradation_pct > 0.0));
+    let cache = persist::cache_to_string(runner.cache());
+    check_golden("hybrid_knobs.csv", &report::to_csv(&out));
+    check_golden("hybrid_knobs.json", &report::to_json(&out));
+    check_golden("hybrid_knobs.cache", &cache);
+    let reloaded = persist::cache_from_str(&cache).expect("the saved cache loads");
+    assert_eq!(persist::cache_to_string(&reloaded), cache);
 }
 
 #[test]
