@@ -41,12 +41,12 @@
 //! [`TopologySpec`]; the sweep runner holds one memo for all its cells,
 //! and each fabric's routes are walked once per sweep.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ace_net::{
     FaultPlan, LinkClass, LinkParams, NetworkParams, NodeId, Port, Topology, TopologySpec,
 };
+use ace_simcore::FxHashMap;
 
 use crate::granularity::Granularity;
 use crate::plan::{CollectivePlan, PhaseLink, PhaseSpec};
@@ -149,7 +149,7 @@ struct PhaseLoad {
 /// their results.
 #[derive(Debug, Default)]
 pub struct RouteMemo {
-    fabrics: Mutex<HashMap<TopologySpec, Arc<Fabric>>>,
+    fabrics: Mutex<FxHashMap<TopologySpec, Arc<Fabric>>>,
 }
 
 impl RouteMemo {

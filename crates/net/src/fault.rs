@@ -18,12 +18,12 @@
 //! or saturates a link is an error, never a hang or a silently wrong
 //! number.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::str::FromStr;
 
-use ace_simcore::SplitMix64;
+use ace_simcore::{FxHashMap, SplitMix64};
 use ace_toml::{Spelling, SpellingError};
 
 use crate::link::Port;
@@ -530,7 +530,7 @@ pub struct FaultPlan {
     scale: Vec<f64>,
     /// BFS detour route for each killed ring hop, keyed by
     /// `(dim, plus, node)`.
-    detours: HashMap<(usize, bool, usize), Route>,
+    detours: FxHashMap<(usize, bool, usize), Route>,
     /// Per-dimension α–β slowdown: worst surviving-link load divided by
     /// its bandwidth multiplier, relative to the pristine 1×.
     dim_slowdowns: Vec<f64>,
@@ -559,7 +559,7 @@ impl FaultPlan {
             ports,
             killed: BTreeSet::new(),
             scale: vec![1.0; nodes * ports],
-            detours: HashMap::new(),
+            detours: FxHashMap::default(),
             dim_slowdowns: vec![1.0; topo.dims().len()],
             global_slowdown: 1.0,
             failed_links: 0,
@@ -881,7 +881,7 @@ impl FaultPlan {
                     };
                     // Unit load per pristine ring hop; detours spread a
                     // killed hop's unit across every link they traverse.
-                    let mut load: HashMap<(usize, u8), f64> = HashMap::new();
+                    let mut load: FxHashMap<(usize, u8), f64> = FxHashMap::default();
                     for node in 0..self.nodes {
                         match self.detours.get(&(d, plus, node)) {
                             None => {

@@ -14,13 +14,14 @@
 //! distinct simulations, and the cells of a sweep that differ only in
 //! load, seed or schedule pay for them once between them.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
 use ace_collectives::analytic::RouteMemo;
 use ace_collectives::CollectiveOp;
 use ace_compute::KernelDesc;
 use ace_net::TopologySpec;
+use ace_simcore::FxHashMap;
 use ace_system::{RunConditions, RunError, SystemConfig, Tier, TrainSpec};
 use ace_workloads::{Parallelism, PipeSchedule, Program, TaskPhase, Workload};
 
@@ -335,7 +336,7 @@ pub struct RoundMemo {
 
 #[derive(Debug, Default)]
 struct MemoState {
-    costs: HashMap<RoundModel, HashMap<u64, RoundCost>>,
+    costs: FxHashMap<RoundModel, FxHashMap<u64, RoundCost>>,
     simulated: u64,
 }
 
@@ -347,7 +348,7 @@ impl RoundMemo {
 
     /// Distinct round programs whose cost the memo holds.
     pub fn len(&self) -> usize {
-        self.lock().costs.values().map(HashMap::len).sum()
+        self.lock().costs.values().map(FxHashMap::len).sum()
     }
 
     /// Whether the memo holds no cost.

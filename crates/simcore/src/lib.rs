@@ -30,12 +30,14 @@
 #![warn(missing_docs)]
 
 mod event;
+mod hash;
 mod rng;
 mod server;
 mod stats;
 mod time;
 
 pub use event::EventQueue;
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SplitMix64;
 pub use server::{BandwidthServer, Grant, SlotServer};
 pub use stats::{BucketCursor, TimeSeries};

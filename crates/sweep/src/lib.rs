@@ -51,6 +51,7 @@
 
 pub mod fidelity;
 pub mod grid;
+mod num;
 pub mod persist;
 pub mod report;
 pub mod runner;

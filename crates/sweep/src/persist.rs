@@ -30,7 +30,11 @@
 //!
 //! Floats are written with Rust's shortest round-trip `Display`, so a
 //! load → save cycle is lossless. Rows are sorted by their serialized
-//! key: saving the same cache twice produces byte-identical files.
+//! key: saving the same cache twice produces byte-identical files. Rows
+//! are written through the report's `Row`, whose integer and integral
+//! float cells skip `core::fmt` but hold exactly the bytes `{}` writes
+//! (property-tested against it), so a file written by an earlier build
+//! of this format version loads and re-saves byte for byte.
 //!
 //! Two helpers guard the file:
 //!
@@ -80,12 +84,12 @@ pub fn cache_to_string(cache: &Cache) -> String {
     let mut row = Row::default();
     let mut rows = String::new();
     let mut spans: Vec<Range<usize>> = Vec::new();
-    for (tier, p, m) in cache.entries() {
-        write_row(&mut row, tier, &p, &m);
+    cache.for_each(|tier, p, m| {
+        write_row(&mut row, tier, p, m);
         let start = rows.len();
         rows.push_str(row.line());
         spans.push(start..rows.len());
-    }
+    });
     spans.sort_unstable_by(|a, b| rows[a.clone()].cmp(&rows[b.clone()]));
     let mut out = String::with_capacity(CACHE_HEADER.len() + COLUMNS.len() + 4 + rows.len());
     out.push_str(CACHE_HEADER);
@@ -395,7 +399,7 @@ fn append(file: &mut std::fs::File, path: &Path, text: &str) -> Result<(), Strin
 /// the loader reconstructs it from there.
 fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
     row.clear();
-    row.display(tier);
+    row.text(tier.name());
     match &p.kind {
         PointKind::Collective {
             engine,
@@ -403,7 +407,7 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
             payload_bytes,
         } => {
             row.text("collective");
-            row.display(p.topology);
+            row.topology(p.topology);
             match *engine {
                 EngineKind::Ideal => {
                     row.text("ideal");
@@ -414,8 +418,8 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
                     comm_sms,
                 } => {
                     row.text("baseline");
-                    row.display(comm_mem_gbps);
-                    row.display(comm_sms);
+                    row.float(comm_mem_gbps);
+                    row.int(comm_sms.into());
                     row.empty(2);
                 }
                 EngineKind::Ace {
@@ -424,14 +428,14 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
                     fsms,
                 } => {
                     row.text("ace");
-                    row.display(dma_mem_gbps);
+                    row.float(dma_mem_gbps);
                     row.empty(1);
-                    row.display(sram_mb);
-                    row.display(fsms);
+                    row.int(sram_mb);
+                    row.int(fsms as u64);
                 }
             }
             row.display(op);
-            row.display(payload_bytes);
+            row.int(*payload_bytes);
             // config … serving
             row.empty(5);
         }
@@ -442,12 +446,12 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
             optimized_embedding,
         } => {
             row.text("training");
-            row.display(p.topology);
+            row.topology(p.topology);
             // engine … payload_bytes
             row.empty(7);
-            row.display(config);
+            row.text(config.short_name());
             row.display(workload);
-            row.display(iterations);
+            row.int((*iterations).into());
             row.text(if *optimized_embedding { "1" } else { "0" });
             row.empty(1);
         }
@@ -457,9 +461,9 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
             spec,
         } => {
             row.text("serving");
-            row.display(p.topology);
+            row.topology(p.topology);
             row.empty(7);
-            row.display(config);
+            row.text(config.short_name());
             row.display(workload);
             row.empty(2);
             row.text(&spec.cache_key());
@@ -468,14 +472,14 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
     row.display(&p.conditions.faults);
     row.display(p.conditions.contention);
     row.display(p.conditions.straggler);
-    row.display(m.time_us);
-    row.display(m.completion_cycles);
-    row.display(m.gbps_per_npu);
-    row.display(m.mem_traffic_bytes);
-    row.display(m.network_bytes);
-    row.display(m.compute_us);
-    row.display(m.exposed_comm_us);
-    row.display(m.past_schedules);
+    row.float(m.time_us);
+    row.int(m.completion_cycles);
+    row.float(m.gbps_per_npu);
+    row.int(m.mem_traffic_bytes);
+    row.int(m.network_bytes);
+    row.float(m.compute_us);
+    row.float(m.exposed_comm_us);
+    row.int(m.past_schedules);
     let s = &m.serving;
     for v in [
         s.ttft_p50_us,
@@ -486,17 +490,28 @@ fn write_row(row: &mut Row, tier: Tier, p: &RunPoint, m: &Metrics) {
         s.e2e_p99_us,
         s.goodput_rps,
     ] {
-        row.display(v);
+        row.float(v);
     }
     for (_, cycles) in m.attribution.buckets() {
-        row.display(cycles);
+        row.int(cycles);
     }
 }
 
+/// Cells in a cache row: the tier, 17 point-identity cells and 22 metric
+/// cells.
+const ROW_CELLS: usize = 40;
+
 fn parse_row(line: &str) -> Result<(Tier, RunPoint, Metrics), String> {
-    let cells: Vec<&str> = line.split(',').collect();
-    if cells.len() != 40 {
-        return Err(format!("expected 40 cells, found {}", cells.len()));
+    let mut cells = [""; ROW_CELLS];
+    let mut found = 0;
+    for cell in line.split(',') {
+        if let Some(slot) = cells.get_mut(found) {
+            *slot = cell;
+        }
+        found += 1;
+    }
+    if found != ROW_CELLS {
+        return Err(format!("expected {ROW_CELLS} cells, found {found}"));
     }
     let tier = cells[0].parse::<Tier>()?;
     let cells = &cells[1..];

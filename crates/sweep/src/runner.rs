@@ -25,14 +25,14 @@
 //! cell that panics.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use ace_collectives::RouteMemo;
 use ace_net::{NetworkParams, TopologySpec};
 use ace_serve::{RoundMemo, ServingOutcome};
+use ace_simcore::{FxHashMap, FxHashSet};
 use ace_system::{
     training_program, CollectiveRunReport, EngineKind, IterationReport, RunConditions, RunError,
     RunSpec, TrainSpec,
@@ -185,10 +185,22 @@ impl SweepOutcome {
 /// identically within a tier (both tiers are deterministic), so a sweep
 /// never runs the same point twice — within a grid or across grids
 /// sharing a runner. The tier is part of the key: an analytic estimate
-/// must never be served where an exact result is expected.
+/// must never be served where an exact result is expected. Each tier has
+/// a map of its own, so a lookup borrows the point.
 #[derive(Debug, Default)]
 pub struct Cache {
-    map: Mutex<HashMap<(Tier, RunPoint), Metrics>>,
+    tiers: Mutex<[PointMap; 2]>,
+}
+
+/// One tier's results.
+type PointMap = FxHashMap<RunPoint, Metrics>;
+
+/// The index of `tier`'s map in [`Cache`].
+fn slot(tier: Tier) -> usize {
+    match tier {
+        Tier::Exact => 0,
+        Tier::Analytic => 1,
+    }
 }
 
 impl Cache {
@@ -197,34 +209,28 @@ impl Cache {
         Cache::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, [PointMap; 2]> {
+        self.tiers.lock().expect("cache lock")
+    }
+
     /// Cached metrics for `point` in `tier`, if present.
     pub fn get_tier(&self, tier: Tier, point: &RunPoint) -> Option<Metrics> {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .get(&(tier, point.clone()))
-            .copied()
+        self.lock()[slot(tier)].get(point).copied()
     }
 
     /// Whether `point` is cached in `tier`.
     pub fn contains_tier(&self, tier: Tier, point: &RunPoint) -> bool {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .contains_key(&(tier, point.clone()))
+        self.lock()[slot(tier)].contains_key(point)
     }
 
     /// Stores metrics for `point` in `tier`.
     pub fn insert_tier(&self, tier: Tier, point: RunPoint, metrics: Metrics) {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .insert((tier, point), metrics);
+        self.lock()[slot(tier)].insert(point, metrics);
     }
 
     /// Number of cached points (all tiers).
     pub fn len(&self) -> usize {
-        self.map.lock().expect("cache lock").len()
+        self.lock().iter().map(|m| m.len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -235,12 +241,20 @@ impl Cache {
     /// Snapshot of every cached `(tier, point, metrics)` triple, in
     /// unspecified order. The persistence layer sorts before writing.
     pub fn entries(&self) -> Vec<(Tier, RunPoint, Metrics)> {
-        self.map
-            .lock()
-            .expect("cache lock")
-            .iter()
-            .map(|((t, p), m)| (*t, p.clone(), *m))
-            .collect()
+        let mut entries = Vec::with_capacity(self.len());
+        self.for_each(|t, p, m| entries.push((t, p.clone(), *m)));
+        entries
+    }
+
+    /// Calls `f` with every cached entry, in unspecified order, holding
+    /// the cache's lock.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(Tier, &RunPoint, &Metrics)) {
+        let maps = self.lock();
+        for tier in [Tier::Exact, Tier::Analytic] {
+            for (p, m) in &maps[slot(tier)] {
+                f(tier, p, m);
+            }
+        }
     }
 }
 
@@ -353,16 +367,19 @@ impl SweepRunner {
             n => n,
         };
         let points = grid::expand(scenario);
-        // Each row's baseline point; neighbouring rows mostly share one.
+        // The baseline points, neighbouring rows mostly sharing one, and
+        // each row's index among them.
         let mut baseline: Vec<RunPoint> = Vec::new();
-        for b in points
+        let row_baseline: Vec<Option<usize>> = points
             .iter()
-            .filter_map(|p| baseline_point_for(scenario, p))
-        {
-            if baseline.last() != Some(&b) {
-                baseline.push(b);
-            }
-        }
+            .map(|p| {
+                let b = baseline_point_for(scenario, p)?;
+                if baseline.last() != Some(&b) {
+                    baseline.push(b);
+                }
+                Some(baseline.len() - 1)
+            })
+            .collect();
         let wanted = || points.iter().chain(&baseline);
 
         let (tiers, work_e, work_a) = match scenario.fidelity {
@@ -406,20 +423,35 @@ impl SweepRunner {
             }
         };
 
-        let fresh_e: HashSet<&RunPoint> = work_e.iter().copied().collect();
-        let fresh_a: HashSet<&RunPoint> = work_a.iter().copied().collect();
-        let (results, cache_hits) =
-            self.assemble(scenario, &points, &tiers, &degradations, |t, p| match t {
-                Tier::Exact => fresh_e.contains(p),
-                Tier::Analytic => fresh_a.contains(p),
-            });
+        // The first row of each point a batch executed this run is the
+        // one row that is not a cache hit: each such row claims its
+        // point from the tier's set.
+        let mut unclaimed: [FxHashSet<&RunPoint>; 2] = [
+            work_e.iter().copied().collect(),
+            work_a.iter().copied().collect(),
+        ];
+        let hits: Vec<bool> = points
+            .iter()
+            .zip(&tiers)
+            .map(|(p, &t)| !unclaimed[slot(t)].remove(p))
+            .collect();
+        let (executed, analytic_executed) = (work_e.len(), work_a.len());
+        let cache_hits = hits.iter().filter(|&&hit| hit).count();
+        let results = self.assemble(
+            points,
+            &tiers,
+            &hits,
+            &baseline,
+            &row_baseline,
+            &degradations,
+        );
         Ok(SweepOutcome {
             scenario: scenario.name.clone(),
             mode: scenario.mode,
             fidelity: scenario.fidelity,
             results,
-            executed: work_e.len(),
-            analytic_executed: work_a.len(),
+            executed,
+            analytic_executed,
             cache_hits,
         })
     }
@@ -436,7 +468,7 @@ impl SweepRunner {
         threads: usize,
         progress: &(dyn Fn(Progress) + Sync),
     ) -> Result<Vec<&'p RunPoint>, String> {
-        let mut seen: HashSet<&RunPoint> = HashSet::new();
+        let mut seen: FxHashSet<&RunPoint> = FxHashSet::default();
         let mut work: Vec<&RunPoint> = Vec::new();
         let mut cached = 0usize;
         for p in wanted.filter(|p| seen.insert(*p)) {
@@ -499,70 +531,63 @@ impl SweepRunner {
         }
     }
 
-    /// Assembles grid-order rows: each point's metrics from its tier's
-    /// cache, its fault plan's figures from `degradations`, cache-hit
-    /// bookkeeping (the first occurrence of a point freshly executed
-    /// this run is the one non-hit row), and baseline speedups compared
-    /// within each row's own tier — an analytic estimate is never
-    /// divided by an event-driven baseline.
+    /// Assembles grid-order rows from the grid's points: each point's
+    /// metrics from its tier's cache, its fault plan's figures from
+    /// `degradations`, whether it is a cache hit, and its speedup over its
+    /// baseline point (`row_baseline` indexes `baseline`), compared
+    /// within the row's own tier — an analytic estimate is never divided
+    /// by an event-driven baseline.
     fn assemble(
         &self,
-        scenario: &Scenario,
-        points: &[RunPoint],
+        points: Vec<RunPoint>,
         tiers: &[Tier],
+        hits: &[bool],
+        baseline: &[RunPoint],
+        row_baseline: &[Option<usize>],
         degradations: &Degradations,
-        freshly_executed: impl Fn(Tier, &RunPoint) -> bool,
-    ) -> (Vec<RunResult>, usize) {
-        let mut seen: HashSet<(Tier, &RunPoint)> = HashSet::new();
-        let mut cache_hits = 0usize;
-        let mut results: Vec<RunResult> = points
+    ) -> Vec<RunResult> {
+        let cache = self.cache.lock();
+        let metrics = |tier: Tier, p: &RunPoint| cache[slot(tier)].get(p).copied();
+        // Each baseline point's time in each tier, looked up once.
+        let base_times: Vec<[Option<f64>; 2]> = baseline
             .iter()
+            .map(|b| [Tier::Exact, Tier::Analytic].map(|t| metrics(t, b).map(|m| m.time_us)))
+            .collect();
+        points
+            .into_iter()
             .zip(tiers)
-            .map(|(p, &tier)| {
-                let metrics = self
-                    .cache
-                    .get_tier(tier, p)
-                    .expect("every grid point was executed in its tier");
-                let cache_hit = !(freshly_executed(tier, p) && seen.insert((tier, p)));
-                if cache_hit {
-                    cache_hits += 1;
-                }
-                let (failed_links, degradation_pct) = if p.conditions.is_pristine() {
+            .zip(hits)
+            .zip(row_baseline)
+            .map(|(((point, &tier), &cache_hit), base)| {
+                let metrics =
+                    metrics(tier, &point).expect("every grid point was executed in its tier");
+                let speedup_vs_baseline = base.and_then(|b| {
+                    let base = base_times[b][slot(tier)]
+                        .expect("baseline point was executed in the row's tier");
+                    (metrics.time_us > 0.0).then(|| base / metrics.time_us)
+                });
+                let (failed_links, degradation_pct) = if point.conditions.is_pristine() {
                     (0, 0.0)
                 } else {
-                    degradations[&(p.topology, p.conditions.clone())]
+                    degradations[&(point.topology, point.conditions.clone())]
                 };
                 RunResult {
-                    point: p.clone(),
+                    point,
                     metrics,
                     fidelity: tier,
                     cache_hit,
-                    speedup_vs_baseline: None,
+                    speedup_vs_baseline,
                     failed_links,
                     degradation_pct,
                 }
             })
-            .collect();
-
-        for r in &mut results {
-            let Some(bp) = baseline_point_for(scenario, &r.point) else {
-                continue;
-            };
-            let base = self
-                .cache
-                .get_tier(r.fidelity, &bp)
-                .expect("baseline point was executed in the row's tier");
-            if r.metrics.time_us > 0.0 {
-                r.speedup_vs_baseline = Some(base.time_us / r.metrics.time_us);
-            }
-        }
-        (results, cache_hits)
+            .collect()
     }
 }
 
 /// Each distinct non-pristine (topology, conditions) pair's
 /// `(failed_links, degradation_pct)`, the fault figures a report row shows.
-type Degradations = HashMap<(TopologySpec, RunConditions), (usize, f64)>;
+type Degradations = FxHashMap<(TopologySpec, RunConditions), (usize, f64)>;
 
 /// Resolves each distinct non-pristine (topology, conditions) pair of the
 /// scenario's axes once, with the call every tier makes before it runs a
@@ -570,7 +595,7 @@ type Degradations = HashMap<(TopologySpec, RunConditions), (usize, f64)>;
 fn check_conditions(scenario: &Scenario) -> Result<Degradations, String> {
     let net = NetworkParams::paper_default();
     let conditions = grid::conditions_product(scenario);
-    let mut resolved = Degradations::new();
+    let mut resolved = Degradations::default();
     for &topology in &scenario.topologies {
         for c in conditions.iter().filter(|c| !c.is_pristine()) {
             if let Entry::Vacant(slot) = resolved.entry((topology, c.clone())) {

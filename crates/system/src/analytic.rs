@@ -176,8 +176,8 @@ pub(crate) fn training_run(
     // all-reduces × iterations); the estimate is a pure function of
     // (op, bytes) for the fixed spec/model, so memoize instead of
     // re-planning and re-enumerating routes per task.
-    let mut memo: std::collections::HashMap<(CollectiveOp, u64), AnalyticEstimate> =
-        std::collections::HashMap::new();
+    let mut memo: ace_simcore::FxHashMap<(CollectiveOp, u64), AnalyticEstimate> =
+        ace_simcore::FxHashMap::default();
     let mut mem_traffic = 0.0f64;
     let mut network = 0.0f64;
     let walk: AnalyticWalk = program.analytic_walk(
