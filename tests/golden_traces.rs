@@ -372,7 +372,9 @@ fn hybrid_knobs() -> Scenario {
 
 /// The hybrid knob grid's reports and the cache file its runner saves.
 /// The cache file pins the bytes `--cache-file` writes for both tiers:
-/// a file written by one build must load and re-save identically.
+/// a file written by one build must load and re-save identically. The
+/// attribution reports pin all four emitters on a grid whose repeated
+/// points span both tiers.
 #[test]
 fn hybrid_knob_grid_and_its_cache_file_match_golden() {
     let runner = SweepRunner::new();
@@ -392,6 +394,14 @@ fn hybrid_knob_grid_and_its_cache_file_match_golden() {
     let cache = persist::cache_to_string(runner.cache());
     check_golden("hybrid_knobs.csv", &report::to_csv(&out));
     check_golden("hybrid_knobs.json", &report::to_json(&out));
+    check_golden(
+        "hybrid_knobs_attribution.csv",
+        &report::to_csv_with_attribution(&out),
+    );
+    check_golden(
+        "hybrid_knobs_attribution.json",
+        &report::to_json_with_attribution(&out),
+    );
     check_golden("hybrid_knobs.cache", &cache);
     let reloaded = persist::cache_from_str(&cache).expect("the saved cache loads");
     assert_eq!(persist::cache_to_string(&reloaded), cache);
