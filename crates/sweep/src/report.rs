@@ -12,18 +12,32 @@
 //! fixed-point cells of floats below 2^53 and topologies. Unit tests
 //! compare those paths with `core::fmt` on over 200,000 seeded values
 //! and on pinned edge cases (ties, `-0`, subnormals, 2^53, NaN).
+//!
+//! A grid repeats a point wherever an axis leaves it unchanged: an
+//! `ideal` cell once for every knob combination, a `baseline` cell once
+//! for every `sram_mb` × `fsms` pair. The repeats differ only in
+//! `cache_hit`. So each emitter renders a point's first row and writes a
+//! later row of that point by copying the first row's text out of the
+//! output, with its own `cache_hit` value put in, when the two results
+//! are equal field for field (floats by their bits, `cache_hit` aside).
+//! Any other row, such as one in the other tier or with `-0.0` where the
+//! first row has `0.0`, is rendered in full. Either way a row's bytes are
+//! the bytes rendering it alone would give.
 
+use std::collections::hash_map::Entry;
 use std::fmt::{self, Write};
+use std::ops::Range;
 
 use ace_collectives::CollectiveOp;
 use ace_net::{ContentionSpec, FaultSpec, TopologySpec};
+use ace_simcore::FxHashMap;
 use ace_system::{EngineKind, SystemConfig};
 use ace_trace::chrome::json_escape;
 use ace_workloads::{PipeSchedule, StragglerSpec};
 
 use crate::grid::{PointKind, RunPoint};
 use crate::num;
-use crate::runner::{RunResult, SweepOutcome};
+use crate::runner::{Metrics, RunResult, ServingMetrics, SweepOutcome};
 use crate::scenario::{EngineFamily, WorkloadSel};
 
 /// The fixed CSV column set (a superset across the three sweep modes;
@@ -69,6 +83,10 @@ pub const CSV_COLUMNS: [&str; 39] = [
     "cache_hit",
     "speedup_vs_baseline",
 ];
+
+/// The index of the `cache_hit` column in [`CSV_COLUMNS`].
+const CACHE_HIT: usize = 37;
+const _: () = assert!(matches!(CSV_COLUMNS[CACHE_HIT].as_bytes(), b"cache_hit"));
 
 /// The optional bottleneck-attribution columns appended by
 /// [`to_csv_with_attribution`] / [`to_json_with_attribution`] (cycles;
@@ -254,9 +272,14 @@ impl Row {
         self.end_cell();
     }
 
-    fn cell(&self, i: usize) -> &str {
+    /// Where cell `i` sits in the row's text.
+    fn span(&self, i: usize) -> Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] + 1 };
-        &self.buf[start..self.ends[i]]
+        start..self.ends[i]
+    }
+
+    fn cell(&self, i: usize) -> &str {
+        &self.buf[self.span(i)]
     }
 
     /// The row as one CSV line, newline included.
@@ -392,6 +415,118 @@ pub fn to_csv_with_attribution(outcome: &SweepOutcome) -> String {
     csv_impl(outcome, true)
 }
 
+/// A result's fields other than its point and `cache_hit`, floats as
+/// their bits. Two results of one point whose fields are equal render to
+/// the same bytes apart from their `cache_hit` cells. The structs are
+/// taken apart in full, so a field added to one of them does not compile
+/// until it is compared here.
+fn rendered_fields(r: &RunResult) -> impl PartialEq {
+    let RunResult {
+        point: _,
+        metrics,
+        fidelity,
+        cache_hit: _,
+        speedup_vs_baseline,
+        failed_links,
+        degradation_pct,
+    } = r;
+    let Metrics {
+        time_us,
+        completion_cycles,
+        gbps_per_npu,
+        mem_traffic_bytes,
+        network_bytes,
+        compute_us,
+        exposed_comm_us,
+        past_schedules,
+        attribution,
+        serving,
+    } = metrics;
+    let ServingMetrics {
+        ttft_p50_us,
+        ttft_p95_us,
+        ttft_p99_us,
+        e2e_p50_us,
+        e2e_p95_us,
+        e2e_p99_us,
+        goodput_rps,
+    } = serving;
+    let floats = [
+        *degradation_pct,
+        *time_us,
+        *gbps_per_npu,
+        *compute_us,
+        *exposed_comm_us,
+        *ttft_p50_us,
+        *ttft_p95_us,
+        *ttft_p99_us,
+        *e2e_p50_us,
+        *e2e_p95_us,
+        *e2e_p99_us,
+        *goodput_rps,
+    ];
+    (
+        floats.map(f64::to_bits),
+        [
+            *failed_links as u64,
+            *completion_cycles,
+            *mem_traffic_bytes,
+            *network_bytes,
+            *past_schedules,
+        ],
+        speedup_vs_baseline.map(f64::to_bits),
+        *fidelity,
+        *attribution,
+    )
+}
+
+/// Where a row was written in a report: its text is `out[text]`, its
+/// `cache_hit` value `out[hit]`.
+struct Written<'a> {
+    result: &'a RunResult,
+    text: Range<usize>,
+    hit: Range<usize>,
+}
+
+/// The first row a report wrote for each point.
+#[derive(Default)]
+struct FirstRows<'a>(FxHashMap<&'a RunPoint, Written<'a>>);
+
+impl<'a> FirstRows<'a> {
+    /// Appends `r`'s row to `out`, `hit` being its `cache_hit` value as
+    /// the report spells it. When the first row of `r`'s point renders a
+    /// result with `r`'s fields, its text is copied with `hit` put in;
+    /// otherwise `render` writes the row and returns where its
+    /// `cache_hit` value went.
+    fn push(
+        &mut self,
+        out: &mut String,
+        r: &'a RunResult,
+        hit: &str,
+        render: impl FnOnce(&mut String) -> Range<usize>,
+    ) {
+        match self.0.entry(&r.point) {
+            Entry::Occupied(first) if rendered_fields(first.get().result) == rendered_fields(r) => {
+                let first = first.get();
+                out.extend_from_within(first.text.start..first.hit.start);
+                out.push_str(hit);
+                out.extend_from_within(first.hit.end..first.text.end);
+            }
+            entry => {
+                let start = out.len();
+                let hit = render(out);
+                if let Entry::Vacant(slot) = entry {
+                    slot.insert(Written {
+                        result: r,
+                        text: start..out.len(),
+                        hit,
+                    });
+                }
+            }
+        }
+    }
+}
+
 fn csv_impl(outcome: &SweepOutcome, attribution: bool) -> String {
     let mut out = String::new();
     out.push_str(&CSV_COLUMNS.join(","));
@@ -401,9 +536,16 @@ fn csv_impl(outcome: &SweepOutcome, attribution: bool) -> String {
     }
     out.push('\n');
     let mut row = Row::default();
+    let mut first_rows = FirstRows::default();
     for r in &outcome.results {
-        write_row(&mut row, r, attribution);
-        out.push_str(row.line());
+        let hit = if r.cache_hit { "1" } else { "0" };
+        first_rows.push(&mut out, r, hit, |out| {
+            write_row(&mut row, r, attribution);
+            let start = out.len();
+            let hit = row.span(CACHE_HIT);
+            out.push_str(row.line());
+            start + hit.start..start + hit.end
+        });
     }
     out
 }
@@ -466,32 +608,42 @@ fn json_impl(outcome: &SweepOutcome, attribution: bool) -> String {
         .map(|name| format!(", \"{name}\": "))
         .collect();
     let mut row = Row::default();
+    let mut first_rows = FirstRows::default();
     for (i, r) in outcome.results.iter().enumerate() {
         let row_start = out.len();
-        write_row(&mut row, r, attribution);
-        out.push_str("    {");
-        let mut first = true;
-        for (col, kind) in JSON_KINDS.into_iter().enumerate() {
-            let cell = row.cell(col);
-            if cell.is_empty() {
-                continue;
+        let hit = if r.cache_hit { "true" } else { "false" };
+        first_rows.push(&mut out, r, hit, |out| {
+            write_row(&mut row, r, attribution);
+            out.push_str("    {");
+            let mut hit = 0..0;
+            let mut first = true;
+            for (col, kind) in JSON_KINDS.into_iter().enumerate() {
+                let cell = row.cell(col);
+                if cell.is_empty() {
+                    continue;
+                }
+                let key = keys[col].as_str();
+                out.push_str(if first { &key[2..] } else { key });
+                first = false;
+                let start = out.len();
+                match kind {
+                    JsonKind::Str => push_json_str(out, cell),
+                    JsonKind::Bool => out.push_str(if cell == "1" { "true" } else { "false" }),
+                    JsonKind::Num => out.push_str(cell),
+                }
+                if col == CACHE_HIT {
+                    hit = start..out.len();
+                }
             }
-            let key = keys[col].as_str();
-            out.push_str(if first { &key[2..] } else { key });
-            first = false;
-            match kind {
-                JsonKind::Str => push_json_str(&mut out, cell),
-                JsonKind::Bool => out.push_str(if cell == "1" { "true" } else { "false" }),
-                JsonKind::Num => out.push_str(cell),
+            if attribution {
+                for (col, key) in keys.iter().enumerate().skip(CSV_COLUMNS.len()) {
+                    out.push_str(key);
+                    out.push_str(row.cell(col));
+                }
             }
-        }
-        if attribution {
-            for (col, key) in keys.iter().enumerate().skip(CSV_COLUMNS.len()) {
-                out.push_str(key);
-                out.push_str(row.cell(col));
-            }
-        }
-        out.push('}');
+            out.push('}');
+            hit
+        });
         if i + 1 < outcome.results.len() {
             out.push(',');
         }
@@ -751,6 +903,8 @@ mod tests {
     use crate::runner::{run_scenario, RunnerOptions};
     use crate::scenario::{BaselineSpec, EngineFamily, Scenario};
     use ace_net::TopologySpec;
+    use ace_simcore::SplitMix64;
+    use ace_system::Tier;
 
     fn outcome() -> SweepOutcome {
         let mut sc = Scenario::collective("report-test");
@@ -846,6 +1000,108 @@ mod tests {
         let json_a = to_json_with_attribution(&out);
         assert!(json_a.contains("\"attr_network_cycles\":"));
         assert!(!to_json(&out).contains("attr_network_cycles"));
+    }
+
+    /// Asserts that every emitter renders `out` as it renders each row
+    /// alone: the header, then each row as a one-row outcome renders it.
+    fn assert_rows_render_as_if_alone(out: &SweepOutcome) {
+        let alone = |r: &RunResult| SweepOutcome {
+            results: vec![r.clone()],
+            ..out.clone()
+        };
+        for emit in [to_csv, to_csv_with_attribution] {
+            let mut expected = String::new();
+            for (i, r) in out.results.iter().enumerate() {
+                let one = emit(&alone(r));
+                let (header, row) = one.split_once('\n').expect("a header line");
+                if i == 0 {
+                    expected.push_str(header);
+                    expected.push('\n');
+                }
+                expected.push_str(row);
+            }
+            assert_eq!(emit(out), expected);
+        }
+        // The `results` lines, without the `,` between rows.
+        let results = |json: &str| -> Vec<String> {
+            json.lines()
+                .skip_while(|l| *l != "  \"results\": [")
+                .skip(1)
+                .take_while(|l| *l != "  ],")
+                .map(|l| l.strip_suffix(',').unwrap_or(l).to_string())
+                .collect()
+        };
+        for emit in [to_json, to_json_with_attribution] {
+            let expected: Vec<String> = out
+                .results
+                .iter()
+                .flat_map(|r| results(&emit(&alone(r))))
+                .collect();
+            assert_eq!(results(&emit(out)), expected);
+        }
+    }
+
+    #[test]
+    fn repeated_points_render_as_if_alone() {
+        let template = outcome();
+        let base = RunResult {
+            cache_hit: false,
+            speedup_vs_baseline: Some(1.5),
+            ..template.results[1].clone()
+        };
+        assert_eq!(base.fidelity, Tier::Exact);
+        assert_eq!(base.degradation_pct.to_bits(), 0.0f64.to_bits());
+        // Each variant differs from `base` in one rendered input.
+        let edits: [fn(&mut RunResult); 9] = [
+            |_| {},
+            |r| r.cache_hit = true,
+            |r| r.fidelity = Tier::Analytic,
+            |r| r.speedup_vs_baseline = Some(0.0),
+            |r| r.speedup_vs_baseline = Some(-0.0),
+            |r| r.speedup_vs_baseline = None,
+            |r| r.metrics.time_us = f64::NAN,
+            |r| r.degradation_pct = -0.0,
+            |r| r.metrics.attribution.other_cycles += 1,
+        ];
+        let variants: Vec<RunResult> = edits
+            .iter()
+            .map(|edit| {
+                let mut r = base.clone();
+                edit(&mut r);
+                r
+            })
+            .collect();
+        // Each variant in turn is the point's first row, followed by all
+        // of them on the same point.
+        for first in &variants {
+            let results = std::iter::once(first).chain(&variants).cloned().collect();
+            assert_rows_render_as_if_alone(&SweepOutcome {
+                results,
+                ..template.clone()
+            });
+        }
+        // Every variant on each of the template's points, three times
+        // over with a random `cache_hit`, in a splitmix64-shuffled order.
+        let mut rng = SplitMix64::new(0x5eed_0e9e);
+        let mut grid = Vec::new();
+        for t in &template.results {
+            for v in &variants {
+                for _ in 0..3 {
+                    grid.push(RunResult {
+                        point: t.point.clone(),
+                        cache_hit: rng.next_u64() % 2 == 1,
+                        ..v.clone()
+                    });
+                }
+            }
+        }
+        for i in (1..grid.len()).rev() {
+            grid.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+        }
+        assert_rows_render_as_if_alone(&SweepOutcome {
+            results: grid,
+            ..template
+        });
     }
 
     #[test]

@@ -1202,7 +1202,7 @@ mod tests {
         for (point, cause) in [
             (
                 collective,
-                "invalid engine ace[dma=128,sram=4MB,fsms=0]: fsms 0 is below 1",
+                "invalid engine ace[dma=128,sram=4MB,fsms=0]: fsms 0 is outside 1..=1024",
             ),
             (training, "disconnect"),
             (serving, "invalid spec: microbatches must be at least 1"),

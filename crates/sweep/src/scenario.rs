@@ -1367,6 +1367,8 @@ mod tests {
             ("engines = [\"ace\"]\nmem_gbps = [1000]", "1000 GB/s"),
             ("comm_sms = [81]", "comm_sms 81"),
             ("sram_mb = [17592186044416]", "sram_mb 17592186044416"),
+            ("fsms = [4000000000]", "fsms 4000000000"),
+            ("[baseline]\nengine = \"ace\"\nfsms = 1025", "fsms 1025"),
             (
                 "engines = [\"ideal\"]\n[baseline]\nengine = \"baseline\"\nmem_gbps = 1000",
                 "[baseline] engine baseline[mem=1000,sms=6]",
@@ -1376,8 +1378,10 @@ mod tests {
             assert!(e.to_string().contains(value), "{toml}: {e}");
         }
         // The largest values that fit stay valid.
-        Scenario::from_toml_str("mem_gbps = [900]\ncomm_sms = [80]\nsram_mb = [17592186044415]")
-            .unwrap();
+        Scenario::from_toml_str(
+            "mem_gbps = [900]\ncomm_sms = [80]\nsram_mb = [17592186044415]\nfsms = [1024]",
+        )
+        .unwrap();
         // 2^32 + 6 must be refused, not narrowed to 6.
         for (toml, key) in [
             ("comm_sms = [4294967302]", "comm_sms[0]"),

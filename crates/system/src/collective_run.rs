@@ -19,6 +19,10 @@ use ace_trace::Attribution;
 /// The largest ACE SRAM, in MB, whose byte count fits `u64`.
 const MAX_SRAM_MB: u64 = u64::MAX >> 20;
 
+/// The most FSMs an ACE endpoint may have: 50× Fig. 9a's largest point
+/// (20), for a slot pool of 8 KiB per endpoint.
+const MAX_FSMS: usize = 1024;
+
 /// Which endpoint engine to run: a Table VI configuration's
 /// ([`SystemConfig::engine`](crate::SystemConfig::engine)) or any other
 /// point of the Fig. 5 / 6 / 9a design space. Equality and hashing
@@ -59,7 +63,7 @@ impl EngineKind {
     /// Checks the engine's knobs against the endpoint they are carved
     /// from (Table V): an HBM share within (0, [`HBM_TOTAL_GBPS`]] for
     /// either family, 1 to all of the NPU's SMs, at least 1 MB of SRAM
-    /// whose byte count fits `u64`, and at least one FSM. This is the only
+    /// whose byte count fits `u64`, and 1 to 1,024 FSMs. This is the only
     /// judge of engine knobs: [`RunSpec`](crate::RunSpec) in both tiers and
     /// the sweep's scenario validation call it, so
     /// [`endpoint`](EngineKind::endpoint) and
@@ -91,8 +95,8 @@ impl EngineKind {
             format!("comm_sms {comm_sms} is outside 1..={npu_sms}, the NPU's SMs")
         } else if !(1..=MAX_SRAM_MB).contains(&sram_mb) {
             format!("sram_mb {sram_mb} is outside 1..={MAX_SRAM_MB}, the sizes whose bytes fit u64")
-        } else if fsms == 0 {
-            "fsms 0 is below 1".to_string()
+        } else if !(1..=MAX_FSMS).contains(&fsms) {
+            format!("fsms {fsms} is outside 1..={MAX_FSMS}")
         } else {
             return Ok(());
         };

@@ -613,6 +613,7 @@ mod tests {
             baseline(900.0, 80),
             baseline(1e-3, 1),
             ace(900.0, max_sram_mb, 1),
+            ace(128.0, 4, 1024),
         ] {
             engine.validate().unwrap();
         }
@@ -629,6 +630,8 @@ mod tests {
             (ace(128.0, 0, 16), "sram_mb 0"),
             (ace(128.0, max_sram_mb + 1, 16), "sram_mb 17592186044416"),
             (ace(128.0, 4, 0), "fsms 0"),
+            (ace(128.0, 4, 1025), "fsms 1025"),
+            (ace(128.0, 4, 4_000_000_000), "fsms 4000000000"),
         ] {
             let exact = RunSpec::new(topo("2x2"), engine, CollectiveOp::AllReduce, MB8)
                 .run()
